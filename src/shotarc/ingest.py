@@ -10,8 +10,17 @@ File formats (all UTF-8 text, base-10 numerals):
   events.csv      shot_id, game_id, shooter_id, release_frame, outcome, hoop_end
   roster.csv      player_id, height_in, position
 
-Malformed rows are counted and skipped, never fatal; structurally broken
-files (missing, unparseable, non-monotone timestamps) raise.
+Malformed rows are counted under a reason and skipped, never fatal;
+structurally broken files (missing, unparseable, non-monotone timestamps)
+raise.  A tracking row is rejected as ``unparseable``, then
+``wrong_player_count``, then ``non_finite`` (a NaN or infinite time, ball
+coordinate or player x/y), then ``duplicate_timestamp``; the JSONL and CSV
+variants share these rules, so every loaded coordinate is finite.  An
+events row repeating an earlier shot id is rejected as
+``duplicate_shot_id``; the first occurrence is kept.
+
+Tracking is read in one pass into typed per-game column buffers that
+back the ``GameTracking`` arrays.
 
 Shot windows run from the tagged release frame to the first frame at or
 below rim height after the apex ("the ball reaches the rim plane"), or
@@ -26,8 +35,11 @@ from __future__ import annotations
 import csv
 import json
 import math
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -105,60 +117,84 @@ class LoadReport:
     reasons: dict[str, int] = field(default_factory=dict)
 
 
-class _GameAccumulator:
+class _GameColumns:
+    """Typed append-only buffers for one game's accepted frames."""
+
     def __init__(self, game_id: GameId):
         self.game_id = game_id
-        self.times: list[float] = []
-        self.ball: list[tuple[float, float, float]] = []
-        self.pids: list[list[int]] = []
-        self.pxy: list[list[tuple[float, float]]] = []
+        self.times = array("d")
+        self.ball = array("d")          # x, y, z per frame
+        self.player_ids = array("h")    # PLAYERS_PER_FRAME indices per frame
+        self.player_xy = array("d")     # x0, y0, x1, y1, ... per frame
         self.id_table: list[PlayerId] = []
-        self.id_index: dict[PlayerId, int] = {}
         self.team_of: dict[PlayerId, str] = {}
+        self._index: dict[PlayerId, int] = {}
 
-    def add(self, t: float, ball, players) -> None:
-        row_ids, row_xy = [], []
-        for pid, team, x, y in players:
-            j = self.id_index.get(pid)
-            if j is None:
-                j = len(self.id_table)
-                self.id_index[pid] = j
-                self.id_table.append(pid)
-                self.team_of[pid] = team
-            row_ids.append(j)
-            row_xy.append((x, y))
-        self.times.append(t)
-        self.ball.append(ball)
-        self.pids.append(row_ids)
-        self.pxy.append(row_xy)
+    def codes(self, ids: list, teams: list) -> list[int]:
+        """Indices of ``ids`` into ``id_table``, interning unseen ids with their team.
+
+        An unhashable id raises TypeError at the first lookup, before
+        anything is interned.
+        """
+        index = self._index
+        codes = [index.get(pid, -1) for pid in ids]
+        if -1 in codes:
+            for k, (pid, team) in enumerate(zip(ids, teams)):
+                if codes[k] < 0:
+                    if pid not in index:
+                        index[pid] = len(self.id_table)
+                        self.id_table.append(pid)
+                        self.team_of[pid] = team
+                    codes[k] = index[pid]
+        return codes
 
     def finish(self) -> GameTracking:
+        n = len(self.times)
         return GameTracking(
             game_id=self.game_id,
-            times=np.asarray(self.times, dtype=float),
-            ball=np.asarray(self.ball, dtype=float),
-            player_ids=np.asarray(self.pids, dtype=np.int16),
-            player_xy=np.asarray(self.pxy, dtype=float),
+            times=np.frombuffer(self.times, dtype=np.float64),
+            ball=np.frombuffer(self.ball, dtype=np.float64).reshape(n, 3),
+            player_ids=np.frombuffer(self.player_ids, dtype=np.int16).reshape(n, PLAYERS_PER_FRAME),
+            player_xy=np.frombuffer(self.player_xy, dtype=np.float64).reshape(
+                n, PLAYERS_PER_FRAME, 2),
             id_table=self.id_table,
             team_of=self.team_of,
         )
 
 
+_PLAYER_ID = itemgetter("id")
+_PLAYER_TEAM = itemgetter("team")
+_PLAYER_XY = itemgetter("x", "y")
+_CSV_WIDTH = 5 + 4 * PLAYERS_PER_FRAME
+
+
 def _parse_jsonl_row(line: str):
+    """(game_id, t, ball, player ids, teams, interleaved player x/y) of one JSON frame."""
     doc = json.loads(line)
+    players = doc["players"]
     ball = doc["ball"]
-    players = [(p["id"], p["team"], float(p["x"]), float(p["y"])) for p in doc["players"]]
-    return str(doc["game_id"]), float(doc["t"]), (float(ball[0]), float(ball[1]), float(ball[2])), players
+    return (
+        str(doc["game_id"]),
+        float(doc["t"]),
+        (float(ball[0]), float(ball[1]), float(ball[2])),
+        list(map(_PLAYER_ID, players)),
+        list(map(_PLAYER_TEAM, players)),
+        list(map(float, chain.from_iterable(map(_PLAYER_XY, players)))),
+    )
 
 
 def _parse_csv_row(row: list[str]):
-    game_id, t = row[0], float(row[1])
-    ball = (float(row[2]), float(row[3]), float(row[4]))
-    players = []
-    for k in range(PLAYERS_PER_FRAME):
-        base = 5 + 4 * k
-        players.append((row[base], row[base + 1], float(row[base + 2]), float(row[base + 3])))
-    return game_id, t, ball, players
+    """The same fields from one flattened CSV frame."""
+    if len(row) < _CSV_WIDTH:
+        raise IndexError(f"{len(row)} columns < {_CSV_WIDTH}")
+    return (
+        row[0],
+        float(row[1]),
+        (float(row[2]), float(row[3]), float(row[4])),
+        row[5:_CSV_WIDTH:4],
+        row[6:_CSV_WIDTH:4],
+        [float(v) for base in range(7, _CSV_WIDTH, 4) for v in row[base:base + 2]],
+    )
 
 
 def load_tracking(
@@ -168,67 +204,71 @@ def load_tracking(
 ) -> tuple[dict[GameId, GameTracking], LoadReport]:
     """Load tracking frames grouped by game, preserving within-game time order.
 
-    Rows that fail to parse, carry a wrong player count, or duplicate a
-    timestamp are counted and skipped.  A timestamp stepping backwards by
-    more than ``monotone_tol`` within a game aborts the load.
+    Each row is checked in this order and, on the first failure, counted
+    under the reason named and skipped: it fails to parse or holds a
+    number too large for a float (``unparseable``), it carries other than
+    ten players (``wrong_player_count``), its time, ball or any player
+    coordinate is NaN or infinite (``non_finite``), or it repeats its
+    game's last accepted timestamp (``duplicate_timestamp``).
+    A timestamp stepping backwards by more than ``monotone_tol`` within a
+    game aborts the load.
     """
     if fmt not in ("jsonl", "csv"):
         raise IngestError(f"unknown tracking format {fmt!r}")
     path = Path(path)
-    games: dict[GameId, _GameAccumulator] = {}
+    games: dict[GameId, _GameColumns] = {}
     n_rows = 0
     reasons: Counter[str] = Counter()
+    isfinite = math.isfinite
 
-    def consume(parsed) -> None:
-        game_id, t, ball, players = parsed
-        if len(players) != PLAYERS_PER_FRAME:
+    def accept(parsed) -> None:
+        game_id, t, ball, ids, teams, xy = parsed
+        if len(ids) != PLAYERS_PER_FRAME:
             reasons["wrong_player_count"] += 1
             return
-        if not all(math.isfinite(v) for v in (t, *ball)):
+        if not (isfinite(t) and all(map(isfinite, ball)) and all(map(isfinite, xy))):
             reasons["non_finite"] += 1
             return
-        acc = games.get(game_id)
-        if acc is None:
-            acc = games[game_id] = _GameAccumulator(game_id)
-        if acc.times:
-            prev = acc.times[-1]
+        game = games.get(game_id)
+        if game is None:
+            game = _GameColumns(game_id)
+        else:
+            prev = game.times[-1]
             if t < prev - monotone_tol:
                 raise NonMonotoneTimestampsError(
                     f"game {game_id}: timestamp {t} after {prev}")
             if t <= prev:
                 reasons["duplicate_timestamp"] += 1
                 return
-        acc.add(t, ball, players)
+        try:
+            codes = game.codes(ids, teams)
+        except TypeError:
+            reasons["unparseable"] += 1
+            return
+        games[game_id] = game
+        game.times.append(t)
+        game.ball.extend(ball)
+        game.player_ids.extend(codes)
+        game.player_xy.extend(xy)
 
     with path.open("r", encoding="utf-8", newline="") as fh:
         if fmt == "jsonl":
-            for line in fh:
-                if not line.strip():
-                    continue
-                n_rows += 1
-                try:
-                    consume(_parse_jsonl_row(line))
-                except NonMonotoneTimestampsError:
-                    raise
-                except (ValueError, KeyError, TypeError, IndexError):
-                    reasons["unparseable"] += 1
+            parse, rows = _parse_jsonl_row, (line for line in fh if line.strip())
         else:
             reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
+            if next(reader, None) is None:
                 return {}, LoadReport(0, 0, 0, {})
-            for row in reader:
-                if not row:
-                    continue
-                n_rows += 1
-                try:
-                    consume(_parse_csv_row(row))
-                except NonMonotoneTimestampsError:
-                    raise
-                except (ValueError, KeyError, TypeError, IndexError):
-                    reasons["unparseable"] += 1
+            parse, rows = _parse_csv_row, (row for row in reader if row)
+        for row in rows:
+            n_rows += 1
+            try:
+                parsed = parse(row)
+            except (ValueError, KeyError, TypeError, IndexError, OverflowError):
+                reasons["unparseable"] += 1
+                continue
+            accept(parsed)
 
-    loaded = {gid: acc.finish() for gid, acc in games.items()}
+    loaded = {gid: game.finish() for gid, game in games.items()}
     n_loaded = sum(len(g) for g in loaded.values())
     return loaded, LoadReport(
         n_rows=n_rows,
@@ -283,8 +323,13 @@ class EventRecord:
 
 
 def load_events(path: str | Path) -> tuple[list[EventRecord], LoadReport]:
+    """Read shot events; a shot id seen before is counted as ``duplicate_shot_id``.
+
+    The first parseable row of each shot id is kept.
+    """
     path = Path(path)
     events: list[EventRecord] = []
+    seen: set[str] = set()
     reasons: Counter[str] = Counter()
     n_rows = 0
     with path.open("r", encoding="utf-8", newline="") as fh:
@@ -295,16 +340,22 @@ def load_events(path: str | Path) -> tuple[list[EventRecord], LoadReport]:
                 outcome = int(row["outcome"])
                 if outcome not in (0, 1):
                     raise ValueError("outcome must be 0/1")
-                events.append(EventRecord(
+                event = EventRecord(
                     shot_id=row["shot_id"].strip(),
                     game_id=row["game_id"].strip(),
                     shooter_id=row["shooter_id"].strip(),
                     release_frame=int(row["release_frame"]),
                     outcome=outcome,
                     hoop_end=row["hoop_end"].strip(),
-                ))
+                )
             except (KeyError, ValueError, AttributeError):
                 reasons["unparseable"] += 1
+                continue
+            if event.shot_id in seen:
+                reasons["duplicate_shot_id"] += 1
+                continue
+            seen.add(event.shot_id)
+            events.append(event)
     return events, LoadReport(n_rows, len(events), n_rows - len(events), dict(reasons))
 
 

@@ -28,9 +28,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .core import CourtGeometry, DEFAULT_GEOMETRY
 
@@ -105,6 +105,10 @@ class PriorConfig:
     # sqrt(condition) * eps, so only conditions beyond ~1e20 are rejected
     condition_guard: float = 1e20
 
+    def __post_init__(self) -> None:
+        if not self.pseudo_weight >= 0:
+            raise ValueError("pseudo_weight must be non-negative")
+
     def base_prior(self) -> TrajectoryPrior:
         return TrajectoryPrior(
             mean=np.zeros(N_COEFFS),
@@ -112,6 +116,11 @@ class PriorConfig:
             shape=self.base_shape,
             scale=self.base_scale,
         )
+
+    @cached_property
+    def base_posterior(self) -> "NigPosterior":
+        """The validated, factored base prior; built once per config and only read."""
+        return posterior_from_prior(self.base_prior())
 
 
 DEFAULT_PRIOR_CONFIG = PriorConfig()
@@ -140,26 +149,28 @@ def make_pseudo_data(
 class NigPosterior:
     """Natural-parameter state of the NIG distribution: (Lambda, Lambda*mu, a, b).
 
-    When available, a square-root representation of the information matrix
-    (stacked rows R with R'R = Lambda and targets y with R'y = shift) is
-    carried along; the posterior mean is then solved through the stacked
-    system, whose conditioning is the square root of Lambda's.  The values
-    are mathematically identical to the normal-equations solution.
+    A square-root representation of the information matrix (stacked rows
+    R with R'R = Lambda and targets y with R'y = shift) is carried along;
+    the posterior mean is solved through the stacked system, whose
+    conditioning is the square root of Lambda's.  The values are
+    mathematically identical to the normal-equations solution.
+
+    ``updated`` applies one conjugate update at a time.  ``fit_trajectory``
+    forms the same final state in one step; this sequential chain is kept as
+    its reference.
     """
 
     precision: np.ndarray      # Lambda
     shift: np.ndarray          # h = Lambda @ mu
     shape: float
     scale: float
-    root: np.ndarray | None = field(default=None, repr=False, compare=False)
-    root_target: np.ndarray | None = field(default=None, repr=False, compare=False)
+    root: np.ndarray = field(repr=False, compare=False)
+    root_target: np.ndarray = field(repr=False, compare=False)
 
     @property
     def mean(self) -> np.ndarray:
-        if self.root is not None and self.root_target is not None:
-            beta, *_ = np.linalg.lstsq(self.root, self.root_target, rcond=None)
-            return beta
-        return _solve_spd(self.precision, self.shift)
+        beta, *_ = np.linalg.lstsq(self.root, self.root_target, rcond=None)
+        return beta
 
     def updated(self, X: np.ndarray, z: np.ndarray, weight: float = 1.0) -> "NigPosterior":
         """Conjugate update with rows X and targets z, each carrying `weight`."""
@@ -169,11 +180,9 @@ class NigPosterior:
         z = np.asarray(z, dtype=float)
         lam = self.precision + weight * (X.T @ X)
         h = self.shift + weight * (X.T @ z)
-        root = root_target = None
-        if self.root is not None and self.root_target is not None:
-            w = np.sqrt(weight)
-            root = np.vstack([self.root, w * X])
-            root_target = np.concatenate([self.root_target, w * z])
+        w = np.sqrt(weight)
+        root = np.vstack([self.root, w * X])
+        root_target = np.concatenate([self.root_target, w * z])
         mu_old = self.mean
         new = NigPosterior(lam, h, self.shape + weight * len(z) / 2.0, self.scale,
                            root=root, root_target=root_target)
@@ -196,36 +205,6 @@ def posterior_from_prior(prior: TrajectoryPrior) -> NigPosterior:
         root=chol_t,
         root_target=chol_t @ mean,
     )
-
-
-def _solve_spd(lam: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Solve lam @ x = h via equilibrated Cholesky with iterative refinement.
-
-    Residuals are accumulated in extended precision, so the refinement
-    recovers full double accuracy even when the monomial basis leaves the
-    system within a few orders of the condition guard.
-    """
-    d = 1.0 / np.sqrt(np.diag(lam))
-    m = lam * d[:, None] * d[None, :]
-    try:
-        cf = scipy.linalg.cho_factor(m, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError:
-        raise IllConditionedError("normal equations not numerically positive definite") from None
-    x = d * scipy.linalg.cho_solve(cf, d * h, check_finite=False)
-    lam_ld = lam.astype(np.longdouble)
-    h_ld = h.astype(np.longdouble)
-    x_ld = x.astype(np.longdouble)
-    scale = float(np.max(np.abs(x))) + 1e-300
-    last = np.inf
-    for _ in range(25):
-        r = np.asarray(h_ld - lam_ld @ x_ld, dtype=np.float64)
-        corr = d * scipy.linalg.cho_solve(cf, d * r, check_finite=False)
-        x_ld = x_ld + corr.astype(np.longdouble)
-        step = float(np.max(np.abs(corr)))
-        if step <= 1e-15 * scale or step >= 0.5 * last:
-            break
-        last = step
-    return np.asarray(x_ld, dtype=np.float64)
 
 
 def equilibrated_condition(lam: np.ndarray) -> float:
@@ -258,9 +237,14 @@ def fit_trajectory(
 ) -> FittedTrajectory:
     """Fit the quadratic surface to one shot's (n, 3) local-frame ball samples.
 
-    The conjugate update runs sequentially: base prior, then the four
-    pseudo-points, then the observed samples.  Because the update is
-    conjugate, this matches the single-batch solution over combined rows.
+    The posterior is the conjugate update of the base prior with the four
+    pseudo-points and then the observed samples.  It is formed in one step:
+    the natural parameters and the stacked square root
+    [chol(Lambda0)'; sqrt(w) * pseudo rows; sample rows] are summed and
+    stacked in the order the sequential ``NigPosterior.updated`` chain uses,
+    so one least-squares solve on that root gives the chain's posterior mean
+    bit for bit.  The inverse-gamma scale follows in closed form from the
+    residual of the stacked system, b = b0 + |y - R beta|^2 / 2.
 
     Raises InsufficientSamplesError or IllConditionedError; both mark the
     shot unfittable rather than aborting a season run.
@@ -273,18 +257,23 @@ def fit_trajectory(
     if not np.all(np.isfinite(pts)):
         raise ValueError("samples contain non-finite coordinates")
 
+    base = prior_config.base_posterior
+    weight = prior_config.pseudo_weight
     xy_p, z_p = make_pseudo_data(release_xy, geometry)
-    state = posterior_from_prior(prior_config.base_prior())
-    state = state.updated(quadratic_features(xy_p), z_p, weight=prior_config.pseudo_weight)
+    Xp = quadratic_features(xy_p)
     X = quadratic_features(pts[:, :2])
     z = pts[:, 2]
-    state = state.updated(X, z)
+    precision = base.precision + weight * (Xp.T @ Xp) + X.T @ X
 
-    cond = equilibrated_condition(state.precision)
+    cond = equilibrated_condition(precision)
     if cond > prior_config.condition_guard:
         raise IllConditionedError(f"equilibrated condition {cond:.3e} exceeds guard")
 
-    beta = state.mean
+    w = np.sqrt(weight)
+    root = np.vstack([base.root, w * Xp, X])
+    root_target = np.concatenate([base.root_target, w * z_p, z])
+    beta, *_ = np.linalg.lstsq(root, root_target, rcond=None)
+    stacked_resid = root_target - root @ beta
     if len(pts):
         resid = X @ beta - z
         rmse = float(np.sqrt(np.mean(resid**2)))
@@ -292,9 +281,9 @@ def fit_trajectory(
         rmse = float("nan")
     return FittedTrajectory(
         beta=beta,
-        posterior_precision=state.precision,
-        posterior_shape=state.shape,
-        posterior_scale=state.scale,
+        posterior_precision=precision,
+        posterior_shape=base.shape + weight * len(z_p) / 2.0 + len(z) / 2.0,
+        posterior_scale=base.scale + 0.5 * float(stacked_resid @ stacked_resid),
         rmse_ft=rmse,
         n_samples=len(pts),
         condition=cond,

@@ -1,11 +1,14 @@
 """File loading, defender context, and shot-window extraction."""
 
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from shotarc.ingest import (
+    PLAYERS_PER_FRAME,
     EventRecord,
     NonMonotoneTimestampsError,
     TrackingFrame,
@@ -23,6 +26,18 @@ def frame_line(game_id="G0", t=0.0, ball=(10.0, 25.0, 8.0), n_players=10):
     players = [{"id": f"P{k}", "team": "A" if k < 5 else "B",
                 "x": float(k), "y": float(k)} for k in range(n_players)]
     return json.dumps({"game_id": game_id, "t": t, "ball": list(ball), "players": players})
+
+
+CSV_HEADER = ["game_id", "t", "ball_x", "ball_y", "ball_z"] + [
+    f"p{k}_{field}" for k in range(PLAYERS_PER_FRAME) for field in ("id", "team", "x", "y")]
+
+
+def csv_row(doc):
+    """The flattened CSV row of one JSON frame document; floats keep every digit."""
+    row = [str(doc["game_id"]), repr(float(doc["t"]))] + [repr(float(v)) for v in doc["ball"]]
+    for player in doc["players"]:
+        row += [player["id"], player["team"], repr(float(player["x"])), repr(float(player["y"]))]
+    return row
 
 
 class TestLoadTracking:
@@ -85,6 +100,106 @@ class TestLoadTracking:
         assert report.n_loaded == 1
         assert games["G1"].ball[0, 2] == 9.0
 
+    def test_non_finite_player_coordinate_rejected(self, tmp_path):
+        # a NaN opponent x used to load and make nearest_defender return NDD = NaN
+        bad = json.loads(frame_line(t=0.04))
+        bad["players"][6]["x"] = float("nan")
+        worse = json.loads(frame_line(t=0.08))
+        worse["players"][2]["y"] = float("-inf")
+        p = tmp_path / "t.jsonl"
+        p.write_text("\n".join([frame_line(t=0.0), json.dumps(bad), json.dumps(worse),
+                                frame_line(t=0.12)]) + "\n")
+        games, report = load_tracking(p)
+        assert report.reasons == {"non_finite": 2}
+        g = games["G0"]
+        np.testing.assert_array_equal(g.times, [0.0, 0.12])
+        assert np.isfinite(g.player_xy).all()
+        pid, ndd = nearest_defender(g.frame(0), "P0")
+        assert (pid, ndd) == ("P5", pytest.approx(5.0 * math.sqrt(2.0)))
+
+    def test_non_finite_player_coordinate_rejected_in_csv(self, tmp_path):
+        p = tmp_path / "t.csv"
+        rows = [csv_row(json.loads(frame_line(t=0.0))),
+                csv_row(json.loads(frame_line(t=0.04)))]
+        rows[1][7 + 4 * 3] = "nan"
+        p.write_text("\n".join(",".join(r) for r in [CSV_HEADER] + rows) + "\n")
+        games, report = load_tracking(p, fmt="csv")
+        assert report.reasons == {"non_finite": 1}
+        assert len(games["G0"]) == 1
+
+    def test_unhashable_player_id_unparseable_and_not_interned(self, tmp_path):
+        bad = json.loads(frame_line(game_id="G1", t=0.0))
+        bad["players"][4]["id"] = ["P4"]
+        p = tmp_path / "t.jsonl"
+        p.write_text(json.dumps(bad) + "\n" + frame_line(t=0.0) + "\n")
+        games, report = load_tracking(p)
+        assert report.reasons == {"unparseable": 1}
+        assert list(games) == ["G0"]
+        assert games["G0"].id_table == [f"P{k}" for k in range(10)]
+
+    def test_integer_too_large_for_float_unparseable(self, tmp_path):
+        p = tmp_path / "t.jsonl"
+        big = frame_line(t=0.04).replace('"x": 3.0', '"x": 1' + "0" * 400)
+        p.write_text(frame_line(t=0.0) + "\n" + big + "\n")
+        games, report = load_tracking(p)
+        assert report.reasons == {"unparseable": 1}
+        assert len(games["G0"]) == 1
+
+
+# one frame row's fields, addressed as paths into its JSON document
+FRAME_FIELDS = (
+    [("game_id",), ("t",), ("ball",), ("players",)]
+    + [("ball", k) for k in range(3)]
+    + [("players", k) for k in range(PLAYERS_PER_FRAME)]
+    + [("players", k, key) for k in range(PLAYERS_PER_FRAME) for key in ("id", "team", "x", "y")]
+)
+JSON_VALUES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(min_value=-(10**400), max_value=10**400),
+    st.text(max_size=4),
+    st.sampled_from(["nan", "inf", "-Infinity", "1e999", "3.5", "P3", "A"]),
+    st.none(),
+    st.booleans(),
+    st.lists(st.integers(), max_size=4),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+)
+DELETE = object()
+
+
+class TestLoadTrackingProperties:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(field=st.sampled_from(FRAME_FIELDS),
+           value=st.one_of(JSON_VALUES, st.just(DELETE)),
+           position=st.integers(0, 3))
+    def test_mutated_field_counted_or_finite(self, tmp_path, field, value, position):
+        docs = [json.loads(frame_line(t=i * 0.04)) for i in range(4)]
+        parent = docs[position]
+        for key in field[:-1]:
+            parent = parent[key]
+        if value is DELETE:
+            if isinstance(parent, list):
+                parent.pop(field[-1])
+            else:
+                del parent[field[-1]]
+        else:
+            parent[field[-1]] = value
+        p = tmp_path / "t.jsonl"
+        p.write_text("\n".join(json.dumps(d) for d in docs) + "\n")
+        try:
+            games, report = load_tracking(p)
+        except NonMonotoneTimestampsError:
+            assert field == ("t",)
+            return
+        assert report.n_rows == 4
+        assert report.n_rejected == sum(report.reasons.values()) <= 1
+        for g in games.values():
+            assert len(g) == len(g.ball) == len(g.player_ids) == len(g.player_xy)
+            assert np.isfinite(g.times).all()
+            assert np.isfinite(g.ball).all()
+            assert np.isfinite(g.player_xy).all()
+            assert g.ball.shape[1:] == (3,) and g.player_xy.shape[1:] == (PLAYERS_PER_FRAME, 2)
+
 
 class TestRosterAndEvents:
     def test_roster_height_bounds(self, tmp_path):
@@ -103,6 +218,18 @@ class TestRosterAndEvents:
         events, report = load_events(p)
         assert [e.shot_id for e in events] == ["s1"]
         assert report.reasons == {"unparseable": 2}
+
+    def test_duplicate_shot_id_keeps_first(self, tmp_path):
+        p = tmp_path / "e.csv"
+        p.write_text("shot_id,game_id,shooter_id,release_frame,outcome,hoop_end\n"
+                     "s1,G0,P1,10,1,left\n"
+                     "s2,G0,P2,20,0,left\n"
+                     "s1,G0,P3,30,0,right\n"
+                     "s1,G1,P4,40,1,left\n")
+        events, report = load_events(p)
+        assert [(e.shot_id, e.shooter_id) for e in events] == [("s1", "P1"), ("s2", "P2")]
+        assert report.reasons == {"duplicate_shot_id": 2}
+        assert (report.n_rows, report.n_loaded, report.n_rejected) == (4, 2, 2)
 
 
 def make_frame(players, ball=(0.0, 0.0, 9.0)):
@@ -178,6 +305,30 @@ def season_files(tmp_path_factory):
     season = simulate_season(cfg)
     paths = write_season(season, out)
     return season, paths
+
+
+class TestFormatParity:
+    def test_jsonl_and_csv_load_identical_arrays(self, season_files, tmp_path):
+        _, paths = season_files
+        csv_path = tmp_path / "tracking.csv"
+        with open(paths["tracking"], encoding="utf-8") as src, \
+                open(csv_path, "w", encoding="utf-8") as dst:
+            dst.write(",".join(CSV_HEADER) + "\n")
+            for line in src:
+                dst.write(",".join(csv_row(json.loads(line))) + "\n")
+        from_jsonl, report_jsonl = load_tracking(paths["tracking"])
+        from_csv, report_csv = load_tracking(csv_path, fmt="csv")
+        assert report_jsonl == report_csv
+        assert report_jsonl.n_loaded > 0
+        assert list(from_jsonl) == list(from_csv)
+        for gid, a in from_jsonl.items():
+            b = from_csv[gid]
+            for name in ("times", "ball", "player_ids", "player_xy"):
+                x, y = getattr(a, name), getattr(b, name)
+                assert x.dtype == y.dtype and x.shape == y.shape
+                np.testing.assert_array_equal(x, y)
+            assert a.id_table == b.id_table
+            assert a.team_of == b.team_of
 
 
 class TestExtraction:

@@ -41,6 +41,30 @@ def lstsq_oracle(samples_xy, z, release_xy, epsilon, pseudo_weight=1.0):
     return beta
 
 
+def criterion_1_shots():
+    """The 100 noisy shots of acceptance criterion 1, as (points, release_xy)."""
+    rng = np.random.default_rng(20240101)
+    for i in range(100):
+        pts, release, _ = parabola_shot(
+            release_dist=rng.uniform(22.5, 26.5),
+            azimuth_rad=rng.uniform(-0.95, 0.95),
+            lr_ft=rng.normal(0.0, 0.16),
+            depth_ft=rng.normal(0.72, 0.22),
+            entry_angle_deg=rng.uniform(38.0, 54.0),
+            noise=0.12,
+            seed=9000 + i,
+        )
+        yield pts, release
+
+
+def sequential_chain(pts, release, cfg):
+    """Base prior, then the pseudo-points, then the samples, one update at a time."""
+    xy_p, z_p = make_pseudo_data(release)
+    return posterior_from_prior(cfg.base_prior()).updated(
+        quadratic_features(xy_p), z_p, weight=cfg.pseudo_weight).updated(
+        quadratic_features(pts[:, :2]), pts[:, 2])
+
+
 class TestPseudoData:
     def test_stated_construction(self):
         xy, z = make_pseudo_data((20.0, 5.0))
@@ -114,6 +138,35 @@ class TestFit:
         assert seq.shape == batch.shape
         assert seq.scale == pytest.approx(batch.scale, abs=1e-10)
         np.testing.assert_allclose(seq.mean, batch.mean, atol=1e-10)
+
+    # the chain's scale telescopes mu'h differences, so its cancellation
+    # error grows with the pseudo weight (1.3e-9 at 2.5); the closed form
+    # reads the stacked residual
+    @pytest.mark.parametrize("pseudo_weight,scale_tol", [(1.0, 1e-10), (0.0, 1e-10), (2.5, 1e-8)])
+    def test_one_solve_beta_equals_sequential_chain(self, pseudo_weight, scale_tol):
+        cfg = PriorConfig(pseudo_weight=pseudo_weight)
+        for pts, release in criterion_1_shots():
+            fit = fit_trajectory(pts, release, cfg)
+            chain = sequential_chain(pts, release, cfg)
+            assert np.array_equal(fit.beta, chain.mean)
+            assert np.array_equal(fit.posterior_precision, chain.precision)
+            assert fit.posterior_shape == chain.shape
+            assert abs(fit.posterior_scale - chain.scale) <= scale_tol
+
+    @pytest.mark.parametrize("pseudo_weight", [-1.0, float("nan")])
+    def test_invalid_pseudo_weight_rejected(self, pseudo_weight):
+        pts, release, _ = parabola_shot(noise=0.1, seed=5)
+        with pytest.raises(ValueError, match="pseudo_weight"):
+            fit_trajectory(pts, release, PriorConfig(pseudo_weight=pseudo_weight))
+
+    def test_pseudo_only_fit_equals_chain(self):
+        cfg = PriorConfig()
+        fit = fit_trajectory(np.empty((0, 3)), (20.0, 5.0), cfg, min_samples=0)
+        xy_p, z_p = make_pseudo_data((20.0, 5.0))
+        chain = posterior_from_prior(cfg.base_prior()).updated(quadratic_features(xy_p), z_p)
+        assert np.array_equal(fit.beta, chain.mean)
+        assert fit.posterior_shape == chain.shape
+        assert abs(fit.posterior_scale - chain.scale) <= 1e-10
 
     def test_duplicate_observation_influence(self):
         pts, release, _ = parabola_shot(noise=0.1, seed=5, lr_ft=0.25)
