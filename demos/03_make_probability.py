@@ -10,14 +10,14 @@ Run:  python demos/03_make_probability.py
 
 import numpy as np
 
-from shotarc.cli import rows_from_season
+from shotarc.cli import fit_season
 from shotarc.evaluate import binned_mean_by_depth, make_pct_by_depth_bin
 from shotarc.makeprob import TrainConfig, predict, train
-from shotarc.sim import SimConfig, simulate_season
+from shotarc.sim import SimConfig, season_tracking, simulate_season
 
 cfg = SimConfig(seed=21, n_games=40, shots_per_game=150)
 season = simulate_season(cfg)
-rows = rows_from_season(season)
+rows = fit_season(*season_tracking(season)).rows
 print(f"{len(rows)} shots retained from {cfg.n_shots} attempts")
 
 factors = np.array([[r.depth_ft, r.lr_ft, r.entry_angle_deg] for r in rows])

@@ -9,14 +9,14 @@ Run:  python demos/04_defender_effects.py
 
 import numpy as np
 
-from shotarc.cli import rows_from_season
+from shotarc.cli import fit_season
 from shotarc.effects import EffectsDataset, apply_min_shots_filter, fit_effects, rank_players
 from shotarc.makeprob import TrainConfig, predict, train
-from shotarc.sim import SimConfig, simulate_season
+from shotarc.sim import SimConfig, season_tracking, simulate_season
 
 cfg = SimConfig(seed=33, n_games=60, shots_per_game=200, outcome_flip_prob=0.08)
 season = simulate_season(cfg)
-rows = rows_from_season(season)
+rows = fit_season(*season_tracking(season)).rows
 factors = np.array([[r.depth_ft, r.lr_ft, r.entry_angle_deg] for r in rows])
 outcomes = np.array([float(r.outcome) for r in rows])
 model = train(factors, outcomes, TrainConfig())

@@ -11,16 +11,16 @@ Run:  python demos/05_variance_reduction.py   (about a minute)
 
 import numpy as np
 
-from shotarc.cli import rows_from_season
+from shotarc.cli import fit_season
 from shotarc.effects import EffectsDataset
 from shotarc.evaluate import SubsampleSpec, split_half_rank_correlation, subsample_mse
 from shotarc.makeprob import TrainConfig, predict, train
-from shotarc.sim import PressureModel, SimConfig, simulate_season
+from shotarc.sim import PressureModel, SimConfig, season_tracking, simulate_season
 
 cfg = SimConfig(seed=55, n_games=120, shots_per_game=250, outcome_flip_prob=0.10,
                 pressure_scale_sd=0.55, pressure=PressureModel(depth_shift_ft=-0.11))
 season = simulate_season(cfg)
-rows = rows_from_season(season)
+rows = fit_season(*season_tracking(season)).rows
 factors = np.array([[r.depth_ft, r.lr_ft, r.entry_angle_deg] for r in rows])
 outcomes = np.array([float(r.outcome) for r in rows])
 model = train(factors, outcomes, TrainConfig())

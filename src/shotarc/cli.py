@@ -20,11 +20,12 @@ import hashlib
 import json
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
-from .core import PlayerId
+from .core import GameId, PlayerId
 from .effects import (
     EffectsDataset,
     EffectsError,
@@ -42,11 +43,23 @@ from .evaluate import (
     variance_comparison,
 )
 from .factors import CrossingError, PathError, compute_shot_factors, fit_path_line
-from .ingest import ShotEvent, extract_shot_events, load_events, load_roster, load_tracking
+from .ingest import (
+    EventRecord,
+    ExtractionReport,
+    GameTracking,
+    RosterRecord,
+    ShotEvent,
+    extract_shot_events,
+    load_events,
+    load_roster,
+    load_tracking,
+)
 from .makeprob import MakeProbModel, TrainConfig, TrainingError, predict, train
 from .sim import PressureModel, SimConfig, simulate_season, write_season
 from .trajectory import (
+    FilterReport,
     FilterThresholds,
+    IllConditionedError,
     PriorConfig,
     ShotFitRecord,
     TrajectoryFitError,
@@ -108,23 +121,6 @@ def load_json_config(path: str | None) -> dict:
     return doc
 
 
-def merge_config(file_config: dict, flag_values: dict, defaults: dict) -> dict:
-    """Config-file keys win over conflicting flags, with a warning."""
-    merged = dict(defaults)
-    for key, val in flag_values.items():
-        if val is not None:
-            merged[key] = val
-    for key, val in file_config.items():
-        if key not in defaults:
-            raise ConfigError(f"unknown config key {key!r}")
-        flag_val = flag_values.get(key)
-        if flag_val is not None and flag_val != val:
-            print(f"warning: config file overrides --{key.replace('_', '-')}={flag_val} "
-                  f"with {val}", file=sys.stderr)
-        merged[key] = val
-    return merged
-
-
 def sim_config_from_dict(doc: dict) -> SimConfig:
     known = {f.name for f in dataclasses.fields(SimConfig)}
     unknown = set(doc) - known
@@ -180,8 +176,9 @@ class ShotRow:
 
 def write_shot_rows(rows: list[ShotRow], path: Path, with_prob: bool = False) -> None:
     cols = list(SHOT_COLUMNS) + (["make_prob"] if with_prob else [])
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(cols) + "\n")
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(cols)
         for r in rows:
             vals = [r.shot_id, r.game_id, r.shooter_id, r.defender_id, repr(r.ndd_ft),
                     repr(r.defender_height_in), repr(r.contest_angle_deg), str(r.outcome),
@@ -189,7 +186,7 @@ def write_shot_rows(rows: list[ShotRow], path: Path, with_prob: bool = False) ->
                     repr(r.rmse_ft), str(r.n_samples), r.flags]
             if with_prob:
                 vals.append(repr(r.make_prob) if r.make_prob is not None else "")
-            fh.write(",".join(vals) + "\n")
+            writer.writerow(vals)
 
 
 def read_shot_rows(path: str | Path) -> list[ShotRow]:
@@ -231,18 +228,34 @@ def effects_dataset_from_rows(rows: list[ShotRow], require_prob: bool) -> Effect
     )
 
 
-def rows_from_shot_events(
-    shots: list[ShotEvent],
+class SeasonFit(NamedTuple):
+    """Everything ``fit_season`` makes of one season."""
+
+    rows: list[ShotRow]
+    fits: list[tuple[ShotEvent, ShotFitRecord]]
+    extraction: ExtractionReport
+    filtering: FilterReport
+    factor_rejections: dict[str, int]
+
+
+def fit_season(
+    tracking: dict[GameId, GameTracking],
+    events: list[EventRecord],
+    roster: dict[PlayerId, RosterRecord],
     thresholds: FilterThresholds = FilterThresholds(),
     prior_config: PriorConfig = PriorConfig(),
-):
-    """Fit every extracted shot, apply season filtering, compute factors.
+) -> SeasonFit:
+    """Extract every tagged shot, fit its trajectory, filter the season, compute factors.
 
-    Returns (shot_rows, fit_records, filter_report, factor_rejections).
+    Takes what ``load_tracking``, ``load_events`` and ``load_roster`` return
+    (``sim.season_tracking`` returns the same for a simulated season).  With
+    shot ids unique, as ``load_events`` leaves them, every event ends up in
+    exactly one place: an extraction rejection, a filtering rejection, a
+    factor rejection, or a row.
     """
-    from .trajectory import IllConditionedError
-
-    fit_records: list[tuple[ShotEvent, ShotFitRecord, object]] = []
+    shots, extraction = extract_shot_events(
+        tracking, events, roster, min_samples=thresholds.min_samples)
+    fits: list[tuple[ShotEvent, ShotFitRecord]] = []
     for ev in shots:
         fitted = None
         flags = list(ev.flags)
@@ -254,26 +267,25 @@ def rows_from_shot_events(
             flags.append("unfittable")
         except TrajectoryFitError:
             flags.append("insufficient_samples")
-        rec = ShotFitRecord(
+        fits.append((ev, ShotFitRecord(
             shot_id=ev.shot_id,
             fitted=fitted,
             n_samples=len(ev.samples),
             max_gap_s=ev.max_gap_s,
             flags=tuple(flags),
-        )
-        fit_records.append((ev, rec, fitted))
+        )))
 
-    retained, report = filter_shots([rec for _, rec, _ in fit_records], thresholds)
+    retained, filtering = filter_shots([rec for _, rec in fits], thresholds)
     retained_ids = {rec.shot_id for rec in retained}
 
     rows: list[ShotRow] = []
     factor_rejections: dict[str, int] = {}
-    for ev, rec, fitted in fit_records:
-        if rec.shot_id not in retained_ids or fitted is None:
+    for ev, rec in fits:
+        if rec.shot_id not in retained_ids or rec.fitted is None:
             continue
         try:
             path = fit_path_line(ev.samples)
-            factors = compute_shot_factors(fitted, path)
+            factors = compute_shot_factors(rec.fitted, path)
         except (PathError, CrossingError) as exc:
             reason = getattr(exc, "flag", "path_degenerate")
             factor_rejections[reason] = factor_rejections.get(reason, 0) + 1
@@ -290,80 +302,11 @@ def rows_from_shot_events(
             depth_ft=factors.depth_ft,
             lr_ft=factors.left_right_ft,
             entry_angle_deg=factors.entry_angle_deg,
-            rmse_ft=fitted.rmse_ft,
+            rmse_ft=rec.fitted.rmse_ft,
             n_samples=rec.n_samples,
             flags=";".join(rec.flags),
         ))
-    return rows, fit_records, report, factor_rejections
-
-
-def fit_season(
-    tracking_path: Path,
-    events_path: Path,
-    roster_path: Path,
-    thresholds: FilterThresholds,
-    prior_config: PriorConfig = PriorConfig(),
-):
-    """Load season files, fit every shot, compute factors, apply filtering.
-
-    Returns (shot_rows, fit_records, filter_report, extraction_report,
-    factor_rejections).
-    """
-    tracking, _ = load_tracking(tracking_path)
-    events, _ = load_events(events_path)
-    roster, _ = load_roster(roster_path)
-    shots, extraction = extract_shot_events(
-        tracking, events, roster, min_samples=thresholds.min_samples)
-    rows, fit_records, report, factor_rej = rows_from_shot_events(
-        shots, thresholds, prior_config)
-    return rows, fit_records, report, extraction, factor_rej
-
-
-def rows_from_season(
-    season,
-    thresholds: FilterThresholds = FilterThresholds(),
-    prior_config: PriorConfig = PriorConfig(),
-) -> list[ShotRow]:
-    """In-memory pipeline over a simulated season (no file round trip).
-
-    Applies the same rim-plane window cut as the file-based path, takes the
-    defender context from the ground-truth log, and returns the retained
-    shot rows with estimated factors.
-    """
-    from .ingest import _ball_to_local, _cut_at_rim_plane
-    from .core import to_local_frame
-
-    heights = {d.player_id: d.height_in for d in season.defender_pool}
-    truth = {r.shot_id: r for r in season.ground_truth}
-    shots: list[ShotEvent] = []
-    for game in season.games:
-        for shot in game.shots:
-            t = truth[shot.shot_id]
-            pts = _ball_to_local(shot.ball_points, game.hoop_end)
-            cut = _cut_at_rim_plane(pts[:, 2], 10.0)
-            shooter_idx = game.player_ids.index(shot.shooter_id)
-            sx, sy = shot.player_xy[shooter_idx]
-            release = to_local_frame((float(sx), float(sy), 0.0), game.hoop_end)
-            flags: tuple[str, ...] = ()
-            if cut < thresholds.min_samples:
-                flags = ("insufficient_samples",)
-            shots.append(ShotEvent(
-                shot_id=shot.shot_id,
-                game_id=game.game_id,
-                shooter=shot.shooter_id,
-                defender=t.defender_id,
-                release_index=shot.release_frame,
-                ndd_ft=t.ndd_ft,
-                defender_height_in=heights.get(t.defender_id, float("nan")),
-                contest_angle_deg=float("nan"),
-                outcome=shot.outcome,
-                samples=pts[:cut],
-                sample_times=shot.times_s[:cut],
-                release_xy=(release[0], release[1]),
-                flags=flags,
-            ))
-    rows, _, _, _ = rows_from_shot_events(shots, thresholds, prior_config)
-    return rows
+    return SeasonFit(rows, fits, extraction, filtering, factor_rejections)
 
 
 # --- subcommands -------------------------------------------------------------------
@@ -403,8 +346,13 @@ def cmd_fit(args: argparse.Namespace) -> int:
     )
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rows, fit_records, report, extraction, factor_rej = fit_season(
-        Path(args.tracking), Path(args.events), Path(args.roster), thresholds)
+    inputs = [Path(args.tracking), Path(args.events), Path(args.roster)]
+    tracking, tracking_load = load_tracking(inputs[0])
+    events, events_load = load_events(inputs[1])
+    roster, roster_load = load_roster(inputs[2])
+    fit = fit_season(tracking, events, roster, thresholds)
+    del tracking  # the largest allocation of the run; not needed for writing
+    rows, report = fit.rows, fit.filtering
 
     factors_path = out_dir / "factors.csv"
     write_shot_rows(rows, factors_path)
@@ -421,14 +369,16 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
     traj_csv = out_dir / "trajectories.csv"
     traj_jsonl = out_dir / "trajectories.jsonl"
-    with traj_csv.open("w", encoding="utf-8", newline="\n") as fh_csv, \
+    with traj_csv.open("w", encoding="utf-8", newline="") as fh_csv, \
             traj_jsonl.open("w", encoding="utf-8", newline="\n") as fh_jsonl:
-        fh_csv.write("shot_id," + ",".join(f"beta{i}" for i in range(6)) + ",rmse_ft,n_samples\n")
-        for ev, rec, fitted in fit_records:
+        writer = csv.writer(fh_csv, lineterminator="\n")
+        writer.writerow(["shot_id"] + [f"beta{i}" for i in range(6)] + ["rmse_ft", "n_samples"])
+        for _, rec in fit.fits:
+            fitted = rec.fitted
             if fitted is None:
                 continue
-            betas = ",".join(repr(float(b)) for b in fitted.beta)
-            fh_csv.write(f"{rec.shot_id},{betas},{fitted.rmse_ft!r},{rec.n_samples}\n")
+            writer.writerow([rec.shot_id] + [repr(float(b)) for b in fitted.beta]
+                            + [repr(fitted.rmse_ft), rec.n_samples])
             fh_jsonl.write(json.dumps({
                 "shot_id": rec.shot_id,
                 "beta": [float(b) for b in fitted.beta],
@@ -438,19 +388,19 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
     report_path = out_dir / "filter_report.json"
     report_path.write_text(json.dumps({
-        "extraction": {
-            "n_events": extraction.n_events,
-            "n_extracted": extraction.n_extracted,
-            "rejections": extraction.rejections,
-            "n_flagged": extraction.n_flagged,
+        "load": {
+            "tracking": dataclasses.asdict(tracking_load),
+            "events": dataclasses.asdict(events_load),
+            "roster": dataclasses.asdict(roster_load),
         },
+        "extraction": dataclasses.asdict(fit.extraction),
         "filtering": {
             "n_input": report.n_input,
             "n_retained": report.n_retained,
             "retention": report.retention,
             "rejections": report.rejections,
         },
-        "factor_rejections": factor_rej,
+        "factor_rejections": fit.factor_rejections,
         "n_factor_rows": len(rows),
         "thresholds": dataclasses.asdict(thresholds),
     }, indent=2, sort_keys=True) + "\n", encoding="utf-8")
@@ -461,7 +411,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         Path(args.manifest) if args.manifest else out_dir / "manifest.json",
         "fit",
         config=dataclasses.asdict(thresholds),
-        inputs=[Path(args.tracking), Path(args.events), Path(args.roster)],
+        inputs=inputs,
         outputs=[factors_path, factors_jsonl, traj_csv, traj_jsonl, report_path],
         seed=None,
     )
@@ -529,11 +479,13 @@ def cmd_effects(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"effects_{args.model_kind}_{args.response_kind}.csv"
-    with csv_path.open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write("rank,player_id,role,effect,effect_per_100,n_shots,opp_mean_prob\n")
-        for r in table:
-            fh.write(f"{r.rank},{r.player_id},{estimates.effect_role},{r.effect!r},"
-                     f"{r.effect_per_100!r},{r.n_shots},{r.opp_mean_prob!r}\n")
+    with csv_path.open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["rank", "player_id", "role", "effect", "effect_per_100", "n_shots",
+                         "opp_mean_prob"])
+        writer.writerows([r.rank, r.player_id, estimates.effect_role, repr(r.effect),
+                          repr(r.effect_per_100), r.n_shots, repr(r.opp_mean_prob)]
+                         for r in table)
 
     title = ("Nearest defender impact" if args.model_kind == "defender"
              else "Shooter resilience to contests")

@@ -105,9 +105,6 @@ class GameTracking:
             ),
         )
 
-    def frames(self) -> list[TrackingFrame]:
-        return [self.frame(i) for i in range(len(self))]
-
 
 @dataclass(frozen=True)
 class LoadReport:
@@ -299,7 +296,7 @@ def load_roster(path: str | Path) -> tuple[dict[PlayerId, RosterRecord], LoadRep
                 pid = row["player_id"].strip()
                 height = float(row["height_in"])
                 pos = row.get("position", "").strip()
-            except (KeyError, ValueError, AttributeError):
+            except (KeyError, ValueError, TypeError, AttributeError):
                 reasons["unparseable"] += 1
                 continue
             if not pid:
@@ -348,7 +345,7 @@ def load_events(path: str | Path) -> tuple[list[EventRecord], LoadReport]:
                     outcome=outcome,
                     hoop_end=row["hoop_end"].strip(),
                 )
-            except (KeyError, ValueError, AttributeError):
+            except (KeyError, ValueError, TypeError, AttributeError):
                 reasons["unparseable"] += 1
                 continue
             if event.shot_id in seen:

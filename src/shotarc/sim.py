@@ -42,6 +42,7 @@ from .core import (
     PlayerId,
     from_local_frame,
 )
+from .ingest import EventRecord, GameTracking, RosterRecord
 
 GRAVITY_FT_S2 = 32.174
 FRAME_RATE_HZ = 25.0
@@ -568,6 +569,39 @@ def _position_tag(height_in: float) -> str:
     if height_in <= 81.0:
         return "F"
     return "C"
+
+
+def season_tracking(
+    season: SeasonData,
+) -> tuple[dict[GameId, GameTracking], list[EventRecord], dict[PlayerId, RosterRecord]]:
+    """The season as ``load_tracking``, ``load_events`` and ``load_roster`` return it.
+
+    Equal, array for array, to loading the files :func:`write_season`
+    writes, since those hold every float by its ``repr``.
+    """
+    tracking = {}
+    for game in season.games:
+        if not game.shots:
+            continue
+        counts = [len(shot.times_s) for shot in game.shots]
+        tracking[game.game_id] = GameTracking(
+            game_id=game.game_id,
+            times=np.concatenate([shot.times_s for shot in game.shots]),
+            ball=np.concatenate([shot.ball_points for shot in game.shots]),
+            player_ids=np.tile(np.arange(len(game.player_ids), dtype=np.int16), (sum(counts), 1)),
+            player_xy=np.repeat(np.stack([shot.player_xy for shot in game.shots]), counts, axis=0),
+            id_table=list(game.player_ids),
+            team_of=dict(zip(game.player_ids, game.player_teams)),
+        )
+    events = [
+        EventRecord(shot.shot_id, game.game_id, shot.shooter_id, shot.release_frame,
+                    shot.outcome, game.hoop_end)
+        for game in season.games for shot in game.shots
+    ]
+    players = sorted([(s.player_id, s.height_in) for s in season.shooter_pool]
+                     + [(d.player_id, d.height_in) for d in season.defender_pool])
+    roster = {pid: RosterRecord(pid, height, _position_tag(height)) for pid, height in players}
+    return tracking, events, roster
 
 
 def write_season(season: SeasonData, out_dir: str | Path) -> dict[str, Path]:

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from shotarc.cli import main, rows_from_season
+from shotarc.cli import fit_season, main
 from shotarc.effects import EffectsDataset, apply_min_shots_filter, fit_effects
 from shotarc.evaluate import (
     SubsampleSpec,
@@ -36,7 +36,14 @@ from shotarc.makeprob import (
     predict,
     train,
 )
-from shotarc.sim import ReleaseState, SimConfig, TargetCrossing, sample_trajectory, simulate_season
+from shotarc.sim import (
+    ReleaseState,
+    SimConfig,
+    TargetCrossing,
+    sample_trajectory,
+    season_tracking,
+    simulate_season,
+)
 from shotarc.trajectory import (
     PriorConfig,
     fit_trajectory,
@@ -65,7 +72,7 @@ RB_SEASON = SimConfig(seed=1400, n_games=120, shots_per_game=420,
 
 @pytest.fixture(scope="module")
 def default_season_rows():
-    return rows_from_season(simulate_season(DEFAULT_SEASON))
+    return fit_season(*season_tracking(simulate_season(DEFAULT_SEASON))).rows
 
 
 @pytest.fixture(scope="module")
@@ -134,7 +141,7 @@ def test_criterion_2_factor_recovery_zero_noise():
         cfg = SimConfig(seed=2024, n_games=10, shots_per_game=100,
                         tracking_noise_ft=0.0)
         season = simulate_season(cfg)
-        rows = rows_from_season(season)
+        rows = fit_season(*season_tracking(season)).rows
         truth = {r.shot_id: r for r in season.ground_truth}
         assert len(rows) == 1000
         for r in rows:
@@ -240,7 +247,7 @@ def test_criterion_6_rao_blackwell_variance_reduction():
                       "fraction 0.1..0.5; split-half rho(prob) > rho(raw)"):
         season = simulate_season(RB_SEASON)
         assert RB_SEASON.n_games >= 120 and RB_SEASON.n_defenders >= 30
-        rows = rows_from_season(season)
+        rows = fit_season(*season_tracking(season)).rows
         factors = np.array([[r.depth_ft, r.lr_ft, r.entry_angle_deg] for r in rows])
         outcomes = np.array([float(r.outcome) for r in rows])
         model = train(factors, outcomes, TrainConfig())

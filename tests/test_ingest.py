@@ -1,5 +1,6 @@
 """File loading, defender context, and shot-window extraction."""
 
+import csv
 import json
 import math
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from shotarc.cli import fit_season
 from shotarc.ingest import (
     PLAYERS_PER_FRAME,
     EventRecord,
@@ -19,7 +21,7 @@ from shotarc.ingest import (
     load_tracking,
     nearest_defender,
 )
-from shotarc.sim import SimConfig, simulate_season, write_season
+from shotarc.sim import SimConfig, season_tracking, simulate_season, write_season
 
 
 def frame_line(game_id="G0", t=0.0, ball=(10.0, 25.0, 8.0), n_players=10):
@@ -164,6 +166,7 @@ JSON_VALUES = st.one_of(
     st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
 )
 DELETE = object()
+TRUNCATE = object()
 
 
 class TestLoadTrackingProperties:
@@ -201,23 +204,71 @@ class TestLoadTrackingProperties:
             assert g.ball.shape[1:] == (3,) and g.player_xy.shape[1:] == (PLAYERS_PER_FRAME, 2)
 
 
+EVENT_COLUMNS = ["shot_id", "game_id", "shooter_id", "release_frame", "outcome", "hoop_end"]
+EVENT_SEASON = season_tracking(simulate_season(
+    SimConfig(n_games=2, shots_per_game=3, seed=8, corrupt_fraction=0.3)))
+EVENT_VALUES = st.one_of(
+    # csv on Python 3.10 rejects a file holding NUL outright, so NUL is left out
+    st.text(alphabet=st.characters(blacklist_characters="\x00"), max_size=6),
+    st.integers(min_value=-(10**30), max_value=10**30).map(str),
+    st.floats().map(repr),
+    st.integers(-2, max(len(g) for g in EVENT_SEASON[0].values()) + 1).map(str),
+    st.sampled_from(["", " ", "1 ", "1e999", "3.0", "0", "1", "2", "left", "right", "center"]
+                    + [e.shot_id for e in EVENT_SEASON[1]] + list(EVENT_SEASON[0])
+                    + [pid for g in EVENT_SEASON[0].values() for pid in g.id_table]),
+)
+
+
+class TestLoadEventsProperties:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(column=st.integers(0, len(EVENT_COLUMNS) - 1),
+           value=st.one_of(EVENT_VALUES, st.just(DELETE), st.just(TRUNCATE)),
+           position=st.integers(0, len(EVENT_SEASON[1]) - 1))
+    def test_mutated_field_counted_or_finite(self, tmp_path, column, value, position):
+        tracking, events, roster = EVENT_SEASON
+        records = [[e.shot_id, e.game_id, e.shooter_id, str(e.release_frame), str(e.outcome),
+                    e.hoop_end] for e in events]
+        if value is DELETE:
+            del records[position][column]
+        elif value is TRUNCATE:   # keep one field: csv skips an empty line
+            del records[position][max(column, 1):]
+        else:
+            records[position][column] = value
+        p = tmp_path / "e.csv"
+        with p.open("w", encoding="utf-8", newline="") as fh:
+            # the default "\r\n" terminator makes the writer quote a bare "\r" too
+            csv.writer(fh).writerows([EVENT_COLUMNS] + records)
+        loaded, report = load_events(p)
+        fit = fit_season(tracking, loaded, roster)
+        assert report.n_rows == len(records)
+        counted = (sum(report.reasons.values()) + sum(fit.extraction.rejections.values())
+                   + sum(fit.filtering.rejections.values()) + sum(fit.factor_rejections.values()))
+        assert counted + len(fit.rows) == len(records)
+        assert all(math.isfinite(ev.ndd_ft) for ev, _ in fit.fits)
+        for r in fit.rows:
+            assert all(map(math.isfinite, (r.ndd_ft, r.depth_ft, r.lr_ft, r.entry_angle_deg,
+                                           r.rmse_ft)))
+
+
 class TestRosterAndEvents:
     def test_roster_height_bounds(self, tmp_path):
         p = tmp_path / "r.csv"
-        p.write_text("player_id,height_in,position\nA,75.5,G\nB,300,C\nC,59,G\n")
+        p.write_text("player_id,height_in,position\nA,75.5,G\nB,300,C\nC,59,G\nD\n")
         roster, report = load_roster(p)
         assert set(roster) == {"A"}
-        assert report.reasons == {"height_out_of_range": 2}
+        assert report.reasons == {"height_out_of_range": 2, "unparseable": 1}
 
     def test_events_loaded_and_validated(self, tmp_path):
         p = tmp_path / "e.csv"
         p.write_text("shot_id,game_id,shooter_id,release_frame,outcome,hoop_end\n"
                      "s1,G0,P1,10,1,left\n"
                      "s2,G0,P2,frame,0,left\n"
-                     "s3,G0,P3,20,2,right\n")
+                     "s3,G0,P3,20,2,right\n"
+                     "s4,G0\n")
         events, report = load_events(p)
         assert [e.shot_id for e in events] == ["s1"]
-        assert report.reasons == {"unparseable": 2}
+        assert report.reasons == {"unparseable": 3}
 
     def test_duplicate_shot_id_keeps_first(self, tmp_path):
         p = tmp_path / "e.csv"

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from shotarc.cli import main, read_shot_rows, rows_from_season
+from shotarc.cli import fit_season, main, read_shot_rows
 from shotarc.effects import EffectsDataset, apply_min_shots_filter, fit_effects
 from shotarc.evaluate import binned_profiles, spearman
 from shotarc.makeprob import TrainConfig, predict, train
-from shotarc.sim import PressureModel, SimConfig, simulate_season, write_season
+from shotarc.sim import PressureModel, SimConfig, season_tracking, simulate_season, write_season
 
 
 @pytest.fixture(scope="module")
@@ -18,7 +18,7 @@ def pressured_season():
                     pressure=PressureModel(depth_shift_ft=-0.13),
                     outcome_flip_prob=0.05)
     season = simulate_season(cfg)
-    rows = rows_from_season(season)
+    rows = fit_season(*season_tracking(season)).rows
     return season, rows
 
 
@@ -79,7 +79,7 @@ class TestPressureTrendsThroughPipeline:
         cfg = SimConfig(seed=14, n_games=50, shots_per_game=200, n_defenders=40,
                         pressure_scale_sd=0.0,
                         pressure=PressureModel(angle_height_coef=0.28))
-        rows = rows_from_season(simulate_season(cfg))
+        rows = fit_season(*season_tracking(simulate_season(cfg))).rows
         contested = [r for r in rows if r.ndd_ft < 4.0]
         heights = np.array([r.defender_height_in for r in contested])
         angle = np.array([r.entry_angle_deg for r in contested])
@@ -109,7 +109,7 @@ class TestFileRoundTripExactness:
             assert r.lr_ft == pytest.approx(t.true_lr_ft, abs=0.02)
             assert r.entry_angle_deg == pytest.approx(t.true_angle_deg, abs=0.2)
 
-        expected = {r.shot_id: r for r in rows_from_season(season)}
+        expected = {r.shot_id: r for r in fit_season(*season_tracking(season)).rows}
         for r in rows:
             e = expected[r.shot_id]
             assert r.depth_ft == e.depth_ft        # repr round-trip is exact

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from shotarc.factors import compute_shot_factors, fit_path_line
+from shotarc.ingest import load_events, load_roster, load_tracking
 from shotarc.sim import (
     PressureModel,
     ReleaseState,
@@ -18,6 +19,7 @@ from shotarc.sim import (
     make_with_back_rim_capture,
     physical_make_oracle,
     sample_trajectory,
+    season_tracking,
     simulate_season,
     write_season,
 )
@@ -194,3 +196,27 @@ class TestSeason:
             expect = make_with_back_rim_capture(
                 r.true_depth_ft, r.true_lr_ft, r.true_angle_deg, cfg.back_rim_capture_ft)
             assert r.outcome == int(expect)
+
+
+class TestSeasonTracking:
+    def test_equals_loading_the_written_files(self, tmp_path):
+        season = simulate_season(SimConfig(n_games=3, shots_per_game=30, seed=5,
+                                           corrupt_fraction=0.3))
+        paths = write_season(season, tmp_path)
+        loaded, report = load_tracking(paths["tracking"])
+        assert report.n_rejected == 0
+        tracking, events, roster = season_tracking(season)
+        assert list(tracking) == list(loaded) == [g.game_id for g in season.games]
+        for gid, game in tracking.items():
+            want = loaded[gid]
+            assert game.game_id == want.game_id
+            for name in ("times", "ball", "player_ids", "player_xy"):
+                got, exp = getattr(game, name), getattr(want, name)
+                assert got.dtype == exp.dtype and got.shape == exp.shape, name
+                np.testing.assert_array_equal(got, exp)
+            assert game.id_table == want.id_table
+            assert game.team_of == want.team_of
+        assert events == load_events(paths["events"])[0]
+        want_roster = load_roster(paths["roster"])[0]
+        assert roster == want_roster
+        assert list(roster) == list(want_roster)
