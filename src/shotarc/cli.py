@@ -31,6 +31,7 @@ from .effects import (
     EffectsError,
     apply_min_shots_filter,
     fit_effects,
+    min_shots_roles,
     rank_players,
 )
 from .evaluate import (
@@ -466,9 +467,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
 def cmd_effects(args: argparse.Namespace) -> int:
     rows = read_shot_rows(args.factors)
     data = effects_dataset_from_rows(rows, require_prob=args.response_kind == "prob")
-    filtered = apply_min_shots_filter(
-        data, threshold=args.min_shots,
-        roles=("shooter", "defender") if args.model_kind == "defender" else ("shooter",))
+    filtered = apply_min_shots_filter(data, args.min_shots, min_shots_roles(args.model_kind))
     if len(filtered) == 0:
         raise ConfigError("no rows survive the minimum-shots filter")
     estimates = fit_effects(filtered, args.model_kind, args.response_kind,

@@ -11,12 +11,14 @@ In the resilience model the default parametrization centers NDD at its
 league mean and includes a common slope, so each shooter's gamma is the
 deviation of their NDD sensitivity from the league average.  The literal
 variant (per-shooter slopes, no common column) is available via
-``common_slope=False``.
+``common_slope=False``.  The fit solves the normal equations built from
+per-level and per-cell sums; the n x p design is never formed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -97,94 +99,21 @@ def apply_min_shots_filter(
     data = dataset
     while True:
         keep = np.ones(len(data), dtype=bool)
-        if "shooter" in roles:
-            ids, counts = np.unique(data.shooters, return_counts=True)
-            low = set(ids[counts < threshold])
-            if low:
-                keep &= ~np.isin(data.shooters, list(low))
-        if "defender" in roles:
-            ids, counts = np.unique(data.defenders, return_counts=True)
-            low = set(ids[counts < threshold])
-            if low:
-                keep &= ~np.isin(data.defenders, list(low))
+        for role, players in (("shooter", data.shooters), ("defender", data.defenders)):
+            if role in roles:
+                ids, counts = np.unique(players, return_counts=True)
+                keep &= ~np.isin(players, ids[counts < threshold])
         if keep.all():
             return data
         data = data.subset(keep)
 
 
-def _contrast_columns(labels: np.ndarray, levels: np.ndarray) -> np.ndarray:
-    """Sum-to-zero coding: one column per level but the last; the last level is -1 everywhere."""
-    n_levels = len(levels)
-    idx = np.searchsorted(levels, labels)
-    cols = np.zeros((len(labels), n_levels - 1))
-    in_contrast = idx < n_levels - 1
-    cols[np.arange(len(labels))[in_contrast], idx[in_contrast]] = 1.0
-    cols[~in_contrast, :] = -1.0
-    return cols
-
-
-@dataclass(frozen=True)
-class EffectsDesign:
-    matrix: np.ndarray
-    column_names: tuple[str, ...]
-    shooter_levels: np.ndarray
-    defender_levels: np.ndarray | None
-    model_kind: str
-    common_slope: bool
-    ndd_center: float
-
-
-def build_design(
-    dataset: EffectsDataset,
-    model_kind: str,
-    common_slope: bool = True,
-) -> EffectsDesign:
-    """Full-rank contrast-coded design for either model kind."""
+def min_shots_roles(model_kind: str) -> tuple[str, ...]:
+    """Roles the minimum-shots filter applies to: both for the defender model,
+    shooters only for the resilience model, which has no defender term."""
     if model_kind not in MODEL_KINDS:
         raise EffectsError(f"unknown model kind {model_kind!r}")
-    shooter_levels = np.unique(dataset.shooters)
-    if len(shooter_levels) < 2:
-        raise EffectsError("need at least 2 shooters after filtering")
-    cols = [np.ones((len(dataset), 1))]
-    names = ["intercept"]
-    s_contrasts = _contrast_columns(dataset.shooters, shooter_levels)
-    cols.append(s_contrasts)
-    names += [f"shooter[{p}]" for p in shooter_levels[:-1]]
-
-    defender_levels: np.ndarray | None = None
-    ndd_center = 0.0
-    if model_kind == "defender":
-        defender_levels = np.unique(dataset.defenders)
-        if len(defender_levels) < 2:
-            raise EffectsError("need at least 2 defenders after filtering")
-        cols.append(_contrast_columns(dataset.defenders, defender_levels))
-        names += [f"defender[{p}]" for p in defender_levels[:-1]]
-    else:
-        ndd = np.asarray(dataset.ndd_ft, dtype=float)
-        if common_slope:
-            ndd_center = float(ndd.mean())
-            centered = ndd - ndd_center
-            cols.append(centered[:, None])
-            names.append("ndd")
-            cols.append(s_contrasts * centered[:, None])
-            names += [f"ndd:shooter[{p}]" for p in shooter_levels[:-1]]
-        else:
-            # literal variant: an uncentered slope per shooter, no common column
-            idx = np.searchsorted(shooter_levels, dataset.shooters)
-            slopes = np.zeros((len(dataset), len(shooter_levels)))
-            slopes[np.arange(len(dataset)), idx] = ndd
-            cols.append(slopes)
-            names += [f"ndd:shooter[{p}]" for p in shooter_levels]
-
-    return EffectsDesign(
-        matrix=np.hstack(cols),
-        column_names=tuple(names),
-        shooter_levels=shooter_levels,
-        defender_levels=defender_levels,
-        model_kind=model_kind,
-        common_slope=common_slope,
-        ndd_center=ndd_center,
-    )
+    return ("shooter", "defender") if model_kind == "defender" else ("shooter",)
 
 
 @dataclass(frozen=True)
@@ -204,9 +133,78 @@ class EffectEstimates:
     player_mean_response: dict[PlayerId, float] = field(default_factory=dict)
 
 
-def _expand_contrasts(levels: np.ndarray, coefs: np.ndarray) -> dict[str, float]:
-    full = np.append(coefs, -coefs.sum())
-    return {str(p): float(v) for p, v in zip(levels, full)}
+class _Block(NamedTuple):
+    """One term of the design: each row holds ``value`` in the column of its level."""
+
+    prefix: str                 # column name, or name prefix of a per-level term
+    levels: np.ndarray | None   # None for a single column (intercept, common slope)
+    index: np.ndarray           # (n,) each row's level
+    value: np.ndarray           # (n,) each row's entry
+    sum_to_zero: bool           # contrast coded: the last level is minus the others
+
+    @property
+    def names(self) -> list[str]:
+        if self.levels is None:
+            return [self.prefix]
+        return [f"{self.prefix}[{p}]" for p in self.levels]
+
+
+def _design_blocks(dataset: EffectsDataset, model_kind: str, common_slope: bool) -> list[_Block]:
+    """The terms of either model kind, players coded as integers by ``np.unique``."""
+    if model_kind not in MODEL_KINDS:
+        raise EffectsError(f"unknown model kind {model_kind!r}")
+    n = len(dataset)
+    shooter_levels, shooter_idx = np.unique(dataset.shooters, return_inverse=True)
+    if len(shooter_levels) < 2:
+        raise EffectsError("need at least 2 shooters after filtering")
+    zeros, ones = np.zeros(n, dtype=np.intp), np.ones(n)
+    blocks = [_Block("intercept", None, zeros, ones, False),
+              _Block("shooter", shooter_levels, shooter_idx, ones, True)]
+    if model_kind == "defender":
+        defender_levels, defender_idx = np.unique(dataset.defenders, return_inverse=True)
+        if len(defender_levels) < 2:
+            raise EffectsError("need at least 2 defenders after filtering")
+        blocks.append(_Block("defender", defender_levels, defender_idx, ones, True))
+        return blocks
+    ndd = np.asarray(dataset.ndd_ft, dtype=float)
+    if common_slope:
+        centered = ndd - ndd.mean()
+        blocks += [_Block("ndd", None, zeros, centered, False),
+                   _Block("ndd:shooter", shooter_levels, shooter_idx, centered, True)]
+    else:
+        # literal variant: an uncentered slope per shooter, no common column
+        blocks.append(_Block("ndd:shooter", shooter_levels, shooter_idx, ndd, False))
+    return blocks
+
+
+def _normal_equations(blocks: list[_Block], y: np.ndarray):
+    """X'X and X'y of the contrast design from sums over levels and level pairs, with
+    the levels x columns coding, the column names and the offset of each block's levels."""
+    level_names = [b.names for b in blocks]
+    offsets = np.cumsum([0] + [len(names) for names in level_names])
+    width = int(offsets[-1])
+    cols = [off + b.index for off, b in zip(offsets, blocks)]
+    # Blocks own disjoint, ascending column ranges, so pair (a, b), a <= b,
+    # fills block (a, b) of the upper triangle with one bincount: per-level
+    # counts and sums, shooter x defender cells, per-shooter NDD moments.
+    gram = np.zeros(width * width)
+    for a, block_a in enumerate(blocks):
+        for b in range(a, len(blocks)):
+            gram += np.bincount(cols[a] * width + cols[b],
+                                weights=block_a.value * blocks[b].value,
+                                minlength=width * width)
+    gram = gram.reshape(width, width)
+    gram += np.triu(gram, 1).T
+    rhs = sum(np.bincount(c, weights=b.value * y, minlength=width)
+              for c, b in zip(cols, blocks))
+    coded = [(start, end) for start, end, b in zip(offsets, offsets[1:], blocks) if b.sum_to_zero]
+    coding = np.eye(width)
+    for start, end in coded:
+        coding[end - 1, start:end - 1] = -1.0     # the last level is minus the others
+    last = [end - 1 for _, end in coded]
+    coding = np.delete(coding, last, axis=1)
+    names = np.delete(sum(level_names, []), last).tolist()
+    return coding.T @ gram @ coding, coding.T @ rhs, coding, names, offsets
 
 
 def fit_effects(
@@ -215,72 +213,54 @@ def fit_effects(
     response_kind: str,
     common_slope: bool = True,
 ) -> EffectEstimates:
-    """Ordinary least squares on the contrast design; effects sum to zero."""
+    """Ordinary least squares on the contrast design; effects sum to zero.
+
+    The n x p design is never formed: its normal equations are built from
+    per-level and per-cell sums (``_normal_equations``) and solved by
+    Cholesky.  A Gram matrix with an eigenvalue at or below
+    ``max(n, p) * eps`` times its largest raises ``RankDeficientError``
+    naming the columns its null space touches.
+    """
     if response_kind not in RESPONSE_KINDS:
         raise EffectsError(f"unknown response kind {response_kind!r}")
     y = dataset.response(response_kind)
-    design = build_design(dataset, model_kind, common_slope=common_slope)
-    X = design.matrix
-    coefs, _, rank, _ = np.linalg.lstsq(X, y, rcond=None)
-    if rank < X.shape[1]:
-        aliased = _find_aliased(X, design.column_names)
+    blocks = _design_blocks(dataset, model_kind, common_slope)
+    gram, rhs, coding, names, offsets = _normal_equations(blocks, y)
+
+    eps = np.finfo(float).eps
+    eigvals = np.linalg.eigvalsh(gram)
+    tol = eigvals[-1] * max(len(y), len(rhs)) * eps
+    if eigvals[0] <= tol:
+        # columns weighted in some null vector: the same for every null-space basis
+        eigvals, eigvecs = np.linalg.eigh(gram)
+        touched = np.abs(eigvecs[:, eigvals <= tol]).max(axis=1) > np.sqrt(eps)
+        aliased = tuple(name for name, hit in zip(names, touched) if hit)
         raise RankDeficientError(
-            f"design rank {rank} < {X.shape[1]} columns; aliased: {', '.join(aliased) or 'unknown'}",
+            f"design rank {int(np.sum(eigvals > tol))} < {len(rhs)} columns; "
+            f"aliased: {', '.join(aliased) or 'unknown'}",
             aliased=aliased,
         )
-    resid = y - X @ coefs
-    sse = float(resid @ resid)
+    chol = np.linalg.cholesky(gram)
+    coefs = np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
 
-    n_s = len(design.shooter_levels) - 1
-    intercept = float(coefs[0])
-    shooter_effects = _expand_contrasts(design.shooter_levels, coefs[1:1 + n_s])
-
-    common = None
-    if model_kind == "defender":
-        assert design.defender_levels is not None
-        effects = _expand_contrasts(design.defender_levels, coefs[1 + n_s:])
-        role = "defender"
-        count_col, levels = dataset.defenders, design.defender_levels
-    else:
-        role = "shooter"
-        count_col, levels = dataset.shooters, design.shooter_levels
-        if common_slope:
-            common = float(coefs[1 + n_s])
-            effects = _expand_contrasts(design.shooter_levels, coefs[2 + n_s:])
-        else:
-            effects = {str(p): float(v) for p, v in zip(design.shooter_levels, coefs[1 + n_s:])}
-
-    counts: dict[str, int] = {}
-    means: dict[str, float] = {}
-    for p in levels:
-        mask = count_col == p
-        counts[str(p)] = int(mask.sum())
-        means[str(p)] = float(y[mask].mean())
-
+    per_block = np.split(coding @ coefs, offsets[1:-1])     # one coefficient per level
+    resid = y - sum(b.value * coef[b.index] for b, coef in zip(blocks, per_block))
+    headline = blocks[-1]           # defender impacts, or per-shooter NDD slopes
+    counts = np.bincount(headline.index, minlength=len(headline.levels))
+    sums = np.bincount(headline.index, weights=y, minlength=len(headline.levels))
     return EffectEstimates(
         model_kind=model_kind,
         response_kind=response_kind,
-        intercept=intercept,
-        shooter_effects=shooter_effects,
-        effect_role=role,
-        effects=effects,
-        common_ndd_slope=common,
-        residual_sse=sse,
-        n_rows=len(dataset),
-        player_counts=counts,
-        player_mean_response=means,
+        intercept=float(per_block[0][0]),
+        shooter_effects={str(pl): float(v) for pl, v in zip(blocks[1].levels, per_block[1])},
+        effect_role="defender" if model_kind == "defender" else "shooter",
+        effects={str(pl): float(v) for pl, v in zip(headline.levels, per_block[-1])},
+        common_ndd_slope=float(per_block[2][0]) if blocks[2].prefix == "ndd" else None,
+        residual_sse=float(resid @ resid),
+        n_rows=len(y),
+        player_counts={str(pl): int(c) for pl, c in zip(headline.levels, counts)},
+        player_mean_response={str(pl): float(v) for pl, v in zip(headline.levels, sums / counts)},
     )
-
-
-def _find_aliased(X: np.ndarray, names: tuple[str, ...]) -> tuple[str, ...]:
-    """Best-effort identification of linearly dependent columns via pivoted QR."""
-    import scipy.linalg
-
-    _, r, piv = scipy.linalg.qr(X, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    tol = diag.max() * max(X.shape) * np.finfo(float).eps if diag.size else 0.0
-    dropped = piv[np.sum(diag > tol):]
-    return tuple(names[j] for j in sorted(dropped))
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ from .effects import (
     RankDeficientError,
     apply_min_shots_filter,
     fit_effects,
+    min_shots_roles,
 )
 
 OPEN_NDD_FT = 6.0
@@ -275,15 +276,16 @@ def subsample_mse(
 ) -> list[SubsampleResult]:
     """MSE of subsample-fitted effects against full-season raw-response effects.
 
-    The reference fit applies the minimum-shots filter and uses binary
-    outcomes.  Each replicate samples games without replacement, keeps rows
-    whose players survived the reference filter, refits, and measures the
-    mean squared deviation of the headline effects over players present in
-    the replicate.  Rank-deficient replicates are dropped and counted.
+    The reference fit applies the minimum-shots filter to the roles that
+    ``min_shots_roles`` names for the model and uses binary outcomes.  Each
+    replicate samples games without replacement, keeps rows whose players
+    survived the reference filter, refits, and measures the mean squared
+    deviation of the headline effects over players present in the
+    replicate.  Rank-deficient replicates are dropped and counted.
     """
     if dataset.game_ids is None:
         raise EvalError("dataset must carry game ids for game-unit subsampling")
-    reference_data = apply_min_shots_filter(dataset, threshold=min_shots)
+    reference_data = apply_min_shots_filter(dataset, min_shots, min_shots_roles(model_kind))
     if len(reference_data) == 0:
         raise EvalError("no rows survive the minimum-shots filter")
     reference = fit_effects(reference_data, model_kind, "raw")
@@ -331,10 +333,11 @@ def split_half_rank_correlation(
     min_shots: int = 100,
 ) -> float:
     """Spearman correlation of player effects fitted on each chronological
-    half of the season (games sorted by id)."""
+    half of the season (games sorted by id), after the same minimum-shots
+    filter as ``shotarc effects``."""
     if dataset.game_ids is None:
         raise EvalError("dataset must carry game ids for the chronological split")
-    filtered = apply_min_shots_filter(dataset, threshold=min_shots)
+    filtered = apply_min_shots_filter(dataset, min_shots, min_shots_roles(model_kind))
     if len(filtered) == 0:
         raise EvalError("no rows survive the minimum-shots filter")
     games = np.unique(np.asarray(filtered.game_ids))

@@ -15,9 +15,10 @@ structurally broken files (missing, unparseable, non-monotone timestamps)
 raise.  A tracking row is rejected as ``unparseable``, then
 ``wrong_player_count``, then ``non_finite`` (a NaN or infinite time, ball
 coordinate or player x/y), then ``duplicate_timestamp``; the JSONL and CSV
-variants share these rules, so every loaded coordinate is finite.  An
-events row repeating an earlier shot id is rejected as
-``duplicate_shot_id``; the first occurrence is kept.
+variants share these rules, so every loaded coordinate is finite.  A
+tracking, events or roster row whose player or shot id holds a carriage
+return is ``unparseable``.  An events row repeating an earlier shot id is
+rejected as ``duplicate_shot_id``; the first occurrence is kept.
 
 Tracking is read in one pass into typed per-game column buffers that
 back the ``GameTracking`` arrays.
@@ -130,12 +131,15 @@ class _GameColumns:
     def codes(self, ids: list, teams: list) -> list[int]:
         """Indices of ``ids`` into ``id_table``, interning unseen ids with their team.
 
-        An unhashable id raises TypeError at the first lookup, before
-        anything is interned.
+        An unhashable id raises TypeError at the first lookup, and an unseen
+        id holding a carriage return raises ValueError, before anything is
+        interned.
         """
         index = self._index
         codes = [index.get(pid, -1) for pid in ids]
         if -1 in codes:
+            if any("\r" in str(pid) for pid, code in zip(ids, codes) if code < 0):
+                raise ValueError("carriage return in player id")
             for k, (pid, team) in enumerate(zip(ids, teams)):
                 if codes[k] < 0:
                     if pid not in index:
@@ -206,7 +210,9 @@ def load_tracking(
     number too large for a float (``unparseable``), it carries other than
     ten players (``wrong_player_count``), its time, ball or any player
     coordinate is NaN or infinite (``non_finite``), or it repeats its
-    game's last accepted timestamp (``duplicate_timestamp``).
+    game's last accepted timestamp (``duplicate_timestamp``).  A row with
+    an unhashable player id, or a new one holding a carriage return, is
+    then counted as ``unparseable``.
     A timestamp stepping backwards by more than ``monotone_tol`` within a
     game aborts the load.
     """
@@ -239,7 +245,7 @@ def load_tracking(
                 return
         try:
             codes = game.codes(ids, teams)
-        except TypeError:
+        except (TypeError, ValueError):
             reasons["unparseable"] += 1
             return
         games[game_id] = game
@@ -275,6 +281,14 @@ def load_tracking(
     )
 
 
+def _clean_id(value: str) -> str:
+    """The stripped id; ValueError on a carriage return, which the CSV writers leave unquoted."""
+    value = value.strip()
+    if "\r" in value:
+        raise ValueError("carriage return in id")
+    return value
+
+
 @dataclass(frozen=True)
 class RosterRecord:
     player_id: PlayerId
@@ -293,7 +307,7 @@ def load_roster(path: str | Path) -> tuple[dict[PlayerId, RosterRecord], LoadRep
         for row in reader:
             n_rows += 1
             try:
-                pid = row["player_id"].strip()
+                pid = _clean_id(row["player_id"])
                 height = float(row["height_in"])
                 pos = row.get("position", "").strip()
             except (KeyError, ValueError, TypeError, AttributeError):
@@ -338,9 +352,9 @@ def load_events(path: str | Path) -> tuple[list[EventRecord], LoadReport]:
                 if outcome not in (0, 1):
                     raise ValueError("outcome must be 0/1")
                 event = EventRecord(
-                    shot_id=row["shot_id"].strip(),
-                    game_id=row["game_id"].strip(),
-                    shooter_id=row["shooter_id"].strip(),
+                    shot_id=_clean_id(row["shot_id"]),
+                    game_id=_clean_id(row["game_id"]),
+                    shooter_id=_clean_id(row["shooter_id"]),
                     release_frame=int(row["release_frame"]),
                     outcome=outcome,
                     hoop_end=row["hoop_end"].strip(),

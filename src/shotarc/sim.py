@@ -291,6 +291,9 @@ class SimConfig:
     extra_frames_past_rim: int = 2
 
     def __post_init__(self) -> None:
+        for name in ("n_games", "shots_per_game", "n_shooters", "n_defenders"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
         if not (0 <= self.outcome_flip_prob < 0.5):
             raise ValueError("outcome_flip_prob must lie in [0, 0.5)")
         if not (0 <= self.corrupt_fraction <= 1):

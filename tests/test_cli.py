@@ -7,7 +7,15 @@ import json
 import numpy as np
 import pytest
 
-from shotarc.cli import ShotRow, fit_season, main, read_shot_rows, write_shot_rows
+from shotarc import evaluate
+from shotarc.cli import (
+    ShotRow,
+    effects_dataset_from_rows,
+    fit_season,
+    main,
+    read_shot_rows,
+    write_shot_rows,
+)
 from shotarc.sim import SimConfig, season_tracking, simulate_season, write_season
 
 
@@ -56,6 +64,15 @@ class TestExitCodes:
                      "--events", str(workdir / "nope.csv"),
                      "--roster", str(workdir / "nope2.csv"),
                      "--out-dir", str(workdir / "y")]) == 2
+
+    @pytest.mark.parametrize("key", ["n_games", "shots_per_game", "n_shooters", "n_defenders"])
+    def test_non_positive_season_size_exits_2_and_writes_nothing(self, workdir, key, capsys):
+        bad = workdir / f"zero_{key}.json"
+        bad.write_text(json.dumps({"n_games": 2, "shots_per_game": 5, key: 0}))
+        out = workdir / f"zero_{key}"
+        assert main(["simulate", "--config", str(bad), "--out-dir", str(out)]) == 2
+        assert f"{key} must be positive" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -292,6 +309,33 @@ class TestCsvQuoting:
         assert main(["train-makeprob", "--factors", str(factors),
                      "--out-model", str(tmp_path / "m.json"), "--min-shots", "100"]) == 0
 
+    def test_ids_with_carriage_return_rejected_before_fit_and_training(self, tmp_path):
+        season = tmp_path / "s"
+        write_season(simulate_season(SimConfig(n_games=4, shots_per_game=40, seed=3)), season)
+        events = season / "events.csv"
+        records = _csv_records(events)
+        records[1][0] += "\ra"       # shot id
+        records[2][2] += "\ra"       # shooter id
+        with events.open("w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, quoting=csv.QUOTE_ALL).writerows(records)
+        tracking = season / "tracking.jsonl"
+        lines = tracking.read_text(encoding="utf-8").splitlines()
+        doc = json.loads(lines[0])
+        doc["players"][7]["id"] += "\r"    # a player id first seen in this frame
+        lines[0] = json.dumps(doc)
+        tracking.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+        assert _fit(season, tmp_path / "f") == 0
+        report = json.loads((tmp_path / "f" / "filter_report.json").read_text())
+        assert report["load"]["events"]["reasons"] == {"unparseable": 2}
+        assert report["load"]["tracking"]["reasons"] == {"unparseable": 1}
+        factors = tmp_path / "f" / "factors.csv"
+        rows = read_shot_rows(factors)
+        assert len(rows) == report["n_factor_rows"] > 0
+        assert not any("\r" in r.shot_id + r.shooter_id + r.defender_id for r in rows)
+        assert main(["train-makeprob", "--factors", str(factors),
+                     "--out-model", str(tmp_path / "m.json"), "--min-shots", "100"]) == 0
+
     def test_effects_table_quotes_player_ids(self, tmp_path):
         rng = np.random.default_rng(4)
         rows = [ShotRow(shot_id=f"T{i}", game_id="G0", shooter_id=f'S,{i % 3}',
@@ -307,3 +351,38 @@ class TestCsvQuoting:
                      "--out-dir", str(tmp_path / "e")]) == 0
         table = _csv_records(tmp_path / "e" / "effects_defender_raw.csv")
         assert {rec[1] for rec in table[1:]} == {f'D,"{k}' for k in range(4)}
+
+
+class TestMinShotsRule:
+    def test_resilience_effects_and_evaluation_keep_the_same_rows(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(8)
+        rows = [ShotRow(shot_id=f"T{i}", game_id=f"G{i % 6}", shooter_id=f"S{i % 4}",
+                        defender_id="DX" if i % 50 == 0 else f"D{i % 5}",
+                        ndd_ft=float(rng.uniform(1, 9)), defender_height_in=78.0,
+                        contest_angle_deg=0.0, outcome=int(rng.random() < 0.4), depth_ft=0.7,
+                        lr_ft=0.0, entry_angle_deg=45.0, rmse_ft=0.1, n_samples=20,
+                        make_prob=float(rng.uniform(0.2, 0.6)))
+                for i in range(400)]                 # defender DX has 8 shots, below 20
+        shots = tmp_path / "shots.csv"
+        write_shot_rows(rows, shots, with_prob=True)
+        assert main(["effects", "--factors", str(shots), "--model-kind", "resilience",
+                     "--response-kind", "prob", "--min-shots", "20",
+                     "--out-dir", str(tmp_path / "e")]) == 0
+        n_rows = json.loads((tmp_path / "e" / "effects_resilience_prob.json").read_text())["n_rows"]
+        assert n_rows == len(rows)
+
+        fitted = []
+        real_fit = evaluate.fit_effects
+
+        def recording_fit(data, *args, **kwargs):
+            fitted.append(len(data))
+            return real_fit(data, *args, **kwargs)
+
+        monkeypatch.setattr(evaluate, "fit_effects", recording_fit)
+        data = effects_dataset_from_rows(read_shot_rows(shots), require_prob=True)
+        evaluate.split_half_rank_correlation(data, model_kind="resilience", min_shots=20)
+        assert sum(fitted) == n_rows                 # the two halves
+        fitted.clear()
+        evaluate.subsample_mse(data, evaluate.SubsampleSpec(fractions=(1.0,), n_replicates=1),
+                               model_kind="resilience", min_shots=20)
+        assert fitted[0] == n_rows                   # the reference fit

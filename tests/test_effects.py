@@ -1,17 +1,107 @@
-"""Sum-to-zero contrast regressions: coding, exact fixtures, filters, rankings."""
+"""Sum-to-zero contrast regressions: coding, exact fixtures, filters, rankings.
+
+``build_design`` below is the dense contrast design, kept here as the oracle
+that the library's normal equations and solve are checked against.
+"""
+
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from shotarc.effects import (
+    MODEL_KINDS,
     EffectsDataset,
     EffectsError,
     RankDeficientError,
+    _design_blocks,
+    _normal_equations,
     apply_min_shots_filter,
-    build_design,
     fit_effects,
     rank_players,
 )
+from shotarc.sim import SimConfig, simulate_season
+
+
+def _contrast_columns(labels: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """Sum-to-zero coding: one column per level but the last; the last level is -1 everywhere."""
+    n_levels = len(levels)
+    idx = np.searchsorted(levels, labels)
+    cols = np.zeros((len(labels), n_levels - 1))
+    in_contrast = idx < n_levels - 1
+    cols[np.arange(len(labels))[in_contrast], idx[in_contrast]] = 1.0
+    cols[~in_contrast, :] = -1.0
+    return cols
+
+
+@dataclass(frozen=True)
+class EffectsDesign:
+    matrix: np.ndarray
+    column_names: tuple[str, ...]
+    shooter_levels: np.ndarray
+    defender_levels: np.ndarray | None
+
+
+def build_design(dataset: EffectsDataset, model_kind: str, common_slope: bool = True) -> EffectsDesign:
+    """Full-rank dense n x p contrast-coded design for either model kind."""
+    if model_kind not in MODEL_KINDS:
+        raise EffectsError(f"unknown model kind {model_kind!r}")
+    shooter_levels = np.unique(dataset.shooters)
+    if len(shooter_levels) < 2:
+        raise EffectsError("need at least 2 shooters after filtering")
+    cols = [np.ones((len(dataset), 1))]
+    names = ["intercept"]
+    s_contrasts = _contrast_columns(dataset.shooters, shooter_levels)
+    cols.append(s_contrasts)
+    names += [f"shooter[{p}]" for p in shooter_levels[:-1]]
+
+    defender_levels = None
+    if model_kind == "defender":
+        defender_levels = np.unique(dataset.defenders)
+        if len(defender_levels) < 2:
+            raise EffectsError("need at least 2 defenders after filtering")
+        cols.append(_contrast_columns(dataset.defenders, defender_levels))
+        names += [f"defender[{p}]" for p in defender_levels[:-1]]
+    else:
+        ndd = np.asarray(dataset.ndd_ft, dtype=float)
+        if common_slope:
+            centered = ndd - ndd.mean()
+            cols.append(centered[:, None])
+            names.append("ndd")
+            cols.append(s_contrasts * centered[:, None])
+            names += [f"ndd:shooter[{p}]" for p in shooter_levels[:-1]]
+        else:
+            idx = np.searchsorted(shooter_levels, dataset.shooters)
+            slopes = np.zeros((len(dataset), len(shooter_levels)))
+            slopes[np.arange(len(dataset)), idx] = ndd
+            cols.append(slopes)
+            names += [f"ndd:shooter[{p}]" for p in shooter_levels]
+    return EffectsDesign(np.hstack(cols), tuple(names), shooter_levels, defender_levels)
+
+
+def lstsq_effects(dataset: EffectsDataset, model_kind: str, response_kind: str,
+                  common_slope: bool = True) -> tuple[dict[str, float], float]:
+    """Every coefficient of the dense oracle by SVD least squares, contrasts
+    expanded, and the residual sum of squares."""
+    design = build_design(dataset, model_kind, common_slope)
+    y = dataset.response(response_kind)
+    coefs, _, rank, _ = np.linalg.lstsq(design.matrix, y, rcond=None)
+    assert rank == design.matrix.shape[1]
+    resid = y - design.matrix @ coefs
+    named = dict(zip(design.column_names, coefs))
+    out = {"intercept": named["intercept"]}
+    for prefix, levels in (("shooter", design.shooter_levels),
+                           ("defender", design.defender_levels),
+                           ("ndd:shooter", design.shooter_levels)):
+        if levels is None or f"{prefix}[{levels[0]}]" not in named:
+            continue
+        vals = [named.get(f"{prefix}[{p}]") for p in levels]
+        if vals[-1] is None:
+            vals[-1] = -sum(vals[:-1])
+        out.update({f"{prefix}[{p}]": v for p, v in zip(levels, vals)})
+    if "ndd" in named:
+        out["ndd"] = named["ndd"]
+    return out, float(resid @ resid)
 
 
 def dataset_from_rows(rows, probs=None, games=None):
@@ -148,6 +238,90 @@ class TestFit:
                 ("B", "K2", 6.0, 0.4), ("B", "K2", 7.0, 0.3)]
         with pytest.raises(RankDeficientError):
             fit_effects(dataset_from_rows(rows), "defender", "raw")
+
+
+def season_dataset(seed=11):
+    season = simulate_season(SimConfig(n_games=6, shots_per_game=120, n_shooters=12,
+                                       n_defenders=12, seed=seed))
+    truth = season.ground_truth
+    return EffectsDataset(
+        shooters=np.array([t.shooter_id for t in truth]),
+        defenders=np.array([t.defender_id for t in truth]),
+        ndd_ft=np.array([t.ndd_ft for t in truth]),
+        outcomes=np.array([float(t.outcome) for t in truth]),
+    )
+
+
+def null_space_columns(dataset, model_kind, common_slope=True):
+    """Oracle for ``aliased``: columns with weight in the dense design's SVD null space."""
+    design = build_design(dataset, model_kind, common_slope)
+    _, sv, vt = np.linalg.svd(design.matrix)
+    null = vt[np.sum(sv > sv[0] * 1e-10):]
+    return tuple(name for name, w in zip(design.column_names, np.abs(null).max(axis=0)) if w > 1e-8)
+
+
+MODELS = [("defender", True), ("resilience", True), ("resilience", False)]
+
+
+class TestNormalEquations:
+    @pytest.mark.parametrize("model_kind,common_slope", MODELS)
+    def test_gram_and_rhs_equal_dense_oracle(self, model_kind, common_slope):
+        data = season_dataset()
+        y = data.response("raw")
+        blocks = _design_blocks(data, model_kind, common_slope)
+        gram, rhs, _, names, _ = _normal_equations(blocks, y)
+        design = build_design(data, model_kind, common_slope)
+        X = design.matrix
+        assert tuple(names) == design.column_names
+        np.testing.assert_allclose(gram, X.T @ X, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(rhs, X.T @ y, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("model_kind,common_slope", MODELS)
+    def test_coefficients_match_lstsq_on_dense_oracle(self, model_kind, common_slope):
+        data = season_dataset(seed=12)
+        est = fit_effects(data, model_kind, "raw", common_slope=common_slope)
+        ref, sse = lstsq_effects(data, model_kind, "raw", common_slope)
+        got = {"intercept": est.intercept}
+        got.update({f"shooter[{p}]": v for p, v in est.shooter_effects.items()})
+        prefix = "defender" if model_kind == "defender" else "ndd:shooter"
+        got.update({f"{prefix}[{p}]": v for p, v in est.effects.items()})
+        if est.common_ndd_slope is not None:
+            got["ndd"] = est.common_ndd_slope
+        assert got.keys() == ref.keys()
+        for name, want in ref.items():
+            assert got[name] == pytest.approx(want, abs=1e-10), name
+        assert est.residual_sse == pytest.approx(sse, rel=1e-10)
+
+    def test_disconnected_blocks_name_aliased_columns(self):
+        rows = [("A", "K1", 4.0, 0.5), ("A", "K1", 5.0, 0.6),
+                ("B", "K2", 6.0, 0.4), ("B", "K2", 7.0, 0.3)]
+        with pytest.raises(RankDeficientError) as exc:
+            fit_effects(dataset_from_rows(rows), "defender", "raw")
+        assert exc.value.aliased == ("shooter[A]", "defender[K1]")
+
+        rng = np.random.default_rng(5)
+        pairs = [(s, d) for s in "AB" for d in ("K1", "K2")] + \
+                [(s, d) for s in "CD" for d in ("K3", "K4")]
+        rows = [(s, d, 5.0, rng.random()) for s, d in pairs for _ in range(3)]
+        data = dataset_from_rows(rows)
+        with pytest.raises(RankDeficientError) as exc:
+            fit_effects(data, "defender", "raw")
+        assert exc.value.aliased == null_space_columns(data, "defender")
+        assert "intercept" not in exc.value.aliased
+
+    def test_constant_ndd_shooter_aliases_its_slope(self):
+        rng = np.random.default_rng(6)
+        rows = [(s, "K", 5.0 if s == "B" else rng.uniform(1, 9), rng.random())
+                for s in "ABC" for _ in range(30)]
+        data = dataset_from_rows(rows)
+        with pytest.raises(RankDeficientError) as exc:
+            fit_effects(data, "resilience", "raw", common_slope=False)
+        assert exc.value.aliased == ("intercept", "shooter[A]", "shooter[B]", "ndd:shooter[B]")
+        assert exc.value.aliased == null_space_columns(data, "resilience", common_slope=False)
+        with pytest.raises(RankDeficientError) as exc:
+            fit_effects(data, "resilience", "raw")
+        assert "ndd:shooter[B]" in exc.value.aliased
+        assert exc.value.aliased == null_space_columns(data, "resilience")
 
 
 class TestMinShotsFilter:

@@ -241,13 +241,14 @@ class TestSubsampleMse:
 
 class TestSplitHalf:
     def test_identical_halves_give_one(self):
-        # deterministic response depending only on player identities
+        # deterministic response depending only on player identities; it needs
+        # main effects, since a pure interaction fits exactly zero effects to rank
         rows = []
         for g in range(4):
             for j in range(4):
                 for k in range(4):
                     for _ in range(5):
-                        rows.append((f"S{j}", f"D{k}", 5.0, (j + k) % 2, f"G{g}"))
+                        rows.append((f"S{j}", f"D{k}", 5.0, int(j + k >= 3), f"G{g}"))
         data = EffectsDataset(
             shooters=np.array([r[0] for r in rows]),
             defenders=np.array([r[1] for r in rows]),
