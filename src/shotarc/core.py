@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 # NBA full court, feet. Origin at a corner, x along the sideline.
 COURT_LENGTH_FT = 94.0
 COURT_WIDTH_FT = 50.0
@@ -137,3 +139,26 @@ def degrees_to_radians(a_deg: float) -> float:
 
 def radians_to_degrees(a_rad: float) -> float:
     return a_rad * 180.0 / math.pi
+
+
+def _expit_scalar(x: float) -> float:
+    try:
+        return 1.0 / (1.0 + math.exp(-x))
+    except OverflowError:   # exp(-x) exceeds the float range below x ~ -709.78
+        return 0.0
+
+
+_expit_ufunc = np.frompyfunc(_expit_scalar, 1, 1)
+
+
+def expit(x):
+    """Logistic sigmoid 1 / (1 + exp(-x)), bit-identical to ``scipy.special.expit``.
+
+    The exponential is libm's, taken element by element: numpy's vectorised
+    ``np.exp`` differs from it in the last bit on ~2% of inputs, which would
+    change simulated seasons and predictions.  A 0-d input gives a float64
+    scalar, an n-d input a float64 array of the same shape.
+    """
+    with np.errstate(over="ignore"):    # libm raises the flag before OverflowError
+        out = np.asarray(_expit_ufunc(np.asarray(x, dtype=float)), dtype=float)
+    return out if out.ndim else out[()]

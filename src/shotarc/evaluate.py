@@ -8,6 +8,8 @@ lives in the CLI layer.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +25,9 @@ from .effects import (
 
 OPEN_NDD_FT = 6.0
 CONTESTED_NDD_FT = 4.0
+# fig3 bootstrap resamples are drawn and reduced in blocks of about this many
+# elements, which bounds the analysis's memory whatever the group sizes
+BOOTSTRAP_BLOCK_ELEMENTS = 2**17
 
 
 class EvalError(ValueError):
@@ -82,6 +87,24 @@ class VarianceComparison:
     n_open: int
 
 
+def _bootstrap_variances(values: np.ndarray, n_bootstrap: int, rng: np.random.Generator) -> np.ndarray:
+    """Sample variances of ``n_bootstrap`` resamples of ``values``.
+
+    Resamples are drawn and reduced ``BOOTSTRAP_BLOCK_ELEMENTS // n`` rows at
+    a time, so memory stays bounded per block.  Consecutive block draws
+    continue the generator's stream exactly as one
+    ``(n_bootstrap, n)`` draw would, and each row's variance is reduced on
+    its own, so the result equals the full-matrix formula bit for bit.
+    """
+    n = len(values)
+    block = max(1, BOOTSTRAP_BLOCK_ELEMENTS // n)
+    out = np.empty(n_bootstrap)
+    for start in range(0, n_bootstrap, block):
+        k = min(block, n_bootstrap - start)
+        out[start:start + k] = values[rng.integers(0, n, size=(k, n))].var(axis=1, ddof=1)
+    return out
+
+
 def variance_comparison(
     depth_ft: np.ndarray,
     lr_ft: np.ndarray,
@@ -93,7 +116,22 @@ def variance_comparison(
     min_group: int = 30,
 ) -> dict[str, VarianceComparison]:
     """Contested/open variance ratios for depth and left-right, with
-    percentile bootstrap intervals."""
+    percentile bootstrap intervals.
+
+    Contested shots have NDD below ``contested_threshold_ft``, open shots NDD
+    above ``open_threshold_ft``.  A compared group holding a non-finite value
+    or having zero sample variance, or an open-group resample with zero
+    variance, is an ``EvalError``, never an inf or NaN ratio or interval.
+    """
+    if isinstance(n_bootstrap, bool) or not isinstance(n_bootstrap, numbers.Integral) or n_bootstrap < 1:
+        raise EvalError(f"n_bootstrap must be a positive integer, got {n_bootstrap!r}")
+    for name, threshold in (("open_threshold_ft", open_threshold_ft),
+                            ("contested_threshold_ft", contested_threshold_ft)):
+        if isinstance(threshold, bool) or not isinstance(threshold, numbers.Real) or not math.isfinite(threshold):
+            raise EvalError(f"{name} must be a finite number, got {threshold!r}")
+    if open_threshold_ft < contested_threshold_ft:
+        raise EvalError(f"open_threshold_ft {open_threshold_ft!r} is below "
+                        f"contested_threshold_ft {contested_threshold_ft!r}")
     depth = np.asarray(depth_ft, dtype=float)
     lr = np.asarray(lr_ft, dtype=float)
     ndd = np.asarray(ndd_ft, dtype=float)
@@ -106,18 +144,27 @@ def variance_comparison(
     rng = np.random.default_rng(seed)
     out: dict[str, VarianceComparison] = {}
     for name, values in (("depth", depth), ("lr", lr)):
-        vc = values[contested]
-        vo = values[is_open]
-        ratio = float(vc.var(ddof=1) / vo.var(ddof=1))
-        idx_c = rng.integers(0, n_c, size=(n_bootstrap, n_c))
-        idx_o = rng.integers(0, n_o, size=(n_bootstrap, n_o))
-        boot = vc[idx_c].var(axis=1, ddof=1) / vo[idx_o].var(axis=1, ddof=1)
-        lo, hi = np.percentile(boot, [2.5, 97.5])
+        groups = []
+        for group, mask in (("contested", contested), ("open", is_open)):
+            vals = values[mask]
+            if not np.all(np.isfinite(vals)):
+                raise EvalError(f"{name}: the {group} group holds non-finite values")
+            var = float(vals.var(ddof=1))
+            if var == 0.0:
+                raise EvalError(f"{name}: the {group} group has zero sample variance")
+            groups.append((vals, var))
+        (vc, var_c), (vo, var_o) = groups
+        boot_c = _bootstrap_variances(vc, n_bootstrap, rng)
+        boot_o = _bootstrap_variances(vo, n_bootstrap, rng)
+        if not boot_o.all():
+            raise EvalError(f"{name}: a bootstrap resample of the open group has zero sample "
+                            "variance (too few distinct values)")
+        lo, hi = np.percentile(boot_c / boot_o, [2.5, 97.5])
         out[name] = VarianceComparison(
             factor=name,
-            contested_var=float(vc.var(ddof=1)),
-            open_var=float(vo.var(ddof=1)),
-            ratio=ratio,
+            contested_var=var_c,
+            open_var=var_o,
+            ratio=var_c / var_o,
             ci_low=float(lo),
             ci_high=float(hi),
             n_contested=n_c,

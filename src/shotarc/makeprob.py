@@ -18,7 +18,8 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
+
+from .core import expit
 
 N_FEATURES = 10
 FEATURE_NAMES = ("1", "D", "LR", "A", "D^2", "LR^2", "A^2", "D*LR", "D*A", "LR*A")

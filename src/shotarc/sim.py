@@ -33,13 +33,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.special import expit
 
 from .core import (
     CourtGeometry,
     DEFAULT_GEOMETRY,
     GameId,
     PlayerId,
+    expit,
     from_local_frame,
 )
 from .ingest import EventRecord, GameTracking, RosterRecord

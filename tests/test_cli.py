@@ -170,6 +170,21 @@ class TestFitAndDownstream:
                          "--out-dir", str(ev)]) == 0
             assert (ev / outname).exists()
 
+    @pytest.mark.parametrize("spec", [
+        {"n_bootstrap": 0},
+        {"n_bootstrap": 2.5},
+        {"n_bootstrap": "10"},
+        {"open_threshold_ft": 3.0, "contested_threshold_ft": 4.0},
+    ])
+    def test_bad_fig3_spec_exits_2_and_writes_nothing(self, workdir, fit_dir, spec, capsys):
+        spec_path = workdir / "fig3_spec.json"
+        spec_path.write_text(json.dumps(spec))
+        out = workdir / "bad_fig3"
+        assert main(["evaluate", "--analysis", "fig3", "--shots", str(fit_dir / "factors.csv"),
+                     "--spec", str(spec_path), "--out-dir", str(out)]) == 2
+        assert "error: " in capsys.readouterr().err
+        assert not (out / "fig3_variance.csv").exists()
+
     def test_resilience_effects_table2_analog(self, workdir, fit_dir):
         model = workdir / "model.json"
         preds = workdir / "preds.csv"

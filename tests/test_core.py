@@ -1,11 +1,17 @@
-"""Frame transforms, geometry constants, and unit conversions."""
+"""Frame transforms, geometry constants, unit conversions, and the logistic sigmoid."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, strategies as st
 
+import shotarc
 from shotarc.core import (
     COURT_WIDTH_FT,
     CourtGeometry,
@@ -13,6 +19,7 @@ from shotarc.core import (
     RIM_CENTER_FROM_BASELINE_FT,
     UnknownHoopEndError,
     degrees_to_radians,
+    expit,
     feet_to_inches,
     from_local_frame,
     inches_to_feet,
@@ -96,3 +103,45 @@ class TestGeometry:
             CourtGeometry(rim_radius_ft=0.3, ball_radius_ft=0.4)
         with pytest.raises(ValueError):
             CourtGeometry(rim_center=(0.0, 0.0, 9.5))
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+class TestExpit:
+    def test_bit_identical_to_scipy_on_normal_draws(self):
+        x = np.random.default_rng(0).normal(size=1_000_000)
+        assert np.array_equal(_bits(expit(x)), _bits(scipy.special.expit(x)))
+
+    def test_extremes(self):
+        x = np.array([-1000.0, 1000.0, -np.inf, np.inf, np.nan, 0.0, -0.0,
+                      -709.78, -709.79, -745.2, 36.0, 37.0, -36.0, 5e-324])
+        got, want = expit(x), scipy.special.expit(x)
+        assert np.array_equal(_bits(got), _bits(want))
+        assert got[0] == 0.0 and got[2] == 0.0 and got[1] == 1.0 and np.isnan(got[4])
+
+    def test_overflow_is_silent(self):
+        with np.errstate(all="raise"):
+            assert expit(-1000.0) == 0.0
+
+    @pytest.mark.parametrize("x", [0.3, -2, np.float64(-2.5), np.array(1.5)])
+    def test_zero_d_gives_float64_scalar(self, x):
+        got = expit(x)
+        assert type(got) is np.float64
+        assert _bits(got) == _bits(scipy.special.expit(x))
+
+    def test_n_d_keeps_shape(self):
+        x = np.linspace(-40.0, 40.0, 24).reshape(2, 3, 4)
+        got = expit(x)
+        assert got.shape == x.shape and got.dtype == np.float64
+        assert np.array_equal(_bits(got), _bits(scipy.special.expit(x)))
+
+
+def test_runtime_modules_do_not_import_scipy():
+    code = ("import sys, shotarc.cli, shotarc.sim, shotarc.makeprob; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": str(Path(shotarc.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.strip() == "[]"

@@ -1,11 +1,14 @@
 """Evaluation harness: spearman, variance ratios, profiles, subsampling."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.stats
 
 from shotarc.effects import EffectsDataset
 from shotarc.evaluate import (
+    BOOTSTRAP_BLOCK_ELEMENTS,
     EvalError,
     SubsampleSpec,
     binned_mean_by_depth,
@@ -103,6 +106,120 @@ class TestVarianceComparison:
         out2 = variance_comparison(depth, depth, ndd, seed=42)
         assert out1["depth"].ci_low == out2["depth"].ci_low
         assert out1["depth"].ci_low < 1.56 < out1["depth"].ci_high
+
+
+def _full_matrix_comparison(depth, lr, ndd, n_bootstrap, seed):
+    """The bootstrap as one (n_bootstrap, n_group) draw per group: the oracle
+    for the blocked draws (defaults: open > 6 ft, contested < 4 ft)."""
+    rng = np.random.default_rng(seed)
+    contested, is_open = ndd < 4.0, ndd > 6.0
+    out = {}
+    for name, values in (("depth", depth), ("lr", lr)):
+        vc, vo = values[contested], values[is_open]
+        idx_c = rng.integers(0, len(vc), size=(n_bootstrap, len(vc)))
+        idx_o = rng.integers(0, len(vo), size=(n_bootstrap, len(vo)))
+        boot = vc[idx_c].var(axis=1, ddof=1) / vo[idx_o].var(axis=1, ddof=1)
+        lo, hi = np.percentile(boot, [2.5, 97.5])
+        out[name] = (float(lo), float(hi))
+    return out
+
+
+def _season_groups(n_contested=10_144, n_open=7_305, seed=11):
+    rng = np.random.default_rng(seed)
+    ndd = np.concatenate([rng.uniform(0.0, 4.0, n_contested), rng.uniform(4.0, 6.0, 500),
+                          rng.uniform(6.01, 12.0, n_open)])
+    rng.shuffle(ndd)
+    depth = rng.normal(0.7, 0.25, len(ndd))
+    lr = rng.normal(0.0, 0.2, len(ndd))
+    return depth, lr, ndd
+
+
+class TestBlockedBootstrap:
+    def test_groups_span_several_blocks(self):
+        _, _, ndd = _season_groups()
+        for n in ((ndd < 4.0).sum(), (ndd > 6.0).sum()):
+            assert BOOTSTRAP_BLOCK_ELEMENTS // n < 60
+
+    @pytest.mark.parametrize("n_bootstrap", [
+        1,
+        # a multiple of both groups' block row counts (12 and 17)
+        (BOOTSTRAP_BLOCK_ELEMENTS // 10_144) * (BOOTSTRAP_BLOCK_ELEMENTS // 7_305),
+        61,
+    ])
+    def test_equals_full_matrix_draw(self, n_bootstrap):
+        depth, lr, ndd = _season_groups()
+        out = variance_comparison(depth, lr, ndd, n_bootstrap=n_bootstrap, seed=424242)
+        expect = _full_matrix_comparison(depth, lr, ndd, n_bootstrap, 424242)
+        for name in ("depth", "lr"):
+            assert (out[name].ci_low, out[name].ci_high) == expect[name]
+
+    def test_memory_bounded_per_block(self):
+        depth, lr, ndd = _season_groups()
+        tracemalloc.start()
+        try:
+            variance_comparison(depth, lr, ndd, n_bootstrap=1000, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the full (1000, 10_144) index and value matrices alone take 162 MB
+        assert peak < 32e6
+
+
+class TestVarianceComparisonValidation:
+    @staticmethod
+    def _data():
+        return _season_groups(n_contested=60, n_open=60)
+
+    @pytest.mark.parametrize("n_bootstrap", [0, -5, 2.5, "10", True, None])
+    def test_rejects_bad_n_bootstrap(self, n_bootstrap):
+        with pytest.raises(EvalError, match="n_bootstrap"):
+            variance_comparison(*self._data(), n_bootstrap=n_bootstrap)
+
+    def test_accepts_numpy_integer_n_bootstrap(self):
+        out = variance_comparison(*self._data(), n_bootstrap=np.int64(20))
+        assert out["depth"].ci_low <= out["depth"].ci_high
+
+    @pytest.mark.parametrize("key", ["open_threshold_ft", "contested_threshold_ft"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), "6"])
+    def test_rejects_non_finite_threshold(self, key, value):
+        with pytest.raises(EvalError, match=key):
+            variance_comparison(*self._data(), **{key: value})
+
+    def test_rejects_open_below_contested(self):
+        with pytest.raises(EvalError, match="below"):
+            variance_comparison(*self._data(), open_threshold_ft=3.0, contested_threshold_ft=4.0)
+
+    def test_equal_thresholds_accepted(self):
+        out = variance_comparison(*self._data(), open_threshold_ft=5.0,
+                                  contested_threshold_ft=5.0, n_bootstrap=20)
+        assert out["depth"].n_contested + out["depth"].n_open == 620
+
+    def test_constant_group_rejected_by_name(self):
+        depth, lr, ndd = self._data()
+        lr[ndd > 6.0] = 0.25
+        with pytest.raises(EvalError, match="lr: the open group has zero sample variance"):
+            variance_comparison(depth, lr, ndd)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_value_rejected_by_name(self, bad):
+        depth, lr, ndd = self._data()
+        depth[np.flatnonzero(ndd < 4.0)[3]] = bad
+        with pytest.raises(EvalError, match="depth: the contested group holds non-finite"):
+            variance_comparison(depth, lr, ndd)
+
+    def test_zero_variance_open_resample_rejected(self):
+        # 29 equal values and one other: ~36% of resamples miss the odd one out
+        rng = np.random.default_rng(0)
+        depth = np.concatenate([rng.normal(0.0, 1.0, 40), np.zeros(29), [1.0]])
+        ndd = np.concatenate([np.full(40, 2.0), np.full(30, 8.0)])
+        with pytest.raises(EvalError, match="depth: a bootstrap resample of the open group"):
+            variance_comparison(depth, depth, ndd, n_bootstrap=200)
+
+    def test_non_finite_value_outside_both_groups_ignored(self):
+        depth, lr, ndd = self._data()
+        depth[np.flatnonzero((ndd >= 4.0) & (ndd <= 6.0))[0]] = float("nan")
+        out = variance_comparison(depth, lr, ndd, n_bootstrap=20)
+        assert np.isfinite(out["depth"].ratio)
 
 
 class TestBinnedProfiles:
