@@ -18,7 +18,10 @@ import csv
 import dataclasses
 import hashlib
 import json
+import operator
+import re
 import sys
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 from typing import NamedTuple
 
@@ -91,7 +94,7 @@ def write_manifest(
     config: dict,
     inputs: list[Path],
     outputs: list[Path],
-    seed: int | None,
+    seed: int | None = None,
 ) -> None:
     doc = {
         "tool": "shotarc",
@@ -152,6 +155,13 @@ SHOT_COLUMNS = (
     "defender_height_in", "contest_angle_deg", "outcome",
     "depth_ft", "lr_ft", "entry_angle_deg", "rmse_ft", "n_samples", "flags",
 )
+ID_COLUMNS = ("shot_id", "game_id", "shooter_id", "defender_id", "flags")
+FACTOR_COLUMNS = ("depth_ft", "lr_ft", "entry_angle_deg")
+PLAYER_COLUMNS = ("shooter_id", "defender_id", "outcome")
+INTEGER_COLUMNS = ("outcome", "n_samples")
+_NON_BLANK = re.compile(rb"\S")
+_LOADTXT = dict(delimiter=",", quotechar='"', comments=None, skiprows=1, ndmin=2,
+                encoding="utf-8")
 
 
 @dataclasses.dataclass
@@ -175,58 +185,109 @@ class ShotRow:
     make_prob: float | None = None
 
 
-def write_shot_rows(rows: list[ShotRow], path: Path, with_prob: bool = False) -> None:
-    cols = list(SHOT_COLUMNS) + (["make_prob"] if with_prob else [])
+_ROW_VALUES = operator.attrgetter(*SHOT_COLUMNS, "make_prob")
+
+
+def write_shot_rows(rows: Iterable[ShotRow], path: Path, with_prob: bool = False) -> None:
+    """One line per row; ``csv`` writes floats by ``repr``, so they read back to the bit."""
+    width = len(SHOT_COLUMNS) + with_prob
     with path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(cols)
-        for r in rows:
-            vals = [r.shot_id, r.game_id, r.shooter_id, r.defender_id, repr(r.ndd_ft),
-                    repr(r.defender_height_in), repr(r.contest_angle_deg), str(r.outcome),
-                    repr(r.depth_ft), repr(r.lr_ft), repr(r.entry_angle_deg),
-                    repr(r.rmse_ft), str(r.n_samples), r.flags]
-            if with_prob:
-                vals.append(repr(r.make_prob) if r.make_prob is not None else "")
-            writer.writerow(vals)
+        writer.writerow((SHOT_COLUMNS + ("make_prob",))[:width])
+        writer.writerows(_ROW_VALUES(r)[:width] for r in rows)
 
 
-def read_shot_rows(path: str | Path) -> list[ShotRow]:
-    rows: list[ShotRow] = []
-    with Path(path).open("r", encoding="utf-8", newline="") as fh:
-        for rec in csv.DictReader(fh):
-            prob = rec.get("make_prob")
-            rows.append(ShotRow(
-                shot_id=rec["shot_id"],
-                game_id=rec["game_id"],
-                shooter_id=rec["shooter_id"],
-                defender_id=rec["defender_id"],
-                ndd_ft=float(rec["ndd_ft"]),
-                defender_height_in=float(rec["defender_height_in"]),
-                contest_angle_deg=float(rec["contest_angle_deg"]),
-                outcome=int(rec["outcome"]),
-                depth_ft=float(rec["depth_ft"]),
-                lr_ft=float(rec["lr_ft"]),
-                entry_angle_deg=float(rec["entry_angle_deg"]),
-                rmse_ft=float(rec["rmse_ft"]),
-                n_samples=int(rec["n_samples"]),
-                flags=rec.get("flags", ""),
-                make_prob=float(prob) if prob else None,
-            ))
-    return rows
+@dataclasses.dataclass
+class ShotTable:
+    """A shots file as columns by header name: ids as str arrays, ``outcome``
+    and ``n_samples`` as int64, every other column float64."""
+
+    columns: dict[str, np.ndarray]
+    n_rows: int
+
+    def __len__(self) -> int:
+        return self.n_rows
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self.columns[name]
+
+    def matrix(self, names: tuple[str, ...]) -> np.ndarray:
+        return np.column_stack([self.columns[c] for c in names])
+
+    def __iter__(self) -> Iterator[ShotRow]:
+        """One ``ShotRow`` per shot; the table must hold every column of ``SHOT_COLUMNS``."""
+        cols = {"make_prob": np.full(self.n_rows, None), **self.columns}
+        return map(ShotRow, *(cols[c].tolist() for c in SHOT_COLUMNS + ("make_prob",)))
+
+    def effects_dataset(self, require_prob: bool) -> EffectsDataset:
+        cols = self.columns
+        if require_prob and "make_prob" not in cols:
+            raise ConfigError("shots file lacks make_prob; run `shotarc predict` first")
+        return EffectsDataset(cols["shooter_id"], cols["defender_id"], cols["ndd_ft"],
+                              cols["outcome"].astype(float), cols.get("make_prob"),
+                              cols.get("game_id"))
 
 
-def effects_dataset_from_rows(rows: list[ShotRow], require_prob: bool) -> EffectsDataset:
-    if require_prob and any(r.make_prob is None for r in rows):
-        raise ConfigError("shots file lacks make_prob; run `shotarc predict` first")
-    return EffectsDataset(
-        shooters=np.array([r.shooter_id for r in rows]),
-        defenders=np.array([r.defender_id for r in rows]),
-        ndd_ft=np.array([r.ndd_ft for r in rows]),
-        outcomes=np.array([float(r.outcome) for r in rows]),
-        probs=(np.array([r.make_prob for r in rows], dtype=float)
-               if all(r.make_prob is not None for r in rows) else None),
-        game_ids=np.array([r.game_id for r in rows]),
-    )
+def read_shot_rows(path: str | Path, columns: tuple[str, ...] | None = None,
+                   finite: tuple[str, ...] = ()) -> ShotTable:
+    """Read ``columns`` of a shots file (default: those of ``SHOT_COLUMNS``, and
+    ``make_prob`` when present) and the ``finite`` ones into a ``ShotTable``,
+    with numpy's C parser: one pass for the numbers, one for the ids.
+
+    A ``ConfigError`` names the file, and the line, for bytes that are not
+    UTF-8 or a carriage return; the file for no shots or a missing column;
+    and the row (data rows from 0) and column (from 1), as numpy counts them,
+    for a number that does not parse, an empty or missing cell, a non-finite
+    value in a ``finite`` column, an ``outcome`` other than 0/1, or an
+    ``n_samples`` that is not an integer.
+    """
+    path = Path(path)
+    data = path.read_bytes()
+    try:
+        data.decode("utf-8")
+        bad, why = data.find(b"\r"), "carriage return"
+    except UnicodeDecodeError as exc:
+        bad, why = exc.start, "not UTF-8"
+    if bad >= 0:
+        line = data.count(b"\n", 0, bad) + 1
+        raise ConfigError(f"{path}:{line}: {why}")
+    end = data.find(b"\n")
+    if end < 0 or not _NON_BLANK.search(data, end + 1):
+        raise ConfigError(f"{path}: holds no shots")
+    header = next(csv.reader([data[:end].decode()]))
+    del data
+    if columns is None:
+        columns = SHOT_COLUMNS + (("make_prob",) if "make_prob" in header else ())
+    names = tuple(dict.fromkeys(columns + finite))
+    if missing := [c for c in names if c not in header]:
+        raise ConfigError(f"{path}: no column {', '.join(missing)}")
+    table: dict[str, np.ndarray] = {}
+    for group, dtype in (([c for c in names if c not in ID_COLUMNS], float),
+                         ([c for c in names if c in ID_COLUMNS], str)):
+        if group:
+            try:
+                block = np.loadtxt(path, dtype=dtype, usecols=[header.index(c) for c in group],
+                                   **_LOADTXT)
+            except ValueError as exc:
+                raise ConfigError(f"{path}: {exc}") from None
+            table.update(zip(group, block.T.copy()))
+    for name, values in table.items():
+        if name in finite:
+            bad = ~np.isfinite(values)
+        elif name == "outcome":
+            bad = (values != 0) & (values != 1)
+        elif name == "n_samples":
+            bad = values != np.round(values)
+        else:
+            continue
+        if bad.any():
+            row = int(np.argmax(bad))
+            raise ConfigError(f"{path}: {values[row].tolist()!r} is not a valid {name} "
+                              f"at row {row}, column {header.index(name) + 1}")
+    for name in INTEGER_COLUMNS:
+        if name in table:
+            table[name] = table[name].astype(np.int64)
+    return ShotTable(table, len(block))
 
 
 class SeasonFit(NamedTuple):
@@ -357,35 +418,13 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
     factors_path = out_dir / "factors.csv"
     write_shot_rows(rows, factors_path)
-    factors_jsonl = out_dir / "factors.jsonl"
-    with factors_jsonl.open("w", encoding="utf-8", newline="\n") as fh:
-        for r in rows:
-            fh.write(json.dumps({
-                "shot_id": r.shot_id,
-                "depth_ft": r.depth_ft,
-                "lr_ft": r.lr_ft,
-                "angle_deg": r.entry_angle_deg,
-                "flags": r.flags.split(";") if r.flags else [],
-            }, sort_keys=True) + "\n")
-
     traj_csv = out_dir / "trajectories.csv"
-    traj_jsonl = out_dir / "trajectories.jsonl"
-    with traj_csv.open("w", encoding="utf-8", newline="") as fh_csv, \
-            traj_jsonl.open("w", encoding="utf-8", newline="\n") as fh_jsonl:
-        writer = csv.writer(fh_csv, lineterminator="\n")
+    with traj_csv.open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["shot_id"] + [f"beta{i}" for i in range(6)] + ["rmse_ft", "n_samples"])
-        for _, rec in fit.fits:
-            fitted = rec.fitted
-            if fitted is None:
-                continue
-            writer.writerow([rec.shot_id] + [repr(float(b)) for b in fitted.beta]
-                            + [repr(fitted.rmse_ft), rec.n_samples])
-            fh_jsonl.write(json.dumps({
-                "shot_id": rec.shot_id,
-                "beta": [float(b) for b in fitted.beta],
-                "rmse_ft": fitted.rmse_ft,
-                "n_samples": rec.n_samples,
-            }, sort_keys=True) + "\n")
+        writer.writerows([rec.shot_id] + [repr(float(b)) for b in rec.fitted.beta]
+                         + [repr(rec.fitted.rmse_ft), rec.n_samples]
+                         for _, rec in fit.fits if rec.fitted is not None)
 
     report_path = out_dir / "filter_report.json"
     report_path.write_text(json.dumps({
@@ -413,19 +452,15 @@ def cmd_fit(args: argparse.Namespace) -> int:
         "fit",
         config=dataclasses.asdict(thresholds),
         inputs=inputs,
-        outputs=[factors_path, factors_jsonl, traj_csv, traj_jsonl, report_path],
-        seed=None,
+        outputs=[factors_path, traj_csv, report_path],
     )
     return EXIT_OK
 
 
 def cmd_train_makeprob(args: argparse.Namespace) -> int:
-    rows = read_shot_rows(args.factors)
-    if not rows:
-        raise ConfigError("factors file holds no shots")
-    factors = np.array([[r.depth_ft, r.lr_ft, r.entry_angle_deg] for r in rows])
-    outcomes = np.array([float(r.outcome) for r in rows])
-    model = train(factors, outcomes, TrainConfig(ridge=args.ridge, min_shots=args.min_shots))
+    table = read_shot_rows(args.factors, ("outcome",), finite=FACTOR_COLUMNS)
+    model = train(table.matrix(FACTOR_COLUMNS), table["outcome"].astype(float),
+                  TrainConfig(ridge=args.ridge, min_shots=args.min_shots))
     out = Path(args.out_model)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(model.to_json() + "\n", encoding="utf-8")
@@ -437,36 +472,32 @@ def cmd_train_makeprob(args: argparse.Namespace) -> int:
         config={"ridge": args.ridge, "min_shots": args.min_shots},
         inputs=[Path(args.factors)],
         outputs=[out],
-        seed=None,
     )
     return EXIT_OK
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
-    rows = read_shot_rows(args.factors)
+    table = read_shot_rows(args.factors, finite=FACTOR_COLUMNS)
     model = MakeProbModel.from_json(Path(args.model).read_text(encoding="utf-8"))
-    factors = np.array([[r.depth_ft, r.lr_ft, r.entry_angle_deg] for r in rows])
-    probs = predict(model, factors) if len(rows) else np.array([])
-    for r, p in zip(rows, probs):
-        r.make_prob = float(p)
+    table.columns["make_prob"] = predict(model, table.matrix(FACTOR_COLUMNS))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    write_shot_rows(rows, out, with_prob=True)
-    print(f"predicted {len(rows)} shots -> {out}")
+    write_shot_rows(table, out, with_prob=True)
+    print(f"predicted {len(table)} shots -> {out}")
     write_manifest(
         Path(args.manifest) if args.manifest else out.with_name("manifest.json"),
         "predict",
         config={},
         inputs=[Path(args.factors), Path(args.model)],
         outputs=[out],
-        seed=None,
     )
     return EXIT_OK
 
 
 def cmd_effects(args: argparse.Namespace) -> int:
-    rows = read_shot_rows(args.factors)
-    data = effects_dataset_from_rows(rows, require_prob=args.response_kind == "prob")
+    prob = args.response_kind == "prob"
+    data = read_shot_rows(args.factors, PLAYER_COLUMNS, finite=("ndd_ft", "make_prob")
+                          if prob else ("ndd_ft",)).effects_dataset(require_prob=prob)
     filtered = apply_min_shots_filter(data, args.min_shots, min_shots_roles(args.model_kind))
     if len(filtered) == 0:
         raise ConfigError("no rows survive the minimum-shots filter")
@@ -516,16 +547,15 @@ def cmd_effects(args: argparse.Namespace) -> int:
                 "min_shots": args.min_shots, "literal_ndd": args.literal_ndd},
         inputs=[Path(args.factors)],
         outputs=[csv_path, txt_path, json_path],
-        seed=None,
     )
     return EXIT_OK
 
 
-def _analysis_fig3(rows, spec, out_dir):
+def _analysis_fig3(table, spec, out_dir):
     out = variance_comparison(
-        np.array([r.depth_ft for r in rows]),
-        np.array([r.lr_ft for r in rows]),
-        np.array([r.ndd_ft for r in rows]),
+        table["depth_ft"],
+        table["lr_ft"],
+        table["ndd_ft"],
         open_threshold_ft=spec.get("open_threshold_ft", 6.0),
         contested_threshold_ft=spec.get("contested_threshold_ft", 4.0),
         n_bootstrap=spec.get("n_bootstrap", 1000),
@@ -541,47 +571,42 @@ def _analysis_fig3(rows, spec, out_dir):
     return [path]
 
 
-def _analysis_fig4(rows, spec, out_dir):
-    ndd = np.array([r.ndd_ft for r in rows])
-    height = np.array([r.defender_height_in for r in rows])
-    paths = []
+def _analysis_fig4(table, spec, out_dir):
     path = out_dir / "fig4_profiles.csv"
     with path.open("w", encoding="utf-8", newline="\n") as fh:
         fh.write("bin_by,value,bin_center,mean,se,n,trend\n")
         for bin_by, bvals, edges in (
-            ("ndd", ndd, np.arange(*spec.get("ndd_edges", (0.0, 12.01, 2.0)))),
-            ("defender_height", height, np.arange(*spec.get("height_edges", (72.0, 88.01, 2.0)))),
+            ("ndd", table["ndd_ft"], np.arange(*spec.get("ndd_edges", (0.0, 12.01, 2.0)))),
+            ("defender_height", table["defender_height_in"],
+             np.arange(*spec.get("height_edges", (72.0, 88.01, 2.0)))),
         ):
-            for value_name, vals in (
-                ("entry_angle", np.array([r.entry_angle_deg for r in rows])),
-                ("depth", np.array([r.depth_ft for r in rows])),
-            ):
+            for value_name, vals in (("entry_angle", table["entry_angle_deg"]),
+                                     ("depth", table["depth_ft"])):
                 prof = binned_profiles(bvals, vals, edges, bin_by=bin_by, value=value_name)
                 for row in prof.rows:
                     fh.write(f"{bin_by},{value_name},{row.center!r},{row.mean!r},"
                              f"{row.se!r},{row.n},{prof.trend!r}\n")
-    paths.append(path)
-    return paths
+    return [path]
 
 
-def _analysis_depth_bins(rows, spec, out_dir):
-    table = make_pct_by_depth_bin(
-        np.array([r.depth_ft for r in rows]),
-        np.array([float(r.outcome) for r in rows]),
+def _analysis_depth_bins(table, spec, out_dir):
+    bins = make_pct_by_depth_bin(
+        table["depth_ft"],
+        table["outcome"],
         bin_width_in=spec.get("bin_width_in", 1.0),
         min_bin_n=spec.get("min_bin_n", 50),
     )
     path = out_dir / "depth_bins.csv"
     with path.open("w", encoding="utf-8", newline="\n") as fh:
         fh.write("depth_in,make_pct,se,n\n")
-        for row in table.rows:
+        for row in bins.rows:
             fh.write(f"{row.center!r},{row.mean!r},{row.se!r},{row.n}\n")
-    print(f"argmax depth bin: {table.argmax_center_in:.0f} in")
+    print(f"argmax depth bin: {bins.argmax_center_in:.0f} in")
     return [path]
 
 
-def _analysis_fig5(rows, spec, out_dir):
-    data = effects_dataset_from_rows(rows, require_prob=True)
+def _analysis_fig5(table, spec, out_dir):
+    data = table.effects_dataset(require_prob=True)
     sub = SubsampleSpec(
         fractions=tuple(spec.get("fractions", (0.1, 0.2, 0.3, 0.4, 0.5))),
         n_replicates=spec.get("n_replicates", 20),
@@ -599,8 +624,8 @@ def _analysis_fig5(rows, spec, out_dir):
     return [path]
 
 
-def _analysis_split_half(rows, spec, out_dir):
-    data = effects_dataset_from_rows(rows, require_prob=True)
+def _analysis_split_half(table, spec, out_dir):
+    data = table.effects_dataset(require_prob=True)
     model_kind = spec.get("model_kind", "defender")
     min_shots = spec.get("min_shots", 100)
     path = out_dir / "split_half.csv"
@@ -613,23 +638,25 @@ def _analysis_split_half(rows, spec, out_dir):
     return [path]
 
 
+# analysis -> (function, columns it reads, columns it reads that must be finite);
+# fig4 lets a nan defender height (a defender missing from the roster) fall out of its bins
+_EFFECTS_INPUT = (("game_id",) + PLAYER_COLUMNS, ("ndd_ft", "make_prob"))
 ANALYSES = {
-    "fig3": _analysis_fig3,
-    "fig4": _analysis_fig4,
-    "fig5": _analysis_fig5,
-    "depth-bins": _analysis_depth_bins,
-    "split-half": _analysis_split_half,
+    "fig3": (_analysis_fig3, (), ("depth_ft", "lr_ft", "ndd_ft")),
+    "fig4": (_analysis_fig4, ("defender_height_in",), ("ndd_ft", "depth_ft", "entry_angle_deg")),
+    "fig5": (_analysis_fig5, *_EFFECTS_INPUT),
+    "depth-bins": (_analysis_depth_bins, ("outcome",), ("depth_ft",)),
+    "split-half": (_analysis_split_half, *_EFFECTS_INPUT),
 }
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     spec = load_json_config(args.spec)
-    rows = read_shot_rows(args.shots)
-    if not rows:
-        raise ConfigError("shots file holds no rows")
+    analysis, columns, finite = ANALYSES[args.analysis]
+    table = read_shot_rows(args.shots, columns, finite)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = ANALYSES[args.analysis](rows, spec, out_dir)
+    outputs = analysis(table, spec, out_dir)
     print(f"analysis {args.analysis} -> {', '.join(str(p) for p in outputs)}")
     write_manifest(
         Path(args.manifest) if args.manifest else out_dir / f"manifest_{args.analysis}.json",

@@ -133,14 +133,6 @@ def inches_to_feet(x_in: float) -> float:
     return x_in / 12.0
 
 
-def degrees_to_radians(a_deg: float) -> float:
-    return a_deg * math.pi / 180.0
-
-
-def radians_to_degrees(a_rad: float) -> float:
-    return a_rad * 180.0 / math.pi
-
-
 def _expit_scalar(x: float) -> float:
     try:
         return 1.0 / (1.0 + math.exp(-x))

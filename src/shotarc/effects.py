@@ -17,7 +17,7 @@ per-level and per-cell sums; the n x p design is never formed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -38,16 +38,49 @@ class RankDeficientError(EffectsError):
         self.aliased = aliased
 
 
+class Coded(NamedTuple):
+    """One id column coded once: its sorted distinct ids and each row's index into them."""
+
+    levels: np.ndarray      # (k,) str, ascending
+    codes: np.ndarray       # (n,) int
+
+    @classmethod
+    def of(cls, ids: np.ndarray) -> "Coded":
+        levels, codes = np.unique(ids, return_inverse=True)
+        return cls(levels, codes.reshape(-1))
+
+    def counts(self) -> np.ndarray:
+        """Rows per level, zero for a level no row holds any more."""
+        return np.bincount(self.codes, minlength=len(self.levels))
+
+    def present(self) -> "Coded":
+        """The levels some row holds, in the same order, and the rows recoded to them:
+        what ``Coded.of`` would give for the same rows, without sorting strings again."""
+        held = self.counts() > 0
+        return Coded(self.levels[held], (np.cumsum(held) - 1)[self.codes])
+
+
+class Coding(NamedTuple):
+    shooter: Coded
+    defender: Coded
+    game: Coded | None
+
+
 @dataclass(frozen=True)
 class EffectsDataset:
-    """Per-shot rows joining shooter, defender, NDD, and responses."""
+    """Per-shot rows joining shooter, defender, NDD, and responses.
+
+    Shooter, defender and game ids are coded once, at construction
+    (``coding``); ``subset`` hands the codes on, so no fit sorts ids again.
+    """
 
     shooters: np.ndarray      # (n,) str
     defenders: np.ndarray     # (n,) str
     ndd_ft: np.ndarray        # (n,) float
-    outcomes: np.ndarray      # (n,) float in {0, 1}
+    outcomes: np.ndarray      # (n,) float, 0/1 for makes and misses
     probs: np.ndarray | None = None   # (n,) float in [0, 1]
     game_ids: np.ndarray | None = None
+    coding: Coding = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = len(self.shooters)
@@ -58,10 +91,17 @@ class EffectsDataset:
             raise EffectsError("column probs has mismatched length")
         if self.game_ids is not None and len(self.game_ids) != n:
             raise EffectsError("column game_ids has mismatched length")
+        for name in ("ndd_ft", "outcomes", "probs"):
+            values = getattr(self, name)
+            if values is not None and not np.all(np.isfinite(values)):
+                raise EffectsError(f"column {name} holds non-finite values")
         if np.any(self.ndd_ft < 0):
             raise EffectsError("ndd must be non-negative")
         if self.probs is not None and (np.any(self.probs < 0) or np.any(self.probs > 1)):
             raise EffectsError("probs must lie in [0, 1]")
+        object.__setattr__(self, "coding", Coding(
+            Coded.of(self.shooters), Coded.of(self.defenders),
+            None if self.game_ids is None else Coded.of(self.game_ids)))
 
     def __len__(self) -> int:
         return len(self.shooters)
@@ -76,14 +116,17 @@ class EffectsDataset:
         raise EffectsError(f"unknown response kind {kind!r}")
 
     def subset(self, mask: np.ndarray) -> "EffectsDataset":
-        return EffectsDataset(
-            shooters=self.shooters[mask],
-            defenders=self.defenders[mask],
-            ndd_ft=self.ndd_ft[mask],
-            outcomes=self.outcomes[mask],
-            probs=None if self.probs is None else self.probs[mask],
-            game_ids=None if self.game_ids is None else self.game_ids[mask],
-        )
+        """The rows where ``mask`` holds, with their id codes carried over, not redone."""
+        sub = object.__new__(EffectsDataset)    # rows of a checked dataset need no new checks
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "coding":
+                value = Coding(*(None if c is None else Coded(c.levels, c.codes[mask])
+                                 for c in value))
+            elif value is not None:
+                value = value[mask]
+            object.__setattr__(sub, f.name, value)
+        return sub
 
 
 def apply_min_shots_filter(
@@ -99,10 +142,10 @@ def apply_min_shots_filter(
     data = dataset
     while True:
         keep = np.ones(len(data), dtype=bool)
-        for role, players in (("shooter", data.shooters), ("defender", data.defenders)):
+        for role in ("shooter", "defender"):
             if role in roles:
-                ids, counts = np.unique(players, return_counts=True)
-                keep &= ~np.isin(players, ids[counts < threshold])
+                players = getattr(data.coding, role)
+                keep &= players.counts()[players.codes] >= threshold
         if keep.all():
             return data
         data = data.subset(keep)
@@ -150,18 +193,18 @@ class _Block(NamedTuple):
 
 
 def _design_blocks(dataset: EffectsDataset, model_kind: str, common_slope: bool) -> list[_Block]:
-    """The terms of either model kind, players coded as integers by ``np.unique``."""
+    """The terms of either model kind, over the players present in ``dataset``."""
     if model_kind not in MODEL_KINDS:
         raise EffectsError(f"unknown model kind {model_kind!r}")
     n = len(dataset)
-    shooter_levels, shooter_idx = np.unique(dataset.shooters, return_inverse=True)
+    shooter_levels, shooter_idx = dataset.coding.shooter.present()
     if len(shooter_levels) < 2:
         raise EffectsError("need at least 2 shooters after filtering")
     zeros, ones = np.zeros(n, dtype=np.intp), np.ones(n)
     blocks = [_Block("intercept", None, zeros, ones, False),
               _Block("shooter", shooter_levels, shooter_idx, ones, True)]
     if model_kind == "defender":
-        defender_levels, defender_idx = np.unique(dataset.defenders, return_inverse=True)
+        defender_levels, defender_idx = dataset.coding.defender.present()
         if len(defender_levels) < 2:
             raise EffectsError("need at least 2 defenders after filtering")
         blocks.append(_Block("defender", defender_levels, defender_idx, ones, True))

@@ -246,7 +246,8 @@ def binned_mean_by_depth(
 
     With a 0/1 response this is the make percentage by landing depth; with
     modeled probabilities it is the model's depth profile.  The argmax is
-    taken over bins with at least ``min_bin_n`` shots.
+    taken over bins with at least ``min_bin_n`` shots.  A non-finite depth or
+    response is an ``EvalError``, never a NaN bin.
     """
     depth_in = np.asarray(depth_ft, dtype=float) * 12.0
     y = np.asarray(response, dtype=float)
@@ -254,6 +255,8 @@ def binned_mean_by_depth(
         raise EvalError("depth and response differ in length")
     if len(y) == 0:
         raise EvalError("no shots")
+    if not (np.all(np.isfinite(depth_in)) and np.all(np.isfinite(y))):
+        raise EvalError("depth and response must be finite")
     centers = np.round(depth_in / bin_width_in) * bin_width_in
     rows: list[BinRow] = []
     best: tuple[float, float] | None = None
@@ -310,10 +313,6 @@ class SubsampleResult:
     n_dropped: int
 
 
-def _gamma_vector(estimates, players: np.ndarray) -> np.ndarray:
-    return np.array([estimates.effects[p] for p in players])
-
-
 def subsample_mse(
     dataset: EffectsDataset,
     spec: SubsampleSpec,
@@ -338,7 +337,8 @@ def subsample_mse(
     reference = fit_effects(reference_data, model_kind, "raw")
     ref_effects = reference.effects
 
-    games = np.unique(np.asarray(reference_data.game_ids))
+    game = reference_data.coding.game
+    games = np.flatnonzero(game.counts())    # codes ascend as the ids sort
     rng = np.random.default_rng(spec.seed)
     results: list[SubsampleResult] = []
     for frac in spec.fractions:
@@ -347,19 +347,18 @@ def subsample_mse(
         dropped: dict[str, int] = {k: 0 for k in response_kinds}
         for _ in range(spec.n_replicates):
             chosen = rng.choice(games, size=n_games, replace=False)
-            mask = np.isin(reference_data.game_ids, chosen)
-            sub = reference_data.subset(mask)
+            sub = reference_data.subset(np.isin(game.codes, chosen))
             for kind in response_kinds:
                 try:
                     est = fit_effects(sub, model_kind, kind)
                 except (RankDeficientError, EffectsError):
                     dropped[kind] += 1
                     continue
-                players = np.array(sorted(set(est.effects) & set(ref_effects)))
-                if len(players) == 0:
+                players = sorted(est.effects.keys() & ref_effects.keys())
+                if not players:
                     dropped[kind] += 1
                     continue
-                diff = _gamma_vector(est, players) - np.array([ref_effects[p] for p in players])
+                diff = np.array([est.effects[p] - ref_effects[p] for p in players])
                 errors[kind].append(float(np.mean(diff**2)))
         for kind in response_kinds:
             used = len(errors[kind])
@@ -387,11 +386,11 @@ def split_half_rank_correlation(
     filtered = apply_min_shots_filter(dataset, min_shots, min_shots_roles(model_kind))
     if len(filtered) == 0:
         raise EvalError("no rows survive the minimum-shots filter")
-    games = np.unique(np.asarray(filtered.game_ids))
+    game = filtered.coding.game
+    games = np.flatnonzero(game.counts())    # codes ascend as the ids sort
     if len(games) < 2:
         raise EvalError("need at least 2 games to split")
-    first = set(games[: len(games) // 2])
-    mask = np.isin(filtered.game_ids, list(first))
+    mask = np.isin(game.codes, games[: len(games) // 2])
     half_a = filtered.subset(mask)
     half_b = filtered.subset(~mask)
     est_a = fit_effects(half_a, model_kind, response_kind)

@@ -12,13 +12,15 @@ File formats (all UTF-8 text, base-10 numerals):
 
 Malformed rows are counted under a reason and skipped, never fatal;
 structurally broken files (missing, unparseable, non-monotone timestamps)
-raise.  A tracking row is rejected as ``unparseable``, then
-``wrong_player_count``, then ``non_finite`` (a NaN or infinite time, ball
-coordinate or player x/y), then ``duplicate_timestamp``; the JSONL and CSV
-variants share these rules, so every loaded coordinate is finite.  A
-tracking, events or roster row whose player or shot id holds a carriage
-return is ``unparseable``.  An events row repeating an earlier shot id is
-rejected as ``duplicate_shot_id``; the first occurrence is kept.
+raise.  Bytes that are not UTF-8 are read as lone surrogates, so they fail
+the row they sit in rather than the whole load.  A tracking row is
+rejected as ``unparseable``, then ``wrong_player_count``, then
+``non_finite`` (a NaN or infinite time, ball coordinate or player x/y),
+then ``duplicate_timestamp``; the JSONL and CSV variants share these
+rules, so every loaded coordinate is finite.  A tracking, events or
+roster row whose game, player or shot id holds a carriage return or a
+surrogate is ``unparseable``.  An events row repeating an earlier shot id
+is rejected as ``duplicate_shot_id``; the first occurrence is kept.
 
 Tracking is read in one pass into typed per-game column buffers that
 back the ``GameTracking`` arrays.
@@ -36,6 +38,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
@@ -55,6 +58,9 @@ from .core import (
 )
 
 PLAYERS_PER_FRAME = 10
+# a carriage return (which the CSV writers leave unquoted) or a surrogate
+# (a byte that is not UTF-8, decoded with "surrogateescape") makes an id unusable
+_BAD_ID_CHAR = re.compile("[\r\ud800-\udfff]")
 
 
 class IngestError(ValueError):
@@ -132,14 +138,14 @@ class _GameColumns:
         """Indices of ``ids`` into ``id_table``, interning unseen ids with their team.
 
         An unhashable id raises TypeError at the first lookup, and an unseen
-        id holding a carriage return raises ValueError, before anything is
-        interned.
+        id holding a carriage return or a surrogate raises ValueError, before
+        anything is interned.
         """
         index = self._index
         codes = [index.get(pid, -1) for pid in ids]
         if -1 in codes:
-            if any("\r" in str(pid) for pid, code in zip(ids, codes) if code < 0):
-                raise ValueError("carriage return in player id")
+            if any(_BAD_ID_CHAR.search(str(pid)) for pid, code in zip(ids, codes) if code < 0):
+                raise ValueError("carriage return or surrogate in player id")
             for k, (pid, team) in enumerate(zip(ids, teams)):
                 if codes[k] < 0:
                     if pid not in index:
@@ -211,8 +217,8 @@ def load_tracking(
     ten players (``wrong_player_count``), its time, ball or any player
     coordinate is NaN or infinite (``non_finite``), or it repeats its
     game's last accepted timestamp (``duplicate_timestamp``).  A row with
-    an unhashable player id, or a new one holding a carriage return, is
-    then counted as ``unparseable``.
+    a new game id, an unhashable player id, or a new one holding a carriage
+    return or a surrogate, is then counted as ``unparseable``.
     A timestamp stepping backwards by more than ``monotone_tol`` within a
     game aborts the load.
     """
@@ -234,6 +240,9 @@ def load_tracking(
             return
         game = games.get(game_id)
         if game is None:
+            if _BAD_ID_CHAR.search(game_id):
+                reasons["unparseable"] += 1
+                return
             game = _GameColumns(game_id)
         else:
             prev = game.times[-1]
@@ -254,7 +263,7 @@ def load_tracking(
         game.player_ids.extend(codes)
         game.player_xy.extend(xy)
 
-    with path.open("r", encoding="utf-8", newline="") as fh:
+    with path.open("r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
         if fmt == "jsonl":
             parse, rows = _parse_jsonl_row, (line for line in fh if line.strip())
         else:
@@ -282,10 +291,10 @@ def load_tracking(
 
 
 def _clean_id(value: str) -> str:
-    """The stripped id; ValueError on a carriage return, which the CSV writers leave unquoted."""
+    """The stripped id; ValueError on a carriage return or a surrogate."""
     value = value.strip()
-    if "\r" in value:
-        raise ValueError("carriage return in id")
+    if _BAD_ID_CHAR.search(value):
+        raise ValueError("carriage return or surrogate in id")
     return value
 
 
@@ -302,7 +311,7 @@ def load_roster(path: str | Path) -> tuple[dict[PlayerId, RosterRecord], LoadRep
     records: dict[PlayerId, RosterRecord] = {}
     reasons: Counter[str] = Counter()
     n_rows = 0
-    with path.open("r", encoding="utf-8", newline="") as fh:
+    with path.open("r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
         reader = csv.DictReader(fh)
         for row in reader:
             n_rows += 1
@@ -343,7 +352,7 @@ def load_events(path: str | Path) -> tuple[list[EventRecord], LoadReport]:
     seen: set[str] = set()
     reasons: Counter[str] = Counter()
     n_rows = 0
-    with path.open("r", encoding="utf-8", newline="") as fh:
+    with path.open("r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
         reader = csv.DictReader(fh)
         for row in reader:
             n_rows += 1

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ import pytest
 from shotarc import evaluate
 from shotarc.cli import (
     ShotRow,
-    effects_dataset_from_rows,
     fit_season,
     main,
     read_shot_rows,
@@ -127,12 +127,12 @@ class TestSimulate:
 class TestFitAndDownstream:
     def test_fit_outputs(self, fit_dir):
         names = {p.name for p in fit_dir.iterdir()}
-        assert {"factors.csv", "factors.jsonl", "trajectories.csv",
-                "trajectories.jsonl", "filter_report.json", "manifest.json"} <= names
+        assert names == {"factors.csv", "trajectories.csv", "filter_report.json",
+                         "manifest.json"}
         report = json.loads((fit_dir / "filter_report.json").read_text())
         assert report["filtering"]["n_retained"] > 0
-        line = json.loads((fit_dir / "factors.jsonl").read_text().splitlines()[0])
-        assert set(line) == {"shot_id", "depth_ft", "lr_ft", "angle_deg", "flags"}
+        manifest = json.loads((fit_dir / "manifest.json").read_text())
+        assert set(manifest["outputs"]) == names - {"manifest.json"}
 
     def test_factors_match_in_memory_pipeline(self, fit_dir):
         season = simulate_season(SimConfig(n_games=8, shots_per_game=40, seed=404))
@@ -302,6 +302,27 @@ class TestShotAccounting:
             assert set(section) == {"n_rows", "n_loaded", "n_rejected", "reasons"}
             assert section["n_rejected"] == section["n_rows"] - section["n_loaded"]
 
+    def test_non_utf8_event_row_counted_unparseable(self, tmp_path):
+        season = tmp_path / "s"
+        write_season(simulate_season(SimConfig(n_games=4, shots_per_game=40, seed=12)), season)
+        events = season / "events.csv"
+        n_events = len(_csv_records(events)) - 1
+        assert _fit(season, tmp_path / "before") == 0
+        with events.open("ab") as fh:
+            fh.write(b"\xed\xa0\x80,G0000,S000,5,1,left\n")     # a shot id that is not UTF-8
+        assert _fit(season, tmp_path / "f") == 0
+        before = json.loads((tmp_path / "before" / "filter_report.json").read_text())
+        doc = json.loads((tmp_path / "f" / "filter_report.json").read_text())
+        reasons = doc["load"]["events"]["reasons"]
+        assert reasons.get("unparseable", 0) == before["load"]["events"]["reasons"].get(
+            "unparseable", 0) + 1
+        assert doc["load"]["events"]["n_rows"] == n_events + 1
+        assert n_events + 1 == (sum(reasons.values())
+                                + sum(doc["extraction"]["rejections"].values())
+                                + sum(doc["filtering"]["rejections"].values())
+                                + sum(doc["factor_rejections"].values())
+                                + doc["n_factor_rows"])
+
 
 class TestCsvQuoting:
     def test_ids_with_delimiters_survive_fit_and_training(self, tmp_path):
@@ -394,10 +415,133 @@ class TestMinShotsRule:
             return real_fit(data, *args, **kwargs)
 
         monkeypatch.setattr(evaluate, "fit_effects", recording_fit)
-        data = effects_dataset_from_rows(read_shot_rows(shots), require_prob=True)
+        data = read_shot_rows(shots).effects_dataset(require_prob=True)
         evaluate.split_half_rank_correlation(data, model_kind="resilience", min_shots=20)
         assert sum(fitted) == n_rows                 # the two halves
         fitted.clear()
         evaluate.subsample_mse(data, evaluate.SubsampleSpec(fractions=(1.0,), n_replicates=1),
                                model_kind="resilience", min_shots=20)
         assert fitted[0] == n_rows                   # the reference fit
+
+
+def _shot_rows(n, seed=4):
+    rng = np.random.default_rng(seed)
+    return [ShotRow(shot_id=f"T{i}", game_id=f"G{i % 6}", shooter_id=f"S{i % 4}",
+                    defender_id=f"D{i % 5}", ndd_ft=float(rng.uniform(1, 9)),
+                    defender_height_in=78.0, contest_angle_deg=float("nan"),
+                    outcome=int(rng.random() < 0.4), depth_ft=float(rng.normal(0.9, 0.3)),
+                    lr_ft=float(rng.normal(0.0, 0.2)), entry_angle_deg=float(rng.uniform(38, 50)),
+                    rmse_ft=0.1, n_samples=20, make_prob=float(rng.uniform(0.2, 0.6)))
+            for i in range(n)]
+
+
+class TestShotsFileContract:
+    def test_nan_ndd_into_resilience_prob_effects_exits_2_and_writes_nothing(self, tmp_path,
+                                                                              capsys):
+        rows = _shot_rows(400)
+        rows[17].ndd_ft = float("nan")
+        shots = tmp_path / "preds.csv"
+        write_shot_rows(rows, shots, with_prob=True)
+        out = tmp_path / "e"
+        assert main(["effects", "--factors", str(shots), "--model-kind", "resilience",
+                     "--response-kind", "prob", "--min-shots", "10", "--out-dir", str(out)]) == 2
+        assert f"{shots}: nan is not a valid ndd_ft at row 17, column 5" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_nan_depth_into_depth_bins_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        rows = _shot_rows(400)
+        rows[5].depth_ft = float("nan")
+        shots = tmp_path / "preds.csv"
+        write_shot_rows(rows, shots, with_prob=True)
+        out = tmp_path / "ev"
+        assert main(["evaluate", "--analysis", "depth-bins", "--shots", str(shots),
+                     "--out-dir", str(out)]) == 2
+        assert f"{shots}: nan is not a valid depth_ft at row 5, column 9" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cell,value,message", [
+        ("depth_ft", "x", ": could not convert string 'x' to float64 at row 2, column 9"),
+        ("lr_ft", "", ": could not convert string '' to float64 at row 2, column 10"),
+        ("entry_angle_deg", "inf", ": inf is not a valid entry_angle_deg at row 2, column 11"),
+        ("outcome", "2", ": 2.0 is not a valid outcome at row 2, column 8"),
+        ("lr_ft", None, ": no column lr_ft"),
+        ("outcome", "<cut>", ": invalid column index"),
+        ("shot_id", "T\r3", ":4: carriage return"),
+        ("shot_id", b"T\xff3", ":4: not UTF-8"),
+        (None, None, ": holds no shots"),
+    ])
+    def test_bad_factors_file_exits_2_and_writes_nothing(self, tmp_path, capsys,
+                                                         cell, value, message):
+        shots = tmp_path / "factors.csv"
+        write_shot_rows(_shot_rows(600), shots)
+        records = _csv_records(shots)
+        if cell is None:
+            records = records[:1]
+        elif value is None:
+            k = records[0].index(cell)
+            records = [rec[:k] + rec[k + 1:] for rec in records]
+        elif value == "<cut>":                        # row 3 ends before the cell
+            records[3] = records[3][:records[0].index(cell)]
+        else:
+            records[3][records[0].index(cell)] = "@"
+        text = "".join(",".join(rec) + "\n" for rec in records).encode()
+        if value is not None:
+            text = text.replace(b"@", value if isinstance(value, bytes) else value.encode())
+        shots.write_bytes(text)
+        model = tmp_path / "m" / "model.json"
+        assert main(["train-makeprob", "--factors", str(shots), "--out-model", str(model),
+                     "--min-shots", "100"]) == 2
+        assert f"{shots}{message}" in capsys.readouterr().err
+        assert not model.parent.exists()
+
+    def test_fig4_bins_around_a_defender_missing_from_the_roster(self, tmp_path, season_dir):
+        season = tmp_path / "s"
+        season.mkdir()
+        for name in ("tracking.jsonl", "events.csv"):
+            (season / name).write_bytes((season_dir / name).read_bytes())
+        roster = [rec for rec in _csv_records(season_dir / "roster.csv") if rec[0] != "D000"]
+        (season / "roster.csv").write_text("".join(",".join(rec) + "\n" for rec in roster))
+        assert _fit(season, tmp_path / "f") == 0
+        factors = tmp_path / "f" / "factors.csv"
+        heights = read_shot_rows(factors)["defender_height_in"]
+        assert 0 < np.isnan(heights).sum() < len(heights)
+        assert main(["evaluate", "--analysis", "fig4", "--shots", str(factors),
+                     "--out-dir", str(tmp_path / "ev")]) == 0
+        n_binned = Counter()
+        for rec in _csv_records(tmp_path / "ev" / "fig4_profiles.csv")[1:]:
+            n_binned[rec[0], rec[1]] += int(rec[5])
+        in_range = (heights >= 72.0) & (heights < 88.01)
+        assert n_binned["defender_height", "depth"] == in_range.sum()
+        assert n_binned["ndd", "depth"] > n_binned["defender_height", "depth"]
+
+    def test_ids_with_delimiters_quotes_newlines_and_hashes_round_trip(self, tmp_path):
+        rows = _shot_rows(50)
+        for i, r in enumerate(rows):
+            r.shot_id = f'T{i},"#x\ny'
+            r.defender_id = f" #Dé{i % 5} "
+            r.flags = "a;b" if i % 2 else ""
+        shots = tmp_path / "shots.csv"
+        write_shot_rows(rows, shots, with_prob=True)
+        back = read_shot_rows(shots)
+        assert [repr(r) for r in back] == [repr(r) for r in rows]
+        write_shot_rows(back, tmp_path / "again.csv", with_prob=True)
+        assert (tmp_path / "again.csv").read_bytes() == shots.read_bytes()
+
+    def test_nan_contest_angle_passes_every_stage(self, tmp_path):
+        factors = tmp_path / "factors.csv"
+        write_shot_rows(_shot_rows(600), factors)
+        model, preds = tmp_path / "model.json", tmp_path / "preds.csv"
+        assert main(["train-makeprob", "--factors", str(factors), "--out-model", str(model),
+                     "--min-shots", "100"]) == 0
+        assert main(["predict", "--model", str(model), "--factors", str(factors),
+                     "--out", str(preds)]) == 0
+        for kind in ("defender", "resilience"):
+            assert main(["effects", "--factors", str(preds), "--model-kind", kind,
+                         "--response-kind", "prob", "--min-shots", "10",
+                         "--out-dir", str(tmp_path / "e")]) == 0
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"min_shots": 10, "n_replicates": 2, "fractions": [0.5],
+                                    "min_bin_n": 1, "n_bootstrap": 50}))
+        for analysis in ("fig3", "fig4", "fig5", "depth-bins", "split-half"):
+            assert main(["evaluate", "--analysis", analysis, "--shots", str(preds),
+                         "--spec", str(spec), "--out-dir", str(tmp_path / "ev")]) == 0

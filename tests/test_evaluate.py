@@ -276,6 +276,14 @@ class TestDepthBins:
         out = binned_mean_by_depth(np.array([0.75, 0.75]), np.array([0.4, 0.6]))
         assert out.rows[0].mean == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("column", ["depth", "response"])
+    def test_non_finite_input_rejected_not_binned(self, bad, column):
+        depth, y = np.array([0.75, 0.8, 0.7]), np.array([0.4, 0.6, 0.5])
+        (depth if column == "depth" else y)[1] = bad
+        with pytest.raises(EvalError, match="must be finite"):
+            binned_mean_by_depth(depth, y)
+
 
 def synthetic_effects_dataset(n_games=30, shots_per_game=60, n_shooters=8,
                               n_defenders=8, noise="bernoulli", seed=0):
