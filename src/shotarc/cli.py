@@ -63,7 +63,6 @@ from .sim import PressureModel, SimConfig, simulate_season, write_season
 from .trajectory import (
     FilterReport,
     FilterThresholds,
-    IllConditionedError,
     PriorConfig,
     ShotFitRecord,
     TrajectoryFitError,
@@ -319,22 +318,16 @@ def fit_season(
         tracking, events, roster, min_samples=thresholds.min_samples)
     fits: list[tuple[ShotEvent, ShotFitRecord]] = []
     for ev in shots:
-        fitted = None
-        flags = list(ev.flags)
         try:
             fitted = fit_trajectory(
-                ev.samples, ev.release_xy, prior_config,
-                min_samples=max(thresholds.min_samples, 2))
-        except IllConditionedError:
-            flags.append("unfittable")
+                ev.samples, ev.release_xy, prior_config, min_samples=thresholds.min_samples)
         except TrajectoryFitError:
-            flags.append("insufficient_samples")
+            fitted = None
         fits.append((ev, ShotFitRecord(
             shot_id=ev.shot_id,
             fitted=fitted,
             n_samples=len(ev.samples),
             max_gap_s=ev.max_gap_s,
-            flags=tuple(flags),
         )))
 
     retained, filtering = filter_shots([rec for _, rec in fits], thresholds)
@@ -343,7 +336,7 @@ def fit_season(
     rows: list[ShotRow] = []
     factor_rejections: dict[str, int] = {}
     for ev, rec in fits:
-        if rec.shot_id not in retained_ids or rec.fitted is None:
+        if rec.shot_id not in retained_ids:
             continue
         try:
             path = fit_path_line(ev.samples)
@@ -366,7 +359,7 @@ def fit_season(
             entry_angle_deg=factors.entry_angle_deg,
             rmse_ft=rec.fitted.rmse_ft,
             n_samples=rec.n_samples,
-            flags=";".join(rec.flags),
+            flags=";".join(ev.flags),
         ))
     return SeasonFit(rows, fits, extraction, filtering, factor_rejections)
 
@@ -401,11 +394,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
-    thresholds = FilterThresholds(
-        min_samples=args.min_samples,
-        max_rmse_ft=args.max_rmse,
-        max_gap_s=args.max_gap,
-    )
+    try:
+        thresholds = FilterThresholds(
+            min_samples=args.min_samples,
+            max_rmse_ft=args.max_rmse,
+            max_gap_s=args.max_gap,
+        )
+    except ValueError as exc:
+        raise ConfigError(f"invalid fit thresholds: {exc}") from exc
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     inputs = [Path(args.tracking), Path(args.events), Path(args.roster)]

@@ -107,7 +107,8 @@ def to_local_frame(point: tuple[float, float, float], hoop_end: str) -> tuple[fl
 
     The map is a rigid motion (pure translation for the left end, a 180-degree
     rotation about the rim for the right end), so both ends share one
-    handedness and the rim center always maps to (0, 0, 10).
+    handedness and the rim center always maps to (0, 0, 10).  ``point`` may
+    also be three coordinate arrays (say ``ball.T``), giving three arrays.
     """
     rx, ry = rim_center_xy(hoop_end)
     x, y, z = point

@@ -213,7 +213,7 @@ def binned_profiles(
     for k in range(len(edges) - 1):
         mask = (b >= edges[k]) & (b < edges[k + 1])
         n = int(mask.sum())
-        center = 0.5 * (edges[k] + edges[k + 1])
+        center = float(0.5 * (edges[k] + edges[k + 1]))
         if n == 0:
             rows.append(BinRow(center=center, mean=float("nan"), se=float("nan"), n=0))
             continue

@@ -5,8 +5,6 @@ File formats (all UTF-8 text, base-10 numerals):
   tracking.jsonl  one frame per line:
                   {"game_id": ..., "t": seconds, "ball": [x, y, z],
                    "players": [{"id", "team", "x", "y"} x 10]}
-                  A flattened CSV variant is also accepted (columns game_id,
-                  t, ball_x, ball_y, ball_z, p0_id, p0_team, p0_x, p0_y, ...).
   events.csv      shot_id, game_id, shooter_id, release_frame, outcome, hoop_end
   roster.csv      player_id, height_in, position
 
@@ -16,14 +14,15 @@ raise.  Bytes that are not UTF-8 are read as lone surrogates, so they fail
 the row they sit in rather than the whole load.  A tracking row is
 rejected as ``unparseable``, then ``wrong_player_count``, then
 ``non_finite`` (a NaN or infinite time, ball coordinate or player x/y),
-then ``duplicate_timestamp``; the JSONL and CSV variants share these
-rules, so every loaded coordinate is finite.  A tracking, events or
-roster row whose game, player or shot id holds a carriage return or a
-surrogate is ``unparseable``.  An events row repeating an earlier shot id
-is rejected as ``duplicate_shot_id``; the first occurrence is kept.
+then ``duplicate_timestamp``, so every loaded coordinate is finite.  A
+tracking, events or roster row whose game, player or shot id holds a
+carriage return or a surrogate is ``unparseable``.  An events row
+repeating an earlier shot id is rejected as ``duplicate_shot_id``; the
+first occurrence is kept.
 
 Tracking is read in one pass into typed per-game column buffers that
-back the ``GameTracking`` arrays.
+back the ``GameTracking`` arrays; shot extraction reads the release row
+and the ball window straight from those arrays.
 
 Shot windows run from the tagged release frame to the first frame at or
 below rim height after the apex ("the ball reaches the rim plane"), or
@@ -75,16 +74,6 @@ class NoOpponentsError(IngestError):
     pass
 
 
-@dataclass(frozen=True)
-class TrackingFrame:
-    """One 25 Hz snapshot: ball position plus ten (player, team, x, y) entries."""
-
-    game_id: GameId
-    t: float
-    ball: tuple[float, float, float]
-    players: tuple[tuple[PlayerId, str, float, float], ...]
-
-
 @dataclass
 class GameTracking:
     """Column-oriented frames of one game (memory-friendly for long seasons)."""
@@ -99,18 +88,6 @@ class GameTracking:
 
     def __len__(self) -> int:
         return len(self.times)
-
-    def frame(self, i: int) -> TrackingFrame:
-        ids = [self.id_table[j] for j in self.player_ids[i]]
-        return TrackingFrame(
-            game_id=self.game_id,
-            t=float(self.times[i]),
-            ball=tuple(self.ball[i].tolist()),
-            players=tuple(
-                (pid, self.team_of[pid], float(x), float(y))
-                for pid, (x, y) in zip(ids, self.player_xy[i].tolist())
-            ),
-        )
 
 
 @dataclass(frozen=True)
@@ -172,7 +149,6 @@ class _GameColumns:
 _PLAYER_ID = itemgetter("id")
 _PLAYER_TEAM = itemgetter("team")
 _PLAYER_XY = itemgetter("x", "y")
-_CSV_WIDTH = 5 + 4 * PLAYERS_PER_FRAME
 
 
 def _parse_jsonl_row(line: str):
@@ -190,26 +166,11 @@ def _parse_jsonl_row(line: str):
     )
 
 
-def _parse_csv_row(row: list[str]):
-    """The same fields from one flattened CSV frame."""
-    if len(row) < _CSV_WIDTH:
-        raise IndexError(f"{len(row)} columns < {_CSV_WIDTH}")
-    return (
-        row[0],
-        float(row[1]),
-        (float(row[2]), float(row[3]), float(row[4])),
-        row[5:_CSV_WIDTH:4],
-        row[6:_CSV_WIDTH:4],
-        [float(v) for base in range(7, _CSV_WIDTH, 4) for v in row[base:base + 2]],
-    )
-
-
 def load_tracking(
     path: str | Path,
-    fmt: str = "jsonl",
     monotone_tol: float = 1e-9,
 ) -> tuple[dict[GameId, GameTracking], LoadReport]:
-    """Load tracking frames grouped by game, preserving within-game time order.
+    """Load JSONL tracking frames grouped by game, preserving within-game time order.
 
     Each row is checked in this order and, on the first failure, counted
     under the reason named and skipped: it fails to parse or holds a
@@ -222,8 +183,6 @@ def load_tracking(
     A timestamp stepping backwards by more than ``monotone_tol`` within a
     game aborts the load.
     """
-    if fmt not in ("jsonl", "csv"):
-        raise IngestError(f"unknown tracking format {fmt!r}")
     path = Path(path)
     games: dict[GameId, _GameColumns] = {}
     n_rows = 0
@@ -264,17 +223,12 @@ def load_tracking(
         game.player_xy.extend(xy)
 
     with path.open("r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
-        if fmt == "jsonl":
-            parse, rows = _parse_jsonl_row, (line for line in fh if line.strip())
-        else:
-            reader = csv.reader(fh)
-            if next(reader, None) is None:
-                return {}, LoadReport(0, 0, 0, {})
-            parse, rows = _parse_csv_row, (row for row in reader if row)
-        for row in rows:
+        for line in fh:
+            if not line.strip():
+                continue
             n_rows += 1
             try:
-                parsed = parse(row)
+                parsed = _parse_jsonl_row(line)
             except (ValueError, KeyError, TypeError, IndexError, OverflowError):
                 reasons["unparseable"] += 1
                 continue
@@ -381,25 +335,35 @@ def load_events(path: str | Path) -> tuple[list[EventRecord], LoadReport]:
 
 # --- defender context ----------------------------------------------------------
 
-def nearest_defender(frame: TrackingFrame, shooter_id: PlayerId) -> tuple[PlayerId, float]:
-    """Opposing player minimizing planar distance to the shooter at this frame.
+def nearest_defender(
+    ids: list[PlayerId],
+    teams: list[str],
+    xy: list[list[float]],
+    shooter_id: PlayerId,
+) -> tuple[PlayerId, float, int, int]:
+    """Opposing player minimizing planar distance to the shooter in one tracking row.
 
-    Ties break toward the lexicographically smaller player id.
+    ``ids``, ``teams`` and ``xy`` hold the row's players in the same order.
+    Returns (defender id, distance, shooter's position in the row,
+    defender's position in the row).  Ties break toward the
+    lexicographically smaller player id.
     """
-    shooter = next((p for p in frame.players if p[0] == shooter_id), None)
-    if shooter is None:
-        raise IngestError(f"shooter {shooter_id} not on court")
-    _, s_team, sx, sy = shooter
+    try:
+        s = ids.index(shooter_id)
+    except ValueError:
+        raise IngestError(f"shooter {shooter_id} not on court") from None
+    s_team = teams[s]
+    sx, sy = xy[s]
     best: tuple[float, PlayerId] | None = None
-    for pid, team, x, y in frame.players:
+    for k, (pid, team, (x, y)) in enumerate(zip(ids, teams, xy)):
         if team == s_team:
             continue
         dist = math.hypot(x - sx, y - sy)
         if best is None or (dist, pid) < best:
-            best = (dist, pid)
+            best, d = (dist, pid), k
     if best is None:
         raise NoOpponentsError("no opposing player on court at release")
-    return best[1], best[0]
+    return best[1], best[0], s, d
 
 
 def contest_angle(
@@ -433,7 +397,6 @@ class ShotEvent:
     game_id: GameId
     shooter: PlayerId
     defender: PlayerId
-    release_index: int
     ndd_ft: float
     defender_height_in: float
     contest_angle_deg: float
@@ -456,18 +419,6 @@ class ExtractionReport:
     n_extracted: int
     rejections: dict[str, int] = field(default_factory=dict)
     n_flagged: int = 0
-
-
-def _ball_to_local(ball: np.ndarray, hoop_end: str) -> np.ndarray:
-    rx, ry = rim_center_xy(hoop_end)
-    out = ball.copy()
-    if hoop_end == "left":
-        out[:, 0] -= rx
-        out[:, 1] -= ry
-    else:
-        out[:, 0] = rx - out[:, 0]
-        out[:, 1] = ry - out[:, 1]
-    return out
 
 
 def _cut_at_rim_plane(z: np.ndarray, rim_z: float) -> int:
@@ -523,9 +474,11 @@ def extract_shot_events(
             reasons["unknown_hoop_end"] += 1
             continue
 
-        frame = game.frame(ev.release_frame)
+        ids = [game.id_table[j] for j in game.player_ids[ev.release_frame].tolist()]
+        xy = game.player_xy[ev.release_frame].tolist()
         try:
-            defender_id, ndd = nearest_defender(frame, ev.shooter_id)
+            defender_id, ndd, s, d = nearest_defender(
+                ids, [game.team_of[pid] for pid in ids], xy, ev.shooter_id)
         except NoOpponentsError:
             reasons["no_defender"] += 1
             continue
@@ -534,30 +487,24 @@ def extract_shot_events(
             continue
 
         # window: stop at a stream break, then cut at the rim plane
-        t0 = game.times[ev.release_frame]
-        hi = ev.release_frame + 1
-        limit = len(game)
-        while hi < limit:
-            if game.times[hi] - game.times[hi - 1] > stream_break_s:
-                break
-            if game.times[hi] - t0 > max_window_s:
-                break
+        times, limit = game.times, len(game)
+        t0, hi = times[ev.release_frame], ev.release_frame + 1
+        while (hi < limit and times[hi] - times[hi - 1] <= stream_break_s
+               and times[hi] - t0 <= max_window_s):
             hi += 1
         window = slice(ev.release_frame, hi)
-        ball_local = _ball_to_local(game.ball[window], ev.hoop_end)
+        ball_local = np.column_stack(to_local_frame(game.ball[window].T, ev.hoop_end))
         cut = _cut_at_rim_plane(ball_local[:, 2], rim_z)
         samples = ball_local[:cut]
-        times = game.times[window][:cut]
+        sample_times = times[window][:cut]
 
         flags: list[str] = []
         if len(samples) < min_samples:
             flags.append("insufficient_samples")
 
-        shooter_entry = next(p for p in frame.players if p[0] == ev.shooter_id)
-        defender_entry = next(p for p in frame.players if p[0] == defender_id)
-        shooter_xy = (shooter_entry[2], shooter_entry[3])
+        shooter_xy = xy[s]
         try:
-            angle = contest_angle(shooter_xy, (defender_entry[2], defender_entry[3]), rim_xy)
+            angle = contest_angle(shooter_xy, xy[d], rim_xy)
         except IngestError:
             angle = float("nan")
             flags.append("contest_angle_undefined")
@@ -577,13 +524,12 @@ def extract_shot_events(
             game_id=ev.game_id,
             shooter=ev.shooter_id,
             defender=defender_id,
-            release_index=ev.release_frame,
             ndd_ft=ndd,
             defender_height_in=height,
             contest_angle_deg=angle,
             outcome=ev.outcome,
             samples=samples,
-            sample_times=times,
+            sample_times=sample_times,
             release_xy=(release_local[0], release_local[1]),
             flags=tuple(flags),
         ))

@@ -134,12 +134,13 @@ def make_pseudo_data(
 
     Two rows at the release location with height target 7 ft, two rows at
     the rim center with height target 10 ft.  Returns (xy rows (4, 2),
-    z targets (4,)).
+    z targets (4,)).  A release at the rim center leaves the prior with no
+    direction to the rim and raises IllConditionedError.
     """
     rx, ry = float(release_xy[0]), float(release_xy[1])
     cx, cy, cz = geometry.rim_center
     if np.hypot(rx - cx, ry - cy) < 1e-12:
-        raise ValueError("release point coincides with the rim center")
+        raise IllConditionedError("release point coincides with the rim center")
     xy = np.array([[rx, ry], [rx, ry], [cx, cy], [cx, cy]])
     z = np.array([geometry.release_height_prior_ft, geometry.release_height_prior_ft, cz, cz])
     return xy, z
@@ -306,12 +307,21 @@ class FilterThresholds:
     """Retention rules applied before any downstream modeling.
 
     Defaults were tuned on simulated seasons with injected corruption so a
-    ~10% corruption rate yields roughly 90% retention.
+    ~10% corruption rate yields roughly 90% retention.  ``min_samples`` is
+    an integer of at least 2 (a path line needs two samples); both limits
+    must be positive, NaN is refused and ``inf`` means no limit.
     """
 
     min_samples: int = 5
     max_rmse_ft: float = 0.5
     max_gap_s: float = 0.2
+
+    def __post_init__(self) -> None:
+        if not (isinstance(self.min_samples, int) and self.min_samples >= 2):
+            raise ValueError(f"min_samples must be an integer >= 2, got {self.min_samples!r}")
+        for name in ("max_rmse_ft", "max_gap_s"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -319,14 +329,9 @@ class ShotFitRecord:
     """Join of a shot id with its fit outcome and sampling diagnostics."""
 
     shot_id: str
-    fitted: FittedTrajectory | None
+    fitted: FittedTrajectory | None     # None when the fit failed
     n_samples: int
     max_gap_s: float
-    flags: tuple[str, ...] = ()
-
-    @property
-    def rmse_ft(self) -> float:
-        return self.fitted.rmse_ft if self.fitted is not None else float("nan")
 
 
 @dataclass(frozen=True)
@@ -346,16 +351,18 @@ def filter_shots(
 ) -> tuple[list[ShotFitRecord], FilterReport]:
     """Keep shots passing every threshold; count rejections by reason.
 
-    A shot failing several rules is counted once, under the first failed
-    rule in the order: unfittable, insufficient_samples, gapped, noisy.
+    Each shot is counted once, under the first reason that applies, in
+    this order: fewer than ``min_samples`` samples (``insufficient_samples``),
+    no fitted surface (``unfittable``), a sampling gap above ``max_gap_s``
+    (``gapped``), a fit RMSE above ``max_rmse_ft`` (``noisy``).
     """
     retained: list[ShotFitRecord] = []
     reasons: Counter[str] = Counter()
     for rec in records:
-        if rec.fitted is None or "unfittable" in rec.flags:
-            reasons["unfittable"] += 1
-        elif rec.n_samples < thresholds.min_samples or "insufficient_samples" in rec.flags:
+        if rec.n_samples < thresholds.min_samples:
             reasons["insufficient_samples"] += 1
+        elif rec.fitted is None:
+            reasons["unfittable"] += 1
         elif rec.max_gap_s > thresholds.max_gap_s:
             reasons["gapped"] += 1
         elif rec.fitted.rmse_ft > thresholds.max_rmse_ft:

@@ -16,6 +16,8 @@ from shotarc.cli import (
     read_shot_rows,
     write_shot_rows,
 )
+from shotarc.core import rim_center_xy
+from shotarc.ingest import load_events, load_roster, load_tracking
 from shotarc.sim import SimConfig, season_tracking, simulate_season, write_season
 
 
@@ -72,6 +74,20 @@ class TestExitCodes:
         out = workdir / f"zero_{key}"
         assert main(["simulate", "--config", str(bad), "--out-dir", str(out)]) == 2
         assert f"{key} must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--max-rmse", "nan"), ("--max-rmse", "0"), ("--max-rmse", "-1"),
+        ("--max-gap", "nan"), ("--max-gap", "0"), ("--min-samples", "1"), ("--min-samples", "-3"),
+    ])
+    def test_unusable_fit_threshold_exits_2_and_writes_nothing(self, workdir, season_dir, flag,
+                                                               value, capsys):
+        out = workdir / f"bad_threshold{flag}{value}"
+        assert main(["fit", "--tracking", str(season_dir / "tracking.jsonl"),
+                     "--events", str(season_dir / "events.csv"),
+                     "--roster", str(season_dir / "roster.csv"),
+                     "--out-dir", str(out), flag, value]) == 2
+        assert "invalid fit thresholds" in capsys.readouterr().err
         assert not out.exists()
 
     def test_usage_error_exits_2(self):
@@ -293,6 +309,11 @@ class TestShotAccounting:
         assert len(lines) == load["tracking"]["n_loaded"] + sum(
             load["tracking"]["reasons"].values())
         assert doc["filtering"]["rejections"]   # corruption reaches the filter
+        tracking, _ = load_tracking(tracking)
+        fit = fit_season(tracking, load_events(events)[0], load_roster(season / "roster.csv")[0])
+        n_thin = sum(len(ev.samples) < 5 for ev, _ in fit.fits)
+        assert n_thin > 0
+        assert doc["filtering"]["rejections"]["insufficient_samples"] == n_thin
         assert len(records) - 1 == (sum(load["events"]["reasons"].values())
                                     + sum(doc["extraction"]["rejections"].values())
                                     + sum(doc["filtering"]["rejections"].values())
@@ -322,6 +343,36 @@ class TestShotAccounting:
                                 + sum(doc["filtering"]["rejections"].values())
                                 + sum(doc["factor_rejections"].values())
                                 + doc["n_factor_rows"])
+
+
+    def test_shooter_at_the_rim_center_counted_unfittable(self, tmp_path):
+        season = tmp_path / "s"
+        write_season(simulate_season(SimConfig(n_games=4, shots_per_game=40, seed=12)), season)
+        assert _fit(season, tmp_path / "before") == 0
+        retained = _csv_records(tmp_path / "before" / "factors.csv")[1][0]
+        event = next(rec for rec in _csv_records(season / "events.csv") if rec[0] == retained)
+        _, game_id, shooter_id, release_frame, _, hoop_end = event
+        tracking = season / "tracking.jsonl"
+        lines = tracking.read_text(encoding="utf-8").splitlines()
+        game_rows = [i for i, line in enumerate(lines) if json.loads(line)["game_id"] == game_id]
+        doc = json.loads(lines[game_rows[int(release_frame)]])
+        shooter = next(p for p in doc["players"] if p["id"] == shooter_id)
+        shooter["x"], shooter["y"] = rim_center_xy(hoop_end)
+        lines[game_rows[int(release_frame)]] = json.dumps(doc)
+        tracking.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+        assert _fit(season, tmp_path / "f") == 0
+        before = json.loads((tmp_path / "before" / "filter_report.json").read_text())
+        doc = json.loads((tmp_path / "f" / "filter_report.json").read_text())
+        rejections = doc["filtering"]["rejections"]
+        assert rejections.get("unfittable", 0) == before["filtering"]["rejections"].get(
+            "unfittable", 0) + 1
+        assert doc["n_factor_rows"] == before["n_factor_rows"] - 1
+        assert doc["load"]["events"]["n_rows"] == (sum(doc["load"]["events"]["reasons"].values())
+                                                   + sum(doc["extraction"]["rejections"].values())
+                                                   + sum(rejections.values())
+                                                   + sum(doc["factor_rejections"].values())
+                                                   + doc["n_factor_rows"])
 
 
 class TestCsvQuoting:
@@ -545,3 +596,8 @@ class TestShotsFileContract:
         for analysis in ("fig3", "fig4", "fig5", "depth-bins", "split-half"):
             assert main(["evaluate", "--analysis", analysis, "--shots", str(preds),
                          "--spec", str(spec), "--out-dir", str(tmp_path / "ev")]) == 0
+        tables = sorted((tmp_path / "ev").glob("*.csv"))
+        assert len(tables) == 5
+        for table in tables:   # every cell a plain number or word, never a numpy repr
+            cells = [cell for rec in _csv_records(table) for cell in rec]
+            assert not [cell for cell in cells if cell.startswith("np.")], table.name

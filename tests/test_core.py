@@ -72,6 +72,15 @@ class TestLocalFrame:
         back = from_local_frame(to_local_frame(p, end), end)
         assert back == pytest.approx(p, abs=1e-12)
 
+    def test_coordinate_arrays_match_points_bit_for_bit(self):
+        # shot extraction maps an (n, 3) ball window as to_local_frame(ball.T, end)
+        ball = np.random.default_rng(3).uniform([-5.0, -5.0, 0.0], [99.0, 55.0, 30.0], (50, 3))
+        for end in ("left", "right"):
+            local = np.column_stack(to_local_frame(ball.T, end))
+            expected = np.array([to_local_frame(tuple(p), end) for p in ball.tolist()])
+            assert local.shape == (50, 3)
+            np.testing.assert_array_equal(local, expected)
+
 
 def degrees_to_radians(a_deg: float) -> float:
     return a_deg * math.pi / 180.0

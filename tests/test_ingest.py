@@ -12,8 +12,9 @@ from shotarc.cli import fit_season
 from shotarc.ingest import (
     PLAYERS_PER_FRAME,
     EventRecord,
+    IngestError,
+    NoOpponentsError,
     NonMonotoneTimestampsError,
-    TrackingFrame,
     contest_angle,
     extract_shot_events,
     load_events,
@@ -30,16 +31,10 @@ def frame_line(game_id="G0", t=0.0, ball=(10.0, 25.0, 8.0), n_players=10):
     return json.dumps({"game_id": game_id, "t": t, "ball": list(ball), "players": players})
 
 
-CSV_HEADER = ["game_id", "t", "ball_x", "ball_y", "ball_z"] + [
-    f"p{k}_{field}" for k in range(PLAYERS_PER_FRAME) for field in ("id", "team", "x", "y")]
-
-
-def csv_row(doc):
-    """The flattened CSV row of one JSON frame document; floats keep every digit."""
-    row = [str(doc["game_id"]), repr(float(doc["t"]))] + [repr(float(v)) for v in doc["ball"]]
-    for player in doc["players"]:
-        row += [player["id"], player["team"], repr(float(player["x"])), repr(float(player["y"]))]
-    return row
+def row_players(game, i):
+    """(ids, teams, x/y) of row ``i`` of a ``GameTracking``, as shot extraction reads them."""
+    ids = [game.id_table[j] for j in game.player_ids[i]]
+    return ids, [game.team_of[pid] for pid in ids], game.player_xy[i].tolist()
 
 
 class TestLoadTracking:
@@ -61,10 +56,11 @@ class TestLoadTracking:
         g = games["G0"]
         assert len(g) == 3
         np.testing.assert_array_equal(g.ball[1], [1.6, 2.6, 3.6])
-        fr = g.frame(0)
-        assert isinstance(fr, TrackingFrame)
-        assert fr.players[3] == ("P3", "A", 3.0, 3.0)
-        assert fr.players[7][1] == "B"
+        assert g.id_table == [f"P{k}" for k in range(10)]
+        assert g.player_ids.dtype == np.int16
+        np.testing.assert_array_equal(g.player_ids[0], np.arange(10))
+        assert g.team_of["P3"] == "A" and g.team_of["P7"] == "B"
+        np.testing.assert_array_equal(g.player_xy[0, 3], [3.0, 3.0])
 
     def test_one_malformed_among_100(self, tmp_path):
         p = tmp_path / "t.jsonl"
@@ -89,19 +85,6 @@ class TestLoadTracking:
         with pytest.raises(NonMonotoneTimestampsError):
             load_tracking(p)
 
-    def test_csv_variant(self, tmp_path):
-        p = tmp_path / "t.csv"
-        header = ["game_id", "t", "ball_x", "ball_y", "ball_z"]
-        for k in range(10):
-            header += [f"p{k}_id", f"p{k}_team", f"p{k}_x", f"p{k}_y"]
-        row = ["G1", "0.04", "1.0", "2.0", "9.0"]
-        for k in range(10):
-            row += [f"P{k}", "A" if k < 5 else "B", str(k), str(k)]
-        p.write_text(",".join(header) + "\n" + ",".join(row) + "\n")
-        games, report = load_tracking(p, fmt="csv")
-        assert report.n_loaded == 1
-        assert games["G1"].ball[0, 2] == 9.0
-
     def test_non_finite_player_coordinate_rejected(self, tmp_path):
         # a NaN opponent x used to load and make nearest_defender return NDD = NaN
         bad = json.loads(frame_line(t=0.04))
@@ -116,18 +99,9 @@ class TestLoadTracking:
         g = games["G0"]
         np.testing.assert_array_equal(g.times, [0.0, 0.12])
         assert np.isfinite(g.player_xy).all()
-        pid, ndd = nearest_defender(g.frame(0), "P0")
+        pid, ndd, s, d = nearest_defender(*row_players(g, 0), "P0")
         assert (pid, ndd) == ("P5", pytest.approx(5.0 * math.sqrt(2.0)))
-
-    def test_non_finite_player_coordinate_rejected_in_csv(self, tmp_path):
-        p = tmp_path / "t.csv"
-        rows = [csv_row(json.loads(frame_line(t=0.0))),
-                csv_row(json.loads(frame_line(t=0.04)))]
-        rows[1][7 + 4 * 3] = "nan"
-        p.write_text("\n".join(",".join(r) for r in [CSV_HEADER] + rows) + "\n")
-        games, report = load_tracking(p, fmt="csv")
-        assert report.reasons == {"non_finite": 1}
-        assert len(games["G0"]) == 1
+        assert (s, d) == (0, 5)
 
     def test_unhashable_player_id_unparseable_and_not_interned(self, tmp_path):
         bad = json.loads(frame_line(game_id="G1", t=0.0))
@@ -284,40 +258,43 @@ class TestRosterAndEvents:
         assert (report.n_rows, report.n_loaded, report.n_rejected) == (4, 2, 2)
 
 
-def make_frame(players, ball=(0.0, 0.0, 9.0)):
-    return TrackingFrame(game_id="G", t=0.0, ball=ball, players=tuple(players))
+def nearest_in_row(players, shooter_id):
+    """``nearest_defender`` on one row given as (id, team, x, y) entries."""
+    return nearest_defender([p[0] for p in players], [p[1] for p in players],
+                            [[p[2], p[3]] for p in players], shooter_id)
 
 
 class TestNearestDefender:
     def test_three_four_five(self):
-        frame = make_frame([
+        pid, ndd, s, d = nearest_in_row([
             ("S", "A", 0.0, 0.0),
             ("D1", "B", 3.0, 4.0),
             ("D2", "B", 10.0, 0.0),
-        ] + [(f"X{k}", "A", 50.0, 50.0) for k in range(7)])
-        pid, ndd = nearest_defender(frame, "S")
+        ] + [(f"X{k}", "A", 50.0, 50.0) for k in range(7)], "S")
         assert pid == "D1"
         assert ndd == pytest.approx(5.0)
+        assert (s, d) == (0, 1)
 
     def test_co_located_opponent(self):
-        frame = make_frame([("S", "A", 2.0, 2.0), ("D", "B", 2.0, 2.0)])
-        pid, ndd = nearest_defender(frame, "S")
-        assert (pid, ndd) == ("D", 0.0)
+        assert nearest_in_row([("S", "A", 2.0, 2.0), ("D", "B", 2.0, 2.0)], "S") == ("D", 0.0, 0, 1)
 
     def test_tie_lexicographic(self):
-        frame = make_frame([
-            ("S", "A", 0.0, 0.0),
+        pid, ndd, s, d = nearest_in_row([
             ("DB", "B", 6.0, 0.0),
+            ("S", "A", 0.0, 0.0),
             ("DA", "B", 0.0, 6.0),
-        ])
-        pid, ndd = nearest_defender(frame, "S")
+        ], "S")
         assert pid == "DA"
         assert ndd == pytest.approx(6.0)
+        assert (s, d) == (1, 2)
 
     def test_no_opponents(self):
-        frame = make_frame([("S", "A", 0.0, 0.0), ("T", "A", 3.0, 3.0)])
-        with pytest.raises(Exception):
-            nearest_defender(frame, "S")
+        with pytest.raises(NoOpponentsError):
+            nearest_in_row([("S", "A", 0.0, 0.0), ("T", "A", 3.0, 3.0)], "S")
+
+    def test_shooter_not_in_row(self):
+        with pytest.raises(IngestError, match="not on court"):
+            nearest_in_row([("S", "A", 0.0, 0.0), ("D", "B", 3.0, 3.0)], "X")
 
 
 class TestContestAngle:
@@ -357,30 +334,6 @@ def season_files(tmp_path_factory):
     season = simulate_season(cfg)
     paths = write_season(season, out)
     return season, paths
-
-
-class TestFormatParity:
-    def test_jsonl_and_csv_load_identical_arrays(self, season_files, tmp_path):
-        _, paths = season_files
-        csv_path = tmp_path / "tracking.csv"
-        with open(paths["tracking"], encoding="utf-8") as src, \
-                open(csv_path, "w", encoding="utf-8") as dst:
-            dst.write(",".join(CSV_HEADER) + "\n")
-            for line in src:
-                dst.write(",".join(csv_row(json.loads(line))) + "\n")
-        from_jsonl, report_jsonl = load_tracking(paths["tracking"])
-        from_csv, report_csv = load_tracking(csv_path, fmt="csv")
-        assert report_jsonl == report_csv
-        assert report_jsonl.n_loaded > 0
-        assert list(from_jsonl) == list(from_csv)
-        for gid, a in from_jsonl.items():
-            b = from_csv[gid]
-            for name in ("times", "ball", "player_ids", "player_xy"):
-                x, y = getattr(a, name), getattr(b, name)
-                assert x.dtype == y.dtype and x.shape == y.shape
-                np.testing.assert_array_equal(x, y)
-            assert a.id_table == b.id_table
-            assert a.team_of == b.team_of
 
 
 class TestExtraction:

@@ -7,6 +7,7 @@ from shotarc.core import CourtGeometry
 from shotarc.trajectory import (
     FilterThresholds,
     FittedTrajectory,
+    IllConditionedError,
     InsufficientSamplesError,
     PriorConfig,
     ShotFitRecord,
@@ -82,7 +83,8 @@ class TestPseudoData:
         assert row.tolist() == [1.0, 2.0, 3.0, 4.0, 9.0, 6.0]
 
     def test_release_at_rim_rejected(self):
-        with pytest.raises(ValueError):
+        # a per-shot fit failure, so a season run counts the shot as unfittable
+        with pytest.raises(IllConditionedError):
             make_pseudo_data((0.0, 0.0))
 
 
@@ -226,11 +228,11 @@ class TestRmse:
         assert 0.05 <= np.median(vals) <= 0.2
 
 
-def _record(shot_id, rmse=0.0, n=25, gap=0.04, fitted=True, flags=()):
+def _record(shot_id, rmse=0.0, n=25, gap=0.04, fitted=True):
     fit = None
     if fitted:
         fit = FittedTrajectory(np.zeros(6), np.eye(6), 1.0, 1.0, rmse, n)
-    return ShotFitRecord(shot_id=shot_id, fitted=fit, n_samples=n, max_gap_s=gap, flags=flags)
+    return ShotFitRecord(shot_id=shot_id, fitted=fit, n_samples=n, max_gap_s=gap)
 
 
 class TestFilter:
@@ -251,12 +253,32 @@ class TestFilter:
         recs = [
             _record("a", fitted=False),
             _record("b", n=3),
+            _record("b2", n=3, fitted=False),   # a thin window is reported as thin
             _record("c", gap=0.5),
+            _record("c2", gap=0.5, fitted=False),
             _record("d", rmse=2.0),
+            _record("d2", rmse=2.0, gap=0.5),
             _record("e"),
         ]
         kept, report = filter_shots(recs, FilterThresholds())
         assert [r.shot_id for r in kept] == ["e"]
         assert report.rejections == {
-            "unfittable": 1, "insufficient_samples": 1, "gapped": 1, "noisy": 1}
-        assert report.retention == pytest.approx(0.2)
+            "unfittable": 2, "insufficient_samples": 2, "gapped": 2, "noisy": 1}
+        assert report.retention == pytest.approx(1 / 8)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"min_samples": 1}, {"min_samples": -3}, {"min_samples": 2.5}, {"min_samples": 5.0},
+        {"max_rmse_ft": float("nan")}, {"max_rmse_ft": 0.0}, {"max_rmse_ft": -1.0},
+        {"max_gap_s": float("nan")}, {"max_gap_s": 0.0},
+    ])
+    def test_unusable_thresholds_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            FilterThresholds(**kwargs)
+
+    def test_infinite_limits_mean_no_limit(self):
+        recs = [_record("gappy", gap=50.0), _record("noisy", rmse=50.0), _record("thin", n=2)]
+        inf = float("inf")
+        kept, report = filter_shots(recs, FilterThresholds(min_samples=2, max_rmse_ft=inf,
+                                                           max_gap_s=inf))
+        assert [r.shot_id for r in kept] == ["gappy", "noisy", "thin"]
+        assert report.rejections == {}
