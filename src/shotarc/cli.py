@@ -124,19 +124,19 @@ def load_json_config(path: str | None) -> dict:
     return doc
 
 
+def _reject_unknown_keys(doc: dict, known: Iterable[str], what: str) -> None:
+    if unknown := set(doc) - set(known):
+        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
+
+
 def sim_config_from_dict(doc: dict) -> SimConfig:
-    known = {f.name for f in dataclasses.fields(SimConfig)}
-    unknown = set(doc) - known
-    if unknown:
-        raise ConfigError(f"unknown simulate config keys: {sorted(unknown)}")
+    _reject_unknown_keys(doc, [f.name for f in dataclasses.fields(SimConfig)], "simulate config")
     kwargs = dict(doc)
     if "pressure" in kwargs:
         if not isinstance(kwargs["pressure"], dict):
             raise ConfigError("pressure must be an object of pressure-model fields")
-        p_known = {f.name for f in dataclasses.fields(PressureModel)}
-        p_unknown = set(kwargs["pressure"]) - p_known
-        if p_unknown:
-            raise ConfigError(f"unknown pressure config keys: {sorted(p_unknown)}")
+        _reject_unknown_keys(kwargs["pressure"],
+                             [f.name for f in dataclasses.fields(PressureModel)], "pressure config")
         kwargs["pressure"] = PressureModel(**kwargs["pressure"])
     for tuple_key in ("release_distance_range_ft", "release_azimuth_range_deg", "ndd_range_ft"):
         if tuple_key in kwargs:
@@ -187,13 +187,21 @@ class ShotRow:
 _ROW_VALUES = operator.attrgetter(*SHOT_COLUMNS, "make_prob")
 
 
-def write_shot_rows(rows: Iterable[ShotRow], path: Path, with_prob: bool = False) -> None:
-    """One line per row; ``csv`` writes floats by ``repr``, so they read back to the bit."""
-    width = len(SHOT_COLUMNS) + with_prob
+def write_csv(path: Path, header: Iterable, rows: Iterable[Iterable]) -> Path:
+    """Write one table, making its directory.  ``csv`` quotes only a field holding
+    ``,``, ``"`` or a line break, and writes floats by ``repr``, so they read back to the bit."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow((SHOT_COLUMNS + ("make_prob",))[:width])
-        writer.writerows(_ROW_VALUES(r)[:width] for r in rows)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
+
+
+def write_shot_rows(rows: Iterable[ShotRow], path: Path, with_prob: bool = False) -> None:
+    """The shots file: the ``SHOT_COLUMNS`` of each row, then ``make_prob`` if ``with_prob``."""
+    width = len(SHOT_COLUMNS) + with_prob
+    write_csv(path, (SHOT_COLUMNS + ("make_prob",))[:width], (_ROW_VALUES(r)[:width] for r in rows))
 
 
 @dataclasses.dataclass
@@ -383,7 +391,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     print(f"simulated {n} shots over {config.n_games} games "
           f"({made / n:.3f} make rate) -> {out_dir}")
     write_manifest(
-        Path(args.manifest) if args.manifest else out_dir / "manifest.json",
+        Path(args.manifest or out_dir / "manifest.json"),
         "simulate",
         config=json.loads(json.dumps(dataclasses.asdict(config))),
         inputs=[Path(args.config)] if args.config else [],
@@ -402,8 +410,6 @@ def cmd_fit(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:
         raise ConfigError(f"invalid fit thresholds: {exc}") from exc
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     inputs = [Path(args.tracking), Path(args.events), Path(args.roster)]
     tracking, tracking_load = load_tracking(inputs[0])
     events, events_load = load_events(inputs[1])
@@ -412,15 +418,15 @@ def cmd_fit(args: argparse.Namespace) -> int:
     del tracking  # the largest allocation of the run; not needed for writing
     rows, report = fit.rows, fit.filtering
 
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     factors_path = out_dir / "factors.csv"
     write_shot_rows(rows, factors_path)
-    traj_csv = out_dir / "trajectories.csv"
-    with traj_csv.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["shot_id"] + [f"beta{i}" for i in range(6)] + ["rmse_ft", "n_samples"])
-        writer.writerows([rec.shot_id] + [repr(float(b)) for b in rec.fitted.beta]
-                         + [repr(rec.fitted.rmse_ft), rec.n_samples]
-                         for _, rec in fit.fits if rec.fitted is not None)
+    traj_csv = write_csv(
+        out_dir / "trajectories.csv",
+        ["shot_id"] + [f"beta{i}" for i in range(6)] + ["rmse_ft", "n_samples"],
+        ([rec.shot_id, *rec.fitted.beta.tolist(), rec.fitted.rmse_ft, rec.n_samples]
+         for _, rec in fit.fits if rec.fitted is not None))
 
     report_path = out_dir / "filter_report.json"
     report_path.write_text(json.dumps({
@@ -430,12 +436,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
             "roster": dataclasses.asdict(roster_load),
         },
         "extraction": dataclasses.asdict(fit.extraction),
-        "filtering": {
-            "n_input": report.n_input,
-            "n_retained": report.n_retained,
-            "retention": report.retention,
-            "rejections": report.rejections,
-        },
+        "filtering": {**dataclasses.asdict(report), "retention": report.retention},
         "factor_rejections": fit.factor_rejections,
         "n_factor_rows": len(rows),
         "thresholds": dataclasses.asdict(thresholds),
@@ -444,7 +445,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     print(f"fit {report.n_input} shots: retained {report.n_retained} "
           f"({report.retention:.3f}), factor rows {len(rows)}")
     write_manifest(
-        Path(args.manifest) if args.manifest else out_dir / "manifest.json",
+        Path(args.manifest or out_dir / "manifest.json"),
         "fit",
         config=dataclasses.asdict(thresholds),
         inputs=inputs,
@@ -463,7 +464,7 @@ def cmd_train_makeprob(args: argparse.Namespace) -> int:
     print(f"trained on {model.train_n} shots, converged={model.converged}, "
           f"log_likelihood={model.log_likelihood:.2f}")
     write_manifest(
-        Path(args.manifest) if args.manifest else out.with_name("manifest.json"),
+        Path(args.manifest or out.with_name("manifest.json")),
         "train-makeprob",
         config={"ridge": args.ridge, "min_shots": args.min_shots},
         inputs=[Path(args.factors)],
@@ -477,11 +478,10 @@ def cmd_predict(args: argparse.Namespace) -> int:
     model = MakeProbModel.from_json(Path(args.model).read_text(encoding="utf-8"))
     table.columns["make_prob"] = predict(model, table.matrix(FACTOR_COLUMNS))
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     write_shot_rows(table, out, with_prob=True)
     print(f"predicted {len(table)} shots -> {out}")
     write_manifest(
-        Path(args.manifest) if args.manifest else out.with_name("manifest.json"),
+        Path(args.manifest or out.with_name("manifest.json")),
         "predict",
         config={},
         inputs=[Path(args.factors), Path(args.model)],
@@ -504,14 +504,11 @@ def cmd_effects(args: argparse.Namespace) -> int:
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / f"effects_{args.model_kind}_{args.response_kind}.csv"
-    with csv_path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["rank", "player_id", "role", "effect", "effect_per_100", "n_shots",
-                         "opp_mean_prob"])
-        writer.writerows([r.rank, r.player_id, estimates.effect_role, repr(r.effect),
-                          repr(r.effect_per_100), r.n_shots, repr(r.opp_mean_prob)]
-                         for r in table)
+    csv_path = write_csv(
+        out_dir / f"effects_{args.model_kind}_{args.response_kind}.csv",
+        ["rank", "player_id", "role", "effect", "effect_per_100", "n_shots", "opp_mean_prob"],
+        ([r.rank, r.player_id, estimates.effect_role, r.effect, r.effect_per_100, r.n_shots,
+          r.opp_mean_prob] for r in table))
 
     title = ("Nearest defender impact" if args.model_kind == "defender"
              else "Shooter resilience to contests")
@@ -537,7 +534,7 @@ def cmd_effects(args: argparse.Namespace) -> int:
     }, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
     write_manifest(
-        Path(args.manifest) if args.manifest else out_dir / "manifest.json",
+        Path(args.manifest or out_dir / "manifest.json"),
         "effects",
         config={"model_kind": args.model_kind, "response_kind": args.response_kind,
                 "min_shots": args.min_shots, "literal_ndd": args.literal_ndd},
@@ -547,7 +544,7 @@ def cmd_effects(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _analysis_fig3(table, spec, out_dir):
+def _analysis_fig3(table, spec):
     out = variance_comparison(
         table["depth_ft"],
         table["lr_ft"],
@@ -557,51 +554,40 @@ def _analysis_fig3(table, spec, out_dir):
         n_bootstrap=spec.get("n_bootstrap", 1000),
         seed=spec.get("seed", 0),
     )
-    path = out_dir / "fig3_variance.csv"
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write("factor,contested_var,open_var,ratio,ci_low,ci_high,n_contested,n_open\n")
-        for name in ("depth", "lr"):
-            v = out[name]
-            fh.write(f"{name},{v.contested_var!r},{v.open_var!r},{v.ratio!r},"
-                     f"{v.ci_low!r},{v.ci_high!r},{v.n_contested},{v.n_open}\n")
-    return [path]
+    return ("fig3_variance.csv",
+            ("factor", "contested_var", "open_var", "ratio", "ci_low", "ci_high",
+             "n_contested", "n_open"),
+            [dataclasses.astuple(out[name]) for name in ("depth", "lr")])
 
 
-def _analysis_fig4(table, spec, out_dir):
-    path = out_dir / "fig4_profiles.csv"
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write("bin_by,value,bin_center,mean,se,n,trend\n")
-        for bin_by, bvals, edges in (
-            ("ndd", table["ndd_ft"], np.arange(*spec.get("ndd_edges", (0.0, 12.01, 2.0)))),
-            ("defender_height", table["defender_height_in"],
-             np.arange(*spec.get("height_edges", (72.0, 88.01, 2.0)))),
-        ):
-            for value_name, vals in (("entry_angle", table["entry_angle_deg"]),
-                                     ("depth", table["depth_ft"])):
-                prof = binned_profiles(bvals, vals, edges, bin_by=bin_by, value=value_name)
-                for row in prof.rows:
-                    fh.write(f"{bin_by},{value_name},{row.center!r},{row.mean!r},"
-                             f"{row.se!r},{row.n},{prof.trend!r}\n")
-    return [path]
+def _analysis_fig4(table, spec):
+    rows = []
+    for bin_by, bvals, edges in (
+        ("ndd", table["ndd_ft"], np.arange(*spec.get("ndd_edges", (0.0, 12.01, 2.0)))),
+        ("defender_height", table["defender_height_in"],
+         np.arange(*spec.get("height_edges", (72.0, 88.01, 2.0)))),
+    ):
+        for value_name, vals in (("entry_angle", table["entry_angle_deg"]),
+                                 ("depth", table["depth_ft"])):
+            prof = binned_profiles(bvals, vals, edges, bin_by=bin_by, value=value_name)
+            rows += [(bin_by, value_name, *dataclasses.astuple(row), prof.trend)
+                     for row in prof.rows]
+    return "fig4_profiles.csv", ("bin_by", "value", "bin_center", "mean", "se", "n", "trend"), rows
 
 
-def _analysis_depth_bins(table, spec, out_dir):
+def _analysis_depth_bins(table, spec):
     bins = make_pct_by_depth_bin(
         table["depth_ft"],
         table["outcome"],
         bin_width_in=spec.get("bin_width_in", 1.0),
         min_bin_n=spec.get("min_bin_n", 50),
     )
-    path = out_dir / "depth_bins.csv"
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write("depth_in,make_pct,se,n\n")
-        for row in bins.rows:
-            fh.write(f"{row.center!r},{row.mean!r},{row.se!r},{row.n}\n")
     print(f"argmax depth bin: {bins.argmax_center_in:.0f} in")
-    return [path]
+    return ("depth_bins.csv", ("depth_in", "make_pct", "se", "n"),
+            [dataclasses.astuple(row) for row in bins.rows])
 
 
-def _analysis_fig5(table, spec, out_dir):
+def _analysis_fig5(table, spec):
     data = table.effects_dataset(require_prob=True)
     sub = SubsampleSpec(
         fractions=tuple(spec.get("fractions", (0.1, 0.2, 0.3, 0.4, 0.5))),
@@ -611,31 +597,22 @@ def _analysis_fig5(table, spec, out_dir):
     )
     results = subsample_mse(data, sub, model_kind=spec.get("model_kind", "defender"),
                             min_shots=spec.get("min_shots", 100))
-    path = out_dir / "fig5_mse.csv"
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write("fraction,response_kind,mse,n_replicates_used,n_dropped\n")
-        for r in results:
-            fh.write(f"{r.fraction!r},{r.response_kind},{r.mse!r},"
-                     f"{r.n_replicates_used},{r.n_dropped}\n")
-    return [path]
+    return ("fig5_mse.csv", ("fraction", "response_kind", "mse", "n_replicates_used", "n_dropped"),
+            [dataclasses.astuple(r) for r in results])
 
 
-def _analysis_split_half(table, spec, out_dir):
+def _analysis_split_half(table, spec):
     data = table.effects_dataset(require_prob=True)
     model_kind = spec.get("model_kind", "defender")
     min_shots = spec.get("min_shots", 100)
-    path = out_dir / "split_half.csv"
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write("model_kind,response_kind,spearman_rho\n")
-        for kind in ("raw", "prob"):
-            rho = split_half_rank_correlation(data, model_kind=model_kind,
-                                              response_kind=kind, min_shots=min_shots)
-            fh.write(f"{model_kind},{kind},{rho!r}\n")
-    return [path]
+    return ("split_half.csv", ("model_kind", "response_kind", "spearman_rho"),
+            [(model_kind, kind, split_half_rank_correlation(
+                data, model_kind=model_kind, response_kind=kind, min_shots=min_shots))
+             for kind in ("raw", "prob")])
 
 
-# analysis -> (function, columns it reads, columns it reads that must be finite);
-# fig4 lets a nan defender height (a defender missing from the roster) fall out of its bins
+# analysis -> (function returning (file name, header, rows), columns it reads, columns
+# it reads that must be finite); fig4 lets a nan defender height fall out of its bins
 _EFFECTS_INPUT = (("game_id",) + PLAYER_COLUMNS, ("ndd_ft", "make_prob"))
 ANALYSES = {
     "fig3": (_analysis_fig3, (), ("depth_ft", "lr_ft", "ndd_ft")),
@@ -644,22 +621,25 @@ ANALYSES = {
     "depth-bins": (_analysis_depth_bins, ("outcome",), ("depth_ft",)),
     "split-half": (_analysis_split_half, *_EFFECTS_INPUT),
 }
+# the keys read by fig3, fig4, depth-bins, fig5 and split-half; one spec may serve all five
+SPEC_KEYS = frozenset((
+    "open_threshold_ft contested_threshold_ft n_bootstrap seed ndd_edges height_edges "
+    "bin_width_in min_bin_n fractions n_replicates unit model_kind min_shots").split())
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     spec = load_json_config(args.spec)
+    _reject_unknown_keys(spec, SPEC_KEYS, "evaluate spec")
     analysis, columns, finite = ANALYSES[args.analysis]
-    table = read_shot_rows(args.shots, columns, finite)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = analysis(table, spec, out_dir)
-    print(f"analysis {args.analysis} -> {', '.join(str(p) for p in outputs)}")
+    name, header, rows = analysis(read_shot_rows(args.shots, columns, finite), spec)
+    path = write_csv(Path(args.out_dir) / name, header, rows)
+    print(f"analysis {args.analysis} -> {path}")
     write_manifest(
-        Path(args.manifest) if args.manifest else out_dir / f"manifest_{args.analysis}.json",
+        Path(args.manifest or path.with_name(f"manifest_{args.analysis}.json")),
         f"evaluate:{args.analysis}",
         config=spec,
         inputs=[Path(args.shots)] + ([Path(args.spec)] if args.spec else []),
-        outputs=outputs,
+        outputs=[path],
         seed=spec.get("seed"),
     )
     return EXIT_OK
@@ -677,7 +657,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="JSON file of simulator settings")
     p.add_argument("--seed", type=int, help="master seed (config file wins conflicts)")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--manifest", help="manifest path (default <out-dir>/manifest.json)")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("fit", help="fit trajectories and factors from season files")
@@ -688,7 +667,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-samples", type=int, default=FilterThresholds.min_samples)
     p.add_argument("--max-rmse", type=float, default=FilterThresholds.max_rmse_ft)
     p.add_argument("--max-gap", type=float, default=FilterThresholds.max_gap_s)
-    p.add_argument("--manifest")
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("train-makeprob", help="train the shot-make model")
@@ -696,14 +674,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-model", required=True)
     p.add_argument("--ridge", type=float, default=1e-6)
     p.add_argument("--min-shots", type=int, default=500)
-    p.add_argument("--manifest")
     p.set_defaults(func=cmd_train_makeprob)
 
     p = sub.add_parser("predict", help="attach make probabilities to a factors file")
     p.add_argument("--model", required=True)
     p.add_argument("--factors", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--manifest")
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("effects", help="defender-impact / shooter-resilience models")
@@ -714,7 +690,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--literal-ndd", action="store_true",
                    help="resilience: per-shooter uncentered slopes, no common column")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--manifest")
     p.set_defaults(func=cmd_effects)
 
     p = sub.add_parser("evaluate", help="season-level analyses")
@@ -722,21 +697,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shots", required=True, help="factors or predictions file")
     p.add_argument("--spec", help="JSON analysis settings")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--manifest")
     p.set_defaults(func=cmd_evaluate)
 
+    for p in sub.choices.values():
+        p.add_argument("--manifest", help="manifest path (default: beside the outputs)")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, TrainingError, EffectsError, EvalError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except (ConfigError, TrainingError, EffectsError, EvalError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # runtime failure

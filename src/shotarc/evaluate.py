@@ -35,22 +35,11 @@ class EvalError(ValueError):
 
 
 def _rank_with_ties(x: np.ndarray) -> np.ndarray:
-    """Average ranks (1-based), ties sharing the mean of their positions."""
-    x = np.asarray(x, dtype=float)
-    order = np.argsort(x, kind="mergesort")
-    ranks = np.empty(len(x), dtype=float)
-    ranks[order] = np.arange(1, len(x) + 1, dtype=float)
-    # average the ranks within tied groups
-    sorted_x = x[order]
-    i = 0
-    while i < len(x):
-        j = i
-        while j + 1 < len(x) and sorted_x[j + 1] == sorted_x[i]:
-            j += 1
-        if j > i:
-            ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    """Average ranks (1-based), ties (NaNs among them) sharing the mean of their positions."""
+    _, inverse, counts = np.unique(np.asarray(x, dtype=float), return_inverse=True,
+                                   return_counts=True)
+    first = np.cumsum(counts) - counts
+    return (first + (counts + 1) / 2)[inverse]
 
 
 def spearman(xs, ys) -> float:
@@ -183,6 +172,13 @@ class BinRow:
     n: int
 
 
+def _bin_row(center: float, vals: np.ndarray) -> BinRow:
+    """Mean, standard error (NaN for a single value) and count of one non-empty bin."""
+    n = len(vals)
+    se = float(vals.std(ddof=1) / np.sqrt(n)) if n > 1 else float("nan")
+    return BinRow(center=center, mean=float(vals.mean()), se=se, n=n)
+
+
 @dataclass(frozen=True)
 class BinnedProfile:
     bin_by: str
@@ -217,12 +213,9 @@ def binned_profiles(
         if n == 0:
             rows.append(BinRow(center=center, mean=float("nan"), se=float("nan"), n=0))
             continue
-        vals = v[mask]
-        mean = float(vals.mean())
-        se = float(vals.std(ddof=1) / np.sqrt(n)) if n > 1 else float("nan")
-        rows.append(BinRow(center=center, mean=mean, se=se, n=n))
+        rows.append(_bin_row(center, v[mask]))
         centers.append(center)
-        means.append(mean)
+        means.append(rows[-1].mean)
     trend = float("nan")
     if len(means) >= 2 and len(set(means)) > 1:
         trend = spearman(centers, means)
@@ -261,13 +254,10 @@ def binned_mean_by_depth(
     rows: list[BinRow] = []
     best: tuple[float, float] | None = None
     for c in np.unique(centers):
-        mask = centers == c
-        n = int(mask.sum())
-        mean = float(y[mask].mean())
-        se = float(y[mask].std(ddof=1) / np.sqrt(n)) if n > 1 else float("nan")
-        rows.append(BinRow(center=float(c), mean=mean, se=se, n=n))
-        if n >= min_bin_n and (best is None or mean > best[0]):
-            best = (mean, float(c))
+        row = _bin_row(float(c), y[centers == c])
+        rows.append(row)
+        if row.n >= min_bin_n and (best is None or row.mean > best[0]):
+            best = (row.mean, row.center)
     if best is None:
         raise EvalError(f"no bin reaches min_bin_n={min_bin_n}")
     return DepthBinTable(rows=rows, argmax_center_in=best[1], bin_width_in=bin_width_in)

@@ -90,6 +90,48 @@ class TestExitCodes:
         assert "invalid fit thresholds" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_fit_with_missing_roster_exits_2_and_makes_no_out_dir(self, workdir, season_dir,
+                                                                  capsys):
+        out = workdir / "no_roster"
+        assert main(["fit", "--tracking", str(season_dir / "tracking.jsonl"),
+                     "--events", str(season_dir / "events.csv"),
+                     "--roster", str(workdir / "missing_roster.csv"),
+                     "--out-dir", str(out)]) == 2
+        assert "error: " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("analysis, spec, message", [
+        ("split-half", {"model_kind": "bogus"}, "unknown model kind 'bogus'"),
+        ("fig4", {"ndd_edges": [0, 1, 5]}, "need at least 2 bin edges"),
+        ("fig5", {"fractions": [0]}, "fractions must lie in (0, 1]"),
+        ("depth-bins", {"min_bin_n": 1000000000}, "no bin reaches min_bin_n=1000000000"),
+    ], ids=["split-half", "fig4", "fig5", "depth-bins"])
+    def test_failing_analysis_exits_2_and_writes_nothing(self, tmp_path, capsys, analysis, spec,
+                                                         message):
+        shots = tmp_path / "preds.csv"
+        write_shot_rows(_shot_rows(600), shots, with_prob=True)
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        out = tmp_path / "ev"
+        assert main(["evaluate", "--analysis", analysis, "--shots", str(shots),
+                     "--spec", str(spec_path), "--out-dir", str(out)]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not list(out.glob("*"))
+
+    def test_unknown_spec_key_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        shots = tmp_path / "preds.csv"
+        write_shot_rows(_shot_rows(600), shots, with_prob=True)
+        spec = tmp_path / "spec.json"
+        out = tmp_path / "ev"
+        # a key that only another analysis reads passes; a misspelt one does not
+        for doc, code in (({"n_bootstrap": 10, "min_shots": 10, "n_replicates": 2}, 0),
+                          ({"n_bootsrap": 10}, 2)):
+            spec.write_text(json.dumps(doc))
+            assert main(["evaluate", "--analysis", "fig3", "--shots", str(shots),
+                         "--spec", str(spec), "--out-dir", str(out / str(code))]) == code
+        assert "error: unknown evaluate spec keys: ['n_bootsrap']" in capsys.readouterr().err
+        assert not (out / "2").exists()
+
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["simulate"])  # missing --out-dir

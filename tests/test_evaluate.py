@@ -11,6 +11,7 @@ from shotarc.evaluate import (
     BOOTSTRAP_BLOCK_ELEMENTS,
     EvalError,
     SubsampleSpec,
+    _rank_with_ties,
     binned_mean_by_depth,
     binned_profiles,
     make_pct_by_depth_bin,
@@ -35,6 +36,14 @@ class TestSpearman:
     def test_hand_value_point_eight(self):
         # 1 - 6*2/(4*15) = 0.8
         assert spearman([1, 2, 3, 4], [1, 3, 2, 4]) == pytest.approx(0.8)
+
+    def test_ranks_equal_scipy_rankdata_on_tie_heavy_input(self):
+        rng = np.random.default_rng(1)
+        for n in (1, 2, 3, 10, 100, 1000):
+            for x in (rng.integers(0, 3, size=n).astype(float),
+                      rng.integers(0, n, size=n).astype(float),
+                      np.round(rng.normal(size=n), 1)):
+                assert np.array_equal(_rank_with_ties(x), scipy.stats.rankdata(x))
 
     def test_matches_scipy_with_ties(self):
         rng = np.random.default_rng(0)
