@@ -18,6 +18,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 import operator
 import re
 import sys
@@ -127,6 +128,42 @@ def load_json_config(path: str | None) -> dict:
 def _reject_unknown_keys(doc: dict, known: Iterable[str], what: str) -> None:
     if unknown := set(doc) - set(known):
         raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
+
+
+def _number(v) -> bool:
+    return type(v) in (int, float) and math.isfinite(v)   # bool is not a number here
+
+
+def _int_at_least(low: int):
+    return lambda v: type(v) is int and v >= low
+
+
+def _edges(v) -> bool:
+    return type(v) is list and len(v) == 3 and all(map(_number, v)) and v[2] > 0
+
+
+# evaluate spec key -> (test of its value, what the test asks for)
+SPEC_VALUES = {
+    "open_threshold_ft": (_number, "a finite number"),
+    "contested_threshold_ft": (_number, "a finite number"),
+    "n_bootstrap": (_int_at_least(1), "an integer of at least 1"),
+    "seed": (_int_at_least(0), "an integer of at least 0"),
+    "ndd_edges": (_edges, "[start, stop, step], finite numbers with step > 0"),
+    "height_edges": (_edges, "[start, stop, step], finite numbers with step > 0"),
+    "bin_width_in": (lambda v: _number(v) and v > 0, "a finite number above 0"),
+    "min_bin_n": (_int_at_least(1), "an integer of at least 1"),
+    # the (0, 1] range of each fraction is SubsampleSpec's to check
+    "fractions": (lambda v: type(v) is list and len(v) > 0 and all(map(_number, v)),
+                  "a non-empty list of finite numbers"),
+    "n_replicates": (_int_at_least(1), "an integer of at least 1"),
+    "min_shots": (_int_at_least(1), "an integer of at least 1"),
+}
+
+
+def _reject_bad_spec_values(spec: dict) -> None:
+    for key, (valid, wanted) in SPEC_VALUES.items():
+        if key in spec and not valid(spec[key]):
+            raise ConfigError(f"evaluate spec {key} must be {wanted}, not {spec[key]!r}")
 
 
 def sim_config_from_dict(doc: dict) -> SimConfig:
@@ -630,6 +667,7 @@ SPEC_KEYS = frozenset((
 def cmd_evaluate(args: argparse.Namespace) -> int:
     spec = load_json_config(args.spec)
     _reject_unknown_keys(spec, SPEC_KEYS, "evaluate spec")
+    _reject_bad_spec_values(spec)
     analysis, columns, finite = ANALYSES[args.analysis]
     name, header, rows = analysis(read_shot_rows(args.shots, columns, finite), spec)
     path = write_csv(Path(args.out_dir) / name, header, rows)

@@ -118,6 +118,43 @@ class TestExitCodes:
         assert f"error: {message}" in capsys.readouterr().err
         assert not list(out.glob("*"))
 
+    @pytest.mark.parametrize("analysis, spec", [
+        ("fig5", {"fractions": 0.5}),
+        ("fig5", {"fractions": []}),
+        ("fig5", {"fractions": [0.5, "0.2"]}),
+        ("fig5", {"fractions": [0.5, True]}),
+        ("fig5", {"fractions": [0.5, float("nan")]}),
+        ("fig5", {"n_replicates": "2"}),
+        ("fig5", {"n_replicates": 0}),
+        ("fig5", {"n_replicates": 2.0}),
+        ("fig5", {"n_replicates": True}),
+        ("split-half", {"min_shots": "10"}),
+        ("split-half", {"min_shots": True}),
+        ("depth-bins", {"min_bin_n": 0}),
+        ("depth-bins", {"min_bin_n": 1.5}),
+        ("fig3", {"seed": -1}),
+        ("fig3", {"seed": 1.5}),
+        ("fig3", {"seed": False}),
+        ("fig4", {"ndd_edges": 5}),
+        ("fig4", {"ndd_edges": [0, 12]}),
+        ("fig4", {"ndd_edges": [0, 12, 0]}),
+        ("fig4", {"ndd_edges": [0, float("inf"), 2]}),
+        ("fig4", {"height_edges": [72, "88", 2]}),
+        ("depth-bins", {"bin_width_in": 0}),
+        ("depth-bins", {"bin_width_in": "1"}),
+        ("depth-bins", {"bin_width_in": float("nan")}),
+    ])
+    def test_wrong_spec_value_exits_2_and_writes_nothing(self, tmp_path, capsys, analysis, spec):
+        shots = tmp_path / "preds.csv"
+        write_shot_rows(_shot_rows(600), shots, with_prob=True)
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        out = tmp_path / "ev"
+        assert main(["evaluate", "--analysis", analysis, "--shots", str(shots),
+                     "--spec", str(spec_path), "--out-dir", str(out)]) == 2
+        assert f"error: evaluate spec {next(iter(spec))} must be" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_spec_key_exits_2_and_writes_nothing(self, tmp_path, capsys):
         shots = tmp_path / "preds.csv"
         write_shot_rows(_shot_rows(600), shots, with_prob=True)

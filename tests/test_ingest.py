@@ -3,15 +3,22 @@
 import csv
 import json
 import math
+import multiprocessing
+from array import array
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from shotarc import ingest
 from shotarc.cli import fit_season
 from shotarc.ingest import (
+    MIN_RANGE_BYTES,
     PLAYERS_PER_FRAME,
     EventRecord,
+    GameTracking,
+    LoadReport,
     IngestError,
     NoOpponentsError,
     NonMonotoneTimestampsError,
@@ -35,6 +42,157 @@ def row_players(game, i):
     """(ids, teams, x/y) of row ``i`` of a ``GameTracking``, as shot extraction reads them."""
     ids = [game.id_table[j] for j in game.player_ids[i]]
     return ids, [game.team_of[pid] for pid in ids], game.player_xy[i].tolist()
+
+
+# --- the row-at-a-time loader, kept as the oracle of load_tracking ------------------
+
+def _oracle_parse_row(line):
+    doc = json.loads(line)
+    players = doc["players"]
+    ball = doc["ball"]
+    return (
+        str(doc["game_id"]),
+        float(doc["t"]),
+        (float(ball[0]), float(ball[1]), float(ball[2])),
+        [p["id"] for p in players],
+        [p["team"] for p in players],
+        [float(v) for p in players for v in (p["x"], p["y"])],
+    )
+
+
+class _GameColumns:
+    """Typed append-only buffers for one game's accepted frames."""
+
+    def __init__(self, game_id):
+        self.game_id = game_id
+        self.times = array("d")
+        self.ball = array("d")
+        self.player_ids = array("h")
+        self.player_xy = array("d")
+        self.id_table = []
+        self.team_of = {}
+        self._index = {}
+
+    def codes(self, ids, teams):
+        index = self._index
+        codes = [index.get(pid, -1) for pid in ids]
+        if -1 in codes:
+            if any(ingest._BAD_ID_CHAR.search(str(pid))
+                   for pid, code in zip(ids, codes) if code < 0):
+                raise ValueError("carriage return or surrogate in player id")
+            for k, (pid, team) in enumerate(zip(ids, teams)):
+                if codes[k] < 0:
+                    if pid not in index:
+                        index[pid] = len(self.id_table)
+                        self.id_table.append(pid)
+                        self.team_of[pid] = team
+                    codes[k] = index[pid]
+        return codes
+
+    def finish(self):
+        n = len(self.times)
+        return GameTracking(
+            game_id=self.game_id,
+            times=np.frombuffer(self.times, dtype=np.float64),
+            ball=np.frombuffer(self.ball, dtype=np.float64).reshape(n, 3),
+            player_ids=np.frombuffer(self.player_ids, dtype=np.int16).reshape(n, PLAYERS_PER_FRAME),
+            player_xy=np.frombuffer(self.player_xy, dtype=np.float64).reshape(
+                n, PLAYERS_PER_FRAME, 2),
+            id_table=self.id_table,
+            team_of=self.team_of,
+        )
+
+
+def oracle_load_tracking(path, monotone_tol=1e-9):
+    """One pass, one row at a time: each row is checked against its game's last accepted time."""
+    games = {}
+    n_rows = 0
+    reasons = Counter()
+    isfinite = math.isfinite
+
+    def accept(parsed):
+        game_id, t, ball, ids, teams, xy = parsed
+        if len(ids) != PLAYERS_PER_FRAME:
+            reasons["wrong_player_count"] += 1
+            return
+        if not (isfinite(t) and all(map(isfinite, ball)) and all(map(isfinite, xy))):
+            reasons["non_finite"] += 1
+            return
+        game = games.get(game_id)
+        if game is None:
+            if ingest._BAD_ID_CHAR.search(game_id):
+                reasons["unparseable"] += 1
+                return
+            game = _GameColumns(game_id)
+        else:
+            prev = game.times[-1]
+            if t < prev - monotone_tol:
+                raise NonMonotoneTimestampsError(f"game {game_id}: timestamp {t} after {prev}")
+            if t <= prev:
+                reasons["duplicate_timestamp"] += 1
+                return
+        try:
+            codes = game.codes(ids, teams)
+        except (TypeError, ValueError):
+            reasons["unparseable"] += 1
+            return
+        games[game_id] = game
+        game.times.append(t)
+        game.ball.extend(ball)
+        game.player_ids.extend(codes)
+        game.player_xy.extend(xy)
+
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
+        for line in fh:
+            if not line.strip():
+                continue
+            n_rows += 1
+            try:
+                parsed = _oracle_parse_row(line)
+            except (ValueError, KeyError, TypeError, IndexError, OverflowError):
+                reasons["unparseable"] += 1
+                continue
+            accept(parsed)
+
+    loaded = {gid: game.finish() for gid, game in games.items()}
+    n_loaded = sum(len(g) for g in loaded.values())
+    return loaded, LoadReport(n_rows, n_loaded, n_rows - n_loaded, dict(reasons))
+
+
+def load_with_cuts(path, cuts, monotone_tol=1e-9):
+    """``load_tracking`` with the file cut into ranges at the given byte offsets, in-process."""
+    size = path.stat().st_size
+    bounds = [0, *cuts, size]
+    data = path.read_bytes()
+    assert all(data[c - 1:c] == b"\n" for c in cuts), "a cut must follow a newline"
+    parsed = [ingest._parse_range(path, a, b) for a, b in zip(bounds, bounds[1:])]
+    return ingest._apply_time_rules(parsed, monotone_tol)
+
+
+def assert_same_load(got, want):
+    """Same games in the same order, bit-identical arrays, same id tables, teams and report."""
+    (games, report), (want_games, want_report) = got, want
+    assert list(games) == list(want_games)
+    for gid, g in games.items():
+        w = want_games[gid]
+        assert g.game_id == w.game_id
+        for name in ("times", "ball", "player_ids", "player_xy"):
+            a, b = getattr(g, name), getattr(w, name)
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+            assert a.tobytes() == b.tobytes(), name
+        assert g.id_table == w.id_table
+        assert list(g.team_of.items()) == list(w.team_of.items())
+    assert report == want_report
+    assert all(type(n) is int for n in report.reasons.values())
+
+
+def line_starts(lines):
+    """Byte offset of the start of each line of ``"\n".join(lines) + "\n"``."""
+    offsets, pos = [], 0
+    for line in lines:
+        offsets.append(pos)
+        pos += len(line.encode("utf-8")) + 1
+    return offsets
 
 
 class TestLoadTracking:
@@ -176,6 +334,153 @@ class TestLoadTrackingProperties:
             assert np.isfinite(g.ball).all()
             assert np.isfinite(g.player_xy).all()
             assert g.ball.shape[1:] == (3,) and g.player_xy.shape[1:] == (PLAYERS_PER_FRAME, 2)
+
+
+def frame_doc(game_id="G0", t=0.0, **ids):
+    """One frame as a dict; ``P3="Q\r"`` replaces player 3's id, ``team3="X"`` its team."""
+    doc = json.loads(frame_line(game_id=game_id, t=t))
+    for key, value in ids.items():
+        k = int(key.lstrip("Pteam"))
+        doc["players"][k]["team" if key.startswith("team") else "id"] = value
+    return doc
+
+
+# (rows, the row that follows the forced seam)
+SEAM_CASES = {
+    "inside_a_game": ([frame_doc("G0", 0.04 * i) for i in range(5)]
+                      + [frame_doc("G1", 0.04 * i) for i in range(3)], 2),
+    "on_a_duplicate": ([frame_doc(t=0.0), frame_doc(t=0.04), frame_doc(t=0.04),
+                        frame_doc(t=0.08)], 2),
+    "within_tol_below": ([frame_doc(t=0.0), frame_doc(t=0.04), frame_doc(t=0.04 - 5e-10),
+                          frame_doc(t=0.08)], 2),
+    # the bad-id row does not move the last accepted time, so 0.08 is kept
+    "bad_id_before_good": ([frame_doc(t=0.0), frame_doc(t=0.04), frame_doc(t=0.12, P3="P\r3"),
+                            frame_doc(t=0.08), frame_doc(t=0.12)], 2),
+    "unhashable_id_before_good": ([frame_doc(t=0.0), frame_doc(t=0.12, P3=["P3"]),
+                                   frame_doc(t=0.04)], 1),
+    "new_id_holding_cr": ([frame_doc(t=0.0), frame_doc(t=0.04, P9="Q\r"),
+                           frame_doc(t=0.04, P9="Q"), frame_doc(t=0.08, P9="Q\udce9")], 1),
+    # G1's first row has a bad id, so G2 is loaded before it
+    "interleaved": ([frame_doc("G0", 0.0), frame_doc("G1", 0.0, P0="\r"), frame_doc("G2", 0.0),
+                     frame_doc("G0", 0.04), frame_doc("G1", 0.04), frame_doc("G2", 0.04),
+                     frame_doc("G0", 0.08), frame_doc("G1", 0.08)], 4),
+    # an id's team is the one at its first kept appearance
+    "team_of_first_kept": ([frame_doc(t=0.0), frame_doc(t=0.0, P9="Z", team9="X"),
+                            frame_doc(t=0.04, P9="Z", team9="Y"),
+                            frame_doc(t=0.08, P9="Z", team9="X")], 1),
+    # ids that compare equal share one code: the first value seen is kept
+    "equal_ids_of_other_types": ([frame_doc(t=0.0, P0=1, P1=0.0), frame_doc(t=0.04, P0=True),
+                                  frame_doc(t=0.08, P0=1.0, P1=-0.0, team1="B")], 1),
+    "game_split_three_ways": ([frame_doc("G0", 0.04 * i) for i in range(6)], 2),
+}
+
+
+def write_rows(tmp_path, docs):
+    lines = [json.dumps(d) for d in docs]
+    p = tmp_path / "t.jsonl"
+    p.write_text("\n".join(lines) + "\n", encoding="utf-8", errors="surrogateescape")
+    return p, line_starts(lines)
+
+
+class TestByteRangeSeams:
+    @pytest.mark.parametrize("case", sorted(SEAM_CASES))
+    def test_same_load_for_one_two_and_three_ranges(self, tmp_path, case):
+        docs, seam = SEAM_CASES[case]
+        p, starts = write_rows(tmp_path, docs)
+        want = oracle_load_tracking(p)
+        after = starts[seam + 1] if seam + 1 < len(starts) else starts[seam - 1]
+        for cuts in ([], [starts[seam]], sorted({starts[seam], after}), starts[1:]):
+            assert_same_load(load_with_cuts(p, cuts), want)
+        assert_same_load(load_tracking(p), want)
+
+    def test_backward_step_across_a_seam_raises_the_same_error(self, tmp_path):
+        docs = [frame_doc("G0", 0.0), frame_doc("G1", 5.0), frame_doc("G0", 0.04),
+                frame_doc("G1", 4.0), frame_doc("G0", 0.01)]
+        p, starts = write_rows(tmp_path, docs)
+        with pytest.raises(NonMonotoneTimestampsError) as want:
+            oracle_load_tracking(p)
+        assert str(want.value) == "game G1: timestamp 4.0 after 5.0"
+        for cuts in ([], [starts[3]], [starts[2], starts[4]], starts[1:]):
+            with pytest.raises(NonMonotoneTimestampsError) as got:
+                load_with_cuts(p, cuts)
+            assert str(got.value) == str(want.value)
+
+    def test_cuts_follow_newlines_and_cover_the_file(self, tmp_path):
+        p, starts = write_rows(tmp_path, [frame_doc(t=0.04 * i) for i in range(7)])
+        size = p.stat().st_size
+        for n in range(1, 10):
+            ranges = ingest._byte_ranges(p, n)
+            assert len(ranges) <= n and ranges[0][0] == 0 and ranges[-1][1] == size
+            assert all(a < b == c for (a, b), (c, _) in zip(ranges, ranges[1:]))
+            assert all(start in starts for start, _ in ranges)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(field=st.sampled_from(FRAME_FIELDS),
+           value=st.one_of(JSON_VALUES, st.just(DELETE)),
+           position=st.integers(0, 5),
+           seams=st.sets(st.integers(1, 5)))
+    def test_mutated_rows_any_cuts_same_as_oracle(self, tmp_path, field, value, position, seams):
+        docs = [frame_doc(f"G{i % 2}", 0.04 * (i // 2)) for i in range(6)]
+        parent = docs[position]
+        for key in field[:-1]:
+            parent = parent[key]
+        if value is DELETE:
+            if isinstance(parent, list):
+                parent.pop(field[-1])
+            else:
+                del parent[field[-1]]
+        else:
+            parent[field[-1]] = value
+        p, starts = write_rows(tmp_path, docs)
+        cuts = [starts[i] for i in sorted(seams)]
+        try:
+            want = oracle_load_tracking(p)
+        except NonMonotoneTimestampsError as exc:
+            with pytest.raises(NonMonotoneTimestampsError) as got:
+                load_with_cuts(p, cuts)
+            assert str(got.value) == str(exc)
+            return
+        assert_same_load(load_with_cuts(p, cuts), want)
+
+
+@pytest.fixture(scope="module")
+def two_range_season(tmp_path_factory):
+    """A simulated season whose tracking file is cut into two worker ranges."""
+    out = tmp_path_factory.mktemp("big")
+    paths = write_season(simulate_season(
+        SimConfig(n_games=3, shots_per_game=600, corrupt_fraction=0.1, seed=3)), out)
+    assert paths["tracking"].stat().st_size > 2 * MIN_RANGE_BYTES
+    return paths["tracking"]
+
+
+class TestWorkerPool:
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(ingest, "_cpu_count", lambda: 2)
+
+    def test_two_workers_same_as_oracle(self, two_range_season):
+        assert len(ingest._byte_ranges(two_range_season, 2)) == 2
+        assert_same_load(load_tracking(two_range_season), oracle_load_tracking(two_range_season))
+        assert multiprocessing.active_children() == []
+
+    def test_abort_joins_every_worker(self, tmp_path, two_range_season):
+        p = tmp_path / "t.jsonl"
+        data = two_range_season.read_bytes()
+        last = json.loads(data.splitlines()[-1])
+        last["t"] -= 1.0
+        p.write_bytes(data + json.dumps(last).encode() + b"\n")
+        with pytest.raises(NonMonotoneTimestampsError) as want:
+            oracle_load_tracking(p)
+        with pytest.raises(NonMonotoneTimestampsError) as got:
+            load_tracking(p)
+        assert str(got.value) == str(want.value)
+        assert multiprocessing.active_children() == []
+
+    def test_failed_worker_raises_and_is_joined(self, tmp_path):
+        with pytest.raises(RuntimeError, match="FileNotFoundError"):
+            ingest._parse_in_workers(tmp_path / "missing.jsonl", [(0, 1), (1, 2)])
+        assert multiprocessing.active_children() == []
 
 
 EVENT_COLUMNS = ["shot_id", "game_id", "shooter_id", "release_frame", "outcome", "hoop_end"]
@@ -382,6 +687,33 @@ class TestExtraction:
         assert len(shots) == 1
         assert "insufficient_samples" in shots[0].flags
         assert report.n_flagged == 1
+
+    @pytest.mark.parametrize("stream_break_s, max_window_s",
+                             [(1.0, 3.0), (0.05, 0.5), (0.04, 0.08), (np.inf, np.inf), (1.0, 0.0),
+                              (0.25, 0.5)])
+    @pytest.mark.parametrize("steps", [
+        [0.04, 0.04, 0.04, 0.02, 0.05, 0.08, 1.5, 1e-12],
+        [0.125, 0.125, 0.25, 0.375, 1.5],   # exact in binary: windows end on equality
+    ], ids=["decimal", "binary"])
+    def test_window_ends_as_a_frame_by_frame_scan(self, stream_break_s, max_window_s, steps):
+        times = 7.0 + np.cumsum(np.random.default_rng(5).choice(steps, size=400))
+        n = len(times)
+        game = GameTracking(
+            "G0", times, np.tile([10.0, 25.0, 5.0], (n, 1)),   # under the rim: no cut
+            np.tile(np.arange(10, dtype=np.int16), (n, 1)),
+            np.tile(np.stack([np.arange(10.0), np.arange(10.0)], axis=1), (n, 1, 1)),
+            [f"P{k}" for k in range(10)], {f"P{k}": "A" if k < 5 else "B" for k in range(10)})
+        events = [EventRecord(f"s{i}", "G0", "P0", i, 1, "left") for i in range(n)]
+        shots, _ = extract_shot_events({"G0": game}, events, {}, min_samples=1,
+                                       stream_break_s=stream_break_s, max_window_s=max_window_s)
+        for i, ev in enumerate(shots):
+            hi = i + 1
+            while (hi < n and times[hi] - times[hi - 1] <= stream_break_s
+                   and times[hi] - times[i] <= max_window_s):
+                hi += 1
+            assert ev.sample_times.tobytes() == times[i:hi].tobytes()
+            gap = float(np.max(np.diff(times[i:hi]))) if hi - i >= 2 else 0.0
+            assert ev.max_gap_s == gap
 
     def test_release_out_of_range_rejected(self, tmp_path):
         p = tmp_path / "t.jsonl"
