@@ -11,65 +11,9 @@ Subpackages by pipeline stage:
   sim         synthetic season generator with a rim-geometry oracle
   evaluate    variance ratios, profiles, subsample MSE, rank stability
   cli         command-line pipeline (``shotarc <subcommand>``)
+
+Import names from the stage modules; importing the package itself loads
+none of them.
 """
 
-from .core import (
-    BALL_RADIUS_FT,
-    CourtGeometry,
-    DEFAULT_GEOMETRY,
-    RIM_HEIGHT_FT,
-    RIM_RADIUS_FT,
-    ShotFactors,
-    feet_to_inches,
-    from_local_frame,
-    inches_to_feet,
-    to_local_frame,
-)
-from .factors import ShotPath, compute_shot_factors, fit_path_line, rim_plane_crossing
-from .makeprob import MakeProbModel, predict, probability_surface, train
-from .sim import SimConfig, physical_make_oracle, sample_trajectory, simulate_season, write_season
-from .trajectory import (
-    FilterThresholds,
-    FittedTrajectory,
-    PriorConfig,
-    fit_trajectory,
-    filter_shots,
-    make_pseudo_data,
-    trajectory_rmse,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "BALL_RADIUS_FT",
-    "CourtGeometry",
-    "DEFAULT_GEOMETRY",
-    "FilterThresholds",
-    "FittedTrajectory",
-    "MakeProbModel",
-    "PriorConfig",
-    "RIM_HEIGHT_FT",
-    "RIM_RADIUS_FT",
-    "ShotFactors",
-    "ShotPath",
-    "SimConfig",
-    "__version__",
-    "compute_shot_factors",
-    "feet_to_inches",
-    "fit_path_line",
-    "fit_trajectory",
-    "filter_shots",
-    "from_local_frame",
-    "inches_to_feet",
-    "make_pseudo_data",
-    "physical_make_oracle",
-    "predict",
-    "probability_surface",
-    "rim_plane_crossing",
-    "sample_trajectory",
-    "simulate_season",
-    "to_local_frame",
-    "train",
-    "trajectory_rmse",
-    "write_season",
-]

@@ -174,11 +174,12 @@ def sim_config_from_dict(doc: dict) -> SimConfig:
             raise ConfigError("pressure must be an object of pressure-model fields")
         _reject_unknown_keys(kwargs["pressure"],
                              [f.name for f in dataclasses.fields(PressureModel)], "pressure config")
-        kwargs["pressure"] = PressureModel(**kwargs["pressure"])
-    for tuple_key in ("release_distance_range_ft", "release_azimuth_range_deg", "ndd_range_ft"):
-        if tuple_key in kwargs:
-            kwargs[tuple_key] = tuple(kwargs[tuple_key])
     try:
+        if "pressure" in kwargs:
+            kwargs["pressure"] = PressureModel(**kwargs["pressure"])
+        for tuple_key in ("release_distance_range_ft", "release_azimuth_range_deg", "ndd_range_ft"):
+            if tuple_key in kwargs:
+                kwargs[tuple_key] = tuple(kwargs[tuple_key])
         return SimConfig(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid simulate config: {exc}") from exc

@@ -1,11 +1,20 @@
 """Synthetic season generator with a deterministic rim-geometry make oracle.
 
-Seasons are generated shot by shot: a shooter's intended rim-plane crossing
-(depth, left-right, entry angle) is drawn from their skill distribution,
-perturbed by defender pressure as a function of nearest-defender distance
-(NDD), realized as a drag-free parabola sampled at 25 Hz with isotropic
-tracking noise, and scored by rim geometry.  Everything downstream of the
-master seed is deterministic, including the emitted text files.
+A shooter's intended rim-plane crossing (depth, left-right, entry angle) is
+drawn from their skill distribution, perturbed by defender pressure as a
+function of nearest-defender distance (NDD), realized as a drag-free
+parabola sampled at 25 Hz with isotropic tracking noise, and scored by rim
+geometry.  Everything downstream of the master seed is deterministic,
+including the emitted text files.
+
+Each game is generated in two phases.  The draw loop makes the random
+draws of its shots in a fixed order, with the plain-float geometry that
+later draws depend on (the parabola solve sets each shot's sample count).
+The array phase then builds the game's sample points, noise, corruption,
+court-frame maps, player positions and times an array at a time.  Both
+phases use correctly rounded operations and the same library calls on the
+same values as :func:`sample_trajectory`, so a season's bits do not
+depend on how the work is split.
 
 Outcome rule.  The clean-entry oracle scores a make when the crossing
 point clears both front and back rim:
@@ -29,7 +38,7 @@ inflation, and an entry-angle rise that grows with defender height.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +48,7 @@ from .core import (
     DEFAULT_GEOMETRY,
     GameId,
     PlayerId,
-    expit,
+    _expit_scalar,
     from_local_frame,
 )
 from .ingest import EventRecord, GameTracking, RosterRecord
@@ -80,17 +89,46 @@ class SampledTrajectory:
     s_cross_ft: float           # path coordinate of the crossing
 
 
-def _path_through(release_xy: np.ndarray, lr_ft: float, geometry: CourtGeometry) -> np.ndarray:
-    """Horizontal unit direction from release whose line misses rim center by lr."""
-    rim = np.asarray(geometry.rim_center[:2])
-    offset = rim - release_xy
-    dist = float(np.hypot(*offset))
+def _solve_arc(x: float, y: float, height: float, depth_ft: float, lr_ft: float,
+               angle_deg: float, frame_rate_hz: float, geometry: CourtGeometry) -> tuple:
+    """The vertical-plane quadratic pinned by release, rim-height crossing and entry angle.
+
+    Returns ``(dx, dy, c1, c2, v_h, flight_time_s, n_flight, s_cross_ft)``: at
+    path coordinate ``s = v_h * t`` the ball is at ``(x, y) + s * (dx, dy)``,
+    height ``height + c1 * s + c2 * s * s``.
+    """
+    rim_x, rim_y, rim_z = geometry.rim_center
+    ox, oy = rim_x - x, rim_y - y
+    dist = float(np.hypot(ox, oy))
     if abs(lr_ft) >= dist:
         raise UnreachableTargetError("left-right offset exceeds release distance")
-    u = offset / dist
+    ux, uy = ox / dist, oy / dist
     phi = -math.asin(lr_ft / dist)
     c, s = math.cos(phi), math.sin(phi)
-    return np.array([c * u[0] - s * u[1], s * u[0] + c * u[1]])
+    dx, dy = c * ux - s * uy, s * ux + c * uy
+    # numpy's 1-d dot goes to BLAS, which may fuse the multiply-add: kept so
+    # that seasons keep their bits
+    s_center = float(np.array((ox, oy)) @ np.array((dx, dy)))
+    s_cross = s_center + depth_ft - geometry.rim_radius_ft
+    if s_cross <= 0:
+        raise UnreachableTargetError("crossing lies behind the release point")
+
+    tan_a = math.tan(math.radians(angle_deg))
+    c2 = -((rim_z - height) + tan_a * s_cross) / s_cross**2
+    c1 = -tan_a - 2.0 * c2 * s_cross
+    if c2 >= 0.0 or c1 <= 0.0:
+        raise UnreachableTargetError("no ascending-release parabola reaches the target")
+
+    v_h = math.sqrt(GRAVITY_FT_S2 / (-2.0 * c2))
+    flight_time = s_cross / v_h
+    return dx, dy, c1, c2, v_h, flight_time, int(round(flight_time * frame_rate_hz)), s_cross
+
+
+def _arc_points(t, x, y, height, dx, dy, c1, c2, v_h) -> np.ndarray:
+    """(n, 3) local-frame points at times ``t``; every other argument is a
+    scalar or an array aligned with ``t``."""
+    s = v_h * t
+    return np.column_stack((x + s * dx, y + s * dy, height + c1 * s + c2 * s * s))
 
 
 def sample_trajectory(
@@ -112,37 +150,19 @@ def sample_trajectory(
     continuation samples past the crossing so rim-plane cutting is
     exercised downstream.
     """
-    release_xy = np.asarray(release.xy, dtype=float)
-    d = _path_through(release_xy, target.lr_ft, geometry)
-    rim = np.asarray(geometry.rim_center[:2])
-    s_center = float((rim - release_xy) @ d)
-    s_cross = s_center + target.depth_ft - geometry.rim_radius_ft
-    if s_cross <= 0:
-        raise UnreachableTargetError("crossing lies behind the release point")
-
-    rim_z = geometry.rim_center[2]
-    tan_a = math.tan(math.radians(target.entry_angle_deg))
-    c2 = -((rim_z - release.height_ft) + tan_a * s_cross) / s_cross**2
-    c1 = -tan_a - 2.0 * c2 * s_cross
-    if c2 >= 0.0 or c1 <= 0.0:
-        raise UnreachableTargetError("no ascending-release parabola reaches the target")
-
-    v_h = math.sqrt(GRAVITY_FT_S2 / (-2.0 * c2))
-    flight_time = s_cross / v_h
-    n_flight = int(round(flight_time * frame_rate_hz))
-    n_total = n_flight + extra_frames
-    t = np.arange(n_total) / frame_rate_hz
-    s = v_h * t
-    xy = release_xy[None, :] + s[:, None] * d[None, :]
-    z = release.height_ft + c1 * s + c2 * s * s
-    pts = np.column_stack([xy, z])
+    x, y = (float(v) for v in release.xy)
+    dx, dy, c1, c2, v_h, flight_time, n_flight, s_cross = _solve_arc(
+        x, y, release.height_ft, target.depth_ft, target.lr_ft, target.entry_angle_deg,
+        frame_rate_hz, geometry)
+    t = np.arange(n_flight + extra_frames) / frame_rate_hz
+    pts = _arc_points(t, x, y, release.height_ft, dx, dy, c1, c2, v_h)
     if noise_sigma_ft > 0.0:
         pts = pts + rng.normal(0.0, noise_sigma_ft, pts.shape)
     return SampledTrajectory(
         points=pts,
         n_flight=n_flight,
         flight_time_s=flight_time,
-        direction=d,
+        direction=np.array((dx, dy)),
         s_cross_ft=s_cross,
     )
 
@@ -237,8 +257,21 @@ class PressureModel:
     angle_rise_deg: float = 1.1             # mean entry-angle rise at full contest
     angle_height_coef: float = 0.22         # extra degrees per inch of defender height above mean
 
-    def intensity(self, ndd_ft: np.ndarray | float) -> np.ndarray | float:
-        return expit((self.ramp_midpoint_ft - np.asarray(ndd_ft, dtype=float)) / self.ramp_width_ft)
+    def __post_init__(self) -> None:
+        _require_finite(self)
+        if not self.ramp_width_ft > 0:
+            raise ValueError("pressure ramp_width_ft must be positive")
+        if self.depth_var_inflation < 1 or self.lr_var_inflation < 1:
+            raise ValueError("variance inflation factors must be >= 1")
+
+    def intensity(self, ndd_ft: float) -> float:
+        return _expit_scalar((self.ramp_midpoint_ft - ndd_ft) / self.ramp_width_ft)
+
+
+def _require_finite(config) -> None:
+    for f in fields(config):
+        if f.type == "float" and not math.isfinite(getattr(config, f.name)):
+            raise ValueError(f"{f.name} must be finite, not {getattr(config, f.name)!r}")
 
 
 @dataclass(frozen=True)
@@ -294,16 +327,29 @@ class SimConfig:
         for name in ("n_games", "shots_per_game", "n_shooters", "n_defenders"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        for name in ("n_shooters", "n_defenders"):
+            if getattr(self, name) < 5:
+                raise ValueError(f"{name} must be at least 5, one side of a lineup")
+        if self.extra_frames_past_rim < 0:
+            raise ValueError("extra_frames_past_rim must be non-negative")
+        _require_finite(self)
+        for name in ("release_distance_range_ft", "release_azimuth_range_deg", "ndd_range_ft"):
+            bounds = getattr(self, name)
+            if (len(bounds) != 2 or not all(math.isfinite(b) for b in bounds)
+                    or bounds[0] > bounds[1]):
+                raise ValueError(f"{name} must be two finite numbers lo <= hi, not {bounds!r}")
+        for f in fields(self):
+            if ("_sd" in f.name or f.name in ("release_height_jitter_ft", "tracking_noise_ft")
+                    ) and getattr(self, f.name) < 0:
+                raise ValueError(f"{f.name} must be non-negative")
+        if not (self.ndd_gamma_shape > 0 and self.ndd_gamma_scale > 0):
+            raise ValueError("ndd_gamma_shape and ndd_gamma_scale must be positive")
         if not (0 <= self.outcome_flip_prob < 0.5):
             raise ValueError("outcome_flip_prob must lie in [0, 0.5)")
         if not (0 <= self.corrupt_fraction <= 1):
             raise ValueError("corrupt_fraction must lie in [0, 1]")
-        if self.pressure.depth_var_inflation < 1 or self.pressure.lr_var_inflation < 1:
-            raise ValueError("variance inflation factors must be >= 1")
         if abs(self.depth_angle_corr) >= 1:
             raise ValueError("depth_angle_corr must lie in (-1, 1)")
-        if self.tracking_noise_ft < 0:
-            raise ValueError("tracking noise must be non-negative")
 
     @property
     def n_shots(self) -> int:
@@ -404,11 +450,9 @@ class SeasonData:
 # fixed off-ball formation (local frame): teammates near midcourt, opponents deeper
 _TEAMMATE_SPOTS = np.array([[30.0, -15.0], [32.0, -5.0], [34.0, 5.0], [30.0, 15.0]])
 _OPPONENT_SPOTS = np.array([[44.0, -12.0], [46.0, -4.0], [48.0, 4.0], [44.0, 12.0]])
-
-
-def _rotate(v: np.ndarray, angle_rad: float) -> np.ndarray:
-    c, s = math.cos(angle_rad), math.sin(angle_rad)
-    return np.array([c * v[0] - s * v[1], s * v[0] + c * v[1]])
+# _SPOT_OF[k][j]: the formation spot of lineup slot j when slot k is the shot's
+# shooter (or defender); the entry for slot k itself is a placeholder
+_SPOT_OF = np.array([np.insert(np.arange(4), k, 0) for k in range(5)])
 
 
 def simulate_season(config: SimConfig) -> SeasonData:
@@ -423,137 +467,20 @@ def simulate_season(config: SimConfig) -> SeasonData:
     s_weights = s_weights / s_weights.sum()
     d_weights = np.array([d.participation for d in defenders])
     d_weights = d_weights / d_weights.sum()
-
-    game_seeds = season_ss.spawn(config.n_games)
-    games: list[SimGame] = []
-    truth: list[GroundTruthShot] = []
-    shot_counter = 0
     mean_def_height = float(np.mean([d.height_in for d in defenders]))
 
-    for g in range(config.n_games):
-        rng = np.random.default_rng(game_seeds[g])
-        game_id = f"G{g:04d}"
-        hoop_end = "left" if g % 2 == 0 else "right"
-        lineup_s = rng.choice(len(shooters), size=min(5, len(shooters)), replace=False, p=s_weights)
-        lineup_d = rng.choice(len(defenders), size=min(5, len(defenders)), replace=False, p=d_weights)
-        on_court_s = [shooters[i] for i in lineup_s]
-        on_court_d = [defenders[i] for i in lineup_d]
-        ids = tuple([s.player_id for s in on_court_s] + [d.player_id for d in on_court_d])
-        teams = tuple(["A"] * len(on_court_s) + ["B"] * len(on_court_d))
-
-        shots: list[SimShot] = []
-        frame_cursor = 0
-        for k in range(config.shots_per_game):
-            si = int(rng.integers(len(on_court_s)))
-            di = int(rng.integers(len(on_court_d)))
-            shooter = on_court_s[si]
-            defender = on_court_d[di]
-
-            # release geometry (local frame)
-            dist = rng.uniform(*config.release_distance_range_ft)
-            azim = math.radians(rng.uniform(*config.release_azimuth_range_deg))
-            release_xy = np.array([dist * math.cos(azim), dist * math.sin(azim)])
-            height = config.release_height_ft
-            if config.release_height_jitter_ft > 0:
-                height += rng.normal(0.0, config.release_height_jitter_ft)
-
-            # defender context
-            ndd = float(np.clip(
-                rng.gamma(config.ndd_gamma_shape, config.ndd_gamma_scale), *config.ndd_range_ft))
-            contest = float(config.pressure.intensity(ndd)) * defender.pressure_scale
-
-            # pressured aim distribution
-            mean = shooter.aim_mean.copy()
-            mean[0] += config.pressure.depth_shift_ft * contest * shooter.resilience
-            mean[2] += (config.pressure.angle_rise_deg
-                        + config.pressure.angle_height_coef * (defender.height_in - mean_def_height)
-                        ) * contest
-            scale = np.array([
-                math.sqrt(1.0 + (config.pressure.depth_var_inflation - 1.0) * contest),
-                math.sqrt(1.0 + (config.pressure.lr_var_inflation - 1.0) * contest),
-                1.0,
-            ])
-            cov = shooter.aim_cov * np.outer(scale, scale)
-            draw = rng.multivariate_normal(mean, cov, method="cholesky")
-            depth = float(np.clip(draw[0], -0.9, 2.6))
-            lr = float(np.clip(draw[1], -2.5, 2.5))
-            angle = float(np.clip(draw[2], 33.0, 64.0))
-
-            made = make_with_back_rim_capture(depth, lr, angle, config.back_rim_capture_ft)
-            if config.outcome_flip_prob > 0.0 and rng.random() < config.outcome_flip_prob:
-                made = not made
-
-            traj = sample_trajectory(
-                ReleaseState((float(release_xy[0]), float(release_xy[1])), height),
-                TargetCrossing(depth, lr, angle),
-                rng,
-                noise_sigma_ft=config.tracking_noise_ft,
-                extra_frames=config.extra_frames_past_rim,
-            )
-            pts = traj.points
-            corrupted = False
-            if config.corrupt_fraction > 0.0 and rng.random() < config.corrupt_fraction:
-                corrupted = True
-                if rng.random() < 0.5:
-                    pts = pts.copy()
-                    pts[:, 2] += rng.normal(0.0, 1.2, len(pts))
-                else:
-                    pts = pts[: max(3, len(pts) // 8)]
-
-            # defender placement at the release frame; positive contest angle
-            # puts the defender on the shooter's right
-            to_rim = -release_xy / np.linalg.norm(release_xy)
-            chi = math.radians(rng.normal(0.0, config.contest_angle_sd_deg))
-            defender_xy = release_xy + ndd * _rotate(to_rim, -chi)
-
-            player_local = np.empty((10, 2))
-            t_spots = iter(_TEAMMATE_SPOTS)
-            o_spots = iter(_OPPONENT_SPOTS)
-            for j in range(len(on_court_s)):
-                player_local[j] = release_xy if j == si else next(t_spots)
-            for j in range(len(on_court_d)):
-                player_local[5 + j] = defender_xy if j == di else next(o_spots)
-            player_court = np.array([
-                from_local_frame((p[0], p[1], 0.0), hoop_end)[:2] for p in player_local
-            ])
-            ball_court = np.array([from_local_frame(tuple(p), hoop_end) for p in pts])
-
-            t0 = k * 30.0
-            times = np.round(t0 + np.arange(len(pts)) / FRAME_RATE_HZ, 2)
-
-            shot_id = f"T{shot_counter:06d}"
-            shot_counter += 1
-            shots.append(SimShot(
-                shot_id=shot_id,
-                shooter_id=shooter.player_id,
-                release_frame=frame_cursor,
-                outcome=int(made),
-                ball_points=ball_court,
-                times_s=times,
-                player_xy=player_court,
-            ))
-            frame_cursor += len(pts)
-            truth.append(GroundTruthShot(
-                shot_id=shot_id,
-                game_id=game_id,
-                shooter_id=shooter.player_id,
-                defender_id=defender.player_id,
-                ndd_ft=ndd,
-                contest_intensity=contest,
-                true_depth_ft=depth,
-                true_lr_ft=lr,
-                true_angle_deg=angle,
-                outcome=int(made),
-                corrupted=corrupted,
-            ))
-
-        games.append(SimGame(
-            game_id=game_id,
-            hoop_end=hoop_end,
-            player_ids=ids,
-            player_teams=teams,
-            shots=tuple(shots),
-        ))
+    games: list[SimGame] = []
+    truth: list[GroundTruthShot] = []
+    for g, game_ss in enumerate(season_ss.spawn(config.n_games)):
+        rng = np.random.default_rng(game_ss)
+        lineup_s = rng.choice(len(shooters), size=5, replace=False, p=s_weights)
+        lineup_d = rng.choice(len(defenders), size=5, replace=False, p=d_weights)
+        game, game_truth = _simulate_game(
+            config, rng, f"G{g:04d}", "left" if g % 2 == 0 else "right",
+            [shooters[i] for i in lineup_s], [defenders[i] for i in lineup_d],
+            mean_def_height, len(truth))
+        games.append(game)
+        truth.extend(game_truth)
 
     return SeasonData(
         config=config,
@@ -562,6 +489,127 @@ def simulate_season(config: SimConfig) -> SeasonData:
         games=games,
         ground_truth=truth,
     )
+
+
+def _simulate_game(config: SimConfig, rng: np.random.Generator, game_id: GameId, hoop_end: str,
+                   on_court_s: list[ShooterSkill], on_court_d: list[DefenderTrait],
+                   mean_def_height: float, first_shot: int,
+                   ) -> tuple[SimGame, list[GroundTruthShot]]:
+    """One game's shots: the draw loop, then the array phase."""
+    pressure = config.pressure
+    ndd_lo, ndd_hi = (float(b) for b in config.ndd_range_ft)
+    truth: list[GroundTruthShot] = []
+    arcs = []           # per shot: release x, y, height, then _solve_arc's dx, dy, c1, c2, v_h
+    kept = []           # samples per shot after corruption
+    noise = []          # tracking noise per shot, before truncation
+    bumps = []          # z corruption of each bumped shot
+    bumped = []
+    slots = []          # lineup slots of the shooter and the defender
+    defender_xy = []
+    for k in range(config.shots_per_game):
+        si = int(rng.integers(len(on_court_s)))
+        di = int(rng.integers(len(on_court_d)))
+        shooter = on_court_s[si]
+        defender = on_court_d[di]
+
+        # release geometry (local frame)
+        dist = rng.uniform(*config.release_distance_range_ft)
+        azim = math.radians(rng.uniform(*config.release_azimuth_range_deg))
+        x, y = dist * math.cos(azim), dist * math.sin(azim)
+        height = config.release_height_ft
+        if config.release_height_jitter_ft > 0:
+            height += rng.normal(0.0, config.release_height_jitter_ft)
+
+        # defender context
+        ndd = min(max(rng.gamma(config.ndd_gamma_shape, config.ndd_gamma_scale), ndd_lo), ndd_hi)
+        contest = pressure.intensity(ndd) * defender.pressure_scale
+
+        # pressured aim distribution
+        m_depth, m_lr, m_angle = shooter.aim_mean.tolist()
+        mean = np.array((
+            m_depth + pressure.depth_shift_ft * contest * shooter.resilience,
+            m_lr,
+            m_angle + (pressure.angle_rise_deg
+                       + pressure.angle_height_coef * (defender.height_in - mean_def_height)
+                       ) * contest,
+        ))
+        scale = np.array((
+            math.sqrt(1.0 + (pressure.depth_var_inflation - 1.0) * contest),
+            math.sqrt(1.0 + (pressure.lr_var_inflation - 1.0) * contest),
+            1.0,
+        ))
+        draw = rng.multivariate_normal(mean, shooter.aim_cov * np.outer(scale, scale),
+                                       method="cholesky")
+        depth, lr, angle = draw.tolist()
+        depth = min(max(depth, -0.9), 2.6)
+        lr = min(max(lr, -2.5), 2.5)
+        angle = min(max(angle, 33.0), 64.0)
+
+        made = make_with_back_rim_capture(depth, lr, angle, config.back_rim_capture_ft)
+        if config.outcome_flip_prob > 0.0 and rng.random() < config.outcome_flip_prob:
+            made = not made
+
+        dx, dy, c1, c2, v_h, _, n_flight, _ = _solve_arc(
+            x, y, height, depth, lr, angle, FRAME_RATE_HZ, DEFAULT_GEOMETRY)
+        arcs.append((x, y, height, dx, dy, c1, c2, v_h))
+        n = n_flight + config.extra_frames_past_rim
+        if config.tracking_noise_ft > 0.0:
+            noise.append(rng.normal(0.0, config.tracking_noise_ft, (n, 3)))
+        # a corrupted shot gets z noise on every sample or, as often, a cut window
+        corrupted = config.corrupt_fraction > 0.0 and rng.random() < config.corrupt_fraction
+        bumped.append(corrupted and rng.random() < 0.5)
+        if bumped[-1]:
+            bumps.append(rng.normal(0.0, 1.2, n))
+        elif corrupted:
+            n = min(n, max(3, n // 8))
+        kept.append(n)
+
+        # defender placement at the release frame; positive contest angle
+        # puts the defender on the shooter's right
+        norm = float(np.linalg.norm(np.array((x, y))))
+        chi = math.radians(rng.normal(0.0, config.contest_angle_sd_deg))
+        c, s = math.cos(-chi), math.sin(-chi)
+        to_x, to_y = -x / norm, -y / norm
+        defender_xy.append((x + ndd * (c * to_x - s * to_y), y + ndd * (s * to_x + c * to_y)))
+        slots.append((si, di))
+
+        truth.append(GroundTruthShot(
+            f"T{first_shot + k:06d}", game_id, shooter.player_id, defender.player_id,
+            ndd, contest, depth, lr, angle, int(made), corrupted))
+
+    # array phase: every sample of the game at once
+    counts = np.array(kept)
+    starts = np.cumsum(counts) - counts
+    t = (np.arange(counts.sum()) - np.repeat(starts, counts)) / FRAME_RATE_HZ
+    arcs = np.array(arcs)
+    pts = _arc_points(t, *np.repeat(arcs, counts, axis=0).T)
+    if noise:
+        pts += np.concatenate([w[:n] for w, n in zip(noise, kept)])
+    if bumps:
+        pts[np.repeat(bumped, counts), 2] += np.concatenate(bumps)
+    ball = np.column_stack(from_local_frame(pts.T, hoop_end))
+    times = np.round(np.repeat(np.arange(len(kept)) * 30.0, counts) + t, 2)
+
+    rows = np.arange(len(kept))
+    si, di = np.array(slots).T
+    local = np.concatenate((_TEAMMATE_SPOTS[_SPOT_OF[si]], _OPPONENT_SPOTS[_SPOT_OF[di]]), axis=1)
+    local[rows, si] = arcs[:, :2]
+    local[rows, 5 + di] = defender_xy
+    px, py, _ = from_local_frame((local[..., 0], local[..., 1], 0.0), hoop_end)
+    player_xy = np.stack((px, py), axis=-1)
+
+    shots = tuple(
+        SimShot(r.shot_id, r.shooter_id, a, r.outcome, ball[a:b], times[a:b], player_xy[k])
+        for k, (r, a, b) in enumerate(zip(truth, starts.tolist(), (starts + counts).tolist()))
+    )
+    game = SimGame(
+        game_id=game_id,
+        hoop_end=hoop_end,
+        player_ids=tuple(p.player_id for p in on_court_s + on_court_d),
+        player_teams=("A",) * 5 + ("B",) * 5,
+        shots=shots,
+    )
+    return game, truth
 
 
 # --- file emission ---------------------------------------------------------------

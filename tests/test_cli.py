@@ -76,6 +76,27 @@ class TestExitCodes:
         assert f"{key} must be positive" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("doc, message", [
+        ('{"ndd_range_ft": [5, 1]}', "ndd_range_ft must be two finite numbers lo <= hi"),
+        ('{"ndd_range_ft": [1]}', "ndd_range_ft must be two finite numbers lo <= hi"),
+        ('{"ndd_range_ft": 5}', "invalid simulate config"),
+        ('{"tracking_noise_ft": NaN}', "tracking_noise_ft must be finite"),
+        ('{"release_height_jitter_ft": NaN}', "release_height_jitter_ft must be finite"),
+        ('{"ndd_gamma_shape": -1}', "ndd_gamma_shape and ndd_gamma_scale must be positive"),
+        ('{"contest_angle_sd_deg": -1}', "contest_angle_sd_deg must be non-negative"),
+        ('{"n_shooters": 3}', "n_shooters must be at least 5"),
+        ('{"pressure": {"ramp_width_ft": -0.2}}', "ramp_width_ft must be positive"),
+        ('{"pressure": {"ramp_width_ft": 0}}', "ramp_width_ft must be positive"),
+        ('{"pressure": {"depth_var_inflation": 0.5}}', "variance inflation factors must be >= 1"),
+    ])
+    def test_bad_sim_value_exits_2_and_writes_nothing(self, workdir, doc, message, capsys):
+        bad = workdir / "bad_value.json"
+        bad.write_text(doc)
+        out = workdir / "bad_value"
+        assert main(["simulate", "--config", str(bad), "--out-dir", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag, value", [
         ("--max-rmse", "nan"), ("--max-rmse", "0"), ("--max-rmse", "-1"),
         ("--max-gap", "nan"), ("--max-gap", "0"), ("--min-samples", "1"), ("--min-samples", "-3"),

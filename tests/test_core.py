@@ -153,10 +153,21 @@ class TestExpit:
         assert np.array_equal(_bits(got), _bits(scipy.special.expit(x)))
 
 
-def test_runtime_modules_do_not_import_scipy():
-    code = ("import sys, shotarc.cli, shotarc.sim, shotarc.makeprob; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+def _loaded_packages(imports: str, package: str) -> str:
+    """The sorted ``package`` modules a fresh interpreter holds after ``imports``."""
+    code = (f"import sys, {imports}; "
+            f"print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))")
     env = {**os.environ, "PYTHONPATH": str(Path(shotarc.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=env)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_runtime_modules_do_not_import_scipy():
+    assert _loaded_packages("shotarc.cli, shotarc.sim, shotarc.makeprob", "scipy") == "[]"
+
+
+def test_ingest_loads_only_core():
+    # tracking workers import shotarc.ingest; the package itself imports no stage
+    assert _loaded_packages("shotarc.ingest", "shotarc") == str(
+        ["shotarc", "shotarc.core", "shotarc.ingest"])

@@ -7,15 +7,24 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from shotarc.core import DEFAULT_GEOMETRY, expit, from_local_frame
 from shotarc.factors import compute_shot_factors, fit_path_line
 from shotarc.ingest import load_events, load_roster, load_tracking
 from shotarc.sim import (
+    FRAME_RATE_HZ,
+    GroundTruthShot,
     PressureModel,
     ReleaseState,
+    SampledTrajectory,
+    SeasonData,
     SimConfig,
+    SimGame,
+    SimShot,
     TargetCrossing,
     UnreachableTargetError,
     clean_entry_radius_ft,
+    make_defender_pool,
+    make_shooter_pool,
     make_with_back_rim_capture,
     physical_make_oracle,
     sample_trajectory,
@@ -24,6 +33,173 @@ from shotarc.sim import (
     write_season,
 )
 from shotarc.trajectory import fit_trajectory
+
+
+# --- the shot-at-a-time season generator, kept as the reference ----------------------
+
+def _oracle_path_through(release_xy, lr_ft, geometry):
+    rim = np.asarray(geometry.rim_center[:2])
+    offset = rim - release_xy
+    dist = float(np.hypot(*offset))
+    if abs(lr_ft) >= dist:
+        raise UnreachableTargetError("left-right offset exceeds release distance")
+    u = offset / dist
+    phi = -math.asin(lr_ft / dist)
+    c, s = math.cos(phi), math.sin(phi)
+    return np.array([c * u[0] - s * u[1], s * u[0] + c * u[1]])
+
+
+def oracle_sample_trajectory(release, target, rng, noise_sigma_ft=0.0,
+                             frame_rate_hz=FRAME_RATE_HZ, geometry=DEFAULT_GEOMETRY,
+                             extra_frames=0):
+    """One shot's parabola, solved and sampled with numpy arrays throughout."""
+    release_xy = np.asarray(release.xy, dtype=float)
+    d = _oracle_path_through(release_xy, target.lr_ft, geometry)
+    rim = np.asarray(geometry.rim_center[:2])
+    s_center = float((rim - release_xy) @ d)
+    s_cross = s_center + target.depth_ft - geometry.rim_radius_ft
+    if s_cross <= 0:
+        raise UnreachableTargetError("crossing lies behind the release point")
+    rim_z = geometry.rim_center[2]
+    tan_a = math.tan(math.radians(target.entry_angle_deg))
+    c2 = -((rim_z - release.height_ft) + tan_a * s_cross) / s_cross**2
+    c1 = -tan_a - 2.0 * c2 * s_cross
+    if c2 >= 0.0 or c1 <= 0.0:
+        raise UnreachableTargetError("no ascending-release parabola reaches the target")
+    v_h = math.sqrt(32.174 / (-2.0 * c2))
+    flight_time = s_cross / v_h
+    n_flight = int(round(flight_time * frame_rate_hz))
+    t = np.arange(n_flight + extra_frames) / frame_rate_hz
+    s = v_h * t
+    xy = release_xy[None, :] + s[:, None] * d[None, :]
+    z = release.height_ft + c1 * s + c2 * s * s
+    pts = np.column_stack([xy, z])
+    if noise_sigma_ft > 0.0:
+        pts = pts + rng.normal(0.0, noise_sigma_ft, pts.shape)
+    return SampledTrajectory(points=pts, n_flight=n_flight, flight_time_s=flight_time,
+                             direction=d, s_cross_ft=s_cross)
+
+
+def _oracle_rotate(v, angle_rad):
+    c, s = math.cos(angle_rad), math.sin(angle_rad)
+    return np.array([c * v[0] - s * v[1], s * v[0] + c * v[1]])
+
+
+_TEAMMATE_SPOTS = np.array([[30.0, -15.0], [32.0, -5.0], [34.0, 5.0], [30.0, 15.0]])
+_OPPONENT_SPOTS = np.array([[44.0, -12.0], [46.0, -4.0], [48.0, 4.0], [44.0, 12.0]])
+
+
+def oracle_simulate_season(config):
+    """``simulate_season`` one shot at a time, each point and player mapped on its own."""
+    root = np.random.SeedSequence(config.seed)
+    pool_ss, season_ss = root.spawn(2)
+    pool_rng = np.random.default_rng(pool_ss)
+    shooters = make_shooter_pool(config, pool_rng)
+    defenders = make_defender_pool(config, pool_rng)
+    s_weights = np.array([s.participation for s in shooters])
+    s_weights = s_weights / s_weights.sum()
+    d_weights = np.array([d.participation for d in defenders])
+    d_weights = d_weights / d_weights.sum()
+    game_seeds = season_ss.spawn(config.n_games)
+    games, truth = [], []
+    shot_counter = 0
+    mean_def_height = float(np.mean([d.height_in for d in defenders]))
+    pressure = config.pressure
+    for g in range(config.n_games):
+        rng = np.random.default_rng(game_seeds[g])
+        game_id = f"G{g:04d}"
+        hoop_end = "left" if g % 2 == 0 else "right"
+        lineup_s = rng.choice(len(shooters), size=min(5, len(shooters)), replace=False, p=s_weights)
+        lineup_d = rng.choice(len(defenders), size=min(5, len(defenders)), replace=False,
+                              p=d_weights)
+        on_court_s = [shooters[i] for i in lineup_s]
+        on_court_d = [defenders[i] for i in lineup_d]
+        ids = tuple([s.player_id for s in on_court_s] + [d.player_id for d in on_court_d])
+        teams = tuple(["A"] * len(on_court_s) + ["B"] * len(on_court_d))
+        shots = []
+        frame_cursor = 0
+        for k in range(config.shots_per_game):
+            si = int(rng.integers(len(on_court_s)))
+            di = int(rng.integers(len(on_court_d)))
+            shooter = on_court_s[si]
+            defender = on_court_d[di]
+            dist = rng.uniform(*config.release_distance_range_ft)
+            azim = math.radians(rng.uniform(*config.release_azimuth_range_deg))
+            release_xy = np.array([dist * math.cos(azim), dist * math.sin(azim)])
+            height = config.release_height_ft
+            if config.release_height_jitter_ft > 0:
+                height += rng.normal(0.0, config.release_height_jitter_ft)
+            ndd = float(np.clip(
+                rng.gamma(config.ndd_gamma_shape, config.ndd_gamma_scale), *config.ndd_range_ft))
+            intensity = expit((pressure.ramp_midpoint_ft - np.asarray(ndd, dtype=float))
+                              / pressure.ramp_width_ft)
+            contest = float(intensity) * defender.pressure_scale
+            mean = shooter.aim_mean.copy()
+            mean[0] += pressure.depth_shift_ft * contest * shooter.resilience
+            mean[2] += (pressure.angle_rise_deg
+                        + pressure.angle_height_coef * (defender.height_in - mean_def_height)
+                        ) * contest
+            scale = np.array([
+                math.sqrt(1.0 + (pressure.depth_var_inflation - 1.0) * contest),
+                math.sqrt(1.0 + (pressure.lr_var_inflation - 1.0) * contest),
+                1.0,
+            ])
+            cov = shooter.aim_cov * np.outer(scale, scale)
+            draw = rng.multivariate_normal(mean, cov, method="cholesky")
+            depth = float(np.clip(draw[0], -0.9, 2.6))
+            lr = float(np.clip(draw[1], -2.5, 2.5))
+            angle = float(np.clip(draw[2], 33.0, 64.0))
+            made = make_with_back_rim_capture(depth, lr, angle, config.back_rim_capture_ft)
+            if config.outcome_flip_prob > 0.0 and rng.random() < config.outcome_flip_prob:
+                made = not made
+            traj = oracle_sample_trajectory(
+                ReleaseState((float(release_xy[0]), float(release_xy[1])), height),
+                TargetCrossing(depth, lr, angle), rng,
+                noise_sigma_ft=config.tracking_noise_ft, extra_frames=config.extra_frames_past_rim)
+            pts = traj.points
+            corrupted = False
+            if config.corrupt_fraction > 0.0 and rng.random() < config.corrupt_fraction:
+                corrupted = True
+                if rng.random() < 0.5:
+                    pts = pts.copy()
+                    pts[:, 2] += rng.normal(0.0, 1.2, len(pts))
+                else:
+                    pts = pts[: max(3, len(pts) // 8)]
+            to_rim = -release_xy / np.linalg.norm(release_xy)
+            chi = math.radians(rng.normal(0.0, config.contest_angle_sd_deg))
+            defender_xy = release_xy + ndd * _oracle_rotate(to_rim, -chi)
+            player_local = np.empty((10, 2))
+            t_spots = iter(_TEAMMATE_SPOTS)
+            o_spots = iter(_OPPONENT_SPOTS)
+            for j in range(len(on_court_s)):
+                player_local[j] = release_xy if j == si else next(t_spots)
+            for j in range(len(on_court_d)):
+                player_local[5 + j] = defender_xy if j == di else next(o_spots)
+            player_court = np.array([
+                from_local_frame((p[0], p[1], 0.0), hoop_end)[:2] for p in player_local
+            ])
+            ball_court = np.array([from_local_frame(tuple(p), hoop_end) for p in pts])
+            times = np.round(k * 30.0 + np.arange(len(pts)) / FRAME_RATE_HZ, 2)
+            shot_id = f"T{shot_counter:06d}"
+            shot_counter += 1
+            shots.append(SimShot(shot_id=shot_id, shooter_id=shooter.player_id,
+                                 release_frame=frame_cursor, outcome=int(made),
+                                 ball_points=ball_court, times_s=times, player_xy=player_court))
+            frame_cursor += len(pts)
+            truth.append(GroundTruthShot(
+                shot_id=shot_id, game_id=game_id, shooter_id=shooter.player_id,
+                defender_id=defender.player_id, ndd_ft=ndd, contest_intensity=contest,
+                true_depth_ft=depth, true_lr_ft=lr, true_angle_deg=angle, outcome=int(made),
+                corrupted=corrupted))
+        games.append(SimGame(game_id=game_id, hoop_end=hoop_end, player_ids=ids,
+                             player_teams=teams, shots=tuple(shots)))
+    return SeasonData(config=config, shooter_pool=shooters, defender_pool=defenders,
+                      games=games, ground_truth=truth)
+
+
+def _assert_same_bits(got, want, what):
+    assert got.dtype == want.dtype and got.shape == want.shape, what
+    assert got.tobytes() == want.tobytes(), what
 
 
 class TestSampleTrajectory:
@@ -184,10 +360,37 @@ class TestSeason:
         assert 0.9 <= ratio <= 1.1
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            SimConfig(outcome_flip_prob=0.7)
-        with pytest.raises(ValueError):
-            SimConfig(depth_angle_corr=1.2)
+        nan, inf = float("nan"), float("inf")
+        for bad in [
+            {"outcome_flip_prob": 0.7},
+            {"depth_angle_corr": 1.2},
+            {"depth_angle_corr": nan},
+            {"ndd_range_ft": (5.0, 1.0)},
+            {"ndd_range_ft": (1.0,)},
+            {"release_distance_range_ft": (22.5, inf)},
+            {"release_azimuth_range_deg": (55.0, -55.0)},
+            {"tracking_noise_ft": nan},
+            {"tracking_noise_ft": -0.1},
+            {"release_height_jitter_ft": nan},
+            {"release_height_jitter_ft": -0.1},
+            {"contest_angle_sd_deg": -1.0},
+            {"mean_depth_ft": inf},
+            {"ndd_gamma_shape": -1.0},
+            {"ndd_gamma_scale": 0.0},
+            {"n_shooters": 4},
+            {"n_defenders": 3},
+            {"extra_frames_past_rim": -1},
+        ]:
+            with pytest.raises(ValueError):
+                SimConfig(**bad)
+        for bad in [
+            {"ramp_width_ft": -0.2},
+            {"ramp_width_ft": 0.0},
+            {"ramp_midpoint_ft": nan},
+            {"depth_var_inflation": 0.9},
+        ]:
+            with pytest.raises(ValueError):
+                PressureModel(**bad)
 
     def test_outcome_matches_oracle_when_no_flip(self):
         cfg = SimConfig(n_games=2, shots_per_game=50, seed=9)
@@ -220,3 +423,60 @@ class TestSeasonTracking:
         want_roster = load_roster(paths["roster"])[0]
         assert roster == want_roster
         assert list(roster) == list(want_roster)
+
+
+class TestOracleSeason:
+    """The two-phase generator against the shot-at-a-time reference, bit for bit."""
+
+    @pytest.mark.parametrize("config", [
+        # both hoop ends, both corruption kinds, outcome flips and release-height jitter
+        SimConfig(seed=21, n_games=3, shots_per_game=40, corrupt_fraction=0.6,
+                  outcome_flip_prob=0.2, release_height_jitter_ft=0.3),
+        # no samples past the rim, no tracking noise, pools of exactly one lineup
+        SimConfig(seed=4, n_games=2, shots_per_game=30, extra_frames_past_rim=0,
+                  tracking_noise_ft=0.0, n_shooters=5, n_defenders=5, corrupt_fraction=0.3),
+        # integer-valued settings, as a JSON config gives them
+        SimConfig(seed=8, n_games=2, shots_per_game=25, release_height_ft=7,
+                  ndd_range_ft=(1, 9), release_distance_range_ft=(22, 27), back_rim_capture_ft=0),
+    ])
+    def test_bit_identical_to_oracle(self, config, tmp_path):
+        got, want = simulate_season(config), oracle_simulate_season(config)
+        assert {g.hoop_end for g in got.games} == {"left", "right"}
+        assert len(got.games) == len(want.games)
+        for g, w in zip(got.games, want.games):
+            assert (g.game_id, g.hoop_end, g.player_ids, g.player_teams) == (
+                w.game_id, w.hoop_end, w.player_ids, w.player_teams)
+            assert g.n_frames == w.n_frames
+            assert len(g.shots) == len(w.shots)
+            for a, b in zip(g.shots, w.shots):
+                assert (a.shot_id, a.shooter_id, a.release_frame, a.outcome) == (
+                    b.shot_id, b.shooter_id, b.release_frame, b.outcome)
+                for name in ("ball_points", "times_s", "player_xy"):
+                    _assert_same_bits(getattr(a, name), getattr(b, name), (a.shot_id, name))
+        assert [repr(r) for r in got.ground_truth] == [repr(r) for r in want.ground_truth]
+        kinds = {(r.corrupted, len(s.times_s) < 10)
+                 for r, s in zip(got.ground_truth, (s for g in got.games for s in g.shots))}
+        if config.corrupt_fraction:
+            assert {(True, True), (True, False), (False, False)} <= kinds
+        got_paths = write_season(got, tmp_path / "got")
+        want_paths = write_season(want, tmp_path / "want")
+        for key in got_paths:
+            assert got_paths[key].read_bytes() == want_paths[key].read_bytes(), key
+
+    def test_sample_trajectory_matches_oracle(self):
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            release = ReleaseState((rng.uniform(20, 28), rng.uniform(-12, 12)),
+                                   rng.uniform(6.5, 7.5))
+            target = TargetCrossing(rng.uniform(-0.5, 2.0), rng.uniform(-1.0, 1.0),
+                                    rng.uniform(33, 64))
+            seed = int(rng.integers(1 << 30))
+            extra = int(rng.integers(3))
+            got = sample_trajectory(release, target, np.random.default_rng(seed),
+                                    noise_sigma_ft=0.1, extra_frames=extra)
+            want = oracle_sample_trajectory(release, target, np.random.default_rng(seed),
+                                            noise_sigma_ft=0.1, extra_frames=extra)
+            _assert_same_bits(got.points, want.points, "points")
+            _assert_same_bits(got.direction, want.direction, "direction")
+            assert (got.n_flight, got.flight_time_s, got.s_cross_ft) == (
+                want.n_flight, want.flight_time_s, want.s_cross_ft)
