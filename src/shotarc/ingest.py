@@ -12,13 +12,14 @@ Malformed rows are counted under a reason and skipped, never fatal;
 structurally broken files (missing, unparseable, non-monotone timestamps)
 raise.  Bytes that are not UTF-8 are read as lone surrogates, so they fail
 the row they sit in rather than the whole load.  A tracking row is
-rejected as ``unparseable``, then ``wrong_player_count``, then
-``non_finite`` (a NaN or infinite time, ball coordinate or player x/y),
-then ``duplicate_timestamp``, so every loaded coordinate is finite.  A
-tracking, events or roster row whose game, player or shot id holds a
-carriage return or a surrogate is ``unparseable``.  An events row
-repeating an earlier shot id is rejected as ``duplicate_shot_id``; the
-first occurrence is kept.
+rejected as ``unparseable`` (it does not parse), then
+``wrong_player_count``, then ``non_finite`` (a NaN or infinite time, ball
+coordinate or player x/y), then ``unparseable`` (a bad id), then
+``duplicate_timestamp``, so every loaded coordinate is finite.  A
+tracking game id, player id or team is bad unless it is a JSON string,
+and an id in any file is bad if it holds a carriage return or a
+surrogate.  An events row repeating an earlier shot id is rejected as
+``duplicate_shot_id``; the first occurrence is kept.
 
 Tracking is read in two phases.  First the file is cut, just after
 newlines, into byte ranges: one per CPU this process may run on, at most
@@ -27,11 +28,11 @@ Each range is parsed by a worker process (one range is parsed in-process)
 that applies the checks needing nothing but the row itself and fills
 typed per-game column buffers.  Then the parent applies the per-game
 timestamp rules to all ranges at once: the last accepted time before a
-row is the running maximum of its game's earlier rows with good player
-ids, which makes the result the same wherever the cuts fall.  A game that
-lies in one range and loses no row keeps the worker's buffers as its
-``GameTracking`` arrays; shot extraction reads the release row and the
-ball window straight from those arrays.
+row is the running maximum of its game's earlier rows, which makes the
+result the same wherever the cuts fall.  A game that lies in one range
+and loses no row keeps the worker's buffers as its ``GameTracking``
+arrays; shot extraction reads the release row and the ball window
+straight from those arrays.
 
 Shot windows run from the tagged release frame to the first frame at or
 below rim height after the apex ("the ball reaches the rim plane"), or
@@ -118,7 +119,6 @@ class LoadReport:
 # two ranges loaded a 19 MB file no faster than one, and a 38 MB file 1.16x faster.
 MIN_RANGE_BYTES = 16 << 20
 MAX_WORKERS = 4
-_NO_CODES = (0,) * PLAYERS_PER_FRAME
 
 
 class _GamePart(NamedTuple):
@@ -129,14 +129,12 @@ class _GamePart(NamedTuple):
     ball: np.ndarray       # (n, 3)
     codes: np.ndarray      # (n, 10) int16 indices into ``pairs``
     xy: np.ndarray         # (n, 10, 2)
-    bad_id: np.ndarray     # (n,) bool: an unhashable player id, or one with a bad character
     pairs: list            # (player id, team) per code, in order of first appearance
 
 
 # dtype and trailing shape of each array column of a _GamePart, in field order
 _COLUMNS = ((np.int64, ()), (np.float64, ()), (np.float64, (3,)),
-            (np.int16, (PLAYERS_PER_FRAME,)), (np.float64, (PLAYERS_PER_FRAME, 2)),
-            (np.bool_, ()))
+            (np.int16, (PLAYERS_PER_FRAME,)), (np.float64, (PLAYERS_PER_FRAME, 2)))
 
 
 class _RangeParse(NamedTuple):
@@ -151,9 +149,8 @@ class _GameBuffers:
     Player codes index (player id, team) pairs, not ids: which appearance
     of an id comes first among the rows finally kept is only known once
     the timestamp rules have run, and that appearance fixes the id's team.
-    A pair of two strings is its own key; any other pair is keyed by its
-    ``repr``, so values that compare equal but differ (``1``, ``1.0``,
-    ``True``) keep codes of their own.
+    Only pairs of two good strings are interned, so a pair found in the
+    index needs no further check.
     """
 
     def __init__(self):
@@ -162,48 +159,41 @@ class _GameBuffers:
         self.ball = array("d")
         self.codes = array("h")
         self.xy = array("d")
-        self.bad_id = array("b")
-        self.pairs: list[tuple] = []
-        self._index: dict = {}
+        self.pairs: list[tuple[PlayerId, str]] = []
+        self._index: dict[tuple[PlayerId, str], int] = {}
 
-    def append(self, row: int, t: float, ball: tuple, pairs: list, xy: list) -> None:
+    def append(self, row: int, t: float, ball: tuple, pairs: list, xy: list) -> bool:
+        """Append the row; False, appending nothing, if a player id or team is bad."""
         try:
             codes = list(map(self._index.__getitem__, pairs))
         except (KeyError, TypeError):
             codes = self._intern(pairs)
+            if codes is None:
+                return False
         self.row.append(row)
         self.times.append(t)
         self.ball.extend(ball)
-        self.bad_id.append(codes is None)
-        self.codes.extend(_NO_CODES if codes is None else codes)
+        self.codes.extend(codes)
         self.xy.extend(xy)
+        return True
 
     def _intern(self, pairs: list) -> list[int] | None:
-        """Codes of the row's pairs, or None, interning nothing, if an id is bad."""
-        keys = []
-        for pid, team in pairs:
-            try:
-                hash(pid)
-            except TypeError:
-                return None
-            if _BAD_ID_CHAR.search(str(pid)):
-                return None
-            keys.append((pid, team) if type(pid) is str and type(team) is str
-                        else repr((pid, team)))
-        index, codes = self._index, []
-        for key, pair in zip(keys, pairs):
-            if key not in index:
-                index[key] = len(self.pairs)
+        """Codes of the row's pairs, or None, interning nothing, if an id or team is bad."""
+        if not all(map(_good_id, chain.from_iterable(pairs))):
+            return None
+        index = self._index
+        for pair in pairs:
+            if pair not in index:
+                index[pair] = len(self.pairs)
                 self.pairs.append(pair)
-            codes.append(index[key])
-        return codes
+        return [index[pair] for pair in pairs]
 
     def part(self) -> _GamePart:
         n = len(self.times)
         return _GamePart(*(
             np.frombuffer(buf, dtype=dtype).reshape(n, *shape)
             for buf, (dtype, shape) in zip(
-                (self.row, self.times, self.ball, self.codes, self.xy, self.bad_id), _COLUMNS)
+                (self.row, self.times, self.ball, self.codes, self.xy), _COLUMNS)
         ), pairs=self.pairs)
 
 
@@ -232,13 +222,18 @@ _PLAYER_ID_TEAM = itemgetter("id", "team")
 _PLAYER_XY = itemgetter("x", "y")
 
 
+def _good_id(value) -> bool:
+    """A tracking id or team must be a JSON string free of carriage returns and surrogates."""
+    return type(value) is str and not _BAD_ID_CHAR.search(value)
+
+
 def _parse_jsonl_row(line: str):
     """(game_id, t, ball, (player id, team) pairs, interleaved player x/y) of one JSON frame."""
     doc = json.loads(line)
     players = doc["players"]
     ball = doc["ball"]
     return (
-        str(doc["game_id"]),
+        doc["game_id"],
         float(doc["t"]),
         (float(ball[0]), float(ball[1]), float(ball[2])),
         list(map(_PLAYER_ID_TEAM, players)),
@@ -274,14 +269,17 @@ def _parse_range(path: Path, start: int, end: int) -> _RangeParse:
             if not (isfinite(t) and all(map(isfinite, ball)) and all(map(isfinite, xy))):
                 reasons["non_finite"] += 1
                 continue
-            game = games.get(game_id)
-            if game is None:
-                if _BAD_ID_CHAR.search(game_id):
+            try:
+                game = games[game_id]
+            except (KeyError, TypeError):   # a new game id, or one that is not a string
+                if not _good_id(game_id):
                     reasons["unparseable"] += 1
                     continue
                 game = games[game_id] = _GameBuffers()
-            game.append(row, t, ball, pairs, xy)
-    return _RangeParse(n_rows, dict(reasons), {gid: g.part() for gid, g in games.items()})
+            if not game.append(row, t, ball, pairs, xy):
+                reasons["unparseable"] += 1
+    return _RangeParse(n_rows, dict(reasons),
+                       {gid: g.part() for gid, g in games.items() if g.times})
 
 
 def _range_worker(conn: Connection, path: str, start: int, end: int) -> None:
@@ -442,12 +440,12 @@ def _apply_time_rules(
 ) -> tuple[dict[GameId, GameTracking], LoadReport]:
     """Join the ranges' game parts, in file order, under the per-game timestamp rules.
 
-    In a game, accepted times strictly increase, a duplicate never exceeds
-    the last accepted time and a bad-id row never moves it; so the last
-    accepted time before row i is the running maximum M_i of the game's
-    earlier good-id rows.  Row i aborts the load when t < M_i - tol, is a
-    ``duplicate_timestamp`` when t <= M_i, and else is ``unparseable`` if
-    it has a bad id.  The load raises at the first aborting row in file order.
+    In a game, accepted times strictly increase and a duplicate never
+    exceeds the last accepted time, so the last accepted time before row i
+    is the running maximum M_i of the game's earlier rows.  Row i aborts the
+    load when t < M_i - tol and is a ``duplicate_timestamp`` when t <= M_i.
+    The load raises at the first aborting row in file order.  A game's
+    first row is always kept, so games come in order of their first rows.
     """
     reasons: Counter[str] = Counter()
     by_game: dict[GameId, list[_GamePart]] = {}
@@ -461,10 +459,9 @@ def _apply_time_rules(
     abort = None
     for game_id, parts in by_game.items():
         times = np.concatenate([p.times for p in parts])
-        bad = np.concatenate([p.bad_id for p in parts])
         before = np.empty_like(times)
         before[0] = -np.inf
-        np.maximum.accumulate(np.where(bad, -np.inf, times)[:-1], out=before[1:])
+        np.maximum.accumulate(times[:-1], out=before[1:])
         backward = np.flatnonzero(times < before - monotone_tol)
         rows = np.concatenate([p.row for p in parts])
         if backward.size:
@@ -473,14 +470,10 @@ def _apply_time_rules(
                 abort = (rows[i], f"game {game_id}: timestamp {float(times[i])} "
                                   f"after {float(before[i])}")
             continue
-        duplicate = times <= before
-        keep = ~(duplicate | bad)
-        for reason, rejected in (("duplicate_timestamp", duplicate),
-                                 ("unparseable", bad & ~duplicate)):
-            if rejected.any():
-                reasons[reason] += int(rejected.sum())
-        if keep.any():
-            kept.append((int(rows[keep.argmax()]), game_id, keep))
+        keep = times > before
+        if not keep.all():
+            reasons["duplicate_timestamp"] += int(keep.size - keep.sum())
+        kept.append((int(rows[0]), game_id, keep))
     if abort is not None:
         raise NonMonotoneTimestampsError(abort[1])
 
@@ -502,12 +495,12 @@ def load_tracking(
     under the reason named and skipped: it fails to parse or holds a
     number too large for a float (``unparseable``), it carries other than
     ten players (``wrong_player_count``), its time, ball or any player
-    coordinate is NaN or infinite (``non_finite``), or it repeats its
-    game's last accepted timestamp (``duplicate_timestamp``).  A row with
-    a new game id, an unhashable player id, or a new one holding a carriage
-    return or a surrogate, is then counted as ``unparseable``.
-    A timestamp stepping backwards by more than ``monotone_tol`` within a
-    game aborts the load.
+    coordinate is NaN or infinite (``non_finite``), its ``game_id``, a
+    player ``id`` or a ``team`` is not a JSON string or holds a carriage
+    return or a surrogate (``unparseable``), or it repeats its game's last
+    accepted timestamp (``duplicate_timestamp``).  A row passing the checks
+    before that one, whose timestamp steps backwards by more than
+    ``monotone_tol`` within its game, aborts the load.
 
     A file of at least ``2 * MIN_RANGE_BYTES`` is parsed in up to
     ``MAX_WORKERS`` byte ranges, one worker process per range and no more

@@ -324,14 +324,18 @@ class SimConfig:
     extra_frames_past_rim: int = 2
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            if f.type == "int" and type(getattr(self, f.name)) is not int:   # a bool is no count
+                raise ValueError(f"{f.name} must be an integer, not {getattr(self, f.name)!r}")
         for name in ("n_games", "shots_per_game", "n_shooters", "n_defenders"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         for name in ("n_shooters", "n_defenders"):
             if getattr(self, name) < 5:
                 raise ValueError(f"{name} must be at least 5, one side of a lineup")
-        if self.extra_frames_past_rim < 0:
-            raise ValueError("extra_frames_past_rim must be non-negative")
+        for name in ("seed", "extra_frames_past_rim"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative")
         _require_finite(self)
         for name in ("release_distance_range_ft", "release_azimuth_range_deg", "ndd_range_ft"):
             bounds = getattr(self, name)

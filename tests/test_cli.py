@@ -85,6 +85,7 @@ class TestExitCodes:
         ('{"ndd_gamma_shape": -1}', "ndd_gamma_shape and ndd_gamma_scale must be positive"),
         ('{"contest_angle_sd_deg": -1}', "contest_angle_sd_deg must be non-negative"),
         ('{"n_shooters": 3}', "n_shooters must be at least 5"),
+        ('{"n_games": true}', "n_games must be an integer, not True"),
         ('{"pressure": {"ramp_width_ft": -0.2}}', "ramp_width_ft must be positive"),
         ('{"pressure": {"ramp_width_ft": 0}}', "ramp_width_ft must be positive"),
         ('{"pressure": {"depth_var_inflation": 0.5}}', "variance inflation factors must be >= 1"),
@@ -398,13 +399,19 @@ class TestShotAccounting:
         doc = json.loads(lines[-1])
         doc["players"][3]["x"] = float("nan")                         # non_finite
         lines[-1] = json.dumps(doc)
+        # defender D030 plays in G0002 and G0003: the number 7 in one G0002 row
+        # (unparseable) and the string "7" throughout G0003 must not be one player
+        g2_last = max(i for i, line in enumerate(lines) if '"G0002"' in line)
+        assert '"D030"' in lines[g2_last] and '"D030"' in lines[-1]
+        lines[g2_last] = lines[g2_last].replace('"D030"', "7")
+        lines = [line.replace('"D030"', '"7"') if '"G0003"' in line else line for line in lines]
         tracking.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
         assert _fit(season, tmp_path / "f") == 0
         doc = json.loads((tmp_path / "f" / "filter_report.json").read_text())
         load = doc["load"]
         assert load["events"]["reasons"] == {"duplicate_shot_id": 1, "unparseable": 1}
-        assert load["tracking"]["reasons"] == {"non_finite": 1}
+        assert load["tracking"]["reasons"] == {"non_finite": 1, "unparseable": 1}
         assert load["tracking"]["n_rows"] == len(lines)
         assert len(lines) == load["tracking"]["n_loaded"] + sum(
             load["tracking"]["reasons"].values())
@@ -422,6 +429,13 @@ class TestShotAccounting:
         for section in load.values():
             assert set(section) == {"n_rows", "n_loaded", "n_rejected", "reasons"}
             assert section["n_rejected"] == section["n_rows"] - section["n_loaded"]
+        ingest_ids = {pid for game in tracking.values() for pid in game.id_table}
+        assert all(type(pid) is str for pid in ingest_ids) and "D030" in ingest_ids
+        factor_rows = _csv_records(tmp_path / "f" / "factors.csv")
+        header = factor_rows[0]
+        ids = {row[header.index(column)] for row in factor_rows[1:]
+               for column in ("shooter_id", "defender_id")}
+        assert ids <= ingest_ids and "7" in ids
 
     def test_non_utf8_event_row_counted_unparseable(self, tmp_path):
         season = tmp_path / "s"

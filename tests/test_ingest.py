@@ -51,7 +51,7 @@ def _oracle_parse_row(line):
     players = doc["players"]
     ball = doc["ball"]
     return (
-        str(doc["game_id"]),
+        doc["game_id"],
         float(doc["t"]),
         (float(ball[0]), float(ball[1]), float(ball[2])),
         [p["id"] for p in players],
@@ -73,21 +73,16 @@ class _GameColumns:
         self.team_of = {}
         self._index = {}
 
-    def codes(self, ids, teams):
-        index = self._index
-        codes = [index.get(pid, -1) for pid in ids]
-        if -1 in codes:
-            if any(ingest._BAD_ID_CHAR.search(str(pid))
-                   for pid, code in zip(ids, codes) if code < 0):
-                raise ValueError("carriage return or surrogate in player id")
-            for k, (pid, team) in enumerate(zip(ids, teams)):
-                if codes[k] < 0:
-                    if pid not in index:
-                        index[pid] = len(self.id_table)
-                        self.id_table.append(pid)
-                        self.team_of[pid] = team
-                    codes[k] = index[pid]
-        return codes
+    def append(self, t, ball, ids, teams, xy):
+        for pid, team in zip(ids, teams):
+            if pid not in self._index:
+                self._index[pid] = len(self.id_table)
+                self.id_table.append(pid)
+                self.team_of[pid] = team
+        self.times.append(t)
+        self.ball.extend(ball)
+        self.player_ids.extend(self._index[pid] for pid in ids)
+        self.player_xy.extend(xy)
 
     def finish(self):
         n = len(self.times)
@@ -118,12 +113,13 @@ def oracle_load_tracking(path, monotone_tol=1e-9):
         if not (isfinite(t) and all(map(isfinite, ball)) and all(map(isfinite, xy))):
             reasons["non_finite"] += 1
             return
+        if not all(type(v) is str and not ingest._BAD_ID_CHAR.search(v)
+                   for v in (game_id, *ids, *teams)):
+            reasons["unparseable"] += 1
+            return
         game = games.get(game_id)
         if game is None:
-            if ingest._BAD_ID_CHAR.search(game_id):
-                reasons["unparseable"] += 1
-                return
-            game = _GameColumns(game_id)
+            game = games[game_id] = _GameColumns(game_id)
         else:
             prev = game.times[-1]
             if t < prev - monotone_tol:
@@ -131,16 +127,7 @@ def oracle_load_tracking(path, monotone_tol=1e-9):
             if t <= prev:
                 reasons["duplicate_timestamp"] += 1
                 return
-        try:
-            codes = game.codes(ids, teams)
-        except (TypeError, ValueError):
-            reasons["unparseable"] += 1
-            return
-        games[game_id] = game
-        game.times.append(t)
-        game.ball.extend(ball)
-        game.player_ids.extend(codes)
-        game.player_xy.extend(xy)
+        game.append(t, ball, ids, teams, xy)
 
     with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
         for line in fh:
@@ -368,9 +355,18 @@ SEAM_CASES = {
     "team_of_first_kept": ([frame_doc(t=0.0), frame_doc(t=0.0, P9="Z", team9="X"),
                             frame_doc(t=0.04, P9="Z", team9="Y"),
                             frame_doc(t=0.08, P9="Z", team9="X")], 1),
-    # ids that compare equal share one code: the first value seen is kept
-    "equal_ids_of_other_types": ([frame_doc(t=0.0, P0=1, P1=0.0), frame_doc(t=0.04, P0=True),
-                                  frame_doc(t=0.08, P0=1.0, P1=-0.0, team1="B")], 1),
+    # an id or team that is not a JSON string fails its row and never moves the last time;
+    # game 1 is not merged into game "1"
+    "non_string_ids": ([frame_doc("1", 0.0), frame_doc("1", 0.04, P0=7),
+                        frame_doc("1", 0.08, P1=7.0), frame_doc("1", 0.12, P2=True),
+                        frame_doc("1", 0.16, P3=None), frame_doc("1", 0.2, team4=1),
+                        frame_doc(1, 0.24), frame_doc("1", 0.04), frame_doc(1, 0.28)], 5),
+    # a bad-id row is unparseable before it could be a duplicate ...
+    "bad_id_on_a_duplicate": ([frame_doc(t=0.0), frame_doc(t=0.04), frame_doc(t=0.04, P3=7),
+                               frame_doc(t=0.08)], 2),
+    # ... or step back far enough to abort the load
+    "bad_id_stepping_back": ([frame_doc(t=0.0), frame_doc(t=0.04), frame_doc(t=0.0, P3=7),
+                              frame_doc(t=0.08)], 2),
     "game_split_three_ways": ([frame_doc("G0", 0.04 * i) for i in range(6)], 2),
 }
 
@@ -392,6 +388,14 @@ class TestByteRangeSeams:
         for cuts in ([], [starts[seam]], sorted({starts[seam], after}), starts[1:]):
             assert_same_load(load_with_cuts(p, cuts), want)
         assert_same_load(load_tracking(p), want)
+
+    @pytest.mark.parametrize("case, reasons", [("non_string_ids", {"unparseable": 7}),
+                                               ("bad_id_on_a_duplicate", {"unparseable": 1}),
+                                               ("bad_id_stepping_back", {"unparseable": 1})])
+    def test_bad_id_rows_are_unparseable(self, tmp_path, case, reasons):
+        games, report = load_tracking(write_rows(tmp_path, SEAM_CASES[case][0])[0])
+        assert report.reasons == reasons
+        assert all(type(pid) is str for g in games.values() for pid in (g.game_id, *g.id_table))
 
     def test_backward_step_across_a_seam_raises_the_same_error(self, tmp_path):
         docs = [frame_doc("G0", 0.0), frame_doc("G1", 5.0), frame_doc("G0", 0.04),

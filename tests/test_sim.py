@@ -380,6 +380,11 @@ class TestSeason:
             {"n_shooters": 4},
             {"n_defenders": 3},
             {"extra_frames_past_rim": -1},
+            {"n_games": 2.5},
+            {"n_games": True},
+            {"extra_frames_past_rim": 1.5},
+            {"seed": -1},
+            {"seed": "x"},
         ]:
             with pytest.raises(ValueError):
                 SimConfig(**bad)
