@@ -64,7 +64,6 @@ from .sim import PressureModel, SimConfig, simulate_season, write_season
 from .trajectory import (
     FilterReport,
     FilterThresholds,
-    PriorConfig,
     ShotFitRecord,
     TrajectoryFitError,
     filter_shots,
@@ -142,28 +141,38 @@ def _edges(v) -> bool:
     return type(v) is list and len(v) == 3 and all(map(_number, v)) and v[2] > 0
 
 
-# evaluate spec key -> (test of its value, what the test asks for)
-SPEC_VALUES = {
-    "open_threshold_ft": (_number, "a finite number"),
-    "contested_threshold_ft": (_number, "a finite number"),
-    "n_bootstrap": (_int_at_least(1), "an integer of at least 1"),
-    "seed": (_int_at_least(0), "an integer of at least 0"),
-    "ndd_edges": (_edges, "[start, stop, step], finite numbers with step > 0"),
-    "height_edges": (_edges, "[start, stop, step], finite numbers with step > 0"),
-    "bin_width_in": (lambda v: _number(v) and v > 0, "a finite number above 0"),
-    "min_bin_n": (_int_at_least(1), "an integer of at least 1"),
+# evaluate spec key -> (default, test of a given value, what the test asks for); the keys
+# that fig3, fig4, depth-bins, fig5 and split-half read, so one spec may serve all five.
+# model_kind and unit carry only a default: the analyses check them.
+SPEC = {
+    "open_threshold_ft": (6.0, _number, "a finite number"),
+    "contested_threshold_ft": (4.0, _number, "a finite number"),
+    "n_bootstrap": (1000, _int_at_least(1), "an integer of at least 1"),
+    "seed": (0, _int_at_least(0), "an integer of at least 0"),
+    "ndd_edges": ((0.0, 12.01, 2.0), _edges, "[start, stop, step], finite numbers with step > 0"),
+    "height_edges": ((72.0, 88.01, 2.0), _edges,
+                     "[start, stop, step], finite numbers with step > 0"),
+    "bin_width_in": (1.0, lambda v: _number(v) and v > 0, "a finite number above 0"),
+    "min_bin_n": (50, _int_at_least(1), "an integer of at least 1"),
     # the (0, 1] range of each fraction is SubsampleSpec's to check
-    "fractions": (lambda v: type(v) is list and len(v) > 0 and all(map(_number, v)),
+    "fractions": ((0.1, 0.2, 0.3, 0.4, 0.5),
+                  lambda v: type(v) is list and len(v) > 0 and all(map(_number, v)),
                   "a non-empty list of finite numbers"),
-    "n_replicates": (_int_at_least(1), "an integer of at least 1"),
-    "min_shots": (_int_at_least(1), "an integer of at least 1"),
+    "n_replicates": (20, _int_at_least(1), "an integer of at least 1"),
+    "min_shots": (100, _int_at_least(1), "an integer of at least 1"),
+    "model_kind": ("defender",),
+    "unit": ("game",),
 }
 
 
-def _reject_bad_spec_values(spec: dict) -> None:
-    for key, (valid, wanted) in SPEC_VALUES.items():
-        if key in spec and not valid(spec[key]):
-            raise ConfigError(f"evaluate spec {key} must be {wanted}, not {spec[key]!r}")
+def spec_with_defaults(spec: dict) -> dict:
+    """Every ``SPEC`` key, at its value in ``spec`` if given and passing its test,
+    else at its default; a ``ConfigError`` for an unknown key or a failed test."""
+    _reject_unknown_keys(spec, SPEC, "evaluate spec")
+    for key, (_, *test) in SPEC.items():
+        if test and key in spec and not test[0](spec[key]):
+            raise ConfigError(f"evaluate spec {key} must be {test[1]}, not {spec[key]!r}")
+    return {key: spec.get(key, default) for key, (default, *_) in SPEC.items()}
 
 
 def sim_config_from_dict(doc: dict) -> SimConfig:
@@ -350,7 +359,6 @@ def fit_season(
     events: list[EventRecord],
     roster: dict[PlayerId, RosterRecord],
     thresholds: FilterThresholds = FilterThresholds(),
-    prior_config: PriorConfig = PriorConfig(),
 ) -> SeasonFit:
     """Extract every tagged shot, fit its trajectory, filter the season, compute factors.
 
@@ -365,8 +373,7 @@ def fit_season(
     fits: list[tuple[ShotEvent, ShotFitRecord]] = []
     for ev in shots:
         try:
-            fitted = fit_trajectory(
-                ev.samples, ev.release_xy, prior_config, min_samples=thresholds.min_samples)
+            fitted = fit_trajectory(ev.samples, ev.release_xy, min_samples=thresholds.min_samples)
         except TrajectoryFitError:
             fitted = None
         fits.append((ev, ShotFitRecord(
@@ -587,10 +594,10 @@ def _analysis_fig3(table, spec):
         table["depth_ft"],
         table["lr_ft"],
         table["ndd_ft"],
-        open_threshold_ft=spec.get("open_threshold_ft", 6.0),
-        contested_threshold_ft=spec.get("contested_threshold_ft", 4.0),
-        n_bootstrap=spec.get("n_bootstrap", 1000),
-        seed=spec.get("seed", 0),
+        open_threshold_ft=spec["open_threshold_ft"],
+        contested_threshold_ft=spec["contested_threshold_ft"],
+        n_bootstrap=spec["n_bootstrap"],
+        seed=spec["seed"],
     )
     return ("fig3_variance.csv",
             ("factor", "contested_var", "open_var", "ratio", "ci_low", "ci_high",
@@ -601,9 +608,8 @@ def _analysis_fig3(table, spec):
 def _analysis_fig4(table, spec):
     rows = []
     for bin_by, bvals, edges in (
-        ("ndd", table["ndd_ft"], np.arange(*spec.get("ndd_edges", (0.0, 12.01, 2.0)))),
-        ("defender_height", table["defender_height_in"],
-         np.arange(*spec.get("height_edges", (72.0, 88.01, 2.0)))),
+        ("ndd", table["ndd_ft"], np.arange(*spec["ndd_edges"])),
+        ("defender_height", table["defender_height_in"], np.arange(*spec["height_edges"])),
     ):
         for value_name, vals in (("entry_angle", table["entry_angle_deg"]),
                                  ("depth", table["depth_ft"])):
@@ -617,8 +623,8 @@ def _analysis_depth_bins(table, spec):
     bins = make_pct_by_depth_bin(
         table["depth_ft"],
         table["outcome"],
-        bin_width_in=spec.get("bin_width_in", 1.0),
-        min_bin_n=spec.get("min_bin_n", 50),
+        bin_width_in=spec["bin_width_in"],
+        min_bin_n=spec["min_bin_n"],
     )
     print(f"argmax depth bin: {bins.argmax_center_in:.0f} in")
     return ("depth_bins.csv", ("depth_in", "make_pct", "se", "n"),
@@ -628,21 +634,19 @@ def _analysis_depth_bins(table, spec):
 def _analysis_fig5(table, spec):
     data = table.effects_dataset(require_prob=True)
     sub = SubsampleSpec(
-        fractions=tuple(spec.get("fractions", (0.1, 0.2, 0.3, 0.4, 0.5))),
-        n_replicates=spec.get("n_replicates", 20),
-        seed=spec.get("seed", 0),
-        unit=spec.get("unit", "game"),
+        fractions=tuple(spec["fractions"]),
+        n_replicates=spec["n_replicates"],
+        seed=spec["seed"],
+        unit=spec["unit"],
     )
-    results = subsample_mse(data, sub, model_kind=spec.get("model_kind", "defender"),
-                            min_shots=spec.get("min_shots", 100))
+    results = subsample_mse(data, sub, model_kind=spec["model_kind"], min_shots=spec["min_shots"])
     return ("fig5_mse.csv", ("fraction", "response_kind", "mse", "n_replicates_used", "n_dropped"),
             [dataclasses.astuple(r) for r in results])
 
 
 def _analysis_split_half(table, spec):
     data = table.effects_dataset(require_prob=True)
-    model_kind = spec.get("model_kind", "defender")
-    min_shots = spec.get("min_shots", 100)
+    model_kind, min_shots = spec["model_kind"], spec["min_shots"]
     return ("split_half.csv", ("model_kind", "response_kind", "spearman_rho"),
             [(model_kind, kind, split_half_rank_correlation(
                 data, model_kind=model_kind, response_kind=kind, min_shots=min_shots))
@@ -659,18 +663,13 @@ ANALYSES = {
     "depth-bins": (_analysis_depth_bins, ("outcome",), ("depth_ft",)),
     "split-half": (_analysis_split_half, *_EFFECTS_INPUT),
 }
-# the keys read by fig3, fig4, depth-bins, fig5 and split-half; one spec may serve all five
-SPEC_KEYS = frozenset((
-    "open_threshold_ft contested_threshold_ft n_bootstrap seed ndd_edges height_edges "
-    "bin_width_in min_bin_n fractions n_replicates unit model_kind min_shots").split())
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     spec = load_json_config(args.spec)
-    _reject_unknown_keys(spec, SPEC_KEYS, "evaluate spec")
-    _reject_bad_spec_values(spec)
+    values = spec_with_defaults(spec)
     analysis, columns, finite = ANALYSES[args.analysis]
-    name, header, rows = analysis(read_shot_rows(args.shots, columns, finite), spec)
+    name, header, rows = analysis(read_shot_rows(args.shots, columns, finite), values)
     path = write_csv(Path(args.out_dir) / name, header, rows)
     print(f"analysis {args.analysis} -> {path}")
     write_manifest(

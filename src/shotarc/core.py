@@ -1,4 +1,7 @@
-"""Shared domain types, court geometry, and unit conventions.
+"""Shared domain types, the fixed court geometry, and unit conventions.
+
+Every stage measures shots against one regulation rim and a men's ball:
+the constants ``RIM_HEIGHT_FT``, ``RIM_RADIUS_FT`` and ``BALL_RADIUS_FT``.
 
 Canonical units everywhere in the library: feet for distances, degrees for
 angles, seconds for time.  Reporting layers convert depth / left-right to
@@ -43,25 +46,6 @@ GameId = str
 
 class UnknownHoopEndError(ValueError):
     """Raised when a hoop-end tag is not one of 'left' / 'right'."""
-
-
-@dataclass(frozen=True)
-class CourtGeometry:
-    """Rim-local geometry constants shared by every pipeline stage."""
-
-    rim_center: tuple[float, float, float] = (0.0, 0.0, RIM_HEIGHT_FT)
-    rim_radius_ft: float = RIM_RADIUS_FT
-    ball_radius_ft: float = BALL_RADIUS_FT
-    release_height_prior_ft: float = RELEASE_HEIGHT_PRIOR_FT
-
-    def __post_init__(self) -> None:
-        if not (self.rim_radius_ft > self.ball_radius_ft > 0.0):
-            raise ValueError("need rim_radius > ball_radius > 0")
-        if self.rim_center[2] != RIM_HEIGHT_FT:
-            raise ValueError("rim center height must be exactly 10.0 ft")
-
-
-DEFAULT_GEOMETRY = CourtGeometry()
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .effects import (
+    RESPONSE_KINDS,
     EffectsDataset,
     EffectsError,
     RankDeficientError,
@@ -25,6 +26,8 @@ from .effects import (
 
 OPEN_NDD_FT = 6.0
 CONTESTED_NDD_FT = 4.0
+# fig3 compares two groups only when each holds at least this many shots
+MIN_GROUP = 30
 # fig3 bootstrap resamples are drawn and reduced in blocks of about this many
 # elements, which bounds the analysis's memory whatever the group sizes
 BOOTSTRAP_BLOCK_ELEMENTS = 2**17
@@ -102,7 +105,6 @@ def variance_comparison(
     contested_threshold_ft: float = CONTESTED_NDD_FT,
     n_bootstrap: int = 1000,
     seed: int = 0,
-    min_group: int = 30,
 ) -> dict[str, VarianceComparison]:
     """Contested/open variance ratios for depth and left-right, with
     percentile bootstrap intervals.
@@ -127,8 +129,8 @@ def variance_comparison(
     contested = ndd < contested_threshold_ft
     is_open = ndd > open_threshold_ft
     n_c, n_o = int(contested.sum()), int(is_open.sum())
-    if n_c < min_group or n_o < min_group:
-        raise EvalError(f"group below minimum size {min_group}: contested={n_c}, open={n_o}")
+    if n_c < MIN_GROUP or n_o < MIN_GROUP:
+        raise EvalError(f"group below minimum size {MIN_GROUP}: contested={n_c}, open={n_o}")
 
     rng = np.random.default_rng(seed)
     out: dict[str, VarianceComparison] = {}
@@ -307,7 +309,6 @@ def subsample_mse(
     dataset: EffectsDataset,
     spec: SubsampleSpec,
     model_kind: str = "defender",
-    response_kinds: tuple[str, ...] = ("raw", "prob"),
     min_shots: int = 100,
 ) -> list[SubsampleResult]:
     """MSE of subsample-fitted effects against full-season raw-response effects.
@@ -333,12 +334,12 @@ def subsample_mse(
     results: list[SubsampleResult] = []
     for frac in spec.fractions:
         n_games = max(1, int(round(frac * len(games))))
-        errors: dict[str, list[float]] = {k: [] for k in response_kinds}
-        dropped: dict[str, int] = {k: 0 for k in response_kinds}
+        errors: dict[str, list[float]] = {k: [] for k in RESPONSE_KINDS}
+        dropped: dict[str, int] = {k: 0 for k in RESPONSE_KINDS}
         for _ in range(spec.n_replicates):
             chosen = rng.choice(games, size=n_games, replace=False)
             sub = reference_data.subset(np.isin(game.codes, chosen))
-            for kind in response_kinds:
+            for kind in RESPONSE_KINDS:
                 try:
                     est = fit_effects(sub, model_kind, kind)
                 except (RankDeficientError, EffectsError):
@@ -350,7 +351,7 @@ def subsample_mse(
                     continue
                 diff = np.array([est.effects[p] - ref_effects[p] for p in players])
                 errors[kind].append(float(np.mean(diff**2)))
-        for kind in response_kinds:
+        for kind in RESPONSE_KINDS:
             used = len(errors[kind])
             results.append(SubsampleResult(
                 fraction=frac,

@@ -21,8 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CourtGeometry, DEFAULT_GEOMETRY, ShotFactors
+from .core import RIM_HEIGHT_FT, RIM_RADIUS_FT, ShotFactors
 from .trajectory import FittedTrajectory
+
+_RIM_XY = np.zeros(2)       # the rim center, in the local frame
 
 
 class PathError(ValueError):
@@ -70,10 +72,7 @@ class ShotPath:
         return (np.asarray(xy, dtype=float) - self.anchor) @ self.direction
 
 
-def fit_path_line(
-    samples: np.ndarray,
-    geometry: CourtGeometry = DEFAULT_GEOMETRY,
-) -> ShotPath:
+def fit_path_line(samples: np.ndarray) -> ShotPath:
     """Total-least-squares line through the horizontal sample coordinates.
 
     Orientation follows flight order (first sample -> last sample), which
@@ -97,12 +96,11 @@ def fit_path_line(
     if orient < 0.0:
         direction = -direction
 
-    rim_xy = np.asarray(geometry.rim_center[:2], dtype=float)
-    s_center = float((rim_xy - centroid) @ direction)
+    s_center = float((_RIM_XY - centroid) @ direction)
     return ShotPath(
         anchor=centroid,
         direction=direction,
-        s_front_rim=s_center - geometry.rim_radius_ft,
+        s_front_rim=s_center - RIM_RADIUS_FT,
         s_center=s_center,
     )
 
@@ -118,20 +116,15 @@ def path_height_coefficients(fitted: FittedTrajectory, path: ShotPath) -> tuple[
     return float(c0), float(c1), float(c2)
 
 
-def rim_plane_crossing(
-    fitted: FittedTrajectory,
-    path: ShotPath,
-    geometry: CourtGeometry = DEFAULT_GEOMETRY,
-) -> tuple[float, float]:
+def rim_plane_crossing(fitted: FittedTrajectory, path: ShotPath) -> tuple[float, float]:
     """Descending crossing of the modeled arc with the rim plane.
 
     Returns (s_cross, dz_ds).  The larger real root of z(s) = rim height is
     the descending branch of a concave arc; a positive slope there means the
     model only crosses the plane while rising, which is flagged degenerate.
     """
-    rim_z = geometry.rim_center[2]
     c0, c1, c2 = path_height_coefficients(fitted, path)
-    a, b, c = c2, c1, c0 - rim_z
+    a, b, c = c2, c1, c0 - RIM_HEIGHT_FT
 
     if abs(a) < 1e-14:
         if b == 0.0:
@@ -156,23 +149,18 @@ def rim_plane_crossing(
     return float(s), float(slope)
 
 
-def left_right_of_path(path: ShotPath, geometry: CourtGeometry = DEFAULT_GEOMETRY) -> float:
+def left_right_of_path(path: ShotPath) -> float:
     """Signed perpendicular miss of the path at rim center; + is shooter's right."""
-    rim_xy = np.asarray(geometry.rim_center[:2], dtype=float)
     foot = path.anchor + path.s_center * path.direction
     right_hat = np.array([path.direction[1], -path.direction[0]])
-    return float((foot - rim_xy) @ right_hat)
+    return float((foot - _RIM_XY) @ right_hat)
 
 
-def compute_shot_factors(
-    fitted: FittedTrajectory,
-    path: ShotPath,
-    geometry: CourtGeometry = DEFAULT_GEOMETRY,
-) -> ShotFactors:
+def compute_shot_factors(fitted: FittedTrajectory, path: ShotPath) -> ShotFactors:
     """Depth, left-right, and entry angle from one fitted shot."""
-    s_cross, slope = rim_plane_crossing(fitted, path, geometry)
+    s_cross, slope = rim_plane_crossing(fitted, path)
     return ShotFactors(
         depth_ft=s_cross - path.s_front_rim,
-        left_right_ft=left_right_of_path(path, geometry),
+        left_right_ft=left_right_of_path(path),
         entry_angle_deg=math.degrees(math.atan(abs(slope))),
     )

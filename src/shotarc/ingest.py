@@ -60,19 +60,14 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .core import (
-    CourtGeometry,
-    DEFAULT_GEOMETRY,
-    GameId,
-    PlayerId,
-    rim_center_xy,
-    to_local_frame,
-)
+from .core import RIM_HEIGHT_FT, GameId, PlayerId, rim_center_xy, to_local_frame
 
 if TYPE_CHECKING:
     from multiprocessing.connection import Connection
 
 PLAYERS_PER_FRAME = 10
+# a timestamp stepping back by more than this within its game aborts the load
+MONOTONE_TOL_S = 1e-9
 # a carriage return (which the CSV writers leave unquoted) or a surrogate
 # (a byte that is not UTF-8, decoded with "surrogateescape") makes an id unusable
 _BAD_ID_CHAR = re.compile("[\r\ud800-\udfff]")
@@ -434,18 +429,16 @@ def _assemble(game_id: GameId, parts: list[_GamePart], keep: np.ndarray) -> Game
     )
 
 
-def _apply_time_rules(
-    parsed: list[_RangeParse],
-    monotone_tol: float,
-) -> tuple[dict[GameId, GameTracking], LoadReport]:
+def _apply_time_rules(parsed: list[_RangeParse]) -> tuple[dict[GameId, GameTracking], LoadReport]:
     """Join the ranges' game parts, in file order, under the per-game timestamp rules.
 
     In a game, accepted times strictly increase and a duplicate never
     exceeds the last accepted time, so the last accepted time before row i
     is the running maximum M_i of the game's earlier rows.  Row i aborts the
-    load when t < M_i - tol and is a ``duplicate_timestamp`` when t <= M_i.
-    The load raises at the first aborting row in file order.  A game's
-    first row is always kept, so games come in order of their first rows.
+    load when t < M_i - MONOTONE_TOL_S and is a ``duplicate_timestamp`` when
+    t <= M_i.  The load raises at the first aborting row in file order.  A
+    game's first row is always kept, so games come in order of their first
+    rows.
     """
     reasons: Counter[str] = Counter()
     by_game: dict[GameId, list[_GamePart]] = {}
@@ -462,7 +455,7 @@ def _apply_time_rules(
         before = np.empty_like(times)
         before[0] = -np.inf
         np.maximum.accumulate(times[:-1], out=before[1:])
-        backward = np.flatnonzero(times < before - monotone_tol)
+        backward = np.flatnonzero(times < before - MONOTONE_TOL_S)
         rows = np.concatenate([p.row for p in parts])
         if backward.size:
             i = backward[0]
@@ -485,10 +478,7 @@ def _apply_time_rules(
                              reasons=dict(reasons))
 
 
-def load_tracking(
-    path: str | Path,
-    monotone_tol: float = 1e-9,
-) -> tuple[dict[GameId, GameTracking], LoadReport]:
+def load_tracking(path: str | Path) -> tuple[dict[GameId, GameTracking], LoadReport]:
     """Load JSONL tracking frames grouped by game, preserving within-game time order.
 
     Each row is checked in this order and, on the first failure, counted
@@ -500,7 +490,7 @@ def load_tracking(
     return or a surrogate (``unparseable``), or it repeats its game's last
     accepted timestamp (``duplicate_timestamp``).  A row passing the checks
     before that one, whose timestamp steps backwards by more than
-    ``monotone_tol`` within its game, aborts the load.
+    ``MONOTONE_TOL_S`` within its game, aborts the load.
 
     A file of at least ``2 * MIN_RANGE_BYTES`` is parsed in up to
     ``MAX_WORKERS`` byte ranges, one worker process per range and no more
@@ -517,7 +507,7 @@ def load_tracking(
         parsed = _parse_in_workers(path, ranges)
     else:
         parsed = [_parse_range(path, *ranges[0])]
-    return _apply_time_rules(parsed, monotone_tol)
+    return _apply_time_rules(parsed)
 
 
 def _clean_id(value: str) -> str:
@@ -692,7 +682,7 @@ class ExtractionReport:
     n_flagged: int = 0
 
 
-def _cut_at_rim_plane(z: np.ndarray, rim_z: float) -> int:
+def _cut_at_rim_plane(z: np.ndarray) -> int:
     """Index one past the first frame at/below rim height on the way down.
 
     Arcs that never rise above the rim plane have no descending crossing;
@@ -701,10 +691,10 @@ def _cut_at_rim_plane(z: np.ndarray, rim_z: float) -> int:
     if len(z) == 0:
         return 0
     apex = int(np.argmax(z))
-    if z[apex] <= rim_z:
+    if z[apex] <= RIM_HEIGHT_FT:
         return len(z)
     for i in range(apex + 1, len(z)):
-        if z[i] <= rim_z:
+        if z[i] <= RIM_HEIGHT_FT:
             return i + 1
     return len(z)
 
@@ -713,7 +703,6 @@ def extract_shot_events(
     tracking: dict[GameId, GameTracking],
     events: list[EventRecord],
     roster: dict[PlayerId, RosterRecord],
-    geometry: CourtGeometry = DEFAULT_GEOMETRY,
     min_samples: int = 5,
     stream_break_s: float = 1.0,
     max_window_s: float = 3.0,
@@ -730,7 +719,6 @@ def extract_shot_events(
     out: list[ShotEvent] = []
     reasons: Counter[str] = Counter()
     n_flagged = 0
-    rim_z = geometry.rim_center[2]
     steps: dict[GameId, tuple[np.ndarray, np.ndarray]] = {}   # per game: gaps, break indices
 
     for ev in events:
@@ -777,7 +765,7 @@ def extract_shot_events(
         hi = first + 1 + int(np.count_nonzero(times[first + 1:bound] - t0 <= max_window_s))
         window = slice(first, hi)
         ball_local = np.column_stack(to_local_frame(game.ball[window].T, ev.hoop_end))
-        cut = _cut_at_rim_plane(ball_local[:, 2], rim_z)
+        cut = _cut_at_rim_plane(ball_local[:, 2])
         samples = ball_local[:cut]
         sample_times = times[window][:cut]
         max_gap = float(gaps[first:first + cut - 1].max()) if cut >= 2 else 0.0

@@ -27,6 +27,9 @@ MODEL_FORMAT_VERSION = 1
 
 # linear predictors are clipped here so probabilities stay strictly inside (0, 1)
 MAX_LINEAR_PREDICTOR = 30.0
+# Newton stops after this many steps, or once no gradient entry reaches GRAD_TOL
+MAX_ITER = 100
+GRAD_TOL = 1e-8
 
 
 class TrainingError(ValueError):
@@ -75,8 +78,6 @@ def design_row(factors: np.ndarray, standardizer: Standardizer) -> np.ndarray:
 @dataclass(frozen=True)
 class TrainConfig:
     ridge: float = 1e-6          # penalty on non-intercept coefficients
-    max_iter: int = 100
-    grad_tol: float = 1e-8
     min_shots: int = 500
 
 
@@ -172,11 +173,11 @@ def train(
 
     obj = objective(coeffs)
     converged = False
-    for _ in range(config.max_iter):
+    for _ in range(MAX_ITER):
         eta = np.clip(X @ coeffs, -MAX_LINEAR_PREDICTOR, MAX_LINEAR_PREDICTOR)
         p = expit(eta)
         g = X.T @ (y - p) - pen * coeffs
-        if np.max(np.abs(g)) < config.grad_tol:
+        if np.max(np.abs(g)) < GRAD_TOL:
             converged = True
             break
         w = p * (1.0 - p)

@@ -38,14 +38,16 @@ inflation, and an entry-angle rise that grows with defender height.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from .core import (
-    CourtGeometry,
-    DEFAULT_GEOMETRY,
+    BALL_RADIUS_FT,
+    RIM_HEIGHT_FT,
+    RIM_RADIUS_FT,
     GameId,
     PlayerId,
     _expit_scalar,
@@ -55,6 +57,13 @@ from .ingest import EventRecord, GameTracking, RosterRecord
 
 GRAVITY_FT_S2 = 32.174
 FRAME_RATE_HZ = 25.0
+# a drawn target crossing is clipped to these depths, left-right offsets and angles
+DEPTH_CLIP_FT = (-0.9, 2.6)
+LR_CLIP_FT = 2.5
+ANGLE_CLIP_DEG = (33.0, 64.0)
+# a release no farther than this from the rim center can lie past the crossing
+# of a clipped target (|lr| up to LR_CLIP_FT, depth down to DEPTH_CLIP_FT[0])
+MIN_RELEASE_DISTANCE_FT = math.hypot(LR_CLIP_FT, RIM_RADIUS_FT - DEPTH_CLIP_FT[0])
 
 
 class UnreachableTargetError(ValueError):
@@ -90,15 +99,14 @@ class SampledTrajectory:
 
 
 def _solve_arc(x: float, y: float, height: float, depth_ft: float, lr_ft: float,
-               angle_deg: float, frame_rate_hz: float, geometry: CourtGeometry) -> tuple:
+               angle_deg: float) -> tuple:
     """The vertical-plane quadratic pinned by release, rim-height crossing and entry angle.
 
     Returns ``(dx, dy, c1, c2, v_h, flight_time_s, n_flight, s_cross_ft)``: at
     path coordinate ``s = v_h * t`` the ball is at ``(x, y) + s * (dx, dy)``,
     height ``height + c1 * s + c2 * s * s``.
     """
-    rim_x, rim_y, rim_z = geometry.rim_center
-    ox, oy = rim_x - x, rim_y - y
+    ox, oy = 0.0 - x, 0.0 - y      # to the rim center; -x would give -0.0 at x = 0.0
     dist = float(np.hypot(ox, oy))
     if abs(lr_ft) >= dist:
         raise UnreachableTargetError("left-right offset exceeds release distance")
@@ -109,19 +117,19 @@ def _solve_arc(x: float, y: float, height: float, depth_ft: float, lr_ft: float,
     # numpy's 1-d dot goes to BLAS, which may fuse the multiply-add: kept so
     # that seasons keep their bits
     s_center = float(np.array((ox, oy)) @ np.array((dx, dy)))
-    s_cross = s_center + depth_ft - geometry.rim_radius_ft
+    s_cross = s_center + depth_ft - RIM_RADIUS_FT
     if s_cross <= 0:
         raise UnreachableTargetError("crossing lies behind the release point")
 
     tan_a = math.tan(math.radians(angle_deg))
-    c2 = -((rim_z - height) + tan_a * s_cross) / s_cross**2
+    c2 = -((RIM_HEIGHT_FT - height) + tan_a * s_cross) / s_cross**2
     c1 = -tan_a - 2.0 * c2 * s_cross
     if c2 >= 0.0 or c1 <= 0.0:
         raise UnreachableTargetError("no ascending-release parabola reaches the target")
 
     v_h = math.sqrt(GRAVITY_FT_S2 / (-2.0 * c2))
     flight_time = s_cross / v_h
-    return dx, dy, c1, c2, v_h, flight_time, int(round(flight_time * frame_rate_hz)), s_cross
+    return dx, dy, c1, c2, v_h, flight_time, int(round(flight_time * FRAME_RATE_HZ)), s_cross
 
 
 def _arc_points(t, x, y, height, dx, dy, c1, c2, v_h) -> np.ndarray:
@@ -136,8 +144,6 @@ def sample_trajectory(
     target: TargetCrossing,
     rng: np.random.Generator,
     noise_sigma_ft: float = 0.0,
-    frame_rate_hz: float = FRAME_RATE_HZ,
-    geometry: CourtGeometry = DEFAULT_GEOMETRY,
     extra_frames: int = 0,
 ) -> SampledTrajectory:
     """Sample the unique parabola through the release point and target crossing.
@@ -152,9 +158,8 @@ def sample_trajectory(
     """
     x, y = (float(v) for v in release.xy)
     dx, dy, c1, c2, v_h, flight_time, n_flight, s_cross = _solve_arc(
-        x, y, release.height_ft, target.depth_ft, target.lr_ft, target.entry_angle_deg,
-        frame_rate_hz, geometry)
-    t = np.arange(n_flight + extra_frames) / frame_rate_hz
+        x, y, release.height_ft, target.depth_ft, target.lr_ft, target.entry_angle_deg)
+    t = np.arange(n_flight + extra_frames) / FRAME_RATE_HZ
     pts = _arc_points(t, x, y, release.height_ft, dx, dy, c1, c2, v_h)
     if noise_sigma_ft > 0.0:
         pts = pts + rng.normal(0.0, noise_sigma_ft, pts.shape)
@@ -167,17 +172,12 @@ def sample_trajectory(
     )
 
 
-def clean_entry_radius_ft(entry_angle_deg: float, geometry: CourtGeometry = DEFAULT_GEOMETRY) -> float:
+def clean_entry_radius_ft(entry_angle_deg: float) -> float:
     """Radius around rim center within which a crossing at this angle swishes."""
-    return geometry.rim_radius_ft - geometry.ball_radius_ft / math.sin(math.radians(entry_angle_deg))
+    return RIM_RADIUS_FT - BALL_RADIUS_FT / math.sin(math.radians(entry_angle_deg))
 
 
-def physical_make_oracle(
-    depth_ft: float,
-    lr_ft: float,
-    entry_angle_deg: float,
-    geometry: CourtGeometry = DEFAULT_GEOMETRY,
-) -> bool:
+def physical_make_oracle(depth_ft: float, lr_ft: float, entry_angle_deg: float) -> bool:
     """Clean-entry make rule: the crossing point must clear front and back rim.
 
     The crossing point in path coordinates relative to rim center is
@@ -186,34 +186,29 @@ def physical_make_oracle(
     """
     if not 0.0 < entry_angle_deg <= 90.0:
         raise ValueError("entry angle must lie in (0, 90]")
-    rad = clean_entry_radius_ft(entry_angle_deg, geometry)
+    rad = clean_entry_radius_ft(entry_angle_deg)
     if rad <= 0.0:
         return False
-    u = depth_ft - geometry.rim_radius_ft
+    u = depth_ft - RIM_RADIUS_FT
     return math.hypot(u, lr_ft) <= rad
 
 
-def make_with_back_rim_capture(
-    depth_ft: float,
-    lr_ft: float,
-    entry_angle_deg: float,
-    capture_ft: float,
-    geometry: CourtGeometry = DEFAULT_GEOMETRY,
-) -> bool:
+def make_with_back_rim_capture(depth_ft: float, lr_ft: float, entry_angle_deg: float,
+                               capture_ft: float) -> bool:
     """Clean-entry oracle extended deep of center by a back-rim capture margin.
 
     Crossings past the clean window but within ``capture_ft`` of it on the
     deep side contact the back rim steeply enough to deaden and drop.
     ``capture_ft = 0`` reduces exactly to :func:`physical_make_oracle`.
     """
-    if physical_make_oracle(depth_ft, lr_ft, entry_angle_deg, geometry):
+    if physical_make_oracle(depth_ft, lr_ft, entry_angle_deg):
         return True
     if capture_ft <= 0.0:
         return False
-    u = depth_ft - geometry.rim_radius_ft
+    u = depth_ft - RIM_RADIUS_FT
     if u <= 0.0:
         return False
-    rad = clean_entry_radius_ft(entry_angle_deg, geometry)
+    rad = clean_entry_radius_ft(entry_angle_deg)
     if rad <= 0.0:
         return False
     return math.hypot(max(u - capture_ft, 0.0), lr_ft) <= rad
@@ -342,6 +337,10 @@ class SimConfig:
             if (len(bounds) != 2 or not all(math.isfinite(b) for b in bounds)
                     or bounds[0] > bounds[1]):
                 raise ValueError(f"{name} must be two finite numbers lo <= hi, not {bounds!r}")
+        if self.release_distance_range_ft[0] <= MIN_RELEASE_DISTANCE_FT:
+            raise ValueError(f"release_distance_range_ft must start above "
+                             f"{MIN_RELEASE_DISTANCE_FT:.3f} ft, where every target is reachable, "
+                             f"not {self.release_distance_range_ft!r}")
         for f in fields(self):
             if ("_sd" in f.name or f.name in ("release_height_jitter_ft", "tracking_noise_ft")
                     ) and getattr(self, f.name) < 0:
@@ -545,16 +544,15 @@ def _simulate_game(config: SimConfig, rng: np.random.Generator, game_id: GameId,
         draw = rng.multivariate_normal(mean, shooter.aim_cov * np.outer(scale, scale),
                                        method="cholesky")
         depth, lr, angle = draw.tolist()
-        depth = min(max(depth, -0.9), 2.6)
-        lr = min(max(lr, -2.5), 2.5)
-        angle = min(max(angle, 33.0), 64.0)
+        depth = min(max(depth, DEPTH_CLIP_FT[0]), DEPTH_CLIP_FT[1])
+        lr = min(max(lr, -LR_CLIP_FT), LR_CLIP_FT)
+        angle = min(max(angle, ANGLE_CLIP_DEG[0]), ANGLE_CLIP_DEG[1])
 
         made = make_with_back_rim_capture(depth, lr, angle, config.back_rim_capture_ft)
         if config.outcome_flip_prob > 0.0 and rng.random() < config.outcome_flip_prob:
             made = not made
 
-        dx, dy, c1, c2, v_h, _, n_flight, _ = _solve_arc(
-            x, y, height, depth, lr, angle, FRAME_RATE_HZ, DEFAULT_GEOMETRY)
+        dx, dy, c1, c2, v_h, _, n_flight, _ = _solve_arc(x, y, height, depth, lr, angle)
         arcs.append((x, y, height, dx, dy, c1, c2, v_h))
         n = n_flight + config.extra_frames_past_rim
         if config.tracking_noise_ft > 0.0:
@@ -626,6 +624,19 @@ def _position_tag(height_in: float) -> str:
     return "C"
 
 
+def season_records(season: SeasonData) -> tuple[Iterator[EventRecord], list[RosterRecord]]:
+    """The season's shot events in shot order, made as they are read (so that a
+    writer never holds them all), and its roster sorted by player id."""
+    events = (
+        EventRecord(shot.shot_id, game.game_id, shot.shooter_id, shot.release_frame,
+                    shot.outcome, game.hoop_end)
+        for game in season.games for shot in game.shots
+    )
+    players = sorted([(s.player_id, s.height_in) for s in season.shooter_pool]
+                     + [(d.player_id, d.height_in) for d in season.defender_pool])
+    return events, [RosterRecord(pid, height, _position_tag(height)) for pid, height in players]
+
+
 def season_tracking(
     season: SeasonData,
 ) -> tuple[dict[GameId, GameTracking], list[EventRecord], dict[PlayerId, RosterRecord]]:
@@ -648,15 +659,8 @@ def season_tracking(
             id_table=list(game.player_ids),
             team_of=dict(zip(game.player_ids, game.player_teams)),
         )
-    events = [
-        EventRecord(shot.shot_id, game.game_id, shot.shooter_id, shot.release_frame,
-                    shot.outcome, game.hoop_end)
-        for game in season.games for shot in game.shots
-    ]
-    players = sorted([(s.player_id, s.height_in) for s in season.shooter_pool]
-                     + [(d.player_id, d.height_in) for d in season.defender_pool])
-    roster = {pid: RosterRecord(pid, height, _position_tag(height)) for pid, height in players}
-    return tracking, events, roster
+    events, roster = season_records(season)
+    return tracking, list(events), {r.player_id: r for r in roster}
 
 
 def write_season(season: SeasonData, out_dir: str | Path) -> dict[str, Path]:
@@ -686,19 +690,17 @@ def write_season(season: SeasonData, out_dir: str | Path) -> dict[str, Path]:
                 for t, (bx, by, bz) in zip(shot.times_s.tolist(), shot.ball_points.tolist()):
                     fh.write(f'{prefix}{t!r},"ball":[{bx!r},{by!r},{bz!r}],"players":[{players}]}}\n')
 
+    events, roster = season_records(season)
     with paths["events"].open("w", encoding="utf-8", newline="\n") as fh:
         fh.write("shot_id,game_id,shooter_id,release_frame,outcome,hoop_end\n")
-        for game in season.games:
-            for shot in game.shots:
-                fh.write(f"{shot.shot_id},{game.game_id},{shot.shooter_id},"
-                         f"{shot.release_frame},{shot.outcome},{game.hoop_end}\n")
+        for e in events:
+            fh.write(f"{e.shot_id},{e.game_id},{e.shooter_id},"
+                     f"{e.release_frame},{e.outcome},{e.hoop_end}\n")
 
     with paths["roster"].open("w", encoding="utf-8", newline="\n") as fh:
         fh.write("player_id,height_in,position\n")
-        entries = [(s.player_id, s.height_in) for s in season.shooter_pool]
-        entries += [(d.player_id, d.height_in) for d in season.defender_pool]
-        for pid, height in sorted(entries):
-            fh.write(f"{pid},{height!r},{_position_tag(height)}\n")
+        for r in roster:
+            fh.write(f"{r.player_id},{r.height_in!r},{r.position}\n")
 
     with paths["ground_truth"].open("w", encoding="utf-8", newline="\n") as fh:
         fh.write("shot_id,game_id,shooter_id,defender_id,ndd_ft,contest_intensity,"

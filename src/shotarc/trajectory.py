@@ -32,10 +32,23 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import CourtGeometry, DEFAULT_GEOMETRY
+from .core import RELEASE_HEIGHT_PRIOR_FT, RIM_HEIGHT_FT
 
 N_COEFFS = 6
 FEATURE_NAMES = ("1", "x", "y", "x^2", "y^2", "x*y")
+
+# The nearly flat base prior: an isotropic precision kept tiny, so the
+# pseudo-data, not the base, carries the prior information and an exactly
+# observed arc is recovered to well below reporting precision; then the
+# inverse-gamma shape and scale.
+BASE_EPSILON = 1e-10
+BASE_SHAPE = 1e-3
+BASE_SCALE = 1e-3
+# legitimately underdetermined fits (near-collinear samples, pseudo-data
+# alone) sit at data_scale / BASE_EPSILON ~ 1e13..1e17 and are resolved
+# exactly by the prior; the square-root solve stays accurate to roughly
+# sqrt(condition) * eps, so only conditions beyond ~1e20 are rejected
+CONDITION_GUARD = 1e20
 
 
 class TrajectoryFitError(ValueError):
@@ -87,23 +100,9 @@ class TrajectoryPrior:
 
 @dataclass(frozen=True)
 class PriorConfig:
-    """Knobs for the prior construction and the linear solve.
+    """The weight each of the four pseudo-observations carries in the prior."""
 
-    base_epsilon is the isotropic precision of the nearly flat base prior.
-    Kept tiny so the pseudo-data, not the base, carries the prior
-    information; small enough that an exactly observed arc is recovered to
-    well below reporting precision.
-    """
-
-    base_epsilon: float = 1e-10
-    base_shape: float = 1e-3
-    base_scale: float = 1e-3
     pseudo_weight: float = 1.0
-    # legitimately underdetermined fits (near-collinear samples, pseudo-data
-    # alone) sit at data_scale / base_epsilon ~ 1e13..1e17 and are resolved
-    # exactly by the prior; the square-root solve stays accurate to roughly
-    # sqrt(condition) * eps, so only conditions beyond ~1e20 are rejected
-    condition_guard: float = 1e20
 
     def __post_init__(self) -> None:
         if not self.pseudo_weight >= 0:
@@ -112,9 +111,9 @@ class PriorConfig:
     def base_prior(self) -> TrajectoryPrior:
         return TrajectoryPrior(
             mean=np.zeros(N_COEFFS),
-            precision=self.base_epsilon * np.eye(N_COEFFS),
-            shape=self.base_shape,
-            scale=self.base_scale,
+            precision=BASE_EPSILON * np.eye(N_COEFFS),
+            shape=BASE_SHAPE,
+            scale=BASE_SCALE,
         )
 
     @cached_property
@@ -123,13 +122,7 @@ class PriorConfig:
         return posterior_from_prior(self.base_prior())
 
 
-DEFAULT_PRIOR_CONFIG = PriorConfig()
-
-
-def make_pseudo_data(
-    release_xy: tuple[float, float] | np.ndarray,
-    geometry: CourtGeometry = DEFAULT_GEOMETRY,
-) -> tuple[np.ndarray, np.ndarray]:
+def make_pseudo_data(release_xy: tuple[float, float] | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Four pseudo-observations encoding prior knowledge of shot arcs.
 
     Two rows at the release location with height target 7 ft, two rows at
@@ -138,11 +131,10 @@ def make_pseudo_data(
     direction to the rim and raises IllConditionedError.
     """
     rx, ry = float(release_xy[0]), float(release_xy[1])
-    cx, cy, cz = geometry.rim_center
-    if np.hypot(rx - cx, ry - cy) < 1e-12:
+    if np.hypot(rx, ry) < 1e-12:    # the rim center is the local origin
         raise IllConditionedError("release point coincides with the rim center")
-    xy = np.array([[rx, ry], [rx, ry], [cx, cy], [cx, cy]])
-    z = np.array([geometry.release_height_prior_ft, geometry.release_height_prior_ft, cz, cz])
+    xy = np.array([[rx, ry], [rx, ry], [0.0, 0.0], [0.0, 0.0]])
+    z = np.array([RELEASE_HEIGHT_PRIOR_FT, RELEASE_HEIGHT_PRIOR_FT, RIM_HEIGHT_FT, RIM_HEIGHT_FT])
     return xy, z
 
 
@@ -232,8 +224,7 @@ class FittedTrajectory:
 def fit_trajectory(
     samples: np.ndarray,
     release_xy: tuple[float, float] | np.ndarray,
-    prior_config: PriorConfig = DEFAULT_PRIOR_CONFIG,
-    geometry: CourtGeometry = DEFAULT_GEOMETRY,
+    prior_config: PriorConfig = PriorConfig(),
     min_samples: int = 5,
 ) -> FittedTrajectory:
     """Fit the quadratic surface to one shot's (n, 3) local-frame ball samples.
@@ -260,14 +251,14 @@ def fit_trajectory(
 
     base = prior_config.base_posterior
     weight = prior_config.pseudo_weight
-    xy_p, z_p = make_pseudo_data(release_xy, geometry)
+    xy_p, z_p = make_pseudo_data(release_xy)
     Xp = quadratic_features(xy_p)
     X = quadratic_features(pts[:, :2])
     z = pts[:, 2]
     precision = base.precision + weight * (Xp.T @ Xp) + X.T @ X
 
     cond = equilibrated_condition(precision)
-    if cond > prior_config.condition_guard:
+    if cond > CONDITION_GUARD:
         raise IllConditionedError(f"equilibrated condition {cond:.3e} exceeds guard")
 
     w = np.sqrt(weight)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from shotarc.core import DEFAULT_GEOMETRY
+from shotarc.core import RIM_RADIUS_FT
 
 GRAVITY = 32.174
 
@@ -28,7 +28,6 @@ def parabola_shot(
     the requested rim-plane crossing, then samples it at the frame rate.
     Returns (points (n,3), release_xy, truth dict).
     """
-    geometry = DEFAULT_GEOMETRY
     rng = np.random.default_rng(seed)
     release = np.array([release_dist * math.cos(azimuth_rad),
                         release_dist * math.sin(azimuth_rad)])
@@ -37,7 +36,7 @@ def parabola_shot(
     c, s = math.cos(phi), math.sin(phi)
     d = np.array([c * to_rim[0] - s * to_rim[1], s * to_rim[0] + c * to_rim[1]])
     s_center = float((np.zeros(2) - release) @ d)
-    s_cross = s_center + depth_ft - geometry.rim_radius_ft
+    s_cross = s_center + depth_ft - RIM_RADIUS_FT
     tan_a = math.tan(math.radians(entry_angle_deg))
     c2 = -((10.0 - release_height) + tan_a * s_cross) / s_cross**2
     c1 = -tan_a - 2 * c2 * s_cross

@@ -45,6 +45,7 @@ from shotarc.sim import (
     simulate_season,
 )
 from shotarc.trajectory import (
+    BASE_EPSILON,
     PriorConfig,
     fit_trajectory,
     make_pseudo_data,
@@ -117,7 +118,7 @@ def test_criterion_1_trajectory_oracle_equivalence():
                 seed=9000 + i,
             )
             fit = fit_trajectory(pts, release, cfg)
-            oracle = lstsq_oracle(pts, release, cfg.base_epsilon)
+            oracle = lstsq_oracle(pts, release, BASE_EPSILON)
             assert np.max(np.abs(fit.beta - oracle)) <= 1e-8
 
             xy_p, z_p = make_pseudo_data(release)

@@ -80,6 +80,8 @@ class TestExitCodes:
         ('{"ndd_range_ft": [5, 1]}', "ndd_range_ft must be two finite numbers lo <= hi"),
         ('{"ndd_range_ft": [1]}', "ndd_range_ft must be two finite numbers lo <= hi"),
         ('{"ndd_range_ft": 5}', "invalid simulate config"),
+        ('{"release_distance_range_ft": [0.1, 0.2]}',
+         "release_distance_range_ft must start above 2.995 ft"),
         ('{"tracking_noise_ft": NaN}', "tracking_noise_ft must be finite"),
         ('{"release_height_jitter_ft": NaN}', "release_height_jitter_ft must be finite"),
         ('{"ndd_gamma_shape": -1}', "ndd_gamma_shape and ndd_gamma_scale must be positive"),
@@ -598,6 +600,30 @@ def _shot_rows(n, seed=4):
                     lr_ft=float(rng.normal(0.0, 0.2)), entry_angle_deg=float(rng.uniform(38, 50)),
                     rmse_ft=0.1, n_samples=20, make_prob=float(rng.uniform(0.2, 0.6)))
             for i in range(n)]
+
+
+# every evaluate spec key at the default the spec documentation gives it
+EVERY_SPEC_DEFAULT = {
+    "open_threshold_ft": 6.0, "contested_threshold_ft": 4.0, "n_bootstrap": 1000, "seed": 0,
+    "ndd_edges": [0.0, 12.01, 2.0], "height_edges": [72.0, 88.01, 2.0], "bin_width_in": 1.0,
+    "min_bin_n": 50, "fractions": [0.1, 0.2, 0.3, 0.4, 0.5], "n_replicates": 20,
+    "min_shots": 100, "model_kind": "defender", "unit": "game",
+}
+
+
+@pytest.mark.parametrize("analysis", ["fig3", "fig4", "fig5", "depth-bins", "split-half"])
+def test_empty_spec_and_spelt_out_defaults_write_the_same_table(tmp_path, analysis):
+    shots = tmp_path / "preds.csv"
+    write_shot_rows(_shot_rows(600), shots, with_prob=True)
+    tables = []
+    for name, doc in (("empty", {}), ("defaults", EVERY_SPEC_DEFAULT)):
+        spec = tmp_path / f"{name}.json"
+        spec.write_text(json.dumps(doc))
+        out = tmp_path / name
+        assert main(["evaluate", "--analysis", analysis, "--shots", str(shots),
+                     "--spec", str(spec), "--out-dir", str(out)]) == 0
+        tables.append([p.read_bytes() for p in sorted(out.glob("*.csv"))])
+    assert len(tables[0]) == 1 and tables[0] == tables[1]
 
 
 class TestShotsFileContract:

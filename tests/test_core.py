@@ -13,10 +13,12 @@ from hypothesis import given, strategies as st
 
 import shotarc
 from shotarc.core import (
+    BALL_RADIUS_FT,
     COURT_WIDTH_FT,
-    CourtGeometry,
-    DEFAULT_GEOMETRY,
+    RELEASE_HEIGHT_PRIOR_FT,
     RIM_CENTER_FROM_BASELINE_FT,
+    RIM_HEIGHT_FT,
+    RIM_RADIUS_FT,
     UnknownHoopEndError,
     expit,
     feet_to_inches,
@@ -107,17 +109,10 @@ class TestUnits:
 
 class TestGeometry:
     def test_defaults(self):
-        g = DEFAULT_GEOMETRY
-        assert g.rim_center == (0.0, 0.0, 10.0)
-        assert g.rim_radius_ft == 0.75
-        assert g.ball_radius_ft == 0.3938
-        assert g.release_height_prior_ft == 7.0
-
-    def test_invariants_enforced(self):
-        with pytest.raises(ValueError):
-            CourtGeometry(rim_radius_ft=0.3, ball_radius_ft=0.4)
-        with pytest.raises(ValueError):
-            CourtGeometry(rim_center=(0.0, 0.0, 9.5))
+        assert RIM_HEIGHT_FT == 10.0
+        assert RIM_RADIUS_FT == 0.75
+        assert BALL_RADIUS_FT == 0.3938
+        assert RELEASE_HEIGHT_PRIOR_FT == 7.0
 
 
 def _bits(a):

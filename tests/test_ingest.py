@@ -146,14 +146,14 @@ def oracle_load_tracking(path, monotone_tol=1e-9):
     return loaded, LoadReport(n_rows, n_loaded, n_rows - n_loaded, dict(reasons))
 
 
-def load_with_cuts(path, cuts, monotone_tol=1e-9):
+def load_with_cuts(path, cuts):
     """``load_tracking`` with the file cut into ranges at the given byte offsets, in-process."""
     size = path.stat().st_size
     bounds = [0, *cuts, size]
     data = path.read_bytes()
     assert all(data[c - 1:c] == b"\n" for c in cuts), "a cut must follow a newline"
     parsed = [ingest._parse_range(path, a, b) for a, b in zip(bounds, bounds[1:])]
-    return ingest._apply_time_rules(parsed, monotone_tol)
+    return ingest._apply_time_rules(parsed)
 
 
 def assert_same_load(got, want):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shotarc.core import DEFAULT_GEOMETRY, expit, from_local_frame
+from shotarc.core import RIM_HEIGHT_FT, RIM_RADIUS_FT, expit, from_local_frame
 from shotarc.factors import compute_shot_factors, fit_path_line
 from shotarc.ingest import load_events, load_roster, load_tracking
 from shotarc.sim import (
@@ -37,9 +37,8 @@ from shotarc.trajectory import fit_trajectory
 
 # --- the shot-at-a-time season generator, kept as the reference ----------------------
 
-def _oracle_path_through(release_xy, lr_ft, geometry):
-    rim = np.asarray(geometry.rim_center[:2])
-    offset = rim - release_xy
+def _oracle_path_through(release_xy, lr_ft):
+    offset = np.zeros(2) - release_xy
     dist = float(np.hypot(*offset))
     if abs(lr_ft) >= dist:
         raise UnreachableTargetError("left-right offset exceeds release distance")
@@ -49,27 +48,23 @@ def _oracle_path_through(release_xy, lr_ft, geometry):
     return np.array([c * u[0] - s * u[1], s * u[0] + c * u[1]])
 
 
-def oracle_sample_trajectory(release, target, rng, noise_sigma_ft=0.0,
-                             frame_rate_hz=FRAME_RATE_HZ, geometry=DEFAULT_GEOMETRY,
-                             extra_frames=0):
+def oracle_sample_trajectory(release, target, rng, noise_sigma_ft=0.0, extra_frames=0):
     """One shot's parabola, solved and sampled with numpy arrays throughout."""
     release_xy = np.asarray(release.xy, dtype=float)
-    d = _oracle_path_through(release_xy, target.lr_ft, geometry)
-    rim = np.asarray(geometry.rim_center[:2])
-    s_center = float((rim - release_xy) @ d)
-    s_cross = s_center + target.depth_ft - geometry.rim_radius_ft
+    d = _oracle_path_through(release_xy, target.lr_ft)
+    s_center = float((np.zeros(2) - release_xy) @ d)
+    s_cross = s_center + target.depth_ft - RIM_RADIUS_FT
     if s_cross <= 0:
         raise UnreachableTargetError("crossing lies behind the release point")
-    rim_z = geometry.rim_center[2]
     tan_a = math.tan(math.radians(target.entry_angle_deg))
-    c2 = -((rim_z - release.height_ft) + tan_a * s_cross) / s_cross**2
+    c2 = -((RIM_HEIGHT_FT - release.height_ft) + tan_a * s_cross) / s_cross**2
     c1 = -tan_a - 2.0 * c2 * s_cross
     if c2 >= 0.0 or c1 <= 0.0:
         raise UnreachableTargetError("no ascending-release parabola reaches the target")
     v_h = math.sqrt(32.174 / (-2.0 * c2))
     flight_time = s_cross / v_h
-    n_flight = int(round(flight_time * frame_rate_hz))
-    t = np.arange(n_flight + extra_frames) / frame_rate_hz
+    n_flight = int(round(flight_time * FRAME_RATE_HZ))
+    t = np.arange(n_flight + extra_frames) / FRAME_RATE_HZ
     s = v_h * t
     xy = release_xy[None, :] + s[:, None] * d[None, :]
     z = release.height_ft + c1 * s + c2 * s * s
@@ -385,6 +380,8 @@ class TestSeason:
             {"extra_frames_past_rim": 1.5},
             {"seed": -1},
             {"seed": "x"},
+            {"release_distance_range_ft": (0.1, 0.2)},
+            {"release_distance_range_ft": (2.9, 3.2)},
         ]:
             with pytest.raises(ValueError):
                 SimConfig(**bad)

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from shotarc.core import CourtGeometry
 from shotarc.trajectory import (
+    BASE_EPSILON,
     FilterThresholds,
     FittedTrajectory,
     IllConditionedError,
@@ -185,20 +185,9 @@ class TestFit:
         refit_up = fit_trajectory(np.vstack([pts, displaced]), release)
         assert float(refit_up.predict_z(target_xy)[0]) > float(fit.predict_z(target_xy)[0])
 
-    def test_translation_equivariance(self):
-        pts, release, _ = parabola_shot(noise=0.08, seed=9, lr_ft=0.15)
-        shift = np.array([3.0, -2.0])
-        geometry2 = CourtGeometry(rim_center=(shift[0], shift[1], 10.0))
-        pts2 = pts.copy()
-        pts2[:, :2] += shift
-        fit1 = fit_trajectory(pts, release)
-        fit2 = fit_trajectory(pts2, release + shift, geometry=geometry2)
-        probe = pts[::5, :2]
-        np.testing.assert_allclose(
-            fit2.predict_z(probe + shift), fit1.predict_z(probe), atol=1e-8)
 
 
-DEFAULT_PRIOR_EPS = PriorConfig().base_epsilon
+DEFAULT_PRIOR_EPS = BASE_EPSILON
 
 
 class TestRmse:
