@@ -114,10 +114,6 @@ def feet_to_inches(x_ft: float) -> float:
     return x_ft * 12.0
 
 
-def inches_to_feet(x_in: float) -> float:
-    return x_in / 12.0
-
-
 def _expit_scalar(x: float) -> float:
     try:
         return 1.0 / (1.0 + math.exp(-x))

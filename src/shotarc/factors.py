@@ -64,13 +64,6 @@ class ShotPath:
     s_front_rim: float
     s_center: float
 
-    def point_at(self, s: float | np.ndarray) -> np.ndarray:
-        s = np.asarray(s, dtype=float)
-        return self.anchor + np.multiply.outer(s, self.direction)
-
-    def coordinate_of(self, xy: np.ndarray) -> np.ndarray:
-        return (np.asarray(xy, dtype=float) - self.anchor) @ self.direction
-
 
 def fit_path_line(samples: np.ndarray) -> ShotPath:
     """Total-least-squares line through the horizontal sample coordinates.

@@ -210,40 +210,3 @@ def predict(model: MakeProbModel, factors: np.ndarray) -> np.ndarray | float:
     p = expit(eta)
     return float(p) if np.ndim(p) == 0 else p
 
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Evaluation grid over raw factor values (feet, feet, degrees)."""
-
-    depth_values: np.ndarray
-    lr_values: np.ndarray
-    angle_values: np.ndarray
-
-
-@dataclass(frozen=True)
-class ProbabilitySurface:
-    depth_values: np.ndarray
-    lr_values: np.ndarray
-    angle_values: np.ndarray
-    probabilities: np.ndarray    # shape (n_depth, n_lr, n_angle)
-    argmax_cell: tuple[float, float, float]
-    max_probability: float
-
-
-def probability_surface(model: MakeProbModel, grid: GridSpec) -> ProbabilitySurface:
-    """Dense model evaluation over a (depth, lr, angle) grid, for plot emission."""
-    d = np.asarray(grid.depth_values, dtype=float)
-    l = np.asarray(grid.lr_values, dtype=float)
-    a = np.asarray(grid.angle_values, dtype=float)
-    dd, ll, aa = np.meshgrid(d, l, a, indexing="ij")
-    flat = np.column_stack([dd.ravel(), ll.ravel(), aa.ravel()])
-    probs = np.asarray(predict(model, flat)).reshape(dd.shape)
-    idx = np.unravel_index(int(np.argmax(probs)), probs.shape)
-    return ProbabilitySurface(
-        depth_values=d,
-        lr_values=l,
-        angle_values=a,
-        probabilities=probs,
-        argmax_cell=(float(d[idx[0]]), float(l[idx[1]]), float(a[idx[2]])),
-        max_probability=float(probs[idx]),
-    )

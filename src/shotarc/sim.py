@@ -64,6 +64,9 @@ ANGLE_CLIP_DEG = (33.0, 64.0)
 # a release no farther than this from the rim center can lie past the crossing
 # of a clipped target (|lr| up to LR_CLIP_FT, depth down to DEPTH_CLIP_FT[0])
 MIN_RELEASE_DISTANCE_FT = math.hypot(LR_CLIP_FT, RIM_RADIUS_FT - DEPTH_CLIP_FT[0])
+# a release below rim height reaches every clipped target on a descending arc;
+# a jittered release height is clipped to this
+MAX_RELEASE_HEIGHT_FT = 9.5
 
 
 class UnreachableTargetError(ValueError):
@@ -341,6 +344,9 @@ class SimConfig:
             raise ValueError(f"release_distance_range_ft must start above "
                              f"{MIN_RELEASE_DISTANCE_FT:.3f} ft, where every target is reachable, "
                              f"not {self.release_distance_range_ft!r}")
+        if self.release_height_ft > MAX_RELEASE_HEIGHT_FT:
+            raise ValueError(f"release_height_ft must be at most {MAX_RELEASE_HEIGHT_FT} ft, "
+                             f"below the rim, not {self.release_height_ft!r}")
         for f in fields(self):
             if ("_sd" in f.name or f.name in ("release_height_jitter_ft", "tracking_noise_ft")
                     ) and getattr(self, f.name) < 0:
@@ -521,7 +527,8 @@ def _simulate_game(config: SimConfig, rng: np.random.Generator, game_id: GameId,
         x, y = dist * math.cos(azim), dist * math.sin(azim)
         height = config.release_height_ft
         if config.release_height_jitter_ft > 0:
-            height += rng.normal(0.0, config.release_height_jitter_ft)
+            height = min(height + rng.normal(0.0, config.release_height_jitter_ft),
+                         MAX_RELEASE_HEIGHT_FT)
 
         # defender context
         ndd = min(max(rng.gamma(config.ndd_gamma_shape, config.ndd_gamma_scale), ndd_lo), ndd_hi)

@@ -46,13 +46,11 @@ from shotarc.sim import (
 )
 from shotarc.trajectory import (
     BASE_EPSILON,
-    PriorConfig,
     fit_trajectory,
     make_pseudo_data,
-    posterior_from_prior,
     quadratic_features,
 )
-from conftest import parabola_shot
+from conftest import base_posterior, parabola_shot
 
 
 @contextlib.contextmanager
@@ -103,7 +101,6 @@ def test_criterion_1_trajectory_oracle_equivalence():
                       "sequential == batch updates (1e-10); runtime < 10 s"):
         t0 = time.perf_counter()
         rng = np.random.default_rng(20240101)
-        cfg = PriorConfig()
         # tracked shots carry measurement noise; exactly-radial noise-free
         # designs are conditioned at ~1e16 where float64 determines the
         # posterior itself to no better than ~1e-7 (see decisions ledger)
@@ -117,15 +114,15 @@ def test_criterion_1_trajectory_oracle_equivalence():
                 noise=0.12,
                 seed=9000 + i,
             )
-            fit = fit_trajectory(pts, release, cfg)
+            fit = fit_trajectory(pts, release)
             oracle = lstsq_oracle(pts, release, BASE_EPSILON)
             assert np.max(np.abs(fit.beta - oracle)) <= 1e-8
 
             xy_p, z_p = make_pseudo_data(release)
             Xp = quadratic_features(xy_p)
             X = quadratic_features(pts[:, :2])
-            seq = posterior_from_prior(cfg.base_prior()).updated(Xp, z_p).updated(X, pts[:, 2])
-            batch = posterior_from_prior(cfg.base_prior()).updated(
+            seq = base_posterior().updated(Xp, z_p).updated(X, pts[:, 2])
+            batch = base_posterior().updated(
                 np.vstack([Xp, X]), np.concatenate([z_p, pts[:, 2]]))
             assert np.max(np.abs(seq.mean - batch.mean)) <= 1e-10
             np.testing.assert_allclose(seq.precision, batch.precision,

@@ -84,6 +84,7 @@ class TestExitCodes:
          "release_distance_range_ft must start above 2.995 ft"),
         ('{"tracking_noise_ft": NaN}', "tracking_noise_ft must be finite"),
         ('{"release_height_jitter_ft": NaN}', "release_height_jitter_ft must be finite"),
+        ('{"release_height_ft": 30.0}', "release_height_ft must be at most 9.5 ft"),
         ('{"ndd_gamma_shape": -1}', "ndd_gamma_shape and ndd_gamma_scale must be positive"),
         ('{"contest_angle_sd_deg": -1}', "contest_angle_sd_deg must be non-negative"),
         ('{"n_shooters": 3}', "n_shooters must be at least 5"),
@@ -99,6 +100,16 @@ class TestExitCodes:
         assert main(["simulate", "--config", str(bad), "--out-dir", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    def test_jittered_release_height_near_rim_simulates(self, workdir):
+        # unclipped, this jitter lifts a release so far above the rim that no
+        # descending arc reaches its target; clipped below the rim, every shot has one
+        config = workdir / "near_rim.json"
+        config.write_text(json.dumps({"n_games": 2, "shots_per_game": 20, "seed": 3,
+                                      "release_height_ft": 9.0, "release_height_jitter_ft": 6.0}))
+        out = workdir / "near_rim"
+        assert main(["simulate", "--config", str(config), "--out-dir", str(out)]) == 0
+        assert (out / "tracking.jsonl").exists()
 
     @pytest.mark.parametrize("flag, value", [
         ("--max-rmse", "nan"), ("--max-rmse", "0"), ("--max-rmse", "-1"),

@@ -36,9 +36,9 @@ class TestPathLine:
         x = np.linspace(20.0, 2.0, 15)
         pts = np.column_stack([x, x + 1.0, np.full(15, 9.0)])
         path = fit_path_line(pts)
-        # every sample lies on the fitted line
-        proj = path.point_at(path.coordinate_of(pts[:, :2]))
-        np.testing.assert_allclose(proj, pts[:, :2], atol=1e-9)
+        # every sample lies on the fitted line: no offset perpendicular to it
+        normal = np.array([-path.direction[1], path.direction[0]])
+        np.testing.assert_allclose((pts[:, :2] - path.anchor) @ normal, 0.0, atol=1e-9)
 
     def test_noisy_direction_recovery(self):
         rng = np.random.default_rng(0)

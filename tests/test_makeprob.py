@@ -6,7 +6,6 @@ from scipy.special import expit
 
 from shotarc.makeprob import (
     DegenerateOutcomesError,
-    GridSpec,
     MakeProbModel,
     Standardizer,
     TrainConfig,
@@ -15,7 +14,6 @@ from shotarc.makeprob import (
     gradient,
     log_likelihood,
     predict,
-    probability_surface,
     train,
 )
 
@@ -188,14 +186,6 @@ class TestPredict:
 
 
 class TestSurfaceAndPersistence:
-    def test_constant_model_constant_surface(self):
-        coeffs = np.zeros(10)
-        coeffs[0] = 0.7
-        model = MakeProbModel(coeffs, np.zeros(3), np.ones(3), 0, True, 0.0)
-        grid = GridSpec(np.linspace(0, 1.5, 7), np.linspace(-0.5, 0.5, 5), np.array([45.0]))
-        surf = probability_surface(model, grid)
-        assert np.allclose(surf.probabilities, surf.probabilities.flat[0])
-
     def test_surface_argmax_reported(self):
         rng = np.random.default_rng(17)
         raw = sample_factors(rng, 3000)
@@ -203,10 +193,9 @@ class TestSurfaceAndPersistence:
         flip = rng.random(3000) < 0.1
         y[flip] = 1.0 - y[flip]
         model = train(raw, y, TrainConfig())
-        grid = GridSpec(np.linspace(0.2, 1.4, 25), np.array([0.0]), np.array([45.5]))
-        surf = probability_surface(model, grid)
-        assert 0.5 < surf.argmax_cell[0] < 1.2
-        assert surf.max_probability == np.max(surf.probabilities)
+        depths = np.linspace(0.2, 1.4, 25)
+        probs = predict(model, np.column_stack([depths, np.zeros(25), np.full(25, 45.5)]))
+        assert 0.5 < depths[np.argmax(probs)] < 1.2
 
     def test_json_round_trip(self):
         rng = np.random.default_rng(19)

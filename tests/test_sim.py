@@ -12,6 +12,7 @@ from shotarc.factors import compute_shot_factors, fit_path_line
 from shotarc.ingest import load_events, load_roster, load_tracking
 from shotarc.sim import (
     FRAME_RATE_HZ,
+    MAX_RELEASE_HEIGHT_FT,
     GroundTruthShot,
     PressureModel,
     ReleaseState,
@@ -123,7 +124,8 @@ def oracle_simulate_season(config):
             release_xy = np.array([dist * math.cos(azim), dist * math.sin(azim)])
             height = config.release_height_ft
             if config.release_height_jitter_ft > 0:
-                height += rng.normal(0.0, config.release_height_jitter_ft)
+                height = min(height + rng.normal(0.0, config.release_height_jitter_ft),
+                             MAX_RELEASE_HEIGHT_FT)
             ndd = float(np.clip(
                 rng.gamma(config.ndd_gamma_shape, config.ndd_gamma_scale), *config.ndd_range_ft))
             intensity = expit((pressure.ramp_midpoint_ft - np.asarray(ndd, dtype=float))
@@ -382,6 +384,8 @@ class TestSeason:
             {"seed": "x"},
             {"release_distance_range_ft": (0.1, 0.2)},
             {"release_distance_range_ft": (2.9, 3.2)},
+            {"release_height_ft": 10.0},
+            {"release_height_ft": 30.0},
         ]:
             with pytest.raises(ValueError):
                 SimConfig(**bad)
@@ -440,6 +444,9 @@ class TestOracleSeason:
         # integer-valued settings, as a JSON config gives them
         SimConfig(seed=8, n_games=2, shots_per_game=25, release_height_ft=7,
                   ndd_range_ft=(1, 9), release_distance_range_ft=(22, 27), back_rim_capture_ft=0),
+        # jittered release heights clipped below the rim
+        SimConfig(seed=9, n_games=2, shots_per_game=20, release_height_ft=9.0,
+                  release_height_jitter_ft=2.0),
     ])
     def test_bit_identical_to_oracle(self, config, tmp_path):
         got, want = simulate_season(config), oracle_simulate_season(config)

@@ -9,16 +9,13 @@ from shotarc.trajectory import (
     FittedTrajectory,
     IllConditionedError,
     InsufficientSamplesError,
-    PriorConfig,
     ShotFitRecord,
     filter_shots,
     fit_trajectory,
     make_pseudo_data,
-    posterior_from_prior,
     quadratic_features,
-    trajectory_rmse,
 )
-from conftest import parabola_shot
+from conftest import base_posterior, parabola_shot, sequential_chain
 
 
 def lstsq_oracle(samples_xy, z, release_xy, epsilon, pseudo_weight=1.0):
@@ -58,14 +55,6 @@ def criterion_1_shots():
         yield pts, release
 
 
-def sequential_chain(pts, release, cfg):
-    """Base prior, then the pseudo-points, then the samples, one update at a time."""
-    xy_p, z_p = make_pseudo_data(release)
-    return posterior_from_prior(cfg.base_prior()).updated(
-        quadratic_features(xy_p), z_p, weight=cfg.pseudo_weight).updated(
-        quadratic_features(pts[:, :2]), pts[:, 2])
-
-
 class TestPseudoData:
     def test_stated_construction(self):
         xy, z = make_pseudo_data((20.0, 5.0))
@@ -94,14 +83,13 @@ class TestFit:
         rng = np.random.default_rng(1)
         xy = rng.uniform(-5, 25, size=(60, 2))
         z = quadratic_features(xy) @ beta_true
-        cfg = PriorConfig(pseudo_weight=0.0)
-        fit = fit_trajectory(np.column_stack([xy, z]), (20.0, 5.0), cfg)
+        fit = fit_trajectory(np.column_stack([xy, z]), (20.0, 5.0), pseudo_weight=0.0)
         np.testing.assert_allclose(fit.beta, beta_true, atol=1e-6)
 
     def test_pseudo_only_fit_hits_targets(self):
         fit = fit_trajectory(np.empty((0, 3)), (20.0, 5.0), min_samples=0)
         xy_p, z_p = make_pseudo_data((20.0, 5.0))
-        np.testing.assert_allclose(fit.predict_z(xy_p), z_p, atol=1e-3)
+        np.testing.assert_allclose(quadratic_features(xy_p) @ fit.beta, z_p, atol=1e-3)
 
     def test_min_samples_threshold(self):
         pts = np.column_stack([np.arange(4.0), np.zeros(4), np.full(4, 8.0)])
@@ -127,12 +115,11 @@ class TestFit:
 
     def test_sequential_equals_batch(self):
         pts, release, _ = parabola_shot(noise=0.1, seed=3, lr_ft=0.2)
-        cfg = PriorConfig()
         xy_p, z_p = make_pseudo_data(release)
         Xp, X = quadratic_features(xy_p), quadratic_features(pts[:, :2])
 
-        seq = posterior_from_prior(cfg.base_prior()).updated(Xp, z_p).updated(X, pts[:, 2])
-        batch = posterior_from_prior(cfg.base_prior()).updated(
+        seq = base_posterior().updated(Xp, z_p).updated(X, pts[:, 2])
+        batch = base_posterior().updated(
             np.vstack([Xp, X]), np.concatenate([z_p, pts[:, 2]]))
 
         np.testing.assert_allclose(seq.precision, batch.precision, atol=1e-10)
@@ -146,10 +133,9 @@ class TestFit:
     # reads the stacked residual
     @pytest.mark.parametrize("pseudo_weight,scale_tol", [(1.0, 1e-10), (0.0, 1e-10), (2.5, 1e-8)])
     def test_one_solve_beta_equals_sequential_chain(self, pseudo_weight, scale_tol):
-        cfg = PriorConfig(pseudo_weight=pseudo_weight)
         for pts, release in criterion_1_shots():
-            fit = fit_trajectory(pts, release, cfg)
-            chain = sequential_chain(pts, release, cfg)
+            fit = fit_trajectory(pts, release, pseudo_weight=pseudo_weight)
+            chain = sequential_chain(pts, release, pseudo_weight)
             assert np.array_equal(fit.beta, chain.mean)
             assert np.array_equal(fit.posterior_precision, chain.precision)
             assert fit.posterior_shape == chain.shape
@@ -159,13 +145,12 @@ class TestFit:
     def test_invalid_pseudo_weight_rejected(self, pseudo_weight):
         pts, release, _ = parabola_shot(noise=0.1, seed=5)
         with pytest.raises(ValueError, match="pseudo_weight"):
-            fit_trajectory(pts, release, PriorConfig(pseudo_weight=pseudo_weight))
+            fit_trajectory(pts, release, pseudo_weight=pseudo_weight)
 
     def test_pseudo_only_fit_equals_chain(self):
-        cfg = PriorConfig()
-        fit = fit_trajectory(np.empty((0, 3)), (20.0, 5.0), cfg, min_samples=0)
+        fit = fit_trajectory(np.empty((0, 3)), (20.0, 5.0), min_samples=0)
         xy_p, z_p = make_pseudo_data((20.0, 5.0))
-        chain = posterior_from_prior(cfg.base_prior()).updated(quadratic_features(xy_p), z_p)
+        chain = base_posterior().updated(quadratic_features(xy_p), z_p)
         assert np.array_equal(fit.beta, chain.mean)
         assert fit.posterior_shape == chain.shape
         assert abs(fit.posterior_scale - chain.scale) <= 1e-10
@@ -174,16 +159,17 @@ class TestFit:
         pts, release, _ = parabola_shot(noise=0.1, seed=5, lr_ft=0.25)
         fit = fit_trajectory(pts, release)
         target_xy = pts[10, :2]
+        features = quadratic_features(target_xy)
 
         # zero-residual duplicate: posterior mean is a fixed point
-        on_surface = np.array([[*target_xy, float(fit.predict_z(target_xy)[0])]])
+        on_surface = np.array([[*target_xy, float((features @ fit.beta)[0])]])
         refit = fit_trajectory(np.vstack([pts, on_surface]), release)
         np.testing.assert_allclose(refit.beta, fit.beta, atol=1e-9)
 
         # a duplicate displaced upward pulls the local prediction upward
         displaced = on_surface + np.array([0.0, 0.0, 0.4])
         refit_up = fit_trajectory(np.vstack([pts, displaced]), release)
-        assert float(refit_up.predict_z(target_xy)[0]) > float(fit.predict_z(target_xy)[0])
+        assert float((features @ refit_up.beta)[0]) > float((features @ fit.beta)[0])
 
 
 
@@ -194,19 +180,7 @@ class TestRmse:
     def test_perfect_fit_zero(self):
         pts, release, _ = parabola_shot(lr_ft=0.2, seed=2)
         fit = fit_trajectory(pts, release)
-        assert trajectory_rmse(fit, pts) == pytest.approx(0.0, abs=1e-7)
-
-    def test_hand_arithmetic(self):
-        beta = np.zeros(6)
-        beta[0] = 10.0
-        fit = FittedTrajectory(beta, np.eye(6), 1.0, 1.0, 0.0, 2)
-        pts = np.array([[1.0, 0.0, 10.3], [2.0, 0.0, 9.7]])
-        assert trajectory_rmse(fit, pts) == pytest.approx(0.3)
-
-    def test_empty_samples_rejected(self):
-        fit = FittedTrajectory(np.zeros(6), np.eye(6), 1.0, 1.0, 0.0, 0)
-        with pytest.raises(ValueError):
-            trajectory_rmse(fit, np.empty((0, 3)))
+        assert fit.rmse_ft == pytest.approx(0.0, abs=1e-7)
 
     def test_noise_scale_recovered(self):
         vals = []
