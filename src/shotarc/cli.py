@@ -22,16 +22,13 @@ import math
 import operator
 import re
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
-from .core import GameId, PlayerId
 from .effects import (
-    EffectsDataset,
     EffectsError,
     apply_min_shots_filter,
     fit_effects,
@@ -47,28 +44,11 @@ from .evaluate import (
     subsample_mse,
     variance_comparison,
 )
-from .factors import CrossingError, PathError, compute_shot_factors, fit_path_line
-from .ingest import (
-    EventRecord,
-    ExtractionReport,
-    GameTracking,
-    RosterRecord,
-    ShotEvent,
-    extract_shot_events,
-    load_events,
-    load_roster,
-    load_tracking,
-)
+from .ingest import load_events, load_roster, load_tracking
 from .makeprob import MakeProbModel, TrainConfig, TrainingError, predict, train
+from .season import SHOT_COLUMNS, ShotRow, ShotTable, fit_season
 from .sim import PressureModel, SimConfig, simulate_season, write_season
-from .trajectory import (
-    FilterReport,
-    FilterThresholds,
-    ShotFitRecord,
-    TrajectoryFitError,
-    filter_shots,
-    fit_trajectory,
-)
+from .trajectory import FilterThresholds
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -194,13 +174,8 @@ def sim_config_from_dict(doc: dict) -> SimConfig:
         raise ConfigError(f"invalid simulate config: {exc}") from exc
 
 
-# --- per-shot pipeline table ------------------------------------------------------
+# --- shots files ------------------------------------------------------------------
 
-SHOT_COLUMNS = (
-    "shot_id", "game_id", "shooter_id", "defender_id", "ndd_ft",
-    "defender_height_in", "contest_angle_deg", "outcome",
-    "depth_ft", "lr_ft", "entry_angle_deg", "rmse_ft", "n_samples", "flags",
-)
 ID_COLUMNS = ("shot_id", "game_id", "shooter_id", "defender_id", "flags")
 FACTOR_COLUMNS = ("depth_ft", "lr_ft", "entry_angle_deg")
 PLAYER_COLUMNS = ("shooter_id", "defender_id", "outcome")
@@ -208,29 +183,6 @@ INTEGER_COLUMNS = ("outcome", "n_samples")
 _NON_BLANK = re.compile(rb"\S")
 _LOADTXT = dict(delimiter=",", quotechar='"', comments=None, skiprows=1, ndmin=2,
                 encoding="utf-8")
-
-
-@dataclasses.dataclass
-class ShotRow:
-    """One retained shot with defender context and estimated factors."""
-
-    shot_id: str
-    game_id: str
-    shooter_id: PlayerId
-    defender_id: PlayerId
-    ndd_ft: float
-    defender_height_in: float
-    contest_angle_deg: float
-    outcome: int
-    depth_ft: float
-    lr_ft: float
-    entry_angle_deg: float
-    rmse_ft: float
-    n_samples: int
-    flags: str = ""
-    make_prob: float | None = None
-
-
 _ROW_VALUES = operator.attrgetter(*SHOT_COLUMNS, "make_prob")
 
 
@@ -245,41 +197,15 @@ def write_csv(path: Path, header: Iterable, rows: Iterable[Iterable]) -> Path:
     return path
 
 
-def write_shot_rows(rows: Iterable[ShotRow], path: Path, with_prob: bool = False) -> None:
+def write_shot_rows(rows: ShotTable | Iterable[ShotRow], path: Path,
+                    with_prob: bool = False) -> None:
     """The shots file: the ``SHOT_COLUMNS`` of each row, then ``make_prob`` if ``with_prob``."""
-    width = len(SHOT_COLUMNS) + with_prob
-    write_csv(path, (SHOT_COLUMNS + ("make_prob",))[:width], (_ROW_VALUES(r)[:width] for r in rows))
-
-
-@dataclasses.dataclass
-class ShotTable:
-    """A shots file as columns by header name: ids as str arrays, ``outcome``
-    and ``n_samples`` as int64, every other column float64."""
-
-    columns: dict[str, np.ndarray]
-    n_rows: int
-
-    def __len__(self) -> int:
-        return self.n_rows
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        return self.columns[name]
-
-    def matrix(self, names: tuple[str, ...]) -> np.ndarray:
-        return np.column_stack([self.columns[c] for c in names])
-
-    def __iter__(self) -> Iterator[ShotRow]:
-        """One ``ShotRow`` per shot; the table must hold every column of ``SHOT_COLUMNS``."""
-        cols = {"make_prob": np.full(self.n_rows, None), **self.columns}
-        return map(ShotRow, *(cols[c].tolist() for c in SHOT_COLUMNS + ("make_prob",)))
-
-    def effects_dataset(self, require_prob: bool) -> EffectsDataset:
-        cols = self.columns
-        if require_prob and "make_prob" not in cols:
-            raise ConfigError("shots file lacks make_prob; run `shotarc predict` first")
-        return EffectsDataset(cols["shooter_id"], cols["defender_id"], cols["ndd_ft"],
-                              cols["outcome"].astype(float), cols.get("make_prob"),
-                              cols.get("game_id"))
+    header = (SHOT_COLUMNS + ("make_prob",))[:len(SHOT_COLUMNS) + with_prob]
+    if isinstance(rows, ShotTable):
+        values = zip(*(rows[c].tolist() for c in header))
+    else:
+        values = (_ROW_VALUES(r)[:len(header)] for r in rows)
+    write_csv(path, header, values)
 
 
 def read_shot_rows(path: str | Path, columns: tuple[str, ...] | None = None,
@@ -344,79 +270,6 @@ def read_shot_rows(path: str | Path, columns: tuple[str, ...] | None = None,
     return ShotTable(table, len(block))
 
 
-class SeasonFit(NamedTuple):
-    """Everything ``fit_season`` makes of one season."""
-
-    rows: list[ShotRow]
-    fits: list[tuple[ShotEvent, ShotFitRecord]]
-    extraction: ExtractionReport
-    filtering: FilterReport
-    factor_rejections: dict[str, int]
-
-
-def fit_season(
-    tracking: dict[GameId, GameTracking],
-    events: list[EventRecord],
-    roster: dict[PlayerId, RosterRecord],
-    thresholds: FilterThresholds = FilterThresholds(),
-) -> SeasonFit:
-    """Extract every tagged shot, fit its trajectory, filter the season, compute factors.
-
-    Takes what ``load_tracking``, ``load_events`` and ``load_roster`` return
-    (``sim.season_tracking`` returns the same for a simulated season).  With
-    shot ids unique, as ``load_events`` leaves them, every event ends up in
-    exactly one place: an extraction rejection, a filtering rejection, a
-    factor rejection, or a row.
-    """
-    shots, extraction = extract_shot_events(
-        tracking, events, roster, min_samples=thresholds.min_samples)
-    fits: list[tuple[ShotEvent, ShotFitRecord]] = []
-    for ev in shots:
-        try:
-            fitted = fit_trajectory(ev.samples, ev.release_xy, min_samples=thresholds.min_samples)
-        except TrajectoryFitError:
-            fitted = None
-        fits.append((ev, ShotFitRecord(
-            shot_id=ev.shot_id,
-            fitted=fitted,
-            n_samples=len(ev.samples),
-            max_gap_s=ev.max_gap_s,
-        )))
-
-    retained, filtering = filter_shots([rec for _, rec in fits], thresholds)
-    retained_ids = {rec.shot_id for rec in retained}
-
-    rows: list[ShotRow] = []
-    factor_rejections: dict[str, int] = {}
-    for ev, rec in fits:
-        if rec.shot_id not in retained_ids:
-            continue
-        try:
-            path = fit_path_line(ev.samples)
-            factors = compute_shot_factors(rec.fitted, path)
-        except (PathError, CrossingError) as exc:
-            reason = getattr(exc, "flag", "path_degenerate")
-            factor_rejections[reason] = factor_rejections.get(reason, 0) + 1
-            continue
-        rows.append(ShotRow(
-            shot_id=ev.shot_id,
-            game_id=ev.game_id,
-            shooter_id=ev.shooter,
-            defender_id=ev.defender,
-            ndd_ft=ev.ndd_ft,
-            defender_height_in=ev.defender_height_in,
-            contest_angle_deg=ev.contest_angle_deg,
-            outcome=ev.outcome,
-            depth_ft=factors.depth_ft,
-            lr_ft=factors.left_right_ft,
-            entry_angle_deg=factors.entry_angle_deg,
-            rmse_ft=rec.fitted.rmse_ft,
-            n_samples=rec.n_samples,
-            flags=";".join(ev.flags),
-        ))
-    return SeasonFit(rows, fits, extraction, filtering, factor_rejections)
-
-
 # --- subcommands -------------------------------------------------------------------
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -467,11 +320,12 @@ def cmd_fit(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     factors_path = out_dir / "factors.csv"
     write_shot_rows(rows, factors_path)
+    fits, done = fit.fits, fit.fits["fitted"]
     traj_csv = write_csv(
         out_dir / "trajectories.csv",
         ["shot_id"] + [f"beta{i}" for i in range(6)] + ["rmse_ft", "n_samples"],
-        ([rec.shot_id, *rec.fitted.beta.tolist(), rec.fitted.rmse_ft, rec.n_samples]
-         for _, rec in fit.fits if rec.fitted is not None))
+        zip(fits["shot_id"][done].tolist(), *fits["beta"][done].T.tolist(),
+            fits["rmse_ft"][done].tolist(), fits["n_samples"][done].tolist()))
 
     report_path = out_dir / "filter_report.json"
     report_path.write_text(json.dumps({

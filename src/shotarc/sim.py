@@ -46,6 +46,7 @@ import numpy as np
 
 from .core import (
     BALL_RADIUS_FT,
+    RELEASE_HEIGHT_PRIOR_FT,
     RIM_HEIGHT_FT,
     RIM_RADIUS_FT,
     GameId,
@@ -67,6 +68,11 @@ MIN_RELEASE_DISTANCE_FT = math.hypot(LR_CLIP_FT, RIM_RADIUS_FT - DEPTH_CLIP_FT[0
 # a release below rim height reaches every clipped target on a descending arc;
 # a jittered release height is clipped to this
 MAX_RELEASE_HEIGHT_FT = 9.5
+# the trajectory fit's release pseudo-points put every arc at RELEASE_HEIGHT_PRIOR_FT;
+# a release as far below that prior as the highest one is above it strains them no more
+# than the highest does (far below, at 0.5 ft, every shot fits noisy), and a jittered
+# release height is clipped to this from below
+MIN_RELEASE_HEIGHT_FT = 2.0 * RELEASE_HEIGHT_PRIOR_FT - MAX_RELEASE_HEIGHT_FT
 
 
 class UnreachableTargetError(ValueError):
@@ -347,6 +353,10 @@ class SimConfig:
         if self.release_height_ft > MAX_RELEASE_HEIGHT_FT:
             raise ValueError(f"release_height_ft must be at most {MAX_RELEASE_HEIGHT_FT} ft, "
                              f"below the rim, not {self.release_height_ft!r}")
+        if self.release_height_ft < MIN_RELEASE_HEIGHT_FT:
+            raise ValueError(f"release_height_ft must be at least {MIN_RELEASE_HEIGHT_FT} ft, "
+                             f"near the fit's {RELEASE_HEIGHT_PRIOR_FT} ft release prior, "
+                             f"not {self.release_height_ft!r}")
         for f in fields(self):
             if ("_sd" in f.name or f.name in ("release_height_jitter_ft", "tracking_noise_ft")
                     ) and getattr(self, f.name) < 0:
@@ -527,8 +537,8 @@ def _simulate_game(config: SimConfig, rng: np.random.Generator, game_id: GameId,
         x, y = dist * math.cos(azim), dist * math.sin(azim)
         height = config.release_height_ft
         if config.release_height_jitter_ft > 0:
-            height = min(height + rng.normal(0.0, config.release_height_jitter_ft),
-                         MAX_RELEASE_HEIGHT_FT)
+            height = min(max(height + rng.normal(0.0, config.release_height_jitter_ft),
+                             MIN_RELEASE_HEIGHT_FT), MAX_RELEASE_HEIGHT_FT)
 
         # defender context
         ndd = min(max(rng.gamma(config.ndd_gamma_shape, config.ndd_gamma_scale), ndd_lo), ndd_hi)

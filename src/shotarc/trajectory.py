@@ -25,7 +25,6 @@ scaled for any court-sized design.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,6 +73,10 @@ def quadratic_features(xy: np.ndarray) -> np.ndarray:
     return np.column_stack([np.ones_like(x), x, y, x * x, y * y, x * y])
 
 
+# the pseudo-observations' height targets: two at the release, two at the rim center
+_PSEUDO_Z = np.array([RELEASE_HEIGHT_PRIOR_FT] * 2 + [RIM_HEIGHT_FT] * 2)
+
+
 def make_pseudo_data(release_xy: tuple[float, float] | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Four pseudo-observations encoding prior knowledge of shot arcs.
 
@@ -86,8 +89,7 @@ def make_pseudo_data(release_xy: tuple[float, float] | np.ndarray) -> tuple[np.n
     if np.hypot(rx, ry) < 1e-12:    # the rim center is the local origin
         raise IllConditionedError("release point coincides with the rim center")
     xy = np.array([[rx, ry], [rx, ry], [0.0, 0.0], [0.0, 0.0]])
-    z = np.array([RELEASE_HEIGHT_PRIOR_FT, RELEASE_HEIGHT_PRIOR_FT, RIM_HEIGHT_FT, RIM_HEIGHT_FT])
-    return xy, z
+    return xy, _PSEUDO_Z.copy()
 
 
 def equilibrated_condition(lam: np.ndarray) -> float:
@@ -167,6 +169,68 @@ def fit_trajectory(
     )
 
 
+# the rows and targets every shot's stacked root shares: the base root, and the two
+# pseudo rows at the rim center after the two at the release
+_RIM_PSEUDO_ROWS = quadratic_features(np.zeros((2, 2)))
+_PRIOR_TARGET = np.concatenate([_BASE_TARGET, _PSEUDO_Z])
+
+
+def fit_trajectories(
+    samples: list[np.ndarray],
+    release_xy: np.ndarray,
+    min_samples: int = 5,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``fit_trajectory`` at pseudo weight 1 for many shots at once.
+
+    ``samples`` holds each shot's (n_i, 3) local-frame points and
+    ``release_xy`` (k, 2) its release; ``min_samples`` is at least 1.
+    Returns ``fitted`` (k,), true where ``fit_trajectory`` returns a fit
+    rather than raising a ``TrajectoryFitError``, and that fit's ``beta``
+    (k, 6) and ``rmse_ft`` (k,), NaN where ``fitted`` is false.
+
+    The shots' stacked roots [sqrt(epsilon) * I; pseudo rows; sample rows]
+    are zero-padded to the longest window, which changes neither R nor the
+    solution, and solved by one batched QR factorization and triangular
+    solve (Golub & Van Loan, Matrix Computations, sec. 5.3).  Since
+    R'R is the posterior precision, the equilibrated condition is the
+    square of that of R with unit columns.  QR is not the SVD of
+    ``fit_trajectory``'s ``lstsq``, so the two agree to rounding, not bit
+    for bit.
+    """
+    k = len(samples)
+    n = np.array([len(s) for s in samples], dtype=np.int64)
+    release = np.asarray(release_xy, dtype=float).reshape(k, 2)
+    fitted, beta, rmse = np.zeros(k, dtype=bool), np.full((k, N_COEFFS), np.nan), np.full(k, np.nan)
+    thick = np.flatnonzero(n >= min_samples)
+    if not len(thick):
+        return fitted, beta, rmse
+    counts = n[thick]
+    pts = np.concatenate([samples[i] for i in thick])
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("samples contain non-finite coordinates")
+    valid = np.arange(counts.max()) < counts[:, None]
+    X = np.zeros(valid.shape + (N_COEFFS,))
+    z = np.zeros(valid.shape)
+    X[valid] = quadratic_features(pts[:, :2])
+    z[valid] = pts[:, 2]
+    pseudo = quadratic_features(np.repeat(release[thick], 2, axis=0)).reshape(-1, 2, N_COEFFS)
+    root = np.concatenate([np.broadcast_to(_BASE_ROOT, (len(thick), N_COEFFS, N_COEFFS)), pseudo,
+                           np.broadcast_to(_RIM_PSEUDO_ROWS, pseudo.shape), X], axis=1)
+    target = np.concatenate([np.broadcast_to(_PRIOR_TARGET, (len(thick), len(_PRIOR_TARGET))), z],
+                            axis=1)
+    q, r = np.linalg.qr(root)
+    cond = np.linalg.cond(r / np.linalg.norm(r, axis=-2, keepdims=True)) ** 2
+    b = np.linalg.solve(r, np.einsum("kmj,km->kj", q, target)[..., None])[..., 0]
+    resid = np.einsum("kmj,kj->km", X, b) - z
+    # make_pseudo_data refuses a release at the rim center
+    ok = (cond <= CONDITION_GUARD) & (np.hypot(*release[thick].T) >= 1e-12)
+    done = thick[ok]
+    fitted[done] = True
+    beta[done] = b[ok]
+    rmse[done] = np.sqrt(np.einsum("km,km->k", resid, resid)[ok] / counts[ok])
+    return fitted, beta, rmse
+
+
 # --- season-level filtering -------------------------------------------------
 
 @dataclass(frozen=True)
@@ -191,14 +255,8 @@ class FilterThresholds:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
 
 
-@dataclass(frozen=True)
-class ShotFitRecord:
-    """Join of a shot id with its fit outcome and sampling diagnostics."""
-
-    shot_id: str
-    fitted: FittedTrajectory | None     # None when the fit failed
-    n_samples: int
-    max_gap_s: float
+# the rejection reasons of ``filter_shots``, in the order they are tested
+FILTER_REASONS = ("insufficient_samples", "unfittable", "gapped", "noisy")
 
 
 @dataclass(frozen=True)
@@ -213,27 +271,27 @@ class FilterReport:
 
 
 def filter_shots(
-    records: list[ShotFitRecord],
+    n_samples: np.ndarray,
+    fitted: np.ndarray,
+    max_gap_s: np.ndarray,
+    rmse_ft: np.ndarray,
     thresholds: FilterThresholds = FilterThresholds(),
-) -> tuple[list[ShotFitRecord], FilterReport]:
+) -> tuple[np.ndarray, FilterReport]:
     """Keep shots passing every threshold; count rejections by reason.
 
-    Each shot is counted once, under the first reason that applies, in
-    this order: fewer than ``min_samples`` samples (``insufficient_samples``),
-    no fitted surface (``unfittable``), a sampling gap above ``max_gap_s``
-    (``gapped``), a fit RMSE above ``max_rmse_ft`` (``noisy``).
+    Takes one value per shot in each array and returns each shot's reason
+    ("" for a kept shot) with the counts.  Each shot is counted once, under
+    the first reason that applies, in this order: fewer than ``min_samples``
+    samples (``insufficient_samples``), no fitted surface (``unfittable``), a
+    sampling gap above ``max_gap_s`` (``gapped``), a fit RMSE above
+    ``max_rmse_ft`` (``noisy``).
     """
-    retained: list[ShotFitRecord] = []
-    reasons: Counter[str] = Counter()
-    for rec in records:
-        if rec.n_samples < thresholds.min_samples:
-            reasons["insufficient_samples"] += 1
-        elif rec.fitted is None:
-            reasons["unfittable"] += 1
-        elif rec.max_gap_s > thresholds.max_gap_s:
-            reasons["gapped"] += 1
-        elif rec.fitted.rmse_ft > thresholds.max_rmse_ft:
-            reasons["noisy"] += 1
-        else:
-            retained.append(rec)
-    return retained, FilterReport(n_input=len(records), n_retained=len(retained), rejections=dict(reasons))
+    code = np.select([np.asarray(n_samples) < thresholds.min_samples,
+                      ~np.asarray(fitted, dtype=bool),
+                      np.asarray(max_gap_s) > thresholds.max_gap_s,
+                      np.asarray(rmse_ft) > thresholds.max_rmse_ft],
+                     list(range(len(FILTER_REASONS))), default=-1)
+    counts = np.bincount(code[code >= 0], minlength=len(FILTER_REASONS))
+    report = FilterReport(n_input=len(code), n_retained=int(np.count_nonzero(code < 0)),
+                          rejections={r: int(k) for r, k in zip(FILTER_REASONS, counts) if k})
+    return np.array(("",) + FILTER_REASONS)[code + 1], report

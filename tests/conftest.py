@@ -8,11 +8,16 @@ import numpy as np
 import pytest
 
 from shotarc.core import RIM_RADIUS_FT
+from shotarc.factors import CrossingError, PathError, compute_shot_factors, fit_path_line
+from shotarc.ingest import extract_shot_events
 from shotarc.trajectory import (
     BASE_EPSILON,
     BASE_SCALE,
     BASE_SHAPE,
     N_COEFFS,
+    FilterThresholds,
+    TrajectoryFitError,
+    fit_trajectory,
     make_pseudo_data,
     quadratic_features,
 )
@@ -144,3 +149,80 @@ def sequential_chain(pts, release, pseudo_weight=1.0):
     return base_posterior().updated(
         quadratic_features(xy_p), z_p, weight=pseudo_weight).updated(
         quadratic_features(pts[:, :2]), pts[:, 2])
+
+
+@dataclass(frozen=True)
+class OneShot:
+    """The one-shot chain's outcome for one shot: the fit's beta and RMSE (None
+    when ``fit_trajectory`` raised), the reason that dropped the shot ("" when
+    it made a row) and its (depth, left-right, entry angle), None without a row."""
+
+    beta: np.ndarray | None
+    rmse_ft: float | None
+    rejection: str
+    factors: tuple[float, float, float] | None
+
+
+def one_shot_chain(samples, release_xy, max_gap_s, thresholds=FilterThresholds()) -> list[OneShot]:
+    """The reference for the batched season fit: shot by shot, ``fit_trajectory``,
+    the filter's rules in their stated order, then ``fit_path_line`` and
+    ``compute_shot_factors``."""
+    out = []
+    for pts, release, gap in zip(samples, release_xy, max_gap_s):
+        try:
+            fitted = fit_trajectory(pts, release, min_samples=thresholds.min_samples)
+        except TrajectoryFitError:
+            fitted = None
+        factors, rejection = None, ""
+        if len(pts) < thresholds.min_samples:
+            rejection = "insufficient_samples"
+        elif fitted is None:
+            rejection = "unfittable"
+        elif gap > thresholds.max_gap_s:
+            rejection = "gapped"
+        elif fitted.rmse_ft > thresholds.max_rmse_ft:
+            rejection = "noisy"
+        else:
+            try:
+                f = compute_shot_factors(fitted, fit_path_line(pts))
+                factors = (f.depth_ft, f.left_right_ft, f.entry_angle_deg)
+            except (PathError, CrossingError) as exc:
+                rejection = exc.flag
+        out.append(OneShot(None if fitted is None else fitted.beta,
+                           None if fitted is None else fitted.rmse_ft, rejection, factors))
+    return out
+
+
+def season_chain(tracking, events, roster, thresholds=FilterThresholds()) -> list[OneShot]:
+    """``one_shot_chain`` over every shot that ``extract_shot_events`` extracts."""
+    shots, _ = extract_shot_events(tracking, events, roster, min_samples=thresholds.min_samples)
+    return one_shot_chain([ev.samples for ev in shots], [ev.release_xy for ev in shots],
+                          [ev.max_gap_s for ev in shots], thresholds)
+
+
+def assert_matches_chain(rejection, fitted, beta, rmse, factors, chain, tol=1e-9):
+    """Per-shot columns of the batched path against the one-shot chain: the same
+    rejection and fit outcome, and beta, RMSE and factors (k, 3) within ``tol``."""
+    assert list(rejection) == [c.rejection for c in chain]
+    assert list(fitted) == [c.beta is not None for c in chain]
+    done, row = np.asarray(fitted), np.asarray(rejection) == ""
+    assert np.isnan(beta[~done]).all() and np.isnan(rmse[~done]).all()
+    np.testing.assert_allclose(
+        beta[done], np.reshape([c.beta for c in chain if c.beta is not None], (-1, 6)),
+        rtol=0, atol=tol)
+    np.testing.assert_allclose(rmse[done], [c.rmse_ft for c in chain if c.beta is not None],
+                               rtol=0, atol=tol)
+    assert np.isnan(factors[~row]).all()
+    np.testing.assert_allclose(
+        factors[row], np.reshape([c.factors for c in chain if not c.rejection], (-1, 3)),
+        rtol=0, atol=tol)
+
+
+def assert_season_matches_chain(fit, chain, tol=1e-9):
+    """Every extracted shot of a ``SeasonFit`` against the one-shot chain, and its
+    rows the chain's rows in extraction order."""
+    fits = fit.fits
+    assert len(fits) == len(chain)
+    assert_matches_chain(fits["rejection"], fits["fitted"], fits["beta"], fits["rmse_ft"],
+                         fits.matrix(("depth_ft", "lr_ft", "entry_angle_deg")), chain, tol)
+    assert fit.rows["shot_id"].tolist() == fits["shot_id"][fits["rejection"] == ""].tolist()

@@ -50,7 +50,7 @@ from shotarc.trajectory import (
     make_pseudo_data,
     quadratic_features,
 )
-from conftest import base_posterior, parabola_shot
+from conftest import assert_season_matches_chain, base_posterior, parabola_shot, season_chain
 
 
 @contextlib.contextmanager
@@ -70,8 +70,15 @@ RB_SEASON = SimConfig(seed=1400, n_games=120, shots_per_game=420,
 
 
 @pytest.fixture(scope="module")
-def default_season_rows():
-    return fit_season(*season_tracking(simulate_season(DEFAULT_SEASON))).rows
+def default_season_fit():
+    """The default season's fit, and the one-shot chain over its extracted shots."""
+    season = season_tracking(simulate_season(DEFAULT_SEASON))
+    return fit_season(*season), season_chain(*season)
+
+
+@pytest.fixture(scope="module")
+def default_season_rows(default_season_fit):
+    return default_season_fit[0].rows
 
 
 @pytest.fixture(scope="module")
@@ -130,6 +137,14 @@ def test_criterion_1_trajectory_oracle_equivalence():
             assert abs(seq.scale - batch.scale) <= 1e-10 * max(1.0, abs(batch.scale))
         elapsed = time.perf_counter() - t0
         assert elapsed < 10.0, f"took {elapsed:.1f}s"
+
+
+def test_batched_fit_matches_one_shot_chain_on_default_season(default_season_fit):
+    # the season fit solves a game at a time; shot by shot, the one-shot
+    # chain gives the same rejections, and beta, RMSE and factors within 1e-9
+    fit, chain = default_season_fit
+    assert len(chain) == DEFAULT_SEASON.n_shots
+    assert_season_matches_chain(fit, chain)
 
 
 def test_criterion_2_factor_recovery_zero_noise():

@@ -85,6 +85,8 @@ class TestExitCodes:
         ('{"tracking_noise_ft": NaN}', "tracking_noise_ft must be finite"),
         ('{"release_height_jitter_ft": NaN}', "release_height_jitter_ft must be finite"),
         ('{"release_height_ft": 30.0}', "release_height_ft must be at most 9.5 ft"),
+        ('{"n_games": 2, "shots_per_game": 20, "seed": 3, "release_height_ft": -50.0}',
+         "release_height_ft must be at least 4.5 ft"),
         ('{"ndd_gamma_shape": -1}', "ndd_gamma_shape and ndd_gamma_scale must be positive"),
         ('{"contest_angle_sd_deg": -1}', "contest_angle_sd_deg must be non-negative"),
         ('{"n_shooters": 3}', "n_shooters must be at least 5"),
@@ -431,7 +433,7 @@ class TestShotAccounting:
         assert doc["filtering"]["rejections"]   # corruption reaches the filter
         tracking, _ = load_tracking(tracking)
         fit = fit_season(tracking, load_events(events)[0], load_roster(season / "roster.csv")[0])
-        n_thin = sum(len(ev.samples) < 5 for ev, _ in fit.fits)
+        n_thin = int(np.count_nonzero(fit.fits["n_samples"] < 5))
         assert n_thin > 0
         assert doc["filtering"]["rejections"]["insufficient_samples"] == n_thin
         assert len(records) - 1 == (sum(load["events"]["reasons"].values())

@@ -529,7 +529,7 @@ class TestLoadEventsProperties:
         counted = (sum(report.reasons.values()) + sum(fit.extraction.rejections.values())
                    + sum(fit.filtering.rejections.values()) + sum(fit.factor_rejections.values()))
         assert counted + len(fit.rows) == len(records)
-        assert all(math.isfinite(ev.ndd_ft) for ev, _ in fit.fits)
+        assert np.isfinite(fit.fits["ndd_ft"]).all()
         for r in fit.rows:
             assert all(map(math.isfinite, (r.ndd_ft, r.depth_ft, r.lr_ft, r.entry_angle_deg,
                                            r.rmse_ft)))
@@ -675,6 +675,24 @@ class TestExtraction:
                 # descending arrival frame included, nothing beyond it
                 assert np.all(z[apex:-1] > 10.0)
 
+    def test_window_cut_one_past_the_first_arrival_after_the_highest_frame(self):
+        z = np.array([8.0, 9.5, 10.0, 11.0, 12.0, 11.0, 10.0, 9.0, 8.0, 12.0, 7.0])
+        n = len(z)
+        game = GameTracking(
+            "G0", 0.04 * np.arange(n), np.column_stack([np.full(n, 10.0), np.full(n, 25.0), z]),
+            np.tile(np.arange(10, dtype=np.int16), (n, 1)),
+            np.tile(np.stack([np.arange(10.0), np.arange(10.0)], axis=1), (n, 1, 1)),
+            [f"P{k}" for k in range(10)], {f"P{k}": "A" if k < 5 else "B" for k in range(10)})
+        # release frame -> samples kept: an arrival exactly at rim height ends the window,
+        # the first of two equal highest frames is the apex, and a window that never
+        # rises above the rim is kept whole
+        want = {0: 7, 2: 5, 6: 5, 7: 4, 10: 1}
+        events = [EventRecord(f"s{i}", "G0", "P0", i, 1, "left") for i in want]
+        shots, _ = extract_shot_events({"G0": game}, events, {}, min_samples=1)
+        assert [len(ev.samples) for ev in shots] == list(want.values())
+        for (first, cut), ev in zip(want.items(), shots):
+            assert ev.samples[:, 2].tolist() == z[first:first + cut].tolist()
+
     def test_insufficient_samples_flagged_not_dropped(self, tmp_path):
         # 3 in-flight frames only
         lines = []
@@ -715,9 +733,34 @@ class TestExtraction:
             while (hi < n and times[hi] - times[hi - 1] <= stream_break_s
                    and times[hi] - times[i] <= max_window_s):
                 hi += 1
-            assert ev.sample_times.tobytes() == times[i:hi].tobytes()
+            assert len(ev.samples) == hi - i
             gap = float(np.max(np.diff(times[i:hi]))) if hi - i >= 2 else 0.0
             assert ev.max_gap_s == gap
+
+    def test_window_end_where_the_rounded_search_overshoots(self):
+        # t0 + 0.1 rounds up onto the third time, which lies more than 0.1 s past t0
+        t0 = 1.6527635528529094
+        times = np.array([t0, t0 + 0.05, 1.7527635528529095, 1.8])
+        assert times[2] <= t0 + 0.1 and times[2] - t0 > 0.1
+        game = GameTracking(
+            "G0", times, np.tile([10.0, 25.0, 5.0], (4, 1)),
+            np.tile(np.arange(10, dtype=np.int16), (4, 1)),
+            np.tile(np.stack([np.arange(10.0), np.arange(10.0)], axis=1), (4, 1, 1)),
+            [f"P{k}" for k in range(10)], {f"P{k}": "A" if k < 5 else "B" for k in range(10)})
+        shots, _ = extract_shot_events({"G0": game}, [EventRecord("s0", "G0", "P0", 0, 1, "left")],
+                                       {}, min_samples=1, max_window_s=0.1)
+        assert len(shots[0].samples) == 2
+
+    def test_windows_split_when_dense_equal_one_pass(self, monkeypatch):
+        tracking, events, roster = season_tracking(simulate_season(
+            SimConfig(seed=12, n_games=2, shots_per_game=30, corrupt_fraction=0.5)))
+        whole, report = extract_shot_events(tracking, events, roster)
+        monkeypatch.setattr(ingest, "MAX_WINDOW_FRAMES", 40)    # a window or two per part
+        split, split_report = extract_shot_events(tracking, events, roster)
+        assert split_report == report and len(split) == len(whole) == 60
+        for a, b in zip(split, whole):
+            assert a.samples.tobytes() == b.samples.tobytes() and a.samples.shape == b.samples.shape
+            assert (a.shot_id, a.max_gap_s, a.flags) == (b.shot_id, b.max_gap_s, b.flags)
 
     def test_release_out_of_range_rejected(self, tmp_path):
         p = tmp_path / "t.jsonl"

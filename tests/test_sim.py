@@ -10,9 +10,11 @@ from hypothesis import given, settings, strategies as st
 from shotarc.core import RIM_HEIGHT_FT, RIM_RADIUS_FT, expit, from_local_frame
 from shotarc.factors import compute_shot_factors, fit_path_line
 from shotarc.ingest import load_events, load_roster, load_tracking
+from shotarc.season import fit_season
 from shotarc.sim import (
     FRAME_RATE_HZ,
     MAX_RELEASE_HEIGHT_FT,
+    MIN_RELEASE_HEIGHT_FT,
     GroundTruthShot,
     PressureModel,
     ReleaseState,
@@ -124,8 +126,8 @@ def oracle_simulate_season(config):
             release_xy = np.array([dist * math.cos(azim), dist * math.sin(azim)])
             height = config.release_height_ft
             if config.release_height_jitter_ft > 0:
-                height = min(height + rng.normal(0.0, config.release_height_jitter_ft),
-                             MAX_RELEASE_HEIGHT_FT)
+                height = min(max(height + rng.normal(0.0, config.release_height_jitter_ft),
+                                 MIN_RELEASE_HEIGHT_FT), MAX_RELEASE_HEIGHT_FT)
             ndd = float(np.clip(
                 rng.gamma(config.ndd_gamma_shape, config.ndd_gamma_scale), *config.ndd_range_ft))
             intensity = expit((pressure.ramp_midpoint_ft - np.asarray(ndd, dtype=float))
@@ -386,6 +388,8 @@ class TestSeason:
             {"release_distance_range_ft": (2.9, 3.2)},
             {"release_height_ft": 10.0},
             {"release_height_ft": 30.0},
+            {"release_height_ft": 4.4},
+            {"release_height_ft": -50.0},
         ]:
             with pytest.raises(ValueError):
                 SimConfig(**bad)
@@ -430,6 +434,15 @@ class TestSeasonTracking:
         assert roster == want_roster
         assert list(roster) == list(want_roster)
 
+    @pytest.mark.parametrize("height, jitter", [
+        (MIN_RELEASE_HEIGHT_FT, 0.0), (MAX_RELEASE_HEIGHT_FT, 0.0), (MIN_RELEASE_HEIGHT_FT, 3.0)])
+    def test_release_heights_within_the_bounds_fit(self, height, jitter):
+        # the lower bound keeps the fit's release prior from rejecting the arcs as noisy
+        season = simulate_season(SimConfig(n_games=2, shots_per_game=40, seed=3,
+                                           release_height_ft=height,
+                                           release_height_jitter_ft=jitter))
+        assert fit_season(*season_tracking(season)).filtering.retention >= 0.9
+
 
 class TestOracleSeason:
     """The two-phase generator against the shot-at-a-time reference, bit for bit."""
@@ -446,6 +459,9 @@ class TestOracleSeason:
                   ndd_range_ft=(1, 9), release_distance_range_ft=(22, 27), back_rim_capture_ft=0),
         # jittered release heights clipped below the rim
         SimConfig(seed=9, n_games=2, shots_per_game=20, release_height_ft=9.0,
+                  release_height_jitter_ft=2.0),
+        # jittered release heights clipped from below
+        SimConfig(seed=10, n_games=2, shots_per_game=20, release_height_ft=4.5,
                   release_height_jitter_ft=2.0),
     ])
     def test_bit_identical_to_oracle(self, config, tmp_path):

@@ -6,10 +6,8 @@ import pytest
 from shotarc.trajectory import (
     BASE_EPSILON,
     FilterThresholds,
-    FittedTrajectory,
     IllConditionedError,
     InsufficientSamplesError,
-    ShotFitRecord,
     filter_shots,
     fit_trajectory,
     make_pseudo_data,
@@ -192,24 +190,30 @@ class TestRmse:
 
 
 def _record(shot_id, rmse=0.0, n=25, gap=0.04, fitted=True):
-    fit = None
-    if fitted:
-        fit = FittedTrajectory(np.zeros(6), np.eye(6), 1.0, 1.0, rmse, n)
-    return ShotFitRecord(shot_id=shot_id, fitted=fit, n_samples=n, max_gap_s=gap)
+    return {"shot_id": shot_id, "n_samples": n, "fitted": fitted, "max_gap_s": gap,
+            "rmse_ft": rmse if fitted else float("nan")}
+
+
+def _filter(recs, *thresholds):
+    """filter_shots on the records' columns: (kept shot ids, report)."""
+    col = {key: np.array([r[key] for r in recs]) for key in recs[0]}
+    reason, report = filter_shots(col["n_samples"], col["fitted"], col["max_gap_s"],
+                                  col["rmse_ft"], *thresholds)
+    return col["shot_id"][reason == ""].tolist(), report
 
 
 class TestFilter:
     def test_all_clean_all_retained(self):
         recs = [_record(f"s{i}") for i in range(10)]
-        kept, report = filter_shots(recs)
+        kept, report = _filter(recs)
         assert len(kept) == 10
         assert report.retention == 1.0
         assert report.rejections == {}
 
     def test_noisy_shot_excluded_with_reason(self):
         recs = [_record("good"), _record("bad", rmse=0.8)]
-        kept, report = filter_shots(recs)
-        assert [r.shot_id for r in kept] == ["good"]
+        kept, report = _filter(recs)
+        assert kept == ["good"]
         assert report.rejections == {"noisy": 1}
 
     def test_reason_priority_and_counts(self):
@@ -223,8 +227,8 @@ class TestFilter:
             _record("d2", rmse=2.0, gap=0.5),
             _record("e"),
         ]
-        kept, report = filter_shots(recs, FilterThresholds())
-        assert [r.shot_id for r in kept] == ["e"]
+        kept, report = _filter(recs, FilterThresholds())
+        assert kept == ["e"]
         assert report.rejections == {
             "unfittable": 2, "insufficient_samples": 2, "gapped": 2, "noisy": 1}
         assert report.retention == pytest.approx(1 / 8)
@@ -241,7 +245,7 @@ class TestFilter:
     def test_infinite_limits_mean_no_limit(self):
         recs = [_record("gappy", gap=50.0), _record("noisy", rmse=50.0), _record("thin", n=2)]
         inf = float("inf")
-        kept, report = filter_shots(recs, FilterThresholds(min_samples=2, max_rmse_ft=inf,
-                                                           max_gap_s=inf))
-        assert [r.shot_id for r in kept] == ["gappy", "noisy", "thin"]
+        kept, report = _filter(recs, FilterThresholds(min_samples=2, max_rmse_ft=inf,
+                                                      max_gap_s=inf))
+        assert kept == ["gappy", "noisy", "thin"]
         assert report.rejections == {}
