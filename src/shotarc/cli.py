@@ -197,15 +197,10 @@ def write_csv(path: Path, header: Iterable, rows: Iterable[Iterable]) -> Path:
     return path
 
 
-def write_shot_rows(rows: ShotTable | Iterable[ShotRow], path: Path,
-                    with_prob: bool = False) -> None:
+def write_shot_rows(rows: Iterable[ShotRow], path: Path, with_prob: bool = False) -> None:
     """The shots file: the ``SHOT_COLUMNS`` of each row, then ``make_prob`` if ``with_prob``."""
-    header = (SHOT_COLUMNS + ("make_prob",))[:len(SHOT_COLUMNS) + with_prob]
-    if isinstance(rows, ShotTable):
-        values = zip(*(rows[c].tolist() for c in header))
-    else:
-        values = (_ROW_VALUES(r)[:len(header)] for r in rows)
-    write_csv(path, header, values)
+    width = len(SHOT_COLUMNS) + with_prob
+    write_csv(path, (SHOT_COLUMNS + ("make_prob",))[:width], (_ROW_VALUES(r)[:width] for r in rows))
 
 
 def read_shot_rows(path: str | Path, columns: tuple[str, ...] | None = None,

@@ -681,67 +681,21 @@ class ExtractionReport:
     n_flagged: int = 0
 
 
-# _shot_windows holds a dozen arrays the size of its windows' summed frame counts;
-# past this many frames it splits its releases in two, which bounds its memory when a
-# file packs many frames into each window
-MAX_WINDOW_FRAMES = 1 << 18
+def _cut_at_rim_plane(z: np.ndarray) -> int:
+    """Index one past the first frame at/below rim height on the way down.
 
-
-def _shot_windows(
-    game: GameTracking,
-    first: np.ndarray,
-    right: np.ndarray,
-    stream_break_s: float,
-    max_window_s: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The ball samples of releases at frames ``first`` of one game, all at once.
-
-    A window runs from its release frame up to a break in the stream (a time
-    step above ``stream_break_s``) or the last frame within ``max_window_s``
-    of the release, and is then cut one frame past the first arrival at or
-    below rim height after the window's highest frame; an arc that never
-    rises above the rim keeps its whole window.  ``right`` marks releases at
-    the right hoop.  Returns the samples of every window in the rim-local
-    frame, one after another, each window's sample count and its largest
-    time step (0 below two samples).
+    Arcs that never rise above the rim plane have no descending crossing;
+    the whole window is kept.
     """
-    times = game.times
-    steps = np.append(np.diff(times), 0.0)
-    breaks = np.flatnonzero(~(steps[:-1] <= stream_break_s)) + 1
-    t0 = times[first]
-    end = np.append(breaks, len(times))[breaks.searchsorted(first + 1)]
-    # times increase, so times[h] - t0 <= max_window_s holds for a prefix of h; the
-    # search finds its end up to the rounding of t0 + max_window_s, the loops exactly
-    hi = np.minimum(np.maximum(times.searchsorted(t0 + max_window_s, side="right"), first + 1), end)
-    while (grow := (hi < end) & (times[np.minimum(hi, len(times) - 1)] - t0 <= max_window_s)).any():
-        hi[grow] += 1
-    while (shrink := (hi > first + 1) & ~(times[hi - 1] - t0 <= max_window_s)).any():
-        hi[shrink] -= 1
-
-    size = hi - first
-    if len(first) > 1 and size.sum() > MAX_WINDOW_FRAMES:   # densely timed frames: halve
-        parts = [_shot_windows(game, first[half], right[half], stream_break_s, max_window_s)
-                 for half in (slice(len(first) // 2), slice(len(first) // 2, None))]
-        return tuple(np.concatenate(arrays) for arrays in zip(*parts))
-
-    # every window's frames, one after another; pos indexes that concatenation
-    start = np.cumsum(size) - size
-    pos = np.arange(size.sum())
-    frame = pos + np.repeat(first - start, size)
-    z = game.ball[frame, 2]
-    top = np.maximum.reduceat(z, start)
-    apex = np.minimum.reduceat(np.where(z == np.repeat(top, size), pos, len(pos)), start)
-    down = (pos > np.repeat(apex, size)) & (z <= RIM_HEIGHT_FT)
-    arrival = np.minimum.reduceat(np.where(down, pos, len(pos)), start)
-    cut = np.where((top > RIM_HEIGHT_FT) & (arrival < len(pos)), arrival + 1 - start, size)
-
-    offset = pos - np.repeat(start, size)
-    ball = game.ball[frame[offset < np.repeat(cut, size)]].T
-    local = np.where(np.repeat(right, cut), to_local_frame(ball, "right"),
-                     to_local_frame(ball, "left"))
-    step = np.where(offset < np.repeat(cut - 1, size), steps[frame], -np.inf)
-    max_gap = np.where(cut >= 2, np.maximum.reduceat(step, start), 0.0)
-    return np.ascontiguousarray(local.T), cut, max_gap
+    if len(z) == 0:
+        return 0
+    apex = int(np.argmax(z))
+    if z[apex] <= RIM_HEIGHT_FT:
+        return len(z)
+    for i in range(apex + 1, len(z)):
+        if z[i] <= RIM_HEIGHT_FT:
+            return i + 1
+    return len(z)
 
 
 def extract_shot_events(
@@ -759,12 +713,13 @@ def extract_shot_events(
     Each game's times must increase, as ``load_tracking`` leaves them.
     Shots are rejected when their game or release frame is unknown, the
     shooter is off court, or no opponent is on court; thin windows are only
-    flagged (``insufficient_samples``) so callers can report them.  The
-    windows are cut one game at a time (``_shot_windows``).
+    flagged (``insufficient_samples``) so callers can report them.
     """
+    out: list[ShotEvent] = []
     reasons: Counter[str] = Counter()
-    accepted = []       # per shot kept: the event and its defender context
-    by_game: dict[GameId, list[int]] = {}
+    n_flagged = 0
+    steps: dict[GameId, tuple[np.ndarray, np.ndarray]] = {}   # per game: gaps, break indices
+
     for ev in events:
         game = tracking.get(ev.game_id)
         if game is None:
@@ -791,34 +746,49 @@ def extract_shot_events(
             reasons["shooter_not_on_court"] += 1
             continue
 
+        # window: stop before a stream break or past max_window_s, then cut at the rim plane
+        if ev.game_id not in steps:
+            gaps = np.diff(game.times)
+            steps[ev.game_id] = gaps, np.flatnonzero(~(gaps <= stream_break_s)) + 1
+        gaps, breaks = steps[ev.game_id]
+        times, first = game.times, ev.release_frame
+        t0 = times[first]
+        k = np.searchsorted(breaks, first + 1)
+        end = breaks[k] if k < len(breaks) else len(times)
+        # times increase, so times[h] - t0 <= max_window_s holds for a prefix of h; the
+        # search finds its end up to the rounding of t0 + max_window_s, the slice exactly
+        bound = min(max(int(np.searchsorted(times, t0 + max_window_s, side="right")),
+                        first + 1), end)
+        while bound < end and times[bound] - t0 <= max_window_s:
+            bound += 1
+        hi = first + 1 + int(np.count_nonzero(times[first + 1:bound] - t0 <= max_window_s))
+        window = slice(first, hi)
+        ball_local = np.column_stack(to_local_frame(game.ball[window].T, ev.hoop_end))
+        cut = _cut_at_rim_plane(ball_local[:, 2])
+        samples = ball_local[:cut]
+        max_gap = float(gaps[first:first + cut - 1].max()) if cut >= 2 else 0.0
+
+        flags: list[str] = []
+        if len(samples) < min_samples:
+            flags.append("insufficient_samples")
+
         shooter_xy = xy[s]
         try:
-            angle, angle_flag = contest_angle(shooter_xy, xy[d], rim_xy), ()
+            angle = contest_angle(shooter_xy, xy[d], rim_xy)
         except IngestError:
-            angle, angle_flag = float("nan"), ("contest_angle_undefined",)
+            angle = float("nan")
+            flags.append("contest_angle_undefined")
+
+        height = float("nan")
         rec = roster.get(defender_id)
-        height_flag = () if rec is not None else ("defender_height_missing",)
+        if rec is not None:
+            height = rec.height_in
+        else:
+            flags.append("defender_height_missing")
+
         release_local = to_local_frame((shooter_xy[0], shooter_xy[1], 0.0), ev.hoop_end)
-        by_game.setdefault(ev.game_id, []).append(len(accepted))
-        accepted.append((ev, defender_id, ndd, float("nan") if rec is None else rec.height_in,
-                         angle, (release_local[0], release_local[1]), angle_flag + height_flag))
-
-    windows: list = [None] * len(accepted)
-    for game_id, idx in by_game.items():
-        first = np.array([accepted[i][0].release_frame for i in idx])
-        right = np.array([accepted[i][0].hoop_end == "right" for i in idx])
-        local, count, max_gap = _shot_windows(
-            tracking[game_id], first, right, stream_break_s, max_window_s)
-        bounds = np.cumsum(count).tolist()
-        for i, lo, hi, gap in zip(idx, [0] + bounds, bounds, max_gap.tolist()):
-            windows[i] = local[lo:hi], gap
-
-    out: list[ShotEvent] = []
-    n_flagged = 0
-    for (ev, defender_id, ndd, height, angle, release_xy, more_flags), (samples, gap) in zip(
-            accepted, windows):
-        flags = (("insufficient_samples",) if len(samples) < min_samples else ()) + more_flags
-        n_flagged += bool(flags)
+        if flags:
+            n_flagged += 1
         out.append(ShotEvent(
             shot_id=ev.shot_id,
             game_id=ev.game_id,
@@ -829,9 +799,9 @@ def extract_shot_events(
             contest_angle_deg=angle,
             outcome=ev.outcome,
             samples=samples,
-            release_xy=release_xy,
-            max_gap_s=gap,
-            flags=flags,
+            release_xy=(release_local[0], release_local[1]),
+            max_gap_s=max_gap,
+            flags=tuple(flags),
         ))
 
     return out, ExtractionReport(

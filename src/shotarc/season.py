@@ -3,7 +3,9 @@
 ``fit_season`` runs extraction, the trajectory solve, the filter and the
 shot factors over a whole season.  The solve and the factors take one
 game's shots at a time (``trajectory.fit_trajectories`` and
-``factors.shot_factors``), so the padded arrays stay the size of a game.
+``factors.shot_factors``), so their arrays stay the size of a game's shots;
+the solve's padded blocks are bounded apart from that
+(``trajectory.MAX_PADDED_ROWS``).
 ``fit_trajectory``, ``fit_path_line`` and ``compute_shot_factors`` remain
 the one-shot references these batched steps are tested against.
 """

@@ -68,11 +68,11 @@ MIN_RELEASE_DISTANCE_FT = math.hypot(LR_CLIP_FT, RIM_RADIUS_FT - DEPTH_CLIP_FT[0
 # a release below rim height reaches every clipped target on a descending arc;
 # a jittered release height is clipped to this
 MAX_RELEASE_HEIGHT_FT = 9.5
-# the trajectory fit's release pseudo-points put every arc at RELEASE_HEIGHT_PRIOR_FT;
-# a release as far below that prior as the highest one is above it strains them no more
-# than the highest does (far below, at 0.5 ft, every shot fits noisy), and a jittered
-# release height is clipped to this from below
-MIN_RELEASE_HEIGHT_FT = 2.0 * RELEASE_HEIGHT_PRIOR_FT - MAX_RELEASE_HEIGHT_FT
+# the trajectory fit's release pseudo-points pull every arc toward RELEASE_HEIGHT_PRIOR_FT
+# at the release, and a release far below that prior fits as noisy: on seeded two-game
+# seasons every shot is retained down to 3.25 ft, a few fit noisy at 3.0 ft, most at
+# 2.5 ft and all at 2.0 ft; a jittered release height is clipped to this from below
+MIN_RELEASE_HEIGHT_FT = RELEASE_HEIGHT_PRIOR_FT - 3.5
 
 
 class UnreachableTargetError(ValueError):

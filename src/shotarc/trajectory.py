@@ -173,6 +173,29 @@ def fit_trajectory(
 # pseudo rows at the rim center after the two at the release
 _RIM_PSEUDO_ROWS = quadratic_features(np.zeros((2, 2)))
 _PRIOR_TARGET = np.concatenate([_BASE_TARGET, _PSEUDO_Z])
+# a padded solve holds a few arrays of (shots x (prior rows + longest window)) rows;
+# blocks stay below this many rows, so one long window among many short ones costs its
+# own rows once, not once per shot beside it
+MAX_PADDED_ROWS = 1 << 14
+
+
+def padded_blocks(n_samples: np.ndarray, min_samples: int) -> list[np.ndarray]:
+    """The shots with at least ``min_samples`` samples, shortest first, in blocks.
+
+    A block of k shots whose longest window holds n samples pads to
+    k * (len(_PRIOR_TARGET) + n) rows, at most ``MAX_PADDED_ROWS`` unless the
+    block is a single shot.
+    """
+    n_samples = np.asarray(n_samples, dtype=np.int64)
+    thick = np.flatnonzero(n_samples >= min_samples)
+    order = thick[np.argsort(n_samples[thick], kind="stable")]
+    rows = (len(_PRIOR_TARGET) + n_samples[order]).tolist()
+    blocks, start = [], 0
+    for i, m in enumerate(rows):
+        if i > start and (i + 1 - start) * m > MAX_PADDED_ROWS:
+            blocks.append(order[start:i])
+            start = i
+    return blocks + [order[start:]] if len(order) else []
 
 
 def fit_trajectories(
@@ -188,46 +211,44 @@ def fit_trajectories(
     rather than raising a ``TrajectoryFitError``, and that fit's ``beta``
     (k, 6) and ``rmse_ft`` (k,), NaN where ``fitted`` is false.
 
-    The shots' stacked roots [sqrt(epsilon) * I; pseudo rows; sample rows]
-    are zero-padded to the longest window, which changes neither R nor the
+    The shots are solved in ``padded_blocks``.  In a block, the shots'
+    stacked roots [sqrt(epsilon) * I; pseudo rows; sample rows] are
+    zero-padded to the longest window, which changes neither R nor the
     solution, and solved by one batched QR factorization and triangular
-    solve (Golub & Van Loan, Matrix Computations, sec. 5.3).  Since
-    R'R is the posterior precision, the equilibrated condition is the
-    square of that of R with unit columns.  QR is not the SVD of
-    ``fit_trajectory``'s ``lstsq``, so the two agree to rounding, not bit
-    for bit.
+    solve (Golub & Van Loan, Matrix Computations, sec. 5.3).  Since R'R is
+    the posterior precision, the equilibrated condition is the square of
+    that of R with unit columns.  QR is not the SVD of ``fit_trajectory``'s
+    ``lstsq``, so the two agree to rounding, not bit for bit.
     """
     k = len(samples)
     n = np.array([len(s) for s in samples], dtype=np.int64)
     release = np.asarray(release_xy, dtype=float).reshape(k, 2)
     fitted, beta, rmse = np.zeros(k, dtype=bool), np.full((k, N_COEFFS), np.nan), np.full(k, np.nan)
-    thick = np.flatnonzero(n >= min_samples)
-    if not len(thick):
-        return fitted, beta, rmse
-    counts = n[thick]
-    pts = np.concatenate([samples[i] for i in thick])
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("samples contain non-finite coordinates")
-    valid = np.arange(counts.max()) < counts[:, None]
-    X = np.zeros(valid.shape + (N_COEFFS,))
-    z = np.zeros(valid.shape)
-    X[valid] = quadratic_features(pts[:, :2])
-    z[valid] = pts[:, 2]
-    pseudo = quadratic_features(np.repeat(release[thick], 2, axis=0)).reshape(-1, 2, N_COEFFS)
-    root = np.concatenate([np.broadcast_to(_BASE_ROOT, (len(thick), N_COEFFS, N_COEFFS)), pseudo,
-                           np.broadcast_to(_RIM_PSEUDO_ROWS, pseudo.shape), X], axis=1)
-    target = np.concatenate([np.broadcast_to(_PRIOR_TARGET, (len(thick), len(_PRIOR_TARGET))), z],
-                            axis=1)
-    q, r = np.linalg.qr(root)
-    cond = np.linalg.cond(r / np.linalg.norm(r, axis=-2, keepdims=True)) ** 2
-    b = np.linalg.solve(r, np.einsum("kmj,km->kj", q, target)[..., None])[..., 0]
-    resid = np.einsum("kmj,kj->km", X, b) - z
-    # make_pseudo_data refuses a release at the rim center
-    ok = (cond <= CONDITION_GUARD) & (np.hypot(*release[thick].T) >= 1e-12)
-    done = thick[ok]
-    fitted[done] = True
-    beta[done] = b[ok]
-    rmse[done] = np.sqrt(np.einsum("km,km->k", resid, resid)[ok] / counts[ok])
+    for block in padded_blocks(n, min_samples):
+        counts = n[block]
+        pts = np.concatenate([samples[i] for i in block])
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("samples contain non-finite coordinates")
+        valid = np.arange(counts.max()) < counts[:, None]
+        X = np.zeros(valid.shape + (N_COEFFS,))
+        z = np.zeros(valid.shape)
+        X[valid] = quadratic_features(pts[:, :2])
+        z[valid] = pts[:, 2]
+        pseudo = quadratic_features(np.repeat(release[block], 2, axis=0)).reshape(-1, 2, N_COEFFS)
+        root = np.concatenate([np.broadcast_to(_BASE_ROOT, (len(block), N_COEFFS, N_COEFFS)),
+                               pseudo, np.broadcast_to(_RIM_PSEUDO_ROWS, pseudo.shape), X], axis=1)
+        target = np.concatenate(
+            [np.broadcast_to(_PRIOR_TARGET, (len(block), len(_PRIOR_TARGET))), z], axis=1)
+        q, r = np.linalg.qr(root)
+        cond = np.linalg.cond(r / np.linalg.norm(r, axis=-2, keepdims=True)) ** 2
+        b = np.linalg.solve(r, np.einsum("kmj,km->kj", q, target)[..., None])[..., 0]
+        resid = np.einsum("kmj,kj->km", X, b) - z
+        # make_pseudo_data refuses a release at the rim center
+        ok = (cond <= CONDITION_GUARD) & (np.hypot(*release[block].T) >= 1e-12)
+        done = block[ok]
+        fitted[done] = True
+        beta[done] = b[ok]
+        rmse[done] = np.sqrt(np.einsum("km,km->k", resid, resid)[ok] / counts[ok])
     return fitted, beta, rmse
 
 

@@ -86,7 +86,7 @@ class TestExitCodes:
         ('{"release_height_jitter_ft": NaN}', "release_height_jitter_ft must be finite"),
         ('{"release_height_ft": 30.0}', "release_height_ft must be at most 9.5 ft"),
         ('{"n_games": 2, "shots_per_game": 20, "seed": 3, "release_height_ft": -50.0}',
-         "release_height_ft must be at least 4.5 ft"),
+         "release_height_ft must be at least 3.5 ft"),
         ('{"ndd_gamma_shape": -1}', "ndd_gamma_shape and ndd_gamma_scale must be positive"),
         ('{"contest_angle_sd_deg": -1}', "contest_angle_sd_deg must be non-negative"),
         ('{"n_shooters": 3}', "n_shooters must be at least 5"),

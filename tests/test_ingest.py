@@ -751,17 +751,6 @@ class TestExtraction:
                                        {}, min_samples=1, max_window_s=0.1)
         assert len(shots[0].samples) == 2
 
-    def test_windows_split_when_dense_equal_one_pass(self, monkeypatch):
-        tracking, events, roster = season_tracking(simulate_season(
-            SimConfig(seed=12, n_games=2, shots_per_game=30, corrupt_fraction=0.5)))
-        whole, report = extract_shot_events(tracking, events, roster)
-        monkeypatch.setattr(ingest, "MAX_WINDOW_FRAMES", 40)    # a window or two per part
-        split, split_report = extract_shot_events(tracking, events, roster)
-        assert split_report == report and len(split) == len(whole) == 60
-        for a, b in zip(split, whole):
-            assert a.samples.tobytes() == b.samples.tobytes() and a.samples.shape == b.samples.shape
-            assert (a.shot_id, a.max_gap_s, a.flags) == (b.shot_id, b.max_gap_s, b.flags)
-
     def test_release_out_of_range_rejected(self, tmp_path):
         p = tmp_path / "t.jsonl"
         p.write_text(frame_line() + "\n")

@@ -7,7 +7,8 @@ import pytest
 from shotarc.factors import shot_factors
 from shotarc.season import fit_season
 from shotarc.sim import SimConfig, season_tracking, simulate_season
-from shotarc.trajectory import FilterThresholds, filter_shots, fit_trajectories
+from shotarc.trajectory import MAX_PADDED_ROWS, FilterThresholds, filter_shots, fit_trajectories, \
+    fit_trajectory, padded_blocks
 from conftest import assert_matches_chain, assert_season_matches_chain, one_shot_chain, \
     parabola_shot, season_chain
 
@@ -72,6 +73,30 @@ def test_block_matches_one_shot_chain(thresholds, reasons):
     factors[kept], rejection[kept] = shot_factors([samples[i] for i in kept], beta[kept])
     assert_matches_chain(rejection, fitted, beta, rmse, factors, chain)
     assert report.n_retained == len(kept)
+
+
+def test_a_long_window_is_not_padded_beside_short_ones():
+    samples, release = [], []
+    for i in range(300):
+        pts, rel, _ = parabola_shot(seed=400 + i, noise=0.1, extra=i % 9)
+        samples.append(pts)
+        release.append(rel)
+    pts, rel, _ = parabola_shot(seed=9, noise=0.1, frame_rate=2500.0)    # ~2,700 samples
+    samples.insert(150, pts)
+    release.insert(150, rel)
+    n = np.array([len(s) for s in samples])
+    blocks = padded_blocks(n, 5)
+    assert sorted(np.concatenate(blocks).tolist()) == list(range(len(samples)))
+    assert [150] in [b.tolist() for b in blocks]
+    for block in blocks:    # 6 base rows and 4 pseudo rows above each window
+        assert len(block) == 1 or len(block) * (10 + n[block].max()) <= MAX_PADDED_ROWS
+
+    fitted, beta, rmse = fit_trajectories(samples, np.array(release))
+    assert fitted.all()
+    for i, (pts, rel) in enumerate(zip(samples, release)):
+        want = fit_trajectory(pts, rel)
+        np.testing.assert_allclose(beta[i], want.beta, rtol=0, atol=1e-9)
+        assert abs(rmse[i] - want.rmse_ft) <= 1e-9
 
 
 def test_empty_block():

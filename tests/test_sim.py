@@ -388,7 +388,7 @@ class TestSeason:
             {"release_distance_range_ft": (2.9, 3.2)},
             {"release_height_ft": 10.0},
             {"release_height_ft": 30.0},
-            {"release_height_ft": 4.4},
+            {"release_height_ft": 3.4},
             {"release_height_ft": -50.0},
         ]:
             with pytest.raises(ValueError):
@@ -461,7 +461,7 @@ class TestOracleSeason:
         SimConfig(seed=9, n_games=2, shots_per_game=20, release_height_ft=9.0,
                   release_height_jitter_ft=2.0),
         # jittered release heights clipped from below
-        SimConfig(seed=10, n_games=2, shots_per_game=20, release_height_ft=4.5,
+        SimConfig(seed=10, n_games=2, shots_per_game=20, release_height_ft=3.5,
                   release_height_jitter_ft=2.0),
     ])
     def test_bit_identical_to_oracle(self, config, tmp_path):
