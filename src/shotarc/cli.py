@@ -1,10 +1,11 @@
 """Command-line pipeline: simulate, fit, train-makeprob, predict, effects, evaluate.
 
 Every subcommand is a pure function of its inputs, flags, and seed: outputs
-are byte-identical across reruns.  Each run writes a manifest JSON recording
-the resolved configuration, SHA-256 digests of inputs and outputs, and the
-tool version (file names only, so runs in different directories compare
-equal).  Exit codes: 0 success, 1 runtime failure, 2 usage or config error.
+are byte-identical across reruns.  Each subcommand returns the ``Run`` it
+made, and ``main`` writes its manifest JSON: the resolved configuration,
+SHA-256 digests of inputs and outputs, and the tool version (file names
+only, so runs in different directories compare equal).  Exit codes: 0
+success, 1 runtime failure, 2 usage, config or input error.
 
 All randomness descends from a single seed via numpy SeedSequence spawning:
 the simulator spawns one child sequence per game, the evaluation harness one
@@ -14,16 +15,14 @@ per bootstrap/subsample procedure.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import hashlib
 import json
 import math
-import operator
-import re
 import sys
 from collections.abc import Iterable
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,9 +43,11 @@ from .evaluate import (
     subsample_mse,
     variance_comparison,
 )
-from .ingest import load_events, load_roster, load_tracking
+from .ingest import IngestError, load_events, load_roster, load_tracking
 from .makeprob import MakeProbModel, TrainConfig, TrainingError, predict, train
-from .season import SHOT_COLUMNS, ShotRow, ShotTable, fit_season
+# the shots file lives in season; ShotRow is re-exported for callers of write_shot_rows
+from .season import (ShotRow, ShotsFileError, fit_season, read_shot_rows, write_csv,
+                     write_shot_rows)
 from .sim import PressureModel, SimConfig, simulate_season, write_season
 from .trajectory import FilterThresholds
 
@@ -57,6 +58,16 @@ EXIT_USAGE = 2
 
 class ConfigError(ValueError):
     pass
+
+
+class Run(NamedTuple):
+    """What one subcommand ran, in ``write_manifest``'s argument order."""
+
+    command: str
+    config: dict
+    inputs: list[Path]
+    outputs: list[Path]
+    seed: int | None = None
 
 
 def _sha256(path: Path) -> str:
@@ -174,100 +185,13 @@ def sim_config_from_dict(doc: dict) -> SimConfig:
         raise ConfigError(f"invalid simulate config: {exc}") from exc
 
 
-# --- shots files ------------------------------------------------------------------
-
-ID_COLUMNS = ("shot_id", "game_id", "shooter_id", "defender_id", "flags")
-FACTOR_COLUMNS = ("depth_ft", "lr_ft", "entry_angle_deg")
-PLAYER_COLUMNS = ("shooter_id", "defender_id", "outcome")
-INTEGER_COLUMNS = ("outcome", "n_samples")
-_NON_BLANK = re.compile(rb"\S")
-_LOADTXT = dict(delimiter=",", quotechar='"', comments=None, skiprows=1, ndmin=2,
-                encoding="utf-8")
-_ROW_VALUES = operator.attrgetter(*SHOT_COLUMNS, "make_prob")
-
-
-def write_csv(path: Path, header: Iterable, rows: Iterable[Iterable]) -> Path:
-    """Write one table, making its directory.  ``csv`` quotes only a field holding
-    ``,``, ``"`` or a line break, and writes floats by ``repr``, so they read back to the bit."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-    return path
-
-
-def write_shot_rows(rows: Iterable[ShotRow], path: Path, with_prob: bool = False) -> None:
-    """The shots file: the ``SHOT_COLUMNS`` of each row, then ``make_prob`` if ``with_prob``."""
-    width = len(SHOT_COLUMNS) + with_prob
-    write_csv(path, (SHOT_COLUMNS + ("make_prob",))[:width], (_ROW_VALUES(r)[:width] for r in rows))
-
-
-def read_shot_rows(path: str | Path, columns: tuple[str, ...] | None = None,
-                   finite: tuple[str, ...] = ()) -> ShotTable:
-    """Read ``columns`` of a shots file (default: those of ``SHOT_COLUMNS``, and
-    ``make_prob`` when present) and the ``finite`` ones into a ``ShotTable``,
-    with numpy's C parser: one pass for the numbers, one for the ids.
-
-    A ``ConfigError`` names the file, and the line, for bytes that are not
-    UTF-8 or a carriage return; the file for no shots or a missing column;
-    and the row (data rows from 0) and column (from 1), as numpy counts them,
-    for a number that does not parse, an empty or missing cell, a non-finite
-    value in a ``finite`` column, an ``outcome`` other than 0/1, or an
-    ``n_samples`` that is not an integer.
-    """
-    path = Path(path)
-    data = path.read_bytes()
-    try:
-        data.decode("utf-8")
-        bad, why = data.find(b"\r"), "carriage return"
-    except UnicodeDecodeError as exc:
-        bad, why = exc.start, "not UTF-8"
-    if bad >= 0:
-        line = data.count(b"\n", 0, bad) + 1
-        raise ConfigError(f"{path}:{line}: {why}")
-    end = data.find(b"\n")
-    if end < 0 or not _NON_BLANK.search(data, end + 1):
-        raise ConfigError(f"{path}: holds no shots")
-    header = next(csv.reader([data[:end].decode()]))
-    del data
-    if columns is None:
-        columns = SHOT_COLUMNS + (("make_prob",) if "make_prob" in header else ())
-    names = tuple(dict.fromkeys(columns + finite))
-    if missing := [c for c in names if c not in header]:
-        raise ConfigError(f"{path}: no column {', '.join(missing)}")
-    table: dict[str, np.ndarray] = {}
-    for group, dtype in (([c for c in names if c not in ID_COLUMNS], float),
-                         ([c for c in names if c in ID_COLUMNS], str)):
-        if group:
-            try:
-                block = np.loadtxt(path, dtype=dtype, usecols=[header.index(c) for c in group],
-                                   **_LOADTXT)
-            except ValueError as exc:
-                raise ConfigError(f"{path}: {exc}") from None
-            table.update(zip(group, block.T.copy()))
-    for name, values in table.items():
-        if name in finite:
-            bad = ~np.isfinite(values)
-        elif name == "outcome":
-            bad = (values != 0) & (values != 1)
-        elif name == "n_samples":
-            bad = values != np.round(values)
-        else:
-            continue
-        if bad.any():
-            row = int(np.argmax(bad))
-            raise ConfigError(f"{path}: {values[row].tolist()!r} is not a valid {name} "
-                              f"at row {row}, column {header.index(name) + 1}")
-    for name in INTEGER_COLUMNS:
-        if name in table:
-            table[name] = table[name].astype(np.int64)
-    return ShotTable(table, len(block))
-
-
 # --- subcommands -------------------------------------------------------------------
 
-def cmd_simulate(args: argparse.Namespace) -> int:
+FACTOR_COLUMNS = ("depth_ft", "lr_ft", "entry_angle_deg")
+PLAYER_COLUMNS = ("shooter_id", "defender_id", "outcome")
+
+
+def cmd_simulate(args: argparse.Namespace) -> Run:
     file_cfg = load_json_config(args.config)
     if args.seed is not None:
         if "seed" in file_cfg and file_cfg["seed"] != args.seed:
@@ -283,18 +207,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     n = len(season.ground_truth)
     print(f"simulated {n} shots over {config.n_games} games "
           f"({made / n:.3f} make rate) -> {out_dir}")
-    write_manifest(
-        Path(args.manifest or out_dir / "manifest.json"),
-        "simulate",
-        config=json.loads(json.dumps(dataclasses.asdict(config))),
-        inputs=[Path(args.config)] if args.config else [],
-        outputs=sorted(paths.values()),
-        seed=config.seed,
-    )
-    return EXIT_OK
+    return Run("simulate", json.loads(json.dumps(dataclasses.asdict(config))),
+               [Path(args.config)] if args.config else [], sorted(paths.values()), config.seed)
 
 
-def cmd_fit(args: argparse.Namespace) -> int:
+def cmd_fit(args: argparse.Namespace) -> Run:
     try:
         thresholds = FilterThresholds(
             min_samples=args.min_samples,
@@ -312,9 +229,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
     rows, report = fit.rows, fit.filtering
 
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     factors_path = out_dir / "factors.csv"
-    write_shot_rows(rows, factors_path)
+    write_shot_rows(rows, factors_path)     # makes out_dir
     fits, done = fit.fits, fit.fits["fitted"]
     traj_csv = write_csv(
         out_dir / "trajectories.csv",
@@ -324,11 +240,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
     report_path = out_dir / "filter_report.json"
     report_path.write_text(json.dumps({
-        "load": {
-            "tracking": dataclasses.asdict(tracking_load),
-            "events": dataclasses.asdict(events_load),
-            "roster": dataclasses.asdict(roster_load),
-        },
+        "load": {name: dataclasses.asdict(load) for name, load in (
+            ("tracking", tracking_load), ("events", events_load), ("roster", roster_load))},
         "extraction": dataclasses.asdict(fit.extraction),
         "filtering": {**dataclasses.asdict(report), "retention": report.retention},
         "factor_rejections": fit.factor_rejections,
@@ -338,17 +251,10 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
     print(f"fit {report.n_input} shots: retained {report.n_retained} "
           f"({report.retention:.3f}), factor rows {len(rows)}")
-    write_manifest(
-        Path(args.manifest or out_dir / "manifest.json"),
-        "fit",
-        config=dataclasses.asdict(thresholds),
-        inputs=inputs,
-        outputs=[factors_path, traj_csv, report_path],
-    )
-    return EXIT_OK
+    return Run("fit", dataclasses.asdict(thresholds), inputs, [factors_path, traj_csv, report_path])
 
 
-def cmd_train_makeprob(args: argparse.Namespace) -> int:
+def cmd_train_makeprob(args: argparse.Namespace) -> Run:
     table = read_shot_rows(args.factors, ("outcome",), finite=FACTOR_COLUMNS)
     model = train(table.matrix(FACTOR_COLUMNS), table["outcome"].astype(float),
                   TrainConfig(ridge=args.ridge, min_shots=args.min_shots))
@@ -357,37 +263,23 @@ def cmd_train_makeprob(args: argparse.Namespace) -> int:
     out.write_text(model.to_json() + "\n", encoding="utf-8")
     print(f"trained on {model.train_n} shots, converged={model.converged}, "
           f"log_likelihood={model.log_likelihood:.2f}")
-    write_manifest(
-        Path(args.manifest or out.with_name("manifest.json")),
-        "train-makeprob",
-        config={"ridge": args.ridge, "min_shots": args.min_shots},
-        inputs=[Path(args.factors)],
-        outputs=[out],
-    )
-    return EXIT_OK
+    return Run("train-makeprob", {"ridge": args.ridge, "min_shots": args.min_shots},
+               [Path(args.factors)], [out])
 
 
-def cmd_predict(args: argparse.Namespace) -> int:
+def cmd_predict(args: argparse.Namespace) -> Run:
     table = read_shot_rows(args.factors, finite=FACTOR_COLUMNS)
-    model = MakeProbModel.from_json(Path(args.model).read_text(encoding="utf-8"))
+    model = MakeProbModel.from_json(Path(args.model).read_bytes())
     table.columns["make_prob"] = predict(model, table.matrix(FACTOR_COLUMNS))
     out = Path(args.out)
     write_shot_rows(table, out, with_prob=True)
     print(f"predicted {len(table)} shots -> {out}")
-    write_manifest(
-        Path(args.manifest or out.with_name("manifest.json")),
-        "predict",
-        config={},
-        inputs=[Path(args.factors), Path(args.model)],
-        outputs=[out],
-    )
-    return EXIT_OK
+    return Run("predict", {}, [Path(args.factors), Path(args.model)], [out])
 
 
-def cmd_effects(args: argparse.Namespace) -> int:
-    prob = args.response_kind == "prob"
-    data = read_shot_rows(args.factors, PLAYER_COLUMNS, finite=("ndd_ft", "make_prob")
-                          if prob else ("ndd_ft",)).effects_dataset(require_prob=prob)
+def cmd_effects(args: argparse.Namespace) -> Run:
+    finite = ("ndd_ft", "make_prob") if args.response_kind == "prob" else ("ndd_ft",)
+    data = read_shot_rows(args.factors, PLAYER_COLUMNS, finite).effects_dataset()
     filtered = apply_min_shots_filter(data, args.min_shots, min_shots_roles(args.model_kind))
     if len(filtered) == 0:
         raise ConfigError("no rows survive the minimum-shots filter")
@@ -396,10 +288,9 @@ def cmd_effects(args: argparse.Namespace) -> int:
     direction = "ascending" if args.model_kind == "defender" else "descending"
     table = rank_players(estimates, direction=direction)
 
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    stem = Path(args.out_dir) / f"effects_{args.model_kind}_{args.response_kind}"
     csv_path = write_csv(
-        out_dir / f"effects_{args.model_kind}_{args.response_kind}.csv",
+        stem.with_suffix(".csv"),
         ["rank", "player_id", "role", "effect", "effect_per_100", "n_shots", "opp_mean_prob"],
         ([r.rank, r.player_id, estimates.effect_role, r.effect, r.effect_per_100, r.n_shots,
           r.opp_mean_prob] for r in table))
@@ -411,11 +302,11 @@ def cmd_effects(args: argparse.Namespace) -> int:
     for r in table[:10]:
         lines.append(f"{r.rank:>4}  {r.player_id:<10} {r.effect_per_100:>8.2f}"
                      f"  {r.opp_mean_prob:>8.3f}  {r.n_shots:>6}")
-    txt_path = out_dir / f"effects_{args.model_kind}_{args.response_kind}.txt"
+    txt_path = stem.with_suffix(".txt")
     txt_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     print("\n".join(lines))
 
-    json_path = out_dir / f"effects_{args.model_kind}_{args.response_kind}.json"
+    json_path = stem.with_suffix(".json")
     json_path.write_text(json.dumps({
         "model_kind": estimates.model_kind,
         "response_kind": estimates.response_kind,
@@ -427,15 +318,9 @@ def cmd_effects(args: argparse.Namespace) -> int:
         "shooter_effects": estimates.shooter_effects,
     }, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
-    write_manifest(
-        Path(args.manifest or out_dir / "manifest.json"),
-        "effects",
-        config={"model_kind": args.model_kind, "response_kind": args.response_kind,
-                "min_shots": args.min_shots, "literal_ndd": args.literal_ndd},
-        inputs=[Path(args.factors)],
-        outputs=[csv_path, txt_path, json_path],
-    )
-    return EXIT_OK
+    return Run("effects", {"model_kind": args.model_kind, "response_kind": args.response_kind,
+                           "min_shots": args.min_shots, "literal_ndd": args.literal_ndd},
+               [Path(args.factors)], [csv_path, txt_path, json_path])
 
 
 def _analysis_fig3(table, spec):
@@ -481,7 +366,7 @@ def _analysis_depth_bins(table, spec):
 
 
 def _analysis_fig5(table, spec):
-    data = table.effects_dataset(require_prob=True)
+    data = table.effects_dataset()
     sub = SubsampleSpec(
         fractions=tuple(spec["fractions"]),
         n_replicates=spec["n_replicates"],
@@ -494,7 +379,7 @@ def _analysis_fig5(table, spec):
 
 
 def _analysis_split_half(table, spec):
-    data = table.effects_dataset(require_prob=True)
+    data = table.effects_dataset()
     model_kind, min_shots = spec["model_kind"], spec["min_shots"]
     return ("split_half.csv", ("model_kind", "response_kind", "spearman_rho"),
             [(model_kind, kind, split_half_rank_correlation(
@@ -514,22 +399,16 @@ ANALYSES = {
 }
 
 
-def cmd_evaluate(args: argparse.Namespace) -> int:
+def cmd_evaluate(args: argparse.Namespace) -> Run:
     spec = load_json_config(args.spec)
     values = spec_with_defaults(spec)
     analysis, columns, finite = ANALYSES[args.analysis]
     name, header, rows = analysis(read_shot_rows(args.shots, columns, finite), values)
     path = write_csv(Path(args.out_dir) / name, header, rows)
     print(f"analysis {args.analysis} -> {path}")
-    write_manifest(
-        Path(args.manifest or path.with_name(f"manifest_{args.analysis}.json")),
-        f"evaluate:{args.analysis}",
-        config=spec,
-        inputs=[Path(args.shots)] + ([Path(args.spec)] if args.spec else []),
-        outputs=[path],
-        seed=spec.get("seed"),
-    )
-    return EXIT_OK
+    return Run(f"evaluate:{args.analysis}", spec,
+               [Path(args.shots)] + ([Path(args.spec)] if args.spec else []), [path],
+               spec.get("seed"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -592,15 +471,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand, then write its manifest: at ``--manifest``, else beside
+    its first output as ``manifest.json`` (``manifest_<analysis>.json`` for evaluate)."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (ConfigError, TrainingError, EffectsError, EvalError, FileNotFoundError) as exc:
+        run = args.func(args)
+        analysis = run.command.partition(":")[2]
+        name = f"manifest_{analysis}.json" if analysis else "manifest.json"
+        write_manifest(Path(args.manifest or run.outputs[0].with_name(name)), *run)
+        return EXIT_OK
+    except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except Exception as exc:  # runtime failure
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+        usage = (ConfigError, ShotsFileError, IngestError, TrainingError, EffectsError, EvalError,
+                 FileNotFoundError)        # bad usage, config or input; anything else is a fault
+        return EXIT_USAGE if isinstance(exc, usage) else EXIT_RUNTIME
 
 
 if __name__ == "__main__":

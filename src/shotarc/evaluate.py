@@ -322,6 +322,8 @@ def subsample_mse(
     """
     if dataset.game_ids is None:
         raise EvalError("dataset must carry game ids for game-unit subsampling")
+    if dataset.probs is None:
+        raise EvalError("dataset must carry make probabilities for the prob response")
     reference_data = apply_min_shots_filter(dataset, min_shots, min_shots_roles(model_kind))
     if len(reference_data) == 0:
         raise EvalError("no rows survive the minimum-shots filter")

@@ -15,6 +15,7 @@ with step halving.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,18 +110,32 @@ class MakeProbModel:
         return json.dumps(doc, indent=2, sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: str) -> "MakeProbModel":
-        doc = json.loads(text)
-        if doc.get("version") != MODEL_FORMAT_VERSION:
-            raise ValueError(f"unsupported model version {doc.get('version')!r}")
-        return cls(
-            coeffs=np.asarray(doc["coeffs"], dtype=float),
-            feature_means=np.asarray(doc["feature_means"], dtype=float),
-            feature_scales=np.asarray(doc["feature_scales"], dtype=float),
-            train_n=int(doc["train_n"]),
-            converged=bool(doc["converged"]),
-            log_likelihood=float(doc["log_likelihood"]),
-        )
+    def from_json(cls, text: str | bytes) -> "MakeProbModel":
+        """The model ``to_json`` wrote.  A ``TrainingError`` for text that is not a
+        JSON object, another version, coefficients, means or scales that are
+        not 10, 3 and 3 finite numbers, a scale not above 0, or a missing or
+        mistyped ``train_n``, ``converged`` or ``log_likelihood``."""
+        try:
+            doc = json.loads(text)
+        except ValueError as exc:      # JSONDecodeError, or bytes that are not UTF-8
+            raise TrainingError(f"model file is not JSON: {exc}") from None
+        version = doc.get("version") if isinstance(doc, dict) else None
+        if version != MODEL_FORMAT_VERSION:
+            raise TrainingError(f"unsupported model version {version!r}")
+        arrays = ("coeffs", "feature_means", "feature_scales")
+        for key, n in zip(arrays, (N_FEATURES, 3, 3)):
+            values = doc.get(key)
+            if not (type(values) is list and len(values) == n
+                    and all(type(v) in (int, float) and math.isfinite(v) for v in values)):
+                raise TrainingError(f"model {key} must be {n} finite numbers, not {values!r}")
+        if min(doc["feature_scales"]) <= 0:
+            raise TrainingError(f"model feature_scales must be above 0: {doc['feature_scales']}")
+        if not (type(doc.get("train_n")) is int and type(doc.get("converged")) is bool
+                and type(doc.get("log_likelihood")) in (int, float)):
+            raise TrainingError("model train_n, converged and log_likelihood must be "
+                                "an integer, a boolean and a number")
+        return cls(*(np.asarray(doc[key], dtype=float) for key in arrays), doc["train_n"],
+                   doc["converged"], float(doc["log_likelihood"]))
 
 
 def _penalty_diag(ridge: float) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""One season's shots fitted array at a time, and the table of shot rows they give.
+"""One season's shots fitted array at a time, the shot rows they give, and the shots file.
 
 ``fit_season`` runs extraction, the trajectory solve, the filter and the
 shot factors over a whole season.  The solve and the factors take one
@@ -8,28 +8,33 @@ the solve's padded blocks are bounded apart from that
 (``trajectory.MAX_PADDED_ROWS``).
 ``fit_trajectory``, ``fit_path_line`` and ``compute_shot_factors`` remain
 the one-shot references these batched steps are tested against.
+
+The shots file (``write_shot_rows``, ``read_shot_rows``) is a CSV of the
+``SHOT_COLUMNS``, and of ``make_prob`` after ``predict``.
 """
 
 from __future__ import annotations
 
+import csv
 import dataclasses
+import operator
+import re
 from collections import Counter
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 from .core import GameId, PlayerId
-from .effects import EffectsDataset, EffectsError
+from .effects import EffectsDataset
 from .factors import shot_factors
 from .ingest import EventRecord, ExtractionReport, GameTracking, RosterRecord, extract_shot_events
 from .trajectory import FilterReport, FilterThresholds, filter_shots, fit_trajectories
 
-SHOT_COLUMNS = (
-    "shot_id", "game_id", "shooter_id", "defender_id", "ndd_ft",
-    "defender_height_in", "contest_angle_deg", "outcome",
-    "depth_ft", "lr_ft", "entry_angle_deg", "rmse_ft", "n_samples", "flags",
-)
+
+class ShotsFileError(ValueError):
+    """A shots file that cannot be read as one."""
 
 
 @dataclasses.dataclass
@@ -51,6 +56,13 @@ class ShotRow:
     n_samples: int
     flags: str = ""
     make_prob: float | None = None
+
+
+# the shots file's columns: every ShotRow field but make_prob, which predict appends;
+# ids are read as str, INTEGER_COLUMNS as int64, the rest as float64
+SHOT_COLUMNS = tuple(f.name for f in dataclasses.fields(ShotRow))[:-1]
+ID_COLUMNS = ("shot_id", "game_id", "shooter_id", "defender_id", "flags")
+INTEGER_COLUMNS = ("outcome", "n_samples")
 
 
 @dataclasses.dataclass
@@ -75,10 +87,8 @@ class ShotTable:
         cols = {"make_prob": np.full(self.n_rows, None), **self.columns}
         return map(ShotRow, *(cols[c].tolist() for c in SHOT_COLUMNS + ("make_prob",)))
 
-    def effects_dataset(self, require_prob: bool) -> EffectsDataset:
+    def effects_dataset(self) -> EffectsDataset:
         cols = self.columns
-        if require_prob and "make_prob" not in cols:
-            raise EffectsError("shots file lacks make_prob; run `shotarc predict` first")
         return EffectsDataset(cols["shooter_id"], cols["defender_id"], cols["ndd_ft"],
                               cols["outcome"].astype(float), cols.get("make_prob"),
                               cols.get("game_id"))
@@ -154,3 +164,90 @@ def fit_season(
     rows = ShotTable({c: cols[c][has_row] for c in SHOT_COLUMNS}, int(has_row.sum()))
     return SeasonFit(rows, ShotTable(cols, n), extraction, filtering,
                      dict(Counter(rejection[kept & ~has_row].tolist())))
+
+
+# --- the shots file -------------------------------------------------------------------
+
+_NON_BLANK = re.compile(rb"\S")
+_LOADTXT = dict(delimiter=",", quotechar='"', comments=None, skiprows=1, ndmin=2,
+                encoding="utf-8")
+_ROW_VALUES = operator.attrgetter(*SHOT_COLUMNS, "make_prob")
+
+
+def write_csv(path: Path, header: Iterable, rows: Iterable[Iterable]) -> Path:
+    """Write one table, making its directory.  ``csv`` quotes only a field holding
+    ``,``, ``"`` or a line break, and writes floats by ``repr``, so they read back to the bit."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
+
+
+def write_shot_rows(rows: Iterable[ShotRow], path: Path, with_prob: bool = False) -> None:
+    """The shots file: the ``SHOT_COLUMNS`` of each row, then ``make_prob`` if ``with_prob``."""
+    width = len(SHOT_COLUMNS) + with_prob
+    write_csv(path, (SHOT_COLUMNS + ("make_prob",))[:width], (_ROW_VALUES(r)[:width] for r in rows))
+
+
+def read_shot_rows(path: str | Path, columns: tuple[str, ...] | None = None,
+                   finite: tuple[str, ...] = ()) -> ShotTable:
+    """Read ``columns`` of a shots file (default: those of ``SHOT_COLUMNS``, and
+    ``make_prob`` when present) and the ``finite`` ones into a ``ShotTable``,
+    with numpy's C parser: one pass for the numbers, one for the ids.
+
+    A ``ShotsFileError`` names the file, and the line, for bytes that are not
+    UTF-8 or a carriage return; the file for no shots or a missing column;
+    and the row (data rows from 0) and column (from 1), as numpy counts them,
+    for a number that does not parse, an empty or missing cell, a non-finite
+    value in a ``finite`` column, an ``outcome`` other than 0/1, or an
+    ``n_samples`` that is not an integer.
+    """
+    path = Path(path)
+    data = path.read_bytes()
+    try:
+        data.decode("utf-8")
+        bad, why = data.find(b"\r"), "carriage return"
+    except UnicodeDecodeError as exc:
+        bad, why = exc.start, "not UTF-8"
+    if bad >= 0:
+        line = data.count(b"\n", 0, bad) + 1
+        raise ShotsFileError(f"{path}:{line}: {why}")
+    end = data.find(b"\n")
+    if end < 0 or not _NON_BLANK.search(data, end + 1):
+        raise ShotsFileError(f"{path}: holds no shots")
+    header = next(csv.reader([data[:end].decode()]))
+    del data
+    if columns is None:
+        columns = SHOT_COLUMNS + (("make_prob",) if "make_prob" in header else ())
+    names = tuple(dict.fromkeys(columns + finite))
+    if missing := [c for c in names if c not in header]:
+        raise ShotsFileError(f"{path}: no column {', '.join(missing)}")
+    table: dict[str, np.ndarray] = {}
+    for group, dtype in (([c for c in names if c not in ID_COLUMNS], float),
+                         ([c for c in names if c in ID_COLUMNS], str)):
+        if group:
+            try:
+                block = np.loadtxt(path, dtype=dtype, usecols=[header.index(c) for c in group],
+                                   **_LOADTXT)
+            except ValueError as exc:
+                raise ShotsFileError(f"{path}: {exc}") from None
+            table.update(zip(group, block.T.copy()))
+    for name, values in table.items():
+        if name in finite:
+            bad = ~np.isfinite(values)
+        elif name == "outcome":
+            bad = (values != 0) & (values != 1)
+        elif name == "n_samples":
+            bad = values != np.round(values)
+        else:
+            continue
+        if bad.any():
+            row = int(np.argmax(bad))
+            raise ShotsFileError(f"{path}: {values[row].tolist()!r} is not a valid {name} "
+                              f"at row {row}, column {header.index(name) + 1}")
+    for name in INTEGER_COLUMNS:
+        if name in table:
+            table[name] = table[name].astype(np.int64)
+    return ShotTable(table, len(block))

@@ -595,7 +595,7 @@ class TestMinShotsRule:
             return real_fit(data, *args, **kwargs)
 
         monkeypatch.setattr(evaluate, "fit_effects", recording_fit)
-        data = read_shot_rows(shots).effects_dataset(require_prob=True)
+        data = read_shot_rows(shots).effects_dataset()
         evaluate.split_half_rank_correlation(data, model_kind="resilience", min_shots=20)
         assert sum(fitted) == n_rows                 # the two halves
         fitted.clear()
@@ -754,3 +754,73 @@ class TestShotsFileContract:
         for table in tables:   # every cell a plain number or word, never a numpy repr
             cells = [cell for rec in _csv_records(table) for cell in rec]
             assert not [cell for cell in cells if cell.startswith("np.")], table.name
+
+
+def _model_doc(tmp_path):
+    """A model trained on ``_shot_rows(600)``, as a dict, and its factors file."""
+    factors, model = tmp_path / "factors.csv", tmp_path / "model.json"
+    write_shot_rows(_shot_rows(600), factors)
+    assert main(["train-makeprob", "--factors", str(factors), "--out-model", str(model),
+                 "--min-shots", "100"]) == 0
+    return json.loads(model.read_text()), factors
+
+
+class TestModelFile:
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d["coeffs"].__setitem__(0, float("nan")), "model coeffs must be 10 finite"),
+        (lambda d: d["feature_scales"].__setitem__(0, 0.0), "model feature_scales must be above 0"),
+        (lambda d: d.update(coeffs=d["coeffs"][:3]), "model coeffs must be 10 finite"),
+        (lambda d: d.update(feature_means=[0.0, "1", 2.0]), "model feature_means must be 3 finite"),
+        (lambda d: d.pop("feature_means"), "model feature_means must be 3 finite numbers"),
+        (lambda d: d.update(train_n="600"), "model train_n, converged and log_likelihood"),
+        (lambda d: d.clear() or d.update(version=1), "model coeffs must be 10 finite"),
+        (lambda d: d.pop("converged"), "model train_n, converged and log_likelihood"),
+        (lambda d: d.update(version=2), "unsupported model version 2"),
+        (b"{not json", "model file is not JSON"),
+        (b'{"version": 1, "coeffs": "\xff"}', "model file is not JSON"),
+        (b"[1]", "unsupported model version None"),
+    ], ids=["nan-coeff", "zero-scale", "three-coeffs", "string-mean", "missing-means",
+            "string-train-n", "version-only", "missing-converged", "version-2", "not-json",
+            "not-utf8", "list"])
+    def test_broken_model_exits_2_and_predict_writes_nothing(self, tmp_path, capsys,
+                                                             edit, message):
+        doc, factors = _model_doc(tmp_path)
+        model = tmp_path / "broken.json"
+        if isinstance(edit, bytes):
+            model.write_bytes(edit)
+        else:
+            edit(doc)
+            model.write_text(json.dumps(doc))
+        out = tmp_path / "p" / "preds.csv"
+        assert main(["predict", "--model", str(model), "--factors", str(factors),
+                     "--out", str(out)]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.parent.exists()
+
+
+def test_backward_timestamp_exits_2_and_fit_writes_nothing(tmp_path, season_dir, capsys):
+    season = tmp_path / "s"
+    season.mkdir()
+    for name in ("events.csv", "roster.csv"):
+        (season / name).write_bytes((season_dir / name).read_bytes())
+    lines = (season_dir / "tracking.jsonl").read_text().splitlines()
+    last = json.loads(lines[-1])
+    last["t"] -= 5.0                              # back 5 s inside the season's last game
+    (season / "tracking.jsonl").write_text("\n".join(lines[:-1] + [json.dumps(last)]) + "\n")
+    assert _fit(season, tmp_path / "f") == 2
+    assert f"error: game {last['game_id']}: timestamp {last['t']} after " in capsys.readouterr().err
+    assert not (tmp_path / "f").exists()
+
+
+def test_literal_ndd_drops_the_common_slope(tmp_path):
+    shots = tmp_path / "shots.csv"
+    write_shot_rows(_shot_rows(600), shots)
+    for out, flags in (("common", []), ("literal", ["--literal-ndd"])):
+        assert main(["effects", "--factors", str(shots), "--model-kind", "resilience",
+                     "--min-shots", "10", "--out-dir", str(tmp_path / out), *flags]) == 0
+    for out, literal in (("common", False), ("literal", True)):
+        manifest = json.loads((tmp_path / out / "manifest.json").read_text())
+        assert manifest["config"]["literal_ndd"] is literal
+        slope = json.loads((tmp_path / out / "effects_resilience_raw.json").read_text())[
+            "common_ndd_slope"]
+        assert slope is None if literal else isinstance(slope, float)

@@ -362,6 +362,15 @@ class TestSubsampleMse:
         b = subsample_mse(data, spec, min_shots=10)
         assert [r.mse for r in a] == [r.mse for r in b]
 
+    def test_dataset_without_probabilities_refused(self):
+        # before the check, every prob replicate was dropped and its mse read nan
+        data, _, _ = synthetic_effects_dataset(seed=1)
+        no_probs = EffectsDataset(data.shooters, data.defenders, data.ndd_ft, data.outcomes,
+                                  game_ids=data.game_ids)
+        with pytest.raises(EvalError, match="make probabilities"):
+            subsample_mse(no_probs, SubsampleSpec(fractions=(0.5,), n_replicates=2),
+                          min_shots=10)
+
     def test_resilience_model_kind_supported(self):
         data, _, _ = synthetic_effects_dataset(n_games=30, shots_per_game=80, seed=6)
         out = subsample_mse(data, SubsampleSpec(fractions=(0.5,), n_replicates=3, seed=2),

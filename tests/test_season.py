@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from shotarc.factors import shot_factors
-from shotarc.season import fit_season
+from shotarc.season import SHOT_COLUMNS, ShotRow, ShotsFileError, fit_season, read_shot_rows
 from shotarc.sim import SimConfig, season_tracking, simulate_season
 from shotarc.trajectory import MAX_PADDED_ROWS, FilterThresholds, filter_shots, fit_trajectories, \
     fit_trajectory, padded_blocks
@@ -126,3 +126,11 @@ def test_corrupted_season_matches_one_shot_chain(shuffle):
     assert_season_matches_chain(fit, chain)
     assert sum(fit.filtering.rejections.values()) + sum(fit.factor_rejections.values()) + len(
         fit.rows) == len(chain)
+
+
+def test_shots_file_header_is_the_shot_row_fields(tmp_path):
+    assert SHOT_COLUMNS + ("make_prob",) == tuple(ShotRow.__dataclass_fields__)
+    empty = tmp_path / "empty.csv"
+    empty.write_text(",".join(SHOT_COLUMNS) + "\n")
+    with pytest.raises(ShotsFileError, match="holds no shots"):
+        read_shot_rows(empty)
