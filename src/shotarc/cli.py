@@ -255,9 +255,9 @@ def cmd_fit(args: argparse.Namespace) -> Run:
 
 
 def cmd_train_makeprob(args: argparse.Namespace) -> Run:
+    config = TrainConfig(ridge=args.ridge, min_shots=args.min_shots)
     table = read_shot_rows(args.factors, ("outcome",), finite=FACTOR_COLUMNS)
-    model = train(table.matrix(FACTOR_COLUMNS), table["outcome"].astype(float),
-                  TrainConfig(ridge=args.ridge, min_shots=args.min_shots))
+    model = train(table.matrix(FACTOR_COLUMNS), table["outcome"].astype(float), config)
     out = Path(args.out_model)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(model.to_json() + "\n", encoding="utf-8")

@@ -81,6 +81,12 @@ class TrainConfig:
     ridge: float = 1e-6          # penalty on non-intercept coefficients
     min_shots: int = 500
 
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.ridge < math.inf:
+            raise TrainingError(f"ridge must be finite and >= 0, got {self.ridge!r}")
+        if type(self.min_shots) is not int or self.min_shots < 1:
+            raise TrainingError(f"min_shots must be an integer >= 1, got {self.min_shots!r}")
+
 
 @dataclass(frozen=True)
 class MakeProbModel:

@@ -1,5 +1,6 @@
-"""Shared fixtures: deterministic synthetic shots and the sequential
-conjugate-update oracle for fit-level tests."""
+"""Shared fixtures: deterministic synthetic shots, the sequential
+conjugate-update oracle for fit-level tests, and the scalar shot-factor
+oracle for the array factors."""
 
 import math
 from dataclasses import dataclass, field
@@ -7,8 +8,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import pytest
 
-from shotarc.core import RIM_RADIUS_FT
-from shotarc.factors import CrossingError, PathError, compute_shot_factors, fit_path_line
+from shotarc.core import RIM_HEIGHT_FT, RIM_RADIUS_FT, ShotFactors
+from shotarc.factors import AscendingCrossingError, CrossingError, NoCrossingError, PathError, \
+    ShotPath
 from shotarc.ingest import extract_shot_events
 from shotarc.trajectory import (
     BASE_EPSILON,
@@ -151,6 +153,57 @@ def sequential_chain(pts, release, pseudo_weight=1.0):
         quadratic_features(pts[:, :2]), pts[:, 2])
 
 
+def oracle_path_line(samples) -> ShotPath:
+    """``fit_path_line`` by an SVD of the centered horizontal samples."""
+    xy = np.asarray(samples, dtype=float)[:, :2]
+    if len(xy) < 2:
+        raise PathError("need at least 2 samples to fit a path line")
+    centroid = xy.mean(axis=0)
+    _, svals, vt = np.linalg.svd(xy - centroid, full_matrices=False)
+    if svals[0] < 1e-12:
+        raise PathError("samples horizontally coincident; path undefined")
+    direction = vt[0]
+    orient = float((xy[-1] - xy[0]) @ direction)
+    if orient == 0.0:
+        raise PathError("cannot orient path: endpoints coincide horizontally")
+    if orient < 0.0:
+        direction = -direction
+    s_center = float(-centroid @ direction)      # the rim center is the local origin
+    return ShotPath(centroid, direction, s_center - RIM_RADIUS_FT, s_center)
+
+
+def oracle_factors(fitted, path: ShotPath) -> ShotFactors:
+    """``compute_shot_factors`` by scalar algebra: the path-height quadratic
+    z(s) = c0 + c1 s + c2 s^2, its larger root at rim height, and the signed
+    miss of the path at the rim center."""
+    ax, ay = path.anchor
+    dx, dy = path.direction
+    b0, b1, b2, b3, b4, b5 = fitted.beta
+    c0 = b0 + b1 * ax + b2 * ay + b3 * ax * ax + b4 * ay * ay + b5 * ax * ay
+    c1 = b1 * dx + b2 * dy + 2 * b3 * ax * dx + 2 * b4 * ay * dy + b5 * (ax * dy + ay * dx)
+    c2 = b3 * dx * dx + b4 * dy * dy + b5 * dx * dy
+    a, b, c = c2, c1, c0 - RIM_HEIGHT_FT
+    if abs(a) < 1e-14:
+        if b == 0.0:
+            raise NoCrossingError("flat profile never reaches rim height")
+        s, slope = -c / b, b
+    else:
+        disc = b * b - 4.0 * a * c
+        if disc < 0.0:
+            raise NoCrossingError("modeled arc never reaches rim height")
+        sq = math.sqrt(disc)
+        q = -0.5 * (b + math.copysign(sq, b)) if b != 0.0 else -0.5 * sq
+        r1 = q / a
+        s = max(r1, c / q if q != 0.0 else r1)
+        slope = c1 + 2.0 * c2 * s
+    if slope >= 0.0:
+        raise AscendingCrossingError("crossing slope is non-negative")
+    foot = path.anchor + path.s_center * path.direction
+    return ShotFactors(depth_ft=float(s - path.s_front_rim),
+                       left_right_ft=float(foot @ [dy, -dx]),
+                       entry_angle_deg=math.degrees(math.atan(abs(slope))))
+
+
 @dataclass(frozen=True)
 class OneShot:
     """The one-shot chain's outcome for one shot: the fit's beta and RMSE (None
@@ -165,8 +218,8 @@ class OneShot:
 
 def one_shot_chain(samples, release_xy, max_gap_s, thresholds=FilterThresholds()) -> list[OneShot]:
     """The reference for the batched season fit: shot by shot, ``fit_trajectory``,
-    the filter's rules in their stated order, then ``fit_path_line`` and
-    ``compute_shot_factors``."""
+    the filter's rules in their stated order, then ``oracle_path_line`` and
+    ``oracle_factors``."""
     out = []
     for pts, release, gap in zip(samples, release_xy, max_gap_s):
         try:
@@ -184,7 +237,7 @@ def one_shot_chain(samples, release_xy, max_gap_s, thresholds=FilterThresholds()
             rejection = "noisy"
         else:
             try:
-                f = compute_shot_factors(fitted, fit_path_line(pts))
+                f = oracle_factors(fitted, oracle_path_line(pts))
                 factors = (f.depth_ft, f.left_right_ft, f.entry_angle_deg)
             except (PathError, CrossingError) as exc:
                 rejection = exc.flag

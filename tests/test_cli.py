@@ -798,6 +798,18 @@ class TestModelFile:
         assert not out.parent.exists()
 
 
+@pytest.mark.parametrize("setting", ["--ridge=nan", "--ridge=inf", "--ridge=-1",
+                                     "--min-shots=0", "--min-shots=-5"])
+def test_bad_training_setting_exits_2_and_writes_nothing(tmp_path, capsys, setting):
+    factors, out = tmp_path / "factors.csv", tmp_path / "m"
+    write_shot_rows(_shot_rows(600), factors)
+    assert main(["train-makeprob", "--factors", str(factors), "--out-model",
+                 str(out / "model.json"), setting]) == 2
+    name = setting[2:].partition("=")[0].replace("-", "_")
+    assert f"error: {name} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_backward_timestamp_exits_2_and_fit_writes_nothing(tmp_path, season_dir, capsys):
     season = tmp_path / "s"
     season.mkdir()

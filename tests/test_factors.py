@@ -7,15 +7,15 @@ import pytest
 
 from shotarc.factors import (
     AscendingCrossingError,
+    CrossingError,
     NoCrossingError,
     PathError,
     compute_shot_factors,
     fit_path_line,
-    left_right_of_path,
-    rim_plane_crossing,
+    shot_factors,
 )
 from shotarc.trajectory import FittedTrajectory, fit_trajectory
-from conftest import parabola_shot
+from conftest import oracle_factors, oracle_path_line, parabola_shot
 
 GRAVITY = 32.174
 
@@ -63,10 +63,16 @@ class TestPathLine:
         with pytest.raises(PathError):
             fit_path_line(np.array([[1.0, 2.0, 3.0]]))
 
+    def test_endpoints_coincide_horizontally(self):
+        # the samples spread, but the chord from first to last sample is zero
+        pts = np.array([[5.0, 0.0, 8.0], [6.0, 0.5, 9.0], [7.0, 0.0, 9.5], [5.0, 0.0, 9.0]])
+        with pytest.raises(PathError):
+            fit_path_line(pts)
+
 
 class TestRimPlaneCrossing:
-    # path along +x through the origin: z(s) depends on beta via x(s) = s
-    PATH = None
+    # path along +x through the origin: z(s) depends on beta via x(s) = s, and the
+    # crossing coordinate is depth_ft + path.s_front_rim
 
     def _straight_path(self, anchor=(0.0, 0.0)):
         pts = np.column_stack([np.linspace(0, 30, 31), np.zeros(31), np.full(31, 9.0)])
@@ -82,34 +88,31 @@ class TestRimPlaneCrossing:
     def test_factored_quadratic(self):
         # z(s) = 10 + (s - 2)(4 - s) -> roots 2 and 4, descending at 4
         path = self._straight_path()
-        fit = surface([2.0, 6.0, 0.0, -1.0, 0.0, 0.0])
-        s, slope = rim_plane_crossing(fit, path)
-        assert s == pytest.approx(4.0, abs=1e-12)
-        assert slope == pytest.approx(-2.0, abs=1e-12)
+        f = compute_shot_factors(surface([2.0, 6.0, 0.0, -1.0, 0.0, 0.0]), path)
+        assert f.depth_ft + path.s_front_rim == pytest.approx(4.0, abs=1e-12)
+        assert math.tan(math.radians(f.entry_angle_deg)) == pytest.approx(2.0, abs=1e-12)
 
     def test_peak_below_rim(self):
         # z(s) = 9.9 - (s - 3)^2 never reaches 10
-        path = self._straight_path()
-        fit = surface([0.9, 6.0, 0.0, -1.0, 0.0, 0.0])
         with pytest.raises(NoCrossingError):
-            rim_plane_crossing(fit, path)
+            compute_shot_factors(surface([0.9, 6.0, 0.0, -1.0, 0.0, 0.0]), self._straight_path())
 
     def test_ascending_crossing_flagged(self):
         # upward-opening profile crosses 10 rising at its larger root
-        path = self._straight_path()
-        fit = surface([11.0, -4.0, 0.0, 1.0, 0.0, 0.0])
         with pytest.raises(AscendingCrossingError):
-            rim_plane_crossing(fit, path)
+            compute_shot_factors(surface([11.0, -4.0, 0.0, 1.0, 0.0, 0.0]), self._straight_path())
+
+    def test_flat_profile_never_crosses(self):
+        # c2 = c1 = 0: z(s) = 9 everywhere
+        with pytest.raises(NoCrossingError):
+            compute_shot_factors(surface([9.0, 0.0, 0.0, 0.0, 0.0, 0.0]), self._straight_path())
 
     def test_simulated_parabola_matches_analytic_root(self):
         pts, release, truth = parabola_shot(depth_ft=0.95, lr_ft=0.12,
                                             entry_angle_deg=46.0, noise=0.0, seed=4)
-        fit = fit_trajectory(pts, release)
-        path = fit_path_line(pts)
-        s, slope = rim_plane_crossing(fit, path)
-        depth = s - path.s_front_rim
-        assert depth == pytest.approx(0.95, abs=1e-6)
-        assert math.degrees(math.atan(abs(slope))) == pytest.approx(46.0, abs=1e-5)
+        f = compute_shot_factors(fit_trajectory(pts, release), fit_path_line(pts))
+        assert f.depth_ft == pytest.approx(0.95, abs=1e-6)
+        assert f.entry_angle_deg == pytest.approx(46.0, abs=1e-5)
 
 
 class TestShotFactors:
@@ -129,8 +132,8 @@ class TestShotFactors:
         for depth_ft in (0.5, 0.75, 1.2):
             pts, release, _ = parabola_shot(depth_ft=depth_ft, lr_ft=0.25,
                                             entry_angle_deg=45.0, noise=0.0, seed=8)
-            path = fit_path_line(pts)
-            assert left_right_of_path(path) == pytest.approx(0.25, abs=1e-9)
+            f = compute_shot_factors(fit_trajectory(pts, release), fit_path_line(pts))
+            assert f.left_right_ft == pytest.approx(0.25, abs=1e-9)
 
     def test_projectile_oracle(self):
         # independent closed form: launch at 52 degrees from 23.75 ft out,
@@ -202,3 +205,36 @@ class TestShotFactors:
                 errs.append(abs(f.depth_ft - depth))
             medians.append(np.median(errs))
         assert medians[0] > medians[1] > medians[2]
+
+
+def test_mixed_block_matches_the_scalar_oracle_shot_by_shot():
+    # one of each branch, beside a normal arc: (samples, beta)
+    straight = np.column_stack([np.linspace(0, 30, 31), np.zeros(31), np.full(31, 9.0)])
+    inward = np.column_stack([np.linspace(24, 1, 24), np.zeros(24), np.full(24, 9.0)])
+    pts, release, _ = parabola_shot(depth_ft=0.9, lr_ft=-0.15, entry_angle_deg=47.0,
+                                    azimuth_rad=0.4, noise=0.05, seed=31)
+    shots = [
+        (inward, [10.0, 1.0, 0.0, 0.0, 0.0, 0.0]),                  # linear, descending
+        (straight, [9.0, 0.0, 0.0, 0.0, 0.0, 0.0]),                 # flat: short_airball
+        (straight, [0.9, 6.0, 0.0, -1.0, 0.0, 0.0]),                # peak below the rim
+        (np.array([[5.0, 0.0, 8.0], [6.0, 0.5, 9.0], [5.0, 0.0, 9.0]]),
+         [10.0, 1.0, 0.0, 0.0, 0.0, 0.0]),                          # endpoints coincide
+        (straight, [11.0, -4.0, 0.0, 1.0, 0.0, 0.0]),               # ascending root
+        (pts, fit_trajectory(pts, release).beta),                   # a normal arc
+    ]
+    factors, flags = shot_factors([p for p, _ in shots], np.array([b for _, b in shots]))
+    assert flags.tolist() == ["", "short_airball", "short_airball", "path_degenerate",
+                              "ascending", ""]
+    for (p, beta), got, flag in zip(shots, factors, flags):
+        try:
+            f = oracle_factors(surface(beta), oracle_path_line(p))
+        except (PathError, CrossingError) as exc:
+            assert flag == exc.flag and np.isnan(got).all()
+            with pytest.raises(type(exc)):     # and the one-row API raises alike
+                compute_shot_factors(surface(beta), fit_path_line(p))
+            continue
+        want = [f.depth_ft, f.left_right_ft, f.entry_angle_deg]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+        g = compute_shot_factors(surface(beta), fit_path_line(p))
+        np.testing.assert_allclose([g.depth_ft, g.left_right_ft, g.entry_angle_deg], want,
+                                   rtol=0, atol=1e-9)

@@ -113,6 +113,12 @@ class TestTraining:
         with pytest.raises(TrainingError):
             train(raw, y)
 
+    @pytest.mark.parametrize("min_shots", [True, 500.0])
+    def test_min_shots_not_an_int_refused(self, min_shots):
+        # the CLI's out-of-range settings are tested in test_cli.py
+        with pytest.raises(TrainingError, match="min_shots must be an integer"):
+            TrainConfig(min_shots=min_shots)
+
     def test_training_deterministic(self):
         rng = np.random.default_rng(9)
         raw = sample_factors(rng, 2000)

@@ -1,5 +1,6 @@
 """The batched season fit against the one-shot chain of ``fit_trajectory``,
-the filter's rules, ``fit_path_line`` and ``compute_shot_factors``."""
+the filter's rules and the scalar factor oracle (``oracle_path_line``,
+``oracle_factors``)."""
 
 import numpy as np
 import pytest
