@@ -9,7 +9,10 @@ success, 1 runtime failure, 2 usage, config or input error.
 
 All randomness descends from a single seed via numpy SeedSequence spawning:
 the simulator spawns one child sequence per game, the evaluation harness one
-per bootstrap/subsample procedure.
+per bootstrap/subsample procedure.  So ``simulate`` may make a large season
+in contiguous blocks of games, one per worker process
+(``sim.simulate_to_files``), and its files keep the bytes the serial
+library writer (``sim.write_season``) gives them.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import hashlib
 import json
 import math
 import sys
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping
 from pathlib import Path
 from typing import NamedTuple
 
@@ -48,7 +51,7 @@ from .makeprob import MakeProbModel, TrainConfig, TrainingError, predict, train
 # the shots file lives in season; ShotRow is re-exported for callers of write_shot_rows
 from .season import (ShotRow, ShotsFileError, fit_season, read_shot_rows, write_csv,
                      write_shot_rows)
-from .sim import PressureModel, SimConfig, simulate_season, write_season
+from .sim import PressureModel, SimConfig, simulate_to_files
 from .trajectory import FilterThresholds
 
 EXIT_OK = 0
@@ -68,6 +71,7 @@ class Run(NamedTuple):
     inputs: list[Path]
     outputs: list[Path]
     seed: int | None = None
+    digests: Mapping[Path, str] | None = None
 
 
 def _sha256(path: Path) -> str:
@@ -85,7 +89,11 @@ def write_manifest(
     inputs: list[Path],
     outputs: list[Path],
     seed: int | None = None,
+    digests: Mapping[Path, str] | None = None,
 ) -> None:
+    """Write the manifest; a file in ``digests`` keeps the digest given there
+    instead of being read and hashed again."""
+    known = digests or {}
     doc = {
         "tool": "shotarc",
         "version": __version__,
@@ -93,7 +101,7 @@ def write_manifest(
         "config": config,
         "seed": seed,
         "inputs": {p.name: _sha256(p) for p in inputs},
-        "outputs": {p.name: _sha256(p) for p in outputs},
+        "outputs": {p.name: known.get(p) or _sha256(p) for p in outputs},
     }
     manifest_path.parent.mkdir(parents=True, exist_ok=True)
     manifest_path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
@@ -201,14 +209,12 @@ def cmd_simulate(args: argparse.Namespace) -> Run:
             file_cfg["seed"] = args.seed
     config = sim_config_from_dict(file_cfg)
     out_dir = Path(args.out_dir)
-    season = simulate_season(config)
-    paths = write_season(season, out_dir)
-    made = sum(r.outcome for r in season.ground_truth)
-    n = len(season.ground_truth)
-    print(f"simulated {n} shots over {config.n_games} games "
-          f"({made / n:.3f} make rate) -> {out_dir}")
+    paths, made, digests = simulate_to_files(config, out_dir)
+    print(f"simulated {config.n_shots} shots over {config.n_games} games "
+          f"({made / config.n_shots:.3f} make rate) -> {out_dir}")
     return Run("simulate", json.loads(json.dumps(dataclasses.asdict(config))),
-               [Path(args.config)] if args.config else [], sorted(paths.values()), config.seed)
+               [Path(args.config)] if args.config else [], sorted(paths.values()), config.seed,
+               digests)
 
 
 def cmd_fit(args: argparse.Namespace) -> Run:
@@ -278,6 +284,9 @@ def cmd_predict(args: argparse.Namespace) -> Run:
 
 
 def cmd_effects(args: argparse.Namespace) -> Run:
+    _, at_least_1, what = SPEC["min_shots"]
+    if not at_least_1(args.min_shots):
+        raise ConfigError(f"min_shots must be {what}, not {args.min_shots!r}")
     finite = ("ndd_ft", "make_prob") if args.response_kind == "prob" else ("ndd_ft",)
     data = read_shot_rows(args.factors, PLAYER_COLUMNS, finite).effects_dataset()
     filtered = apply_min_shots_filter(data, args.min_shots, min_shots_roles(args.model_kind))

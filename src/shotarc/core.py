@@ -1,4 +1,5 @@
-"""Shared domain types, the fixed court geometry, and unit conventions.
+"""Shared domain types, the fixed court geometry, unit conventions, and the
+worker processes that ingest and sim start.
 
 Every stage measures shots against one regulation rim and a men's ball:
 the constants ``RIM_HEIGHT_FT``, ``RIM_RADIUS_FT`` and ``BALL_RADIUS_FT``.
@@ -15,10 +16,17 @@ treated as ball-center positions throughout.
 
 from __future__ import annotations
 
+import json
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from multiprocessing.connection import Connection
 
 # NBA full court, feet. Origin at a corner, x along the sideline.
 COURT_LENGTH_FT = 94.0
@@ -135,3 +143,74 @@ def expit(x):
     with np.errstate(over="ignore"):    # libm raises the flag before OverflowError
         out = np.asarray(_expit_ufunc(np.asarray(x, dtype=float)), dtype=float)
     return out if out.ndim else out[()]
+
+
+# --- worker processes ---------------------------------------------------------------
+
+# at most this many worker processes per stage
+MAX_WORKERS = 4
+
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _worker_main(conn: Connection, target, job: tuple) -> None:
+    """A worker process's body: ``target(conn, *job)``, or the error that stopped
+    it sent as a JSON message that :func:`receive_header` raises."""
+    with conn:
+        try:
+            target(conn, *job)
+        except Exception as exc:
+            conn.send_bytes(json.dumps({"error": f"{type(exc).__name__}: {exc}"}).encode())
+
+
+def receive_header(conn: Connection, where: str) -> dict:
+    """A worker's next JSON message; RuntimeError naming ``where`` if the worker
+    failed or exited without sending one."""
+    try:
+        head = json.loads(conn.recv_bytes())
+    except EOFError:
+        raise RuntimeError(f"{where} exited without a result") from None
+    if "error" in head:
+        raise RuntimeError(f"{where}: {head['error']}")
+    return head
+
+
+@contextmanager
+def worker_processes(target, jobs: list[tuple]):
+    """Run ``target(conn, *job)`` for each job in a worker process of its own;
+    yields the receiving ends of their pipes, in job order.
+
+    Workers are spawned: each is a fresh interpreter that gets only its job
+    and the sending end of one pipe, and ``target`` must be a module-level
+    function.  Every worker has been joined when the block exits; one that
+    exits by an exception terminates the workers first.
+    """
+    import multiprocessing   # here, not above: it adds ~1 MB to every process importing core
+
+    ctx = multiprocessing.get_context("spawn")
+    workers = []
+    try:
+        for job in jobs:
+            receiver, sender = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_worker_main, args=(sender, target, job), daemon=True)
+            workers.append((proc, receiver))
+            with sender:
+                proc.start()
+        yield [receiver for _, receiver in workers]
+    except BaseException:
+        for proc, _ in workers:
+            if proc.pid is not None:
+                proc.terminate()
+        raise
+    finally:
+        for proc, receiver in workers:
+            receiver.close()
+            if proc.pid is not None:
+                proc.join()
+            proc.close()

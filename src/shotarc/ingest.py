@@ -48,7 +48,6 @@ import csv
 import io
 import json
 import math
-import os
 import re
 from array import array
 from collections import Counter
@@ -60,7 +59,17 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .core import RIM_HEIGHT_FT, GameId, PlayerId, rim_center_xy, to_local_frame
+from .core import (
+    MAX_WORKERS,
+    RIM_HEIGHT_FT,
+    GameId,
+    PlayerId,
+    _cpu_count,
+    receive_header,
+    rim_center_xy,
+    to_local_frame,
+    worker_processes,
+)
 
 if TYPE_CHECKING:
     from multiprocessing.connection import Connection
@@ -113,7 +122,6 @@ class LoadReport:
 # worker takes to start (a fresh interpreter importing numpy, ~0.4 s).  On 2 vCPUs,
 # two ranges loaded a 19 MB file no faster than one, and a 38 MB file 1.16x faster.
 MIN_RANGE_BYTES = 16 << 20
-MAX_WORKERS = 4
 
 
 class _GamePart(NamedTuple):
@@ -284,33 +292,20 @@ def _range_worker(conn: Connection, path: str, start: int, end: int) -> None:
     array columns as raw buffers; the range ends with its row count and
     reasons, or with the error that stopped it.
     """
-    with conn:
-        try:
-            parsed = _parse_range(Path(path), start, end)
-            for game_id in list(parsed.parts):
-                part = parsed.parts.pop(game_id)
-                conn.send_bytes(json.dumps(
-                    {"game_id": game_id, "n": len(part.times), "pairs": part.pairs}).encode())
-                for column in part[:len(_COLUMNS)]:
-                    conn.send_bytes(column)
-            conn.send_bytes(json.dumps(
-                {"n_rows": parsed.n_rows, "reasons": parsed.reasons}).encode())
-        except Exception as exc:
-            conn.send_bytes(json.dumps({"error": f"{type(exc).__name__}: {exc}"}).encode())
+    parsed = _parse_range(Path(path), start, end)
+    for game_id in list(parsed.parts):
+        part = parsed.parts.pop(game_id)
+        conn.send_bytes(json.dumps(
+            {"game_id": game_id, "n": len(part.times), "pairs": part.pairs}).encode())
+        for column in part[:len(_COLUMNS)]:
+            conn.send_bytes(column)
+    conn.send_bytes(json.dumps({"n_rows": parsed.n_rows, "reasons": parsed.reasons}).encode())
 
 
 def _receive_range(conn: Connection, start: int, end: int) -> _RangeParse:
     where = f"tracking worker for bytes {start}-{end}"
     parts = {}
-    while True:
-        try:
-            head = json.loads(conn.recv_bytes())
-        except EOFError:
-            raise RuntimeError(f"{where} exited without a result") from None
-        if "error" in head:
-            raise RuntimeError(f"{where}: {head['error']}")
-        if "n_rows" in head:
-            return _RangeParse(head["n_rows"], head["reasons"], parts)
+    while "n_rows" not in (head := receive_header(conn, where)):
         columns = []
         for dtype, shape in _COLUMNS:
             column = np.empty((head["n"], *shape), dtype=dtype)
@@ -318,40 +313,16 @@ def _receive_range(conn: Connection, start: int, end: int) -> _RangeParse:
                 raise RuntimeError(f"{where}: short column")
             columns.append(column)
         parts[head["game_id"]] = _GamePart(*columns, pairs=head["pairs"])
+    return _RangeParse(head["n_rows"], head["reasons"], parts)
 
 
 def _parse_in_workers(path: Path, ranges: list[tuple[int, int]]) -> list[_RangeParse]:
     """``_parse_range`` of each range in a worker process of its own.
 
-    Workers are spawned: each is a fresh interpreter that gets only its
-    range and one pipe.  Every worker has been joined when this returns
-    or raises.
+    Every worker has been joined when this returns or raises.
     """
-    import multiprocessing   # here, not above: it adds ~1 MB to every process importing ingest
-
-    ctx = multiprocessing.get_context("spawn")
-    workers = []
-    try:
-        for start, end in ranges:
-            receiver, sender = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=_range_worker, args=(sender, str(path), start, end),
-                               daemon=True)
-            workers.append((proc, receiver))
-            with sender:
-                proc.start()
-        return [_receive_range(receiver, *bounds)
-                for (_, receiver), bounds in zip(workers, ranges)]
-    except BaseException:
-        for proc, _ in workers:
-            if proc.pid is not None:
-                proc.terminate()
-        raise
-    finally:
-        for proc, receiver in workers:
-            receiver.close()
-            if proc.pid is not None:
-                proc.join()
-            proc.close()
+    with worker_processes(_range_worker, [(str(path), *bounds) for bounds in ranges]) as conns:
+        return [_receive_range(conn, *bounds) for conn, bounds in zip(conns, ranges)]
 
 
 def _byte_ranges(path: Path, n: int) -> list[tuple[int, int]]:
@@ -371,13 +342,6 @@ def _byte_ranges(path: Path, n: int) -> list[tuple[int, int]]:
             if cuts[-1] < pos < size:
                 cuts.append(pos)
     return list(zip(cuts, cuts[1:] + [size]))
-
-
-def _cpu_count() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
 
 
 def _first_appearances(codes: np.ndarray) -> list[int]:

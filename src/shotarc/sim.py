@@ -37,24 +37,36 @@ inflation, and an entry-angle rise that grows with defender height.
 
 from __future__ import annotations
 
+import hashlib
+import io
+import json
 import math
+import shutil
 from collections.abc import Iterator
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .core import (
     BALL_RADIUS_FT,
+    MAX_WORKERS,
     RELEASE_HEIGHT_PRIOR_FT,
     RIM_HEIGHT_FT,
     RIM_RADIUS_FT,
     GameId,
     PlayerId,
+    _cpu_count,
     _expit_scalar,
     from_local_frame,
+    receive_header,
+    worker_processes,
 )
 from .ingest import EventRecord, GameTracking, RosterRecord
+
+if TYPE_CHECKING:
+    from multiprocessing.connection import Connection
 
 GRAVITY_FT_S2 = 32.174
 FRAME_RATE_HZ = 25.0
@@ -474,33 +486,48 @@ _OPPONENT_SPOTS = np.array([[44.0, -12.0], [46.0, -4.0], [48.0, 4.0], [44.0, 12.
 _SPOT_OF = np.array([np.insert(np.arange(4), k, 0) for k in range(5)])
 
 
-def simulate_season(config: SimConfig) -> SeasonData:
-    """Generate a full synthetic season; deterministic given ``config.seed``."""
-    root = np.random.SeedSequence(config.seed)
-    pool_ss, season_ss = root.spawn(2)
+def _season_draws(config: SimConfig) -> tuple[list[ShooterSkill], list[DefenderTrait], list]:
+    """The shooter and defender pools, and one seed per game: all that games draw from."""
+    pool_ss, season_ss = np.random.SeedSequence(config.seed).spawn(2)
     pool_rng = np.random.default_rng(pool_ss)
     shooters = make_shooter_pool(config, pool_rng)
     defenders = make_defender_pool(config, pool_rng)
+    return shooters, defenders, season_ss.spawn(config.n_games)
 
+
+def _simulate_block(config: SimConfig, shooters: list[ShooterSkill],
+                    defenders: list[DefenderTrait], game_seeds: list, start: int,
+                    ) -> Iterator[tuple[SimGame, list[GroundTruthShot]]]:
+    """Games ``start, start + 1, ...``, one per seed of ``game_seeds``, made as
+    they are read, each with its ground truth.
+
+    A game draws only from its own seed, so a block of games has the same
+    bits in whichever process it is made.
+    """
     s_weights = np.array([s.participation for s in shooters])
     s_weights = s_weights / s_weights.sum()
     d_weights = np.array([d.participation for d in defenders])
     d_weights = d_weights / d_weights.sum()
     mean_def_height = float(np.mean([d.height_in for d in defenders]))
 
-    games: list[SimGame] = []
-    truth: list[GroundTruthShot] = []
-    for g, game_ss in enumerate(season_ss.spawn(config.n_games)):
+    for g, game_ss in enumerate(game_seeds, start):
         rng = np.random.default_rng(game_ss)
         lineup_s = rng.choice(len(shooters), size=5, replace=False, p=s_weights)
         lineup_d = rng.choice(len(defenders), size=5, replace=False, p=d_weights)
-        game, game_truth = _simulate_game(
+        yield _simulate_game(
             config, rng, f"G{g:04d}", "left" if g % 2 == 0 else "right",
             [shooters[i] for i in lineup_s], [defenders[i] for i in lineup_d],
-            mean_def_height, len(truth))
+            mean_def_height, g * config.shots_per_game)
+
+
+def simulate_season(config: SimConfig) -> SeasonData:
+    """Generate a full synthetic season; deterministic given ``config.seed``."""
+    shooters, defenders, game_seeds = _season_draws(config)
+    games: list[SimGame] = []
+    truth: list[GroundTruthShot] = []
+    for game, game_truth in _simulate_block(config, shooters, defenders, game_seeds, 0):
         games.append(game)
         truth.extend(game_truth)
-
     return SeasonData(
         config=config,
         shooter_pool=shooters,
@@ -631,7 +658,7 @@ def _simulate_game(config: SimConfig, rng: np.random.Generator, game_id: GameId,
     return game, truth
 
 
-# --- file emission ---------------------------------------------------------------
+# --- the season as the loaders return it --------------------------------------------
 
 def _position_tag(height_in: float) -> str:
     if height_in <= 76.0:
@@ -641,17 +668,11 @@ def _position_tag(height_in: float) -> str:
     return "C"
 
 
-def season_records(season: SeasonData) -> tuple[Iterator[EventRecord], list[RosterRecord]]:
-    """The season's shot events in shot order, made as they are read (so that a
-    writer never holds them all), and its roster sorted by player id."""
-    events = (
-        EventRecord(shot.shot_id, game.game_id, shot.shooter_id, shot.release_frame,
-                    shot.outcome, game.hoop_end)
-        for game in season.games for shot in game.shots
-    )
-    players = sorted([(s.player_id, s.height_in) for s in season.shooter_pool]
-                     + [(d.player_id, d.height_in) for d in season.defender_pool])
-    return events, [RosterRecord(pid, height, _position_tag(height)) for pid, height in players]
+def _roster(shooters: list[ShooterSkill], defenders: list[DefenderTrait]) -> list[RosterRecord]:
+    """Every pooled player, sorted by player id."""
+    players = sorted([(s.player_id, s.height_in) for s in shooters]
+                     + [(d.player_id, d.height_in) for d in defenders])
+    return [RosterRecord(pid, height, _position_tag(height)) for pid, height in players]
 
 
 def season_tracking(
@@ -676,8 +697,69 @@ def season_tracking(
             id_table=list(game.player_ids),
             team_of=dict(zip(game.player_ids, game.player_teams)),
         )
-    events, roster = season_records(season)
-    return tracking, list(events), {r.player_id: r for r in roster}
+    events = [EventRecord(shot.shot_id, game.game_id, shot.shooter_id, shot.release_frame,
+                          shot.outcome, game.hoop_end)
+              for game in season.games for shot in game.shots]
+    roster = _roster(season.shooter_pool, season.defender_pool)
+    return tracking, events, {r.player_id: r for r in roster}
+
+
+# --- file emission ---------------------------------------------------------------
+# write_season and simulate_to_files write each game's lines with the same helpers.
+
+_EVENTS_HEADER = "shot_id,game_id,shooter_id,release_frame,outcome,hoop_end\n"
+_TRUTH_HEADER = ("shot_id,game_id,shooter_id,defender_id,ndd_ft,contest_intensity,"
+                 "true_depth_ft,true_lr_ft,true_angle_deg,outcome,corrupted\n")
+
+
+def _write_tracking(fh, game: SimGame) -> None:
+    """One game's tracking rows, one frame per line."""
+    prefix = f'{{"game_id":"{game.game_id}","t":'
+    for shot in game.shots:
+        players = ",".join(
+            f'{{"id":"{pid}","team":"{team}","x":{x!r},"y":{y!r}}}'
+            for pid, team, (x, y) in zip(
+                game.player_ids, game.player_teams, shot.player_xy.tolist())
+        )
+        for t, (bx, by, bz) in zip(shot.times_s.tolist(), shot.ball_points.tolist()):
+            fh.write(f'{prefix}{t!r},"ball":[{bx!r},{by!r},{bz!r}],"players":[{players}]}}\n')
+
+
+def _write_events(fh, game: SimGame) -> None:
+    """One game's shot events."""
+    for shot in game.shots:
+        fh.write(f"{shot.shot_id},{game.game_id},{shot.shooter_id},"
+                 f"{shot.release_frame},{shot.outcome},{game.hoop_end}\n")
+
+
+def _write_truth(fh, records: list[GroundTruthShot]) -> None:
+    for r in records:
+        fh.write(f"{r.shot_id},{r.game_id},{r.shooter_id},{r.defender_id},"
+                 f"{r.ndd_ft!r},{r.contest_intensity!r},{r.true_depth_ft!r},"
+                 f"{r.true_lr_ft!r},{r.true_angle_deg!r},{r.outcome},{int(r.corrupted)}\n")
+
+
+def _text_file(path: Path):
+    return path.open("w", encoding="utf-8", newline="\n")
+
+
+def _season_paths(out_dir: str | Path) -> dict[str, Path]:
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    return {
+        "tracking": out / "tracking.jsonl",
+        "events": out / "events.csv",
+        "roster": out / "roster.csv",
+        "ground_truth": out / "ground_truth.csv",
+    }
+
+
+def _write_roster(path: Path, shooters: list[ShooterSkill],
+                  defenders: list[DefenderTrait]) -> None:
+    with _text_file(path) as fh:
+        fh.write("player_id,height_in,position\n")
+        for r in _roster(shooters, defenders):
+            fh.write(f"{r.player_id},{r.height_in!r},{r.position}\n")
 
 
 def write_season(season: SeasonData, out_dir: str | Path) -> dict[str, Path]:
@@ -686,45 +768,116 @@ def write_season(season: SeasonData, out_dir: str | Path) -> dict[str, Path]:
     Floats are written with ``repr`` so values round-trip exactly; output
     bytes depend only on the season content.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    paths = {
-        "tracking": out / "tracking.jsonl",
-        "events": out / "events.csv",
-        "roster": out / "roster.csv",
-        "ground_truth": out / "ground_truth.csv",
-    }
-
-    with paths["tracking"].open("w", encoding="utf-8", newline="\n") as fh:
+    paths = _season_paths(out_dir)
+    with _text_file(paths["tracking"]) as fh:
         for game in season.games:
-            prefix = f'{{"game_id":"{game.game_id}","t":'
-            for shot in game.shots:
-                players = ",".join(
-                    f'{{"id":"{pid}","team":"{team}","x":{x!r},"y":{y!r}}}'
-                    for pid, team, (x, y) in zip(
-                        game.player_ids, game.player_teams, shot.player_xy.tolist())
-                )
-                for t, (bx, by, bz) in zip(shot.times_s.tolist(), shot.ball_points.tolist()):
-                    fh.write(f'{prefix}{t!r},"ball":[{bx!r},{by!r},{bz!r}],"players":[{players}]}}\n')
-
-    events, roster = season_records(season)
-    with paths["events"].open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write("shot_id,game_id,shooter_id,release_frame,outcome,hoop_end\n")
-        for e in events:
-            fh.write(f"{e.shot_id},{e.game_id},{e.shooter_id},"
-                     f"{e.release_frame},{e.outcome},{e.hoop_end}\n")
-
-    with paths["roster"].open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write("player_id,height_in,position\n")
-        for r in roster:
-            fh.write(f"{r.player_id},{r.height_in!r},{r.position}\n")
-
-    with paths["ground_truth"].open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write("shot_id,game_id,shooter_id,defender_id,ndd_ft,contest_intensity,"
-                 "true_depth_ft,true_lr_ft,true_angle_deg,outcome,corrupted\n")
-        for r in season.ground_truth:
-            fh.write(f"{r.shot_id},{r.game_id},{r.shooter_id},{r.defender_id},"
-                     f"{r.ndd_ft!r},{r.contest_intensity!r},{r.true_depth_ft!r},"
-                     f"{r.true_lr_ft!r},{r.true_angle_deg!r},{r.outcome},{int(r.corrupted)}\n")
-
+            _write_tracking(fh, game)
+    with _text_file(paths["events"]) as fh:
+        fh.write(_EVENTS_HEADER)
+        for game in season.games:
+            _write_events(fh, game)
+    _write_roster(paths["roster"], season.shooter_pool, season.defender_pool)
+    with _text_file(paths["ground_truth"]) as fh:
+        fh.write(_TRUTH_HEADER)
+        _write_truth(fh, season.ground_truth)
     return paths
+
+
+# --- the season by blocks of games, in worker processes ------------------------------
+
+# A block pays off in a worker only when it takes clearly longer to simulate and
+# write than the worker takes to start (a fresh interpreter importing numpy).  On
+# 2 vCPUs, `shotarc simulate` of 300-shot games in two blocks against one (median
+# ratio, pairs won): 1,800 shots 0.87x 0/7 and 0.79x 2/9; 2,400 shots 1.06x 3/7 and
+# 0.90x 2/9; 3,000 shots 1.25x 6/7 and 1.01x 6/9; 3,600 shots 1.10x 8/9; 4,200 shots
+# 1.21x 8/9; 4,800 shots 1.34x 6/7 and 1.33x 8/9.  Two blocks start at 4,000 shots.
+MIN_BLOCK_SHOTS = 2000
+
+
+class _HashedFile(io.FileIO):
+    """A file opened for writing that feeds every byte written through SHA-256."""
+
+    def __init__(self, path: Path):
+        super().__init__(path, "w")
+        self.sha256 = hashlib.sha256()
+
+    def write(self, b) -> int:
+        n = super().write(b)
+        self.sha256.update(memoryview(b)[:n])
+        return n
+
+
+def _write_block(tracking, events, truth, config: SimConfig, shooters: list[ShooterSkill],
+                 defenders: list[DefenderTrait], game_seeds: list, start: int) -> int:
+    """Simulate a block of games, writing each game's lines as it is made; its makes."""
+    made = 0
+    for game, game_truth in _simulate_block(config, shooters, defenders, game_seeds, start):
+        _write_tracking(tracking, game)
+        _write_events(events, game)
+        _write_truth(truth, game_truth)
+        made += sum(r.outcome for r in game_truth)
+    return made
+
+
+def _block_worker(conn: Connection, config: SimConfig, start: int, stop: int, part: str) -> None:
+    """Worker process body: games ``start`` to ``stop - 1`` with their tracking rows
+    in the file ``part``, then sends the block's makes, event lines and
+    ground-truth lines."""
+    shooters, defenders, game_seeds = _season_draws(config)
+    events, truth = io.StringIO(), io.StringIO()
+    with _text_file(Path(part)) as tracking:
+        made = _write_block(tracking, events, truth, config, shooters, defenders,
+                            game_seeds[start:stop], start)
+    conn.send_bytes(json.dumps({"made": made}).encode())
+    conn.send_bytes(events.getvalue().encode())
+    conn.send_bytes(truth.getvalue().encode())
+
+
+def simulate_to_files(config: SimConfig, out_dir: str | Path,
+                      ) -> tuple[dict[str, Path], int, dict[Path, str]]:
+    """The files of :func:`write_season` for the season of ``config``, byte for byte;
+    returns their paths, the number of makes and the SHA-256 digests taken as written.
+
+    A season of at least ``2 * MIN_BLOCK_SHOTS`` shots is cut into contiguous
+    blocks of games: one per CPU this process may run on, at most
+    ``MAX_WORKERS``, each of at least ``MIN_BLOCK_SHOTS``.  This process makes
+    the first block; a spawned worker makes each other one, writing its
+    tracking rows to a hidden part file that is appended in game order and
+    deleted (also when this raises).  A script that calls this must keep its
+    own work under ``if __name__ == "__main__":``, as for ``load_tracking``.
+    """
+    n = min(_cpu_count(), MAX_WORKERS, config.n_games, config.n_shots // MIN_BLOCK_SHOTS)
+    if n < 2:
+        season = simulate_season(config)
+        return write_season(season, out_dir), sum(r.outcome for r in season.ground_truth), {}
+
+    paths = _season_paths(out_dir)
+    cuts = [config.n_games * k // n for k in range(n + 1)]
+    parts = [paths["tracking"].with_name(f".tracking.part{k}") for k in range(1, n)]
+    jobs = [(config, start, stop, str(part)) for start, stop, part in zip(cuts[1:], cuts[2:], parts)]
+    shooters, defenders, game_seeds = _season_draws(config)
+    try:
+        with (worker_processes(_block_worker, jobs) as conns,
+              _HashedFile(paths["tracking"]) as raw,
+              io.TextIOWrapper(io.BufferedWriter(raw, 1 << 20), encoding="utf-8",
+                               newline="\n") as tracking,
+              _text_file(paths["events"]) as events,
+              _text_file(paths["ground_truth"]) as truth):
+            events.write(_EVENTS_HEADER)
+            truth.write(_TRUTH_HEADER)
+            made = _write_block(tracking, events, truth, config, shooters, defenders,
+                                game_seeds[:cuts[1]], 0)
+            tracking.flush()
+            for conn, part, start, stop in zip(conns, parts, cuts[1:], cuts[2:]):
+                made += receive_header(conn, f"simulate worker for games {start}-{stop - 1}")["made"]
+                events.write(conn.recv_bytes().decode())
+                truth.write(conn.recv_bytes().decode())
+                with part.open("rb") as fh:
+                    shutil.copyfileobj(fh, tracking.buffer, 1 << 20)
+                part.unlink()
+    finally:
+        for part in parts:
+            if part.is_file():
+                part.unlink()
+    _write_roster(paths["roster"], shooters, defenders)
+    return paths, made, {paths["tracking"]: raw.sha256.hexdigest()}

@@ -3,12 +3,18 @@
 import csv
 import hashlib
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from shotarc import evaluate
+import shotarc
+from shotarc import evaluate, sim
 from shotarc.cli import (
     ShotRow,
     fit_season,
@@ -254,6 +260,103 @@ class TestSimulate:
                                        "roster.csv", "ground_truth.csv"}
         for digest in doc["outputs"].values():
             assert len(digest) == 64
+
+
+SEASON_FILES = ("tracking.jsonl", "events.csv", "roster.csv", "ground_truth.csv")
+
+
+def _simulate_in_blocks(tmp_path, monkeypatch, doc, cpus, min_block_shots=10):
+    """``cli.main(["simulate", ...])`` as a host with ``cpus`` CPUs runs it with
+    ``sim.MIN_BLOCK_SHOTS`` at ``min_block_shots``; the exit code, the out-dir
+    and the (start, stop) game blocks given to workers."""
+    monkeypatch.setattr(sim, "MIN_BLOCK_SHOTS", min_block_shots)
+    monkeypatch.setattr(sim, "_cpu_count", lambda: cpus)
+    blocks = []
+    start_workers = sim.worker_processes
+
+    def recording(target, jobs):
+        blocks.extend((start, stop) for _, start, stop, _ in jobs)
+        return start_workers(target, jobs)
+
+    monkeypatch.setattr(sim, "worker_processes", recording)
+    config = tmp_path / "sim.json"
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "blocks"
+    code = main(["simulate", "--config", str(config), "--out-dir", str(out)])
+    return code, out, blocks
+
+
+class TestSimulateBlocks:
+    @pytest.mark.parametrize("doc, cpus, blocks", [
+        # 5 games do not divide into 2 blocks
+        ({"n_games": 5, "shots_per_game": 12, "seed": 11}, 2, [(2, 5)]),
+        # fewer games than CPUs: one game per block
+        ({"n_games": 3, "shots_per_game": 10, "seed": 12}, 4, [(1, 2), (2, 3)]),
+        # every noise layer on
+        ({"n_games": 7, "shots_per_game": 10, "seed": 13, "tracking_noise_ft": 0.2,
+          "release_height_jitter_ft": 0.5, "corrupt_fraction": 0.3, "outcome_flip_prob": 0.2},
+         4, [(1, 3), (3, 5), (5, 7)]),
+    ], ids=["uneven", "few-games", "all-noise"])
+    def test_same_bytes_as_the_serial_library(self, tmp_path, monkeypatch, doc, cpus, blocks):
+        code, out, got_blocks = _simulate_in_blocks(tmp_path, monkeypatch, doc, cpus)
+        assert code == 0
+        assert got_blocks == blocks
+        lib = write_season(simulate_season(SimConfig(**doc)), tmp_path / "library")
+        for name in SEASON_FILES:
+            assert (out / name).read_bytes() == lib[name.split(".")[0]].read_bytes(), name
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["outputs"] == {
+            name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in SEASON_FILES}
+        monkeypatch.undo()      # the serial CLI run writes the same manifest
+        assert main(["simulate", "--config", str(tmp_path / "sim.json"),
+                     "--out-dir", str(tmp_path / "serial")]) == 0
+        assert (out / "manifest.json").read_bytes() == (
+            tmp_path / "serial" / "manifest.json").read_bytes()
+        assert sorted(p.name for p in out.iterdir()) == sorted(SEASON_FILES + ("manifest.json",))
+        assert multiprocessing.active_children() == []
+
+    def test_failing_worker_stops_the_run_and_leaves_no_part(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "blocks"
+        (out / ".tracking.part1").mkdir(parents=True)    # the first worker cannot open its part
+        code, out, blocks = _simulate_in_blocks(
+            tmp_path, monkeypatch, {"n_games": 3, "shots_per_game": 10, "seed": 12}, 3)
+        assert code == 1
+        assert blocks == [(1, 2), (2, 3)]
+        assert "error: simulate worker for games 1-1: IsADirectoryError" in capsys.readouterr().err
+        # the second worker's part is gone too
+        assert [p.name for p in out.iterdir() if p.name.startswith(".")] == [".tracking.part1"]
+        assert not (out / "manifest.json").exists()
+        assert multiprocessing.active_children() == []
+
+    def test_failing_parent_stops_every_worker_and_leaves_no_part(self, tmp_path, monkeypatch,
+                                                                   capsys):
+        def fail(fh, game):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(sim, "_write_tracking", fail)    # only this process is patched
+        code, out, blocks = _simulate_in_blocks(
+            tmp_path, monkeypatch, {"n_games": 4, "shots_per_game": 10, "seed": 12}, 4)
+        assert code == 1
+        assert blocks == [(1, 2), (2, 3), (3, 4)]
+        assert "error: disk full" in capsys.readouterr().err
+        assert not [p for p in out.iterdir() if p.name.startswith(".")]
+        assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("argv", [["--version"], ["simulate", "--config", "{config}",
+                                                  "--out-dir", "{out}"]],
+                         ids=["version", "simulate"])
+def test_no_multiprocessing_import_below_the_block_threshold(tmp_path, argv):
+    config = tmp_path / "sim.json"
+    config.write_text(json.dumps({"n_games": 2, "shots_per_game": 20, "seed": 3}))
+    argv = [a.format(config=config, out=tmp_path / "out") for a in argv]
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "shotarc", *argv],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=str(Path(shotarc.__file__).parents[1])))
+    assert proc.returncode == 0, proc.stderr
+    imported = [line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()]
+    assert "shotarc.cli" in imported
+    assert not [name for name in imported if name.startswith("multiprocessing")]
 
 
 class TestFitAndDownstream:
@@ -798,13 +901,20 @@ class TestModelFile:
         assert not out.parent.exists()
 
 
-@pytest.mark.parametrize("setting", ["--ridge=nan", "--ridge=inf", "--ridge=-1",
-                                     "--min-shots=0", "--min-shots=-5"])
-def test_bad_training_setting_exits_2_and_writes_nothing(tmp_path, capsys, setting):
+BAD_SETTINGS = [("train-makeprob", setting) for setting in (
+    "--ridge=nan", "--ridge=inf", "--ridge=-1", "--min-shots=0", "--min-shots=-5")] + [
+    ("effects", "--min-shots=0"), ("effects", "--min-shots=-5")]
+
+
+@pytest.mark.parametrize("command, setting", BAD_SETTINGS, ids=[
+    setting if command == "train-makeprob" else command + setting
+    for command, setting in BAD_SETTINGS])
+def test_bad_training_setting_exits_2_and_writes_nothing(tmp_path, capsys, command, setting):
     factors, out = tmp_path / "factors.csv", tmp_path / "m"
     write_shot_rows(_shot_rows(600), factors)
-    assert main(["train-makeprob", "--factors", str(factors), "--out-model",
-                 str(out / "model.json"), setting]) == 2
+    outputs = (["--out-model", str(out / "model.json")] if command == "train-makeprob"
+               else ["--out-dir", str(out)])
+    assert main([command, "--factors", str(factors), *outputs, setting]) == 2
     name = setting[2:].partition("=")[0].replace("-", "_")
     assert f"error: {name} must be" in capsys.readouterr().err
     assert not out.exists()

@@ -486,6 +486,15 @@ class TestWorkerPool:
             ingest._parse_in_workers(tmp_path / "missing.jsonl", [(0, 1), (1, 2)])
         assert multiprocessing.active_children() == []
 
+    def test_parent_abort_terminates_and_joins_every_worker(self, two_range_season, monkeypatch):
+        def abort(conn, start, end):
+            raise KeyError("parent gave up")
+
+        monkeypatch.setattr(ingest, "_receive_range", abort)
+        with pytest.raises(KeyError, match="parent gave up"):
+            load_tracking(two_range_season)
+        assert multiprocessing.active_children() == []
+
 
 EVENT_COLUMNS = ["shot_id", "game_id", "shooter_id", "release_frame", "outcome", "hoop_end"]
 EVENT_SEASON = season_tracking(simulate_season(
