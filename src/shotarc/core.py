@@ -189,8 +189,12 @@ def worker_processes(target, jobs: list[tuple]):
     Workers are spawned: each is a fresh interpreter that gets only its job
     and the sending end of one pipe, and ``target`` must be a module-level
     function.  Every worker has been joined when the block exits; one that
-    exits by an exception terminates the workers first.
+    exits by an exception terminates the workers first.  No jobs start no
+    process and import nothing.
     """
+    if not jobs:
+        yield []
+        return
     import multiprocessing   # here, not above: it adds ~1 MB to every process importing core
 
     ctx = multiprocessing.get_context("spawn")

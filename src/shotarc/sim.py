@@ -838,31 +838,32 @@ def simulate_to_files(config: SimConfig, out_dir: str | Path,
     """The files of :func:`write_season` for the season of ``config``, byte for byte;
     returns their paths, the number of makes and the SHA-256 digests taken as written.
 
-    A season of at least ``2 * MIN_BLOCK_SHOTS`` shots is cut into contiguous
-    blocks of games: one per CPU this process may run on, at most
-    ``MAX_WORKERS``, each of at least ``MIN_BLOCK_SHOTS``.  This process makes
-    the first block; a spawned worker makes each other one, writing its
-    tracking rows to a hidden part file that is appended in game order and
-    deleted (also when this raises).  A script that calls this must keep its
-    own work under ``if __name__ == "__main__":``, as for ``load_tracking``.
+    The season is cut into contiguous blocks of games: one per CPU this
+    process may run on, at most ``MAX_WORKERS`` and one per game, and more
+    than one only if they average at least ``MIN_BLOCK_SHOTS`` shots.  This
+    process makes the first block; a spawned worker makes each other one,
+    writing its tracking rows to a hidden part file that is appended in game
+    order and deleted.  Every file is written under a hidden name and renamed
+    into place once the whole season is written, so a run that raises leaves
+    the files of an earlier run as they were.  A script that calls this with a season of at least
+    ``2 * MIN_BLOCK_SHOTS`` shots must keep its own work under
+    ``if __name__ == "__main__":``, as for ``load_tracking``.
     """
-    n = min(_cpu_count(), MAX_WORKERS, config.n_games, config.n_shots // MIN_BLOCK_SHOTS)
-    if n < 2:
-        season = simulate_season(config)
-        return write_season(season, out_dir), sum(r.outcome for r in season.ground_truth), {}
-
+    n = max(1, min(_cpu_count(), MAX_WORKERS, config.n_games,
+                   config.n_shots // MIN_BLOCK_SHOTS))
     paths = _season_paths(out_dir)
+    hidden = {key: path.with_name(f".{path.name}.part") for key, path in paths.items()}
     cuts = [config.n_games * k // n for k in range(n + 1)]
     parts = [paths["tracking"].with_name(f".tracking.part{k}") for k in range(1, n)]
     jobs = [(config, start, stop, str(part)) for start, stop, part in zip(cuts[1:], cuts[2:], parts)]
     shooters, defenders, game_seeds = _season_draws(config)
     try:
         with (worker_processes(_block_worker, jobs) as conns,
-              _HashedFile(paths["tracking"]) as raw,
+              _HashedFile(hidden["tracking"]) as raw,
               io.TextIOWrapper(io.BufferedWriter(raw, 1 << 20), encoding="utf-8",
                                newline="\n") as tracking,
-              _text_file(paths["events"]) as events,
-              _text_file(paths["ground_truth"]) as truth):
+              _text_file(hidden["events"]) as events,
+              _text_file(hidden["ground_truth"]) as truth):
             events.write(_EVENTS_HEADER)
             truth.write(_TRUTH_HEADER)
             made = _write_block(tracking, events, truth, config, shooters, defenders,
@@ -875,9 +876,11 @@ def simulate_to_files(config: SimConfig, out_dir: str | Path,
                 with part.open("rb") as fh:
                     shutil.copyfileobj(fh, tracking.buffer, 1 << 20)
                 part.unlink()
+        _write_roster(hidden["roster"], shooters, defenders)
+        for key, path in paths.items():
+            hidden[key].replace(path)
     finally:
-        for part in parts:
-            if part.is_file():
-                part.unlink()
-    _write_roster(paths["roster"], shooters, defenders)
+        for path in (*parts, *hidden.values()):
+            if path.is_file():
+                path.unlink()
     return paths, made, {paths["tracking"]: raw.sha256.hexdigest()}

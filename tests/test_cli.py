@@ -288,6 +288,8 @@ def _simulate_in_blocks(tmp_path, monkeypatch, doc, cpus, min_block_shots=10):
 
 class TestSimulateBlocks:
     @pytest.mark.parametrize("doc, cpus, blocks", [
+        # one CPU: this process makes the whole season and starts no worker
+        ({"n_games": 4, "shots_per_game": 10, "seed": 14}, 1, []),
         # 5 games do not divide into 2 blocks
         ({"n_games": 5, "shots_per_game": 12, "seed": 11}, 2, [(2, 5)]),
         # fewer games than CPUs: one game per block
@@ -296,7 +298,7 @@ class TestSimulateBlocks:
         ({"n_games": 7, "shots_per_game": 10, "seed": 13, "tracking_noise_ft": 0.2,
           "release_height_jitter_ft": 0.5, "corrupt_fraction": 0.3, "outcome_flip_prob": 0.2},
          4, [(1, 3), (3, 5), (5, 7)]),
-    ], ids=["uneven", "few-games", "all-noise"])
+    ], ids=["one-block", "uneven", "few-games", "all-noise"])
     def test_same_bytes_as_the_serial_library(self, tmp_path, monkeypatch, doc, cpus, blocks):
         code, out, got_blocks = _simulate_in_blocks(tmp_path, monkeypatch, doc, cpus)
         assert code == 0
@@ -307,7 +309,7 @@ class TestSimulateBlocks:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["outputs"] == {
             name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in SEASON_FILES}
-        monkeypatch.undo()      # the serial CLI run writes the same manifest
+        monkeypatch.undo()      # a run with this host's blocks writes the same manifest
         assert main(["simulate", "--config", str(tmp_path / "sim.json"),
                      "--out-dir", str(tmp_path / "serial")]) == 0
         assert (out / "manifest.json").read_bytes() == (
@@ -317,15 +319,20 @@ class TestSimulateBlocks:
 
     def test_failing_worker_stops_the_run_and_leaves_no_part(self, tmp_path, monkeypatch, capsys):
         out = tmp_path / "blocks"
-        (out / ".tracking.part1").mkdir(parents=True)    # the first worker cannot open its part
+        earlier = tmp_path / "earlier.json"     # a good season already in the out-dir
+        earlier.write_text(json.dumps({"n_games": 2, "shots_per_game": 10, "seed": 5}))
+        assert main(["simulate", "--config", str(earlier), "--out-dir", str(out)]) == 0
+        season = {p.name: p.read_bytes() for p in out.iterdir()}
+        (out / ".tracking.part1").mkdir()    # the first worker cannot open its part
         code, out, blocks = _simulate_in_blocks(
             tmp_path, monkeypatch, {"n_games": 3, "shots_per_game": 10, "seed": 12}, 3)
         assert code == 1
         assert blocks == [(1, 2), (2, 3)]
         assert "error: simulate worker for games 1-1: IsADirectoryError" in capsys.readouterr().err
-        # the second worker's part is gone too
+        # the second worker's part and the parent's hidden files are gone too
         assert [p.name for p in out.iterdir() if p.name.startswith(".")] == [".tracking.part1"]
-        assert not (out / "manifest.json").exists()
+        (out / ".tracking.part1").rmdir()
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == season
         assert multiprocessing.active_children() == []
 
     def test_failing_parent_stops_every_worker_and_leaves_no_part(self, tmp_path, monkeypatch,
@@ -339,7 +346,7 @@ class TestSimulateBlocks:
         assert code == 1
         assert blocks == [(1, 2), (2, 3), (3, 4)]
         assert "error: disk full" in capsys.readouterr().err
-        assert not [p for p in out.iterdir() if p.name.startswith(".")]
+        assert not list(out.iterdir())      # neither a part nor a half-written season file
         assert multiprocessing.active_children() == []
 
 
