@@ -50,7 +50,7 @@ from .ingest import IngestError, load_events, load_roster, load_tracking
 from .makeprob import MakeProbModel, TrainConfig, TrainingError, predict, train
 # the shots file lives in season; ShotRow is re-exported for callers of write_shot_rows
 from .season import (ShotRow, ShotsFileError, fit_season, read_shot_rows, write_csv,
-                     write_shot_rows)
+                     write_json, write_shot_rows)
 from .sim import PressureModel, SimConfig, simulate_to_files
 from .trajectory import FilterThresholds
 
@@ -94,7 +94,7 @@ def write_manifest(
     """Write the manifest; a file in ``digests`` keeps the digest given there
     instead of being read and hashed again."""
     known = digests or {}
-    doc = {
+    write_json(manifest_path, {
         "tool": "shotarc",
         "version": __version__,
         "command": command,
@@ -102,9 +102,7 @@ def write_manifest(
         "seed": seed,
         "inputs": {p.name: _sha256(p) for p in inputs},
         "outputs": {p.name: known.get(p) or _sha256(p) for p in outputs},
-    }
-    manifest_path.parent.mkdir(parents=True, exist_ok=True)
-    manifest_path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    })
 
 
 def load_json_config(path: str | None) -> dict:
@@ -244,8 +242,7 @@ def cmd_fit(args: argparse.Namespace) -> Run:
         zip(fits["shot_id"][done].tolist(), *fits["beta"][done].T.tolist(),
             fits["rmse_ft"][done].tolist(), fits["n_samples"][done].tolist()))
 
-    report_path = out_dir / "filter_report.json"
-    report_path.write_text(json.dumps({
+    report_path = write_json(out_dir / "filter_report.json", {
         "load": {name: dataclasses.asdict(load) for name, load in (
             ("tracking", tracking_load), ("events", events_load), ("roster", roster_load))},
         "extraction": dataclasses.asdict(fit.extraction),
@@ -253,7 +250,7 @@ def cmd_fit(args: argparse.Namespace) -> Run:
         "factor_rejections": fit.factor_rejections,
         "n_factor_rows": len(rows),
         "thresholds": dataclasses.asdict(thresholds),
-    }, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    })
 
     print(f"fit {report.n_input} shots: retained {report.n_retained} "
           f"({report.retention:.3f}), factor rows {len(rows)}")
@@ -315,8 +312,7 @@ def cmd_effects(args: argparse.Namespace) -> Run:
     txt_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     print("\n".join(lines))
 
-    json_path = stem.with_suffix(".json")
-    json_path.write_text(json.dumps({
+    json_path = write_json(stem.with_suffix(".json"), {
         "model_kind": estimates.model_kind,
         "response_kind": estimates.response_kind,
         "intercept": estimates.intercept,
@@ -325,7 +321,7 @@ def cmd_effects(args: argparse.Namespace) -> Run:
         "residual_sse": estimates.residual_sse,
         "ranking": [dataclasses.asdict(r) for r in table],
         "shooter_effects": estimates.shooter_effects,
-    }, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    })
 
     return Run("effects", {"model_kind": args.model_kind, "response_kind": args.response_kind,
                            "min_shots": args.min_shots, "literal_ndd": args.literal_ndd},

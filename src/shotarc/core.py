@@ -147,7 +147,7 @@ def expit(x):
 
 # --- worker processes ---------------------------------------------------------------
 
-# at most this many worker processes per stage
+# at most this many parts per stage: the calling process and up to three workers
 MAX_WORKERS = 4
 
 
@@ -157,6 +157,13 @@ def _cpu_count() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:
         return os.cpu_count() or 1
+
+
+def part_count(limit: int) -> int:
+    """Parts to cut a stage's work into, one per CPU this process may run on, at most
+    ``MAX_WORKERS`` and ``limit``, and at least one: this process works on the first
+    part, a worker process on each other."""
+    return max(1, min(_cpu_count(), MAX_WORKERS, limit))
 
 
 def _worker_main(conn: Connection, target, job: tuple) -> None:

@@ -19,20 +19,21 @@ coordinate or player x/y), then ``unparseable`` (a bad id), then
 tracking game id, player id or team is bad unless it is a JSON string,
 and an id in any file is bad if it holds a carriage return or a
 surrogate.  An events row repeating an earlier shot id is rejected as
-``duplicate_shot_id``; the first occurrence is kept.
+``duplicate_shot_id``, and a roster row repeating an earlier player id as
+``duplicate_player_id``; the first occurrence is kept.
 
 Tracking is read in two phases.  First the file is cut, just after
-newlines, into byte ranges: one per CPU this process may run on, at most
-``MAX_WORKERS`` and only as many as leave each range ``MIN_RANGE_BYTES``.
-Each range is parsed by a worker process (one range is parsed in-process)
-that applies the checks needing nothing but the row itself and fills
-typed per-game column buffers.  Then the parent applies the per-game
-timestamp rules to all ranges at once: the last accepted time before a
-row is the running maximum of its game's earlier rows, which makes the
-result the same wherever the cuts fall.  A game that lies in one range
-and loses no row keeps the worker's buffers as its ``GameTracking``
-arrays; shot extraction reads the release row and the ball window
-straight from those arrays.
+newlines, into ``core.part_count`` byte ranges: one per CPU this process
+may run on, at most ``MAX_WORKERS`` and only as many as leave each range
+``MIN_RANGE_BYTES``.  This process parses the first range itself and a
+worker process each other one, applying the checks needing nothing but
+the row itself and filling typed per-game column buffers.  Then this
+process applies the per-game timestamp rules to all ranges at once: the
+last accepted time before a row is the running maximum of its game's
+earlier rows, which makes the result the same wherever the cuts fall.  A
+game that lies in one range and loses no row keeps the parsed buffers as
+its ``GameTracking`` arrays; shot extraction reads the release row and
+the ball window straight from those arrays.
 
 Shot windows run from the tagged release frame to the first frame at or
 below rim height after the apex ("the ball reaches the rim plane"), or
@@ -60,11 +61,10 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from .core import (
-    MAX_WORKERS,
     RIM_HEIGHT_FT,
     GameId,
     PlayerId,
-    _cpu_count,
+    part_count,
     receive_header,
     rim_center_xy,
     to_local_frame,
@@ -118,9 +118,9 @@ class LoadReport:
     reasons: dict[str, int] = field(default_factory=dict)
 
 
-# A worker pays off only when its range takes clearly longer to parse than the
-# worker takes to start (a fresh interpreter importing numpy, ~0.4 s).  On 2 vCPUs,
-# two ranges loaded a 19 MB file no faster than one, and a 38 MB file 1.16x faster.
+# A second range pays off only when it takes clearly longer to parse than a worker
+# takes to start (a fresh interpreter importing numpy, ~0.4 s).  On 2 vCPUs, two ranges
+# (a worker each) loaded a 19 MB file no faster than one, a 38 MB file 1.16x faster.
 MIN_RANGE_BYTES = 16 << 20
 
 
@@ -316,15 +316,6 @@ def _receive_range(conn: Connection, start: int, end: int) -> _RangeParse:
     return _RangeParse(head["n_rows"], head["reasons"], parts)
 
 
-def _parse_in_workers(path: Path, ranges: list[tuple[int, int]]) -> list[_RangeParse]:
-    """``_parse_range`` of each range in a worker process of its own.
-
-    Every worker has been joined when this returns or raises.
-    """
-    with worker_processes(_range_worker, [(str(path), *bounds) for bounds in ranges]) as conns:
-        return [_receive_range(conn, *bounds) for conn, bounds in zip(conns, ranges)]
-
-
 def _byte_ranges(path: Path, n: int) -> list[tuple[int, int]]:
     """At most ``n`` contiguous ranges covering the file, each cut just after a newline."""
     size = path.stat().st_size
@@ -456,21 +447,19 @@ def load_tracking(path: str | Path) -> tuple[dict[GameId, GameTracking], LoadRep
     before that one, whose timestamp steps backwards by more than
     ``MONOTONE_TOL_S`` within its game, aborts the load.
 
-    A file of at least ``2 * MIN_RANGE_BYTES`` is parsed in up to
-    ``MAX_WORKERS`` byte ranges, one worker process per range and no more
-    than the CPUs this process may run on; the workers are joined before
-    this returns or raises.  They are started by ``multiprocessing``'s
-    spawn method, which imports the caller's main module in each worker:
-    a script that calls this must keep its own work under
-    ``if __name__ == "__main__":``.
+    The file is cut into ``core.part_count(size // MIN_RANGE_BYTES)`` byte
+    ranges.  This process parses the first range itself and a worker
+    process each other one, so a file under ``2 * MIN_RANGE_BYTES`` starts
+    no process; the workers are joined before this returns or raises.
+    They are started by ``multiprocessing``'s spawn method, which imports
+    the caller's main module in each worker: a script that calls this with
+    a larger file must keep its own work under ``if __name__ == "__main__":``.
     """
     path = Path(path)
-    n = min(_cpu_count(), MAX_WORKERS, path.stat().st_size // MIN_RANGE_BYTES)
-    ranges = _byte_ranges(path, max(n, 1))
-    if len(ranges) > 1:
-        parsed = _parse_in_workers(path, ranges)
-    else:
-        parsed = [_parse_range(path, *ranges[0])]
+    first, *rest = _byte_ranges(path, part_count(path.stat().st_size // MIN_RANGE_BYTES))
+    with worker_processes(_range_worker, [(str(path), *bounds) for bounds in rest]) as conns:
+        parsed = [_parse_range(path, *first)]
+        parsed += [_receive_range(conn, *bounds) for conn, bounds in zip(conns, rest)]
     return _apply_time_rules(parsed)
 
 
@@ -489,31 +478,45 @@ class RosterRecord:
     position: str
 
 
-def load_roster(path: str | Path) -> tuple[dict[PlayerId, RosterRecord], LoadReport]:
-    """Read roster rows; heights outside [60, 96] inches are rejected."""
-    path = Path(path)
-    records: dict[PlayerId, RosterRecord] = {}
+def _load_csv(path: str | Path, parse, key: str) -> tuple[dict, LoadReport]:
+    """``parse``'s record of each row of a CSV file, by its ``key`` field: a row that
+    ``parse`` raises on is ``unparseable``, one it returns a reason for is counted
+    under it, and a record repeating a key kept before is ``duplicate_<key>``."""
+    records: dict = {}
     reasons: Counter[str] = Counter()
     n_rows = 0
-    with path.open("r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
+    with Path(path).open("r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
+        for row in csv.DictReader(fh):
             n_rows += 1
             try:
-                pid = _clean_id(row["player_id"])
-                height = float(row["height_in"])
-                pos = row.get("position", "").strip()
+                record = parse(row)
             except (KeyError, ValueError, TypeError, AttributeError):
                 reasons["unparseable"] += 1
                 continue
-            if not pid:
-                reasons["empty_id"] += 1
-                continue
-            if not 60.0 <= height <= 96.0:
-                reasons["height_out_of_range"] += 1
-                continue
-            records[pid] = RosterRecord(player_id=pid, height_in=height, position=pos)
+            if isinstance(record, str):
+                reasons[record] += 1
+            elif (value := getattr(record, key)) in records:
+                reasons[f"duplicate_{key}"] += 1
+            else:
+                records[value] = record
     return records, LoadReport(n_rows, len(records), n_rows - len(records), dict(reasons))
+
+
+def _roster_record(row: dict) -> RosterRecord | str:
+    pid = _clean_id(row["player_id"])
+    height = float(row["height_in"])
+    pos = row.get("position", "").strip()
+    if not pid:
+        return "empty_id"
+    if not 60.0 <= height <= 96.0:
+        return "height_out_of_range"
+    return RosterRecord(player_id=pid, height_in=height, position=pos)
+
+
+def load_roster(path: str | Path) -> tuple[dict[PlayerId, RosterRecord], LoadReport]:
+    """Read roster rows; heights outside [60, 96] inches are rejected, and of the rows
+    left the first of each player id is kept (later ones are ``duplicate_player_id``)."""
+    return _load_csv(path, _roster_record, "player_id")
 
 
 @dataclass(frozen=True)
@@ -526,41 +529,27 @@ class EventRecord:
     hoop_end: str
 
 
+def _event_record(row: dict) -> EventRecord:
+    outcome = int(row["outcome"])
+    if outcome not in (0, 1):
+        raise ValueError("outcome must be 0/1")
+    return EventRecord(
+        shot_id=_clean_id(row["shot_id"]),
+        game_id=_clean_id(row["game_id"]),
+        shooter_id=_clean_id(row["shooter_id"]),
+        release_frame=int(row["release_frame"]),
+        outcome=outcome,
+        hoop_end=row["hoop_end"].strip(),
+    )
+
+
 def load_events(path: str | Path) -> tuple[list[EventRecord], LoadReport]:
     """Read shot events; a shot id seen before is counted as ``duplicate_shot_id``.
 
     The first parseable row of each shot id is kept.
     """
-    path = Path(path)
-    events: list[EventRecord] = []
-    seen: set[str] = set()
-    reasons: Counter[str] = Counter()
-    n_rows = 0
-    with path.open("r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            n_rows += 1
-            try:
-                outcome = int(row["outcome"])
-                if outcome not in (0, 1):
-                    raise ValueError("outcome must be 0/1")
-                event = EventRecord(
-                    shot_id=_clean_id(row["shot_id"]),
-                    game_id=_clean_id(row["game_id"]),
-                    shooter_id=_clean_id(row["shooter_id"]),
-                    release_frame=int(row["release_frame"]),
-                    outcome=outcome,
-                    hoop_end=row["hoop_end"].strip(),
-                )
-            except (KeyError, ValueError, TypeError, AttributeError):
-                reasons["unparseable"] += 1
-                continue
-            if event.shot_id in seen:
-                reasons["duplicate_shot_id"] += 1
-                continue
-            seen.add(event.shot_id)
-            events.append(event)
-    return events, LoadReport(n_rows, len(events), n_rows - len(events), dict(reasons))
+    events, report = _load_csv(path, _event_record, "shot_id")
+    return list(events.values()), report
 
 
 # --- defender context ----------------------------------------------------------

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import json
 import operator
 import re
 from collections import Counter
@@ -182,6 +183,13 @@ def write_csv(path: Path, header: Iterable, rows: Iterable[Iterable]) -> Path:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
+    return path
+
+
+def write_json(path: Path, doc) -> Path:
+    """Write one JSON document, indented with sorted keys, making its directory."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return path
 
 

@@ -51,15 +51,14 @@ import numpy as np
 
 from .core import (
     BALL_RADIUS_FT,
-    MAX_WORKERS,
     RELEASE_HEIGHT_PRIOR_FT,
     RIM_HEIGHT_FT,
     RIM_RADIUS_FT,
     GameId,
     PlayerId,
-    _cpu_count,
     _expit_scalar,
     from_local_frame,
+    part_count,
     receive_header,
     worker_processes,
 )
@@ -838,19 +837,18 @@ def simulate_to_files(config: SimConfig, out_dir: str | Path,
     """The files of :func:`write_season` for the season of ``config``, byte for byte;
     returns their paths, the number of makes and the SHA-256 digests taken as written.
 
-    The season is cut into contiguous blocks of games: one per CPU this
-    process may run on, at most ``MAX_WORKERS`` and one per game, and more
-    than one only if they average at least ``MIN_BLOCK_SHOTS`` shots.  This
-    process makes the first block; a spawned worker makes each other one,
-    writing its tracking rows to a hidden part file that is appended in game
-    order and deleted.  Every file is written under a hidden name and renamed
-    into place once the whole season is written, so a run that raises leaves
-    the files of an earlier run as they were.  A script that calls this with a season of at least
+    The season is cut into ``core.part_count`` contiguous blocks of games: at
+    most one per game, and more than one only if they average at least
+    ``MIN_BLOCK_SHOTS`` shots.  This process makes the first block; a spawned
+    worker makes each other one, writing its tracking rows to a hidden part
+    file that is appended in game order and deleted.  Every file is written
+    under a hidden name and renamed into place once the whole season is
+    written, so a run that raises leaves the files of an earlier run as they
+    were.  A script that calls this with a season of at least
     ``2 * MIN_BLOCK_SHOTS`` shots must keep its own work under
     ``if __name__ == "__main__":``, as for ``load_tracking``.
     """
-    n = max(1, min(_cpu_count(), MAX_WORKERS, config.n_games,
-                   config.n_shots // MIN_BLOCK_SHOTS))
+    n = part_count(min(config.n_games, config.n_shots // MIN_BLOCK_SHOTS))
     paths = _season_paths(out_dir)
     hidden = {key: path.with_name(f".{path.name}.part") for key, path in paths.items()}
     cuts = [config.n_games * k // n for k in range(n + 1)]

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import shotarc
-from shotarc import evaluate, sim
+from shotarc import core, evaluate, sim
 from shotarc.cli import (
     ShotRow,
     fit_season,
@@ -270,7 +270,7 @@ def _simulate_in_blocks(tmp_path, monkeypatch, doc, cpus, min_block_shots=10):
     ``sim.MIN_BLOCK_SHOTS`` at ``min_block_shots``; the exit code, the out-dir
     and the (start, stop) game blocks given to workers."""
     monkeypatch.setattr(sim, "MIN_BLOCK_SHOTS", min_block_shots)
-    monkeypatch.setattr(sim, "_cpu_count", lambda: cpus)
+    monkeypatch.setattr(core, "_cpu_count", lambda: cpus)
     blocks = []
     start_workers = sim.worker_processes
 
@@ -350,13 +350,18 @@ class TestSimulateBlocks:
         assert multiprocessing.active_children() == []
 
 
-@pytest.mark.parametrize("argv", [["--version"], ["simulate", "--config", "{config}",
-                                                  "--out-dir", "{out}"]],
-                         ids=["version", "simulate"])
+@pytest.mark.parametrize("argv", [
+    ["--version"],
+    ["simulate", "--config", "{d}/sim.json", "--out-dir", "{d}/out"],
+    # a tracking file under 2 x ingest.MIN_RANGE_BYTES is one range, parsed in-process
+    ["fit", "--tracking", "{d}/season/tracking.jsonl", "--events", "{d}/season/events.csv",
+     "--roster", "{d}/season/roster.csv", "--out-dir", "{d}/fit"],
+], ids=["version", "simulate", "fit"])
 def test_no_multiprocessing_import_below_the_block_threshold(tmp_path, argv):
-    config = tmp_path / "sim.json"
-    config.write_text(json.dumps({"n_games": 2, "shots_per_game": 20, "seed": 3}))
-    argv = [a.format(config=config, out=tmp_path / "out") for a in argv]
+    doc = {"n_games": 2, "shots_per_game": 20, "seed": 3}
+    (tmp_path / "sim.json").write_text(json.dumps(doc))
+    write_season(simulate_season(SimConfig(**doc)), tmp_path / "season")
+    argv = [a.format(d=tmp_path) for a in argv]
     proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "shotarc", *argv],
                           capture_output=True, text=True, timeout=120,
                           env=dict(os.environ, PYTHONPATH=str(Path(shotarc.__file__).parents[1])))

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from shotarc import ingest
+from shotarc import core, ingest
 from shotarc.cli import fit_season
 from shotarc.ingest import (
     MIN_RANGE_BYTES,
@@ -445,7 +445,9 @@ class TestByteRangeSeams:
                 load_with_cuts(p, cuts)
             assert str(got.value) == str(exc)
             return
-        assert_same_load(load_with_cuts(p, cuts), want)
+        got = load_with_cuts(p, cuts)
+        assert_same_load(got, want)
+        assert sum(got[1].reasons.values()) == got[1].n_rejected
 
 
 @pytest.fixture(scope="module")
@@ -461,11 +463,21 @@ def two_range_season(tmp_path_factory):
 class TestWorkerPool:
     @pytest.fixture(autouse=True)
     def two_cpus(self, monkeypatch):
-        monkeypatch.setattr(ingest, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(core, "_cpu_count", lambda: 2)
 
-    def test_two_workers_same_as_oracle(self, two_range_season):
-        assert len(ingest._byte_ranges(two_range_season, 2)) == 2
+    def test_two_ranges_one_worker_same_as_oracle(self, two_range_season, monkeypatch):
+        ranges = ingest._byte_ranges(two_range_season, 2)
+        assert len(ranges) == 2
+        jobs = []
+        start_workers = ingest.worker_processes
+
+        def recording(target, worker_jobs):
+            jobs.extend(worker_jobs)
+            return start_workers(target, worker_jobs)
+
+        monkeypatch.setattr(ingest, "worker_processes", recording)
         assert_same_load(load_tracking(two_range_season), oracle_load_tracking(two_range_season))
+        assert jobs == [(str(two_range_season), *ranges[1])]
         assert multiprocessing.active_children() == []
 
     def test_abort_joins_every_worker(self, tmp_path, two_range_season):
@@ -482,8 +494,22 @@ class TestWorkerPool:
         assert multiprocessing.active_children() == []
 
     def test_failed_worker_raises_and_is_joined(self, tmp_path):
+        ranges = [(0, 1), (1, 2)]
+        jobs = [(str(tmp_path / "missing.jsonl"), *bounds) for bounds in ranges]
         with pytest.raises(RuntimeError, match="FileNotFoundError"):
-            ingest._parse_in_workers(tmp_path / "missing.jsonl", [(0, 1), (1, 2)])
+            with core.worker_processes(ingest._range_worker, jobs) as conns:
+                for conn, bounds in zip(conns, ranges):
+                    ingest._receive_range(conn, *bounds)
+        assert multiprocessing.active_children() == []
+
+    def test_parent_parse_failure_terminates_and_joins_the_worker(self, two_range_season,
+                                                                   monkeypatch):
+        def fail(path, start, end):
+            raise OSError("parent could not read its range")
+
+        monkeypatch.setattr(ingest, "_parse_range", fail)    # only this process is patched
+        with pytest.raises(OSError, match="parent could not read its range"):
+            load_tracking(two_range_season)
         assert multiprocessing.active_children() == []
 
     def test_parent_abort_terminates_and_joins_every_worker(self, two_range_season, monkeypatch):
@@ -535,6 +561,7 @@ class TestLoadEventsProperties:
         loaded, report = load_events(p)
         fit = fit_season(tracking, loaded, roster)
         assert report.n_rows == len(records)
+        assert sum(report.reasons.values()) == report.n_rejected
         counted = (sum(report.reasons.values()) + sum(fit.extraction.rejections.values())
                    + sum(fit.filtering.rejections.values()) + sum(fit.factor_rejections.values()))
         assert counted + len(fit.rows) == len(records)
@@ -551,6 +578,7 @@ class TestRosterAndEvents:
         roster, report = load_roster(p)
         assert set(roster) == {"A"}
         assert report.reasons == {"height_out_of_range": 2, "unparseable": 1}
+        assert sum(report.reasons.values()) == report.n_rejected
 
     def test_events_loaded_and_validated(self, tmp_path):
         p = tmp_path / "e.csv"
@@ -573,6 +601,19 @@ class TestRosterAndEvents:
         events, report = load_events(p)
         assert [(e.shot_id, e.shooter_id) for e in events] == [("s1", "P1"), ("s2", "P2")]
         assert report.reasons == {"duplicate_shot_id": 2}
+        assert (report.n_rows, report.n_loaded, report.n_rejected) == (4, 2, 2)
+
+    def test_duplicate_player_id_keeps_first(self, tmp_path):
+        p = tmp_path / "r.csv"
+        p.write_text("player_id,height_in,position\n"
+                     "D001,80.0,F\n"
+                     "D001,70.0,G\n"
+                     "S001,75.0,G\n"
+                     "S001,300,C\n")   # a rejected row is not a duplicate
+        roster, report = load_roster(p)
+        assert [(r.player_id, r.height_in) for r in roster.values()] == [("D001", 80.0),
+                                                                         ("S001", 75.0)]
+        assert report.reasons == {"duplicate_player_id": 1, "height_out_of_range": 1}
         assert (report.n_rows, report.n_loaded, report.n_rejected) == (4, 2, 2)
 
 
