@@ -261,9 +261,7 @@ def cmd_train_makeprob(args: argparse.Namespace) -> Run:
     config = TrainConfig(ridge=args.ridge, min_shots=args.min_shots)
     table = read_shot_rows(args.factors, ("outcome",), finite=FACTOR_COLUMNS)
     model = train(table.matrix(FACTOR_COLUMNS), table["outcome"].astype(float), config)
-    out = Path(args.out_model)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(model.to_json() + "\n", encoding="utf-8")
+    out = write_json(Path(args.out_model), model.to_json())
     print(f"trained on {model.train_n} shots, converged={model.converged}, "
           f"log_likelihood={model.log_likelihood:.2f}")
     return Run("train-makeprob", {"ridge": args.ridge, "min_shots": args.min_shots},

@@ -305,6 +305,18 @@ class SubsampleResult:
     n_dropped: int
 
 
+def _filtered_games(dataset: EffectsDataset, model_kind: str, min_shots: int,
+                    purpose: str) -> tuple[EffectsDataset, np.ndarray]:
+    """The rows that pass the minimum-shots filter of ``model_kind``'s roles, and the
+    game codes present among them; ``purpose`` says what the game ids are needed for."""
+    if dataset.game_ids is None:
+        raise EvalError(f"dataset must carry game ids for {purpose}")
+    filtered = apply_min_shots_filter(dataset, min_shots, min_shots_roles(model_kind))
+    if len(filtered) == 0:
+        raise EvalError("no rows survive the minimum-shots filter")
+    return filtered, np.flatnonzero(filtered.coding.game.counts())  # codes ascend as the ids sort
+
+
 def subsample_mse(
     dataset: EffectsDataset,
     spec: SubsampleSpec,
@@ -320,18 +332,12 @@ def subsample_mse(
     deviation of the headline effects over players present in the
     replicate.  Rank-deficient replicates are dropped and counted.
     """
-    if dataset.game_ids is None:
-        raise EvalError("dataset must carry game ids for game-unit subsampling")
     if dataset.probs is None:
         raise EvalError("dataset must carry make probabilities for the prob response")
-    reference_data = apply_min_shots_filter(dataset, min_shots, min_shots_roles(model_kind))
-    if len(reference_data) == 0:
-        raise EvalError("no rows survive the minimum-shots filter")
-    reference = fit_effects(reference_data, model_kind, "raw")
-    ref_effects = reference.effects
-
+    reference_data, games = _filtered_games(dataset, model_kind, min_shots,
+                                            "game-unit subsampling")
+    ref_effects = fit_effects(reference_data, model_kind, "raw").effects
     game = reference_data.coding.game
-    games = np.flatnonzero(game.counts())    # codes ascend as the ids sort
     rng = np.random.default_rng(spec.seed)
     results: list[SubsampleResult] = []
     for frac in spec.fractions:
@@ -374,16 +380,10 @@ def split_half_rank_correlation(
     """Spearman correlation of player effects fitted on each chronological
     half of the season (games sorted by id), after the same minimum-shots
     filter as ``shotarc effects``."""
-    if dataset.game_ids is None:
-        raise EvalError("dataset must carry game ids for the chronological split")
-    filtered = apply_min_shots_filter(dataset, min_shots, min_shots_roles(model_kind))
-    if len(filtered) == 0:
-        raise EvalError("no rows survive the minimum-shots filter")
-    game = filtered.coding.game
-    games = np.flatnonzero(game.counts())    # codes ascend as the ids sort
+    filtered, games = _filtered_games(dataset, model_kind, min_shots, "the chronological split")
     if len(games) < 2:
         raise EvalError("need at least 2 games to split")
-    mask = np.isin(game.codes, games[: len(games) // 2])
+    mask = np.isin(filtered.coding.game.codes, games[: len(games) // 2])
     half_a = filtered.subset(mask)
     half_b = filtered.subset(~mask)
     est_a = fit_effects(half_a, model_kind, response_kind)

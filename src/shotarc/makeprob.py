@@ -101,8 +101,9 @@ class MakeProbModel:
     def standardizer(self) -> Standardizer:
         return Standardizer(means=self.feature_means, scales=self.feature_scales)
 
-    def to_json(self) -> str:
-        doc = {
+    def to_json(self) -> dict:
+        """The model file's document, which ``from_json`` reads back."""
+        return {
             "version": MODEL_FORMAT_VERSION,
             "model": "quadratic-logistic-shot-make",
             "feature_names": list(FEATURE_NAMES),
@@ -113,11 +114,10 @@ class MakeProbModel:
             "converged": self.converged,
             "log_likelihood": self.log_likelihood,
         }
-        return json.dumps(doc, indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str | bytes) -> "MakeProbModel":
-        """The model ``to_json`` wrote.  A ``TrainingError`` for text that is not a
+        """The model of a ``to_json`` document.  A ``TrainingError`` for text that is not a
         JSON object, another version, coefficients, means or scales that are
         not 10, 3 and 3 finite numbers, a scale not above 0, or a missing or
         mistyped ``train_n``, ``converged`` or ``log_likelihood``."""

@@ -6,8 +6,8 @@ game's shots at a time (``trajectory.fit_trajectories`` and
 ``factors.shot_factors``), so their arrays stay the size of a game's shots;
 the solve's padded blocks are bounded apart from that
 (``trajectory.MAX_PADDED_ROWS``).
-``fit_trajectory`` remains the one-shot reference of the batched solve;
-``fit_path_line`` and ``compute_shot_factors`` are one-row views of ``shot_factors``.
+``fit_trajectory`` is a one-row view of ``fit_trajectories``, as
+``fit_path_line`` and ``compute_shot_factors`` are of ``shot_factors``.
 
 The shots file (``write_shot_rows``, ``read_shot_rows``) is a CSV of the
 ``SHOT_COLUMNS``, and of ``make_prob`` after ``predict``.

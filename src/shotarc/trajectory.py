@@ -15,12 +15,12 @@ are the posterior mean, which is the ridge-type solution
 
 over pseudo and observed rows combined.
 
-Numerically, the posterior is formed in one stacked solve: the base root
-sqrt(epsilon) * I, the weighted pseudo rows and the sample rows are stacked
-into one least-squares system, whose condition number is the square root
-of the normal equations'.  The condition guard is evaluated on the
-column-equilibrated normal matrix, since the raw monomial basis is badly
-scaled for any court-sized design.
+Numerically, the posterior mean has one solve, ``fit_trajectories``, of which
+``fit_trajectory`` is the one-row view: the base root sqrt(epsilon) * I, the
+pseudo rows and the sample rows are stacked into one least-squares system per
+shot, whose condition number is the square root of the normal equations'.  The
+condition guard is evaluated on the column-equilibrated normal matrix, since
+the raw monomial basis is badly scaled for any court-sized design.
 """
 
 from __future__ import annotations
@@ -92,11 +92,6 @@ def make_pseudo_data(release_xy: tuple[float, float] | np.ndarray) -> tuple[np.n
     return xy, _PSEUDO_Z.copy()
 
 
-def equilibrated_condition(lam: np.ndarray) -> float:
-    d = 1.0 / np.sqrt(np.diag(lam))
-    return float(np.linalg.cond(lam * d[:, None] * d[None, :]))
-
-
 @dataclass(frozen=True)
 class FittedTrajectory:
     """Posterior-mean surface coefficients plus fit diagnostics for one shot."""
@@ -112,59 +107,35 @@ class FittedTrajectory:
 def fit_trajectory(
     samples: np.ndarray,
     release_xy: tuple[float, float] | np.ndarray,
-    pseudo_weight: float = 1.0,
     min_samples: int = 5,
 ) -> FittedTrajectory:
     """Fit the quadratic surface to one shot's (n, 3) local-frame ball samples.
 
-    The posterior is the conjugate update of the base prior with the four
-    pseudo-points, each carrying ``pseudo_weight``, and then the observed
-    samples.  It is formed in one step: the precision and the stacked square
-    root [sqrt(epsilon) * I; sqrt(w) * pseudo rows; sample rows] are summed
-    and stacked in the order of the one-update-at-a-time chain, so one
-    least-squares solve on that root gives the chain's posterior mean bit for
-    bit.  The inverse-gamma scale follows in closed form from the residual of
-    the stacked system, b = b0 + |y - R beta|^2 / 2.
-
-    Raises InsufficientSamplesError or IllConditionedError; both mark the
-    shot unfittable rather than aborting a season run.
+    A one-row view of ``fit_trajectories``, which gives beta and the RMSE.  The
+    precision is summed in the order of the one-update-at-a-time chain, and the
+    inverse-gamma scale is b0 + |y - R beta|^2 / 2 on the stacked system.
+    Raises InsufficientSamplesError or IllConditionedError; both mark the shot
+    unfittable rather than aborting a season run.
     """
-    if not pseudo_weight >= 0:
-        raise ValueError(f"pseudo_weight must be non-negative, got {pseudo_weight!r}")
     pts = np.asarray(samples, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError("samples must be an (n, 3) array of local-frame points")
     if len(pts) < min_samples:
         raise InsufficientSamplesError(f"{len(pts)} samples < min_samples={min_samples}")
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("samples contain non-finite coordinates")
-
     xy_p, z_p = make_pseudo_data(release_xy)
-    Xp = quadratic_features(xy_p)
-    X = quadratic_features(pts[:, :2])
-    z = pts[:, 2]
-    precision = _BASE_PRECISION + pseudo_weight * (Xp.T @ Xp) + X.T @ X
-
-    cond = equilibrated_condition(precision)
-    if cond > CONDITION_GUARD:
-        raise IllConditionedError(f"equilibrated condition {cond:.3e} exceeds guard")
-
-    w = np.sqrt(pseudo_weight)
-    root = np.vstack([_BASE_ROOT, w * Xp, X])
-    root_target = np.concatenate([_BASE_TARGET, w * z_p, z])
-    beta, *_ = np.linalg.lstsq(root, root_target, rcond=None)
-    stacked_resid = root_target - root @ beta
-    if len(pts):
-        resid = X @ beta - z
-        rmse = float(np.sqrt(np.mean(resid**2)))
-    else:
-        rmse = float("nan")
+    with np.errstate(invalid="ignore"):     # no samples: the RMSE is 0/0, NaN
+        fitted, beta, rmse = fit_trajectories([pts], xy_p[0], min_samples)
+    if not fitted[0]:
+        raise IllConditionedError(f"equilibrated condition exceeds {CONDITION_GUARD:.0e}")
+    Xp, X = quadratic_features(xy_p), quadratic_features(pts[:, :2])
+    stacked_resid = np.concatenate([_BASE_TARGET, z_p, pts[:, 2]]) - np.vstack(
+        [_BASE_ROOT, Xp, X]) @ beta[0]
     return FittedTrajectory(
-        beta=beta,
-        posterior_precision=precision,
-        posterior_shape=BASE_SHAPE + pseudo_weight * len(z_p) / 2.0 + len(z) / 2.0,
+        beta=beta[0],
+        posterior_precision=_BASE_PRECISION + Xp.T @ Xp + X.T @ X,
+        posterior_shape=BASE_SHAPE + len(z_p) / 2.0 + len(pts) / 2.0,
         posterior_scale=BASE_SCALE + 0.5 * float(stacked_resid @ stacked_resid),
-        rmse_ft=rmse,
+        rmse_ft=float(rmse[0]),
         n_samples=len(pts),
     )
 
@@ -203,13 +174,14 @@ def fit_trajectories(
     release_xy: np.ndarray,
     min_samples: int = 5,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``fit_trajectory`` at pseudo weight 1 for many shots at once.
+    """The posterior-mean surfaces of many shots at once.
 
     ``samples`` holds each shot's (n_i, 3) local-frame points and
     ``release_xy`` (k, 2) its release; ``min_samples`` is at least 1.
-    Returns ``fitted`` (k,), true where ``fit_trajectory`` returns a fit
-    rather than raising a ``TrajectoryFitError``, and that fit's ``beta``
-    (k, 6) and ``rmse_ft`` (k,), NaN where ``fitted`` is false.
+    Returns ``fitted`` (k,), true for a shot with at least ``min_samples``
+    samples, a release away from the rim center and an equilibrated
+    condition within ``CONDITION_GUARD``, and its ``beta`` (k, 6) and
+    ``rmse_ft`` (k,), NaN where ``fitted`` is false.
 
     The shots are solved in ``padded_blocks``.  In a block, the shots'
     stacked roots [sqrt(epsilon) * I; pseudo rows; sample rows] are
@@ -217,8 +189,7 @@ def fit_trajectories(
     solution, and solved by one batched QR factorization and triangular
     solve (Golub & Van Loan, Matrix Computations, sec. 5.3).  Since R'R is
     the posterior precision, the equilibrated condition is the square of
-    that of R with unit columns.  QR is not the SVD of ``fit_trajectory``'s
-    ``lstsq``, so the two agree to rounding, not bit for bit.
+    that of R with unit columns.
     """
     k = len(samples)
     n = np.array([len(s) for s in samples], dtype=np.int64)

@@ -1,9 +1,10 @@
 """Shared fixtures: deterministic synthetic shots, the sequential
-conjugate-update oracle for fit-level tests, and the scalar shot-factor
-oracle for the array factors."""
+conjugate-update oracle and the SVD one-shot solve for fit-level tests, and
+the scalar shot-factor oracle for the array factors."""
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -16,10 +17,12 @@ from shotarc.trajectory import (
     BASE_EPSILON,
     BASE_SCALE,
     BASE_SHAPE,
+    CONDITION_GUARD,
     N_COEFFS,
     FilterThresholds,
+    IllConditionedError,
+    InsufficientSamplesError,
     TrajectoryFitError,
-    fit_trajectory,
     make_pseudo_data,
     quadratic_features,
 )
@@ -94,7 +97,7 @@ class NigPosterior:
 
     ``updated`` applies one conjugate update at a time.  ``fit_trajectory``
     forms the same final state in one step; this sequential chain is its
-    reference.
+    reference, and ``lstsq_fit`` gives the chain's mean in one solve.
     """
 
     precision: np.ndarray      # Lambda
@@ -109,24 +112,19 @@ class NigPosterior:
         beta, *_ = np.linalg.lstsq(self.root, self.root_target, rcond=None)
         return beta
 
-    def updated(self, X: np.ndarray, z: np.ndarray, weight: float = 1.0) -> "NigPosterior":
-        """Conjugate update with rows X and targets z, each carrying `weight`."""
-        if weight < 0:
-            raise ValueError("weight must be non-negative")
+    def updated(self, X: np.ndarray, z: np.ndarray) -> "NigPosterior":
+        """Conjugate update with rows X and targets z."""
         X = np.asarray(X, dtype=float)
         z = np.asarray(z, dtype=float)
-        lam = self.precision + weight * (X.T @ X)
-        h = self.shift + weight * (X.T @ z)
-        w = np.sqrt(weight)
-        root = np.vstack([self.root, w * X])
-        root_target = np.concatenate([self.root_target, w * z])
+        lam = self.precision + X.T @ X
+        h = self.shift + X.T @ z
+        root = np.vstack([self.root, X])
+        root_target = np.concatenate([self.root_target, z])
         mu_old = self.mean
-        new = NigPosterior(lam, h, self.shape + weight * len(z) / 2.0, self.scale,
+        new = NigPosterior(lam, h, self.shape + len(z) / 2.0, self.scale,
                            root=root, root_target=root_target)
         mu_new = new.mean
-        scale = self.scale + 0.5 * (
-            weight * float(z @ z) + float(mu_old @ self.shift) - float(mu_new @ h)
-        )
+        scale = self.scale + 0.5 * (float(z @ z) + float(mu_old @ self.shift) - float(mu_new @ h))
         return NigPosterior(lam, h, new.shape, scale, root=root, root_target=root_target)
 
 
@@ -145,12 +143,42 @@ def base_posterior() -> NigPosterior:
     )
 
 
-def sequential_chain(pts, release, pseudo_weight=1.0):
+def sequential_chain(pts, release):
     """Base prior, then the pseudo-points, then the samples, one update at a time."""
     xy_p, z_p = make_pseudo_data(release)
-    return base_posterior().updated(
-        quadratic_features(xy_p), z_p, weight=pseudo_weight).updated(
+    return base_posterior().updated(quadratic_features(xy_p), z_p).updated(
         quadratic_features(pts[:, :2]), pts[:, 2])
+
+
+class LstsqFit(NamedTuple):
+    beta: np.ndarray
+    rmse_ft: float
+
+
+def lstsq_fit(pts, release, min_samples=5) -> LstsqFit:
+    """One shot's fit by an SVD solve, independent of the package's batched QR.
+
+    The stacked root [sqrt(epsilon) * I; pseudo rows; sample rows] is built in
+    ``sequential_chain``'s order and solved by ``lstsq``, so its beta is the
+    chain's mean bit for bit.  The condition guard reads the equilibrated
+    posterior precision.  Raises the ``TrajectoryFitError`` that
+    ``fit_trajectory`` raises.
+    """
+    pts = np.asarray(pts, dtype=float)
+    if len(pts) < min_samples:
+        raise InsufficientSamplesError(f"{len(pts)} samples < min_samples={min_samples}")
+    xy_p, z_p = make_pseudo_data(release)
+    Xp, X = quadratic_features(xy_p), quadratic_features(pts[:, :2])
+    precision = BASE_EPSILON * np.eye(N_COEFFS) + Xp.T @ Xp + X.T @ X
+    d = 1.0 / np.sqrt(np.diag(precision))
+    cond = np.linalg.cond(precision * d[:, None] * d[None, :])     # scaled to a unit diagonal
+    if cond > CONDITION_GUARD:
+        raise IllConditionedError(f"equilibrated condition {cond:.3e} exceeds guard")
+    root = np.vstack([np.sqrt(BASE_EPSILON) * np.eye(N_COEFFS), Xp, X])
+    beta, *_ = np.linalg.lstsq(root, np.concatenate([np.zeros(N_COEFFS), z_p, pts[:, 2]]),
+                               rcond=None)
+    rmse = float(np.sqrt(np.mean((X @ beta - pts[:, 2]) ** 2))) if len(pts) else float("nan")
+    return LstsqFit(beta, rmse)
 
 
 def oracle_path_line(samples) -> ShotPath:
@@ -207,7 +235,7 @@ def oracle_factors(fitted, path: ShotPath) -> ShotFactors:
 @dataclass(frozen=True)
 class OneShot:
     """The one-shot chain's outcome for one shot: the fit's beta and RMSE (None
-    when ``fit_trajectory`` raised), the reason that dropped the shot ("" when
+    when ``lstsq_fit`` raised), the reason that dropped the shot ("" when
     it made a row) and its (depth, left-right, entry angle), None without a row."""
 
     beta: np.ndarray | None
@@ -217,13 +245,13 @@ class OneShot:
 
 
 def one_shot_chain(samples, release_xy, max_gap_s, thresholds=FilterThresholds()) -> list[OneShot]:
-    """The reference for the batched season fit: shot by shot, ``fit_trajectory``,
+    """The reference for the batched season fit: shot by shot, ``lstsq_fit``,
     the filter's rules in their stated order, then ``oracle_path_line`` and
     ``oracle_factors``."""
     out = []
     for pts, release, gap in zip(samples, release_xy, max_gap_s):
         try:
-            fitted = fit_trajectory(pts, release, min_samples=thresholds.min_samples)
+            fitted = lstsq_fit(pts, release, thresholds.min_samples)
         except TrajectoryFitError:
             fitted = None
         factors, rejection = None, ""

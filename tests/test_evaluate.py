@@ -407,3 +407,18 @@ class TestSplitHalf:
         rho_raw = split_half_rank_correlation(data, response_kind="raw", min_shots=10)
         rho_prob = split_half_rank_correlation(data, response_kind="prob", min_shots=10)
         assert rho_prob > rho_raw
+
+
+@pytest.mark.parametrize("analysis", [
+    lambda data, min_shots: subsample_mse(
+        data, SubsampleSpec(fractions=(0.5,), n_replicates=2), min_shots=min_shots),
+    lambda data, min_shots: split_half_rank_correlation(data, min_shots=min_shots),
+], ids=["subsample_mse", "split_half_rank_correlation"])
+def test_game_ids_and_surviving_rows_required(analysis):
+    data, _, _ = synthetic_effects_dataset(seed=1)
+    no_games = EffectsDataset(data.shooters, data.defenders, data.ndd_ft, data.outcomes,
+                              probs=data.probs)
+    with pytest.raises(EvalError, match="game ids"):
+        analysis(no_games, 10)
+    with pytest.raises(EvalError, match="no rows survive"):
+        analysis(data, len(data) + 1)

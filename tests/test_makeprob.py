@@ -16,6 +16,7 @@ from shotarc.makeprob import (
     predict,
     train,
 )
+from shotarc.season import write_json
 
 
 def sample_factors(rng, n):
@@ -203,12 +204,13 @@ class TestSurfaceAndPersistence:
         probs = predict(model, np.column_stack([depths, np.zeros(25), np.full(25, 45.5)]))
         assert 0.5 < depths[np.argmax(probs)] < 1.2
 
-    def test_json_round_trip(self):
+    def test_json_round_trip(self, tmp_path):
         rng = np.random.default_rng(19)
         raw = sample_factors(rng, 1500)
         y = (rng.random(1500) < 0.4).astype(float)
         model = train(raw, y)
-        clone = MakeProbModel.from_json(model.to_json())
+        clone = MakeProbModel.from_json(write_json(tmp_path / "model.json", model.to_json())
+                                        .read_bytes())
         np.testing.assert_array_equal(clone.coeffs, model.coeffs)
         assert clone.train_n == model.train_n
         assert clone.converged == model.converged

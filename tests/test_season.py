@@ -1,4 +1,4 @@
-"""The batched season fit against the one-shot chain of ``fit_trajectory``,
+"""The batched season fit against the one-shot chain of ``lstsq_fit``,
 the filter's rules and the scalar factor oracle (``oracle_path_line``,
 ``oracle_factors``)."""
 
@@ -10,8 +10,8 @@ from shotarc.season import SHOT_COLUMNS, ShotRow, ShotsFileError, fit_season, re
 from shotarc.sim import SimConfig, season_tracking, simulate_season
 from shotarc.trajectory import MAX_PADDED_ROWS, FilterThresholds, filter_shots, fit_trajectories, \
     fit_trajectory, padded_blocks
-from conftest import assert_matches_chain, assert_season_matches_chain, one_shot_chain, \
-    parabola_shot, season_chain
+from conftest import assert_matches_chain, assert_season_matches_chain, lstsq_fit, \
+    one_shot_chain, parabola_shot, season_chain
 
 INF = float("inf")
 # sends every fitted shot on to the factors, so their rejections show
@@ -95,7 +95,7 @@ def test_a_long_window_is_not_padded_beside_short_ones():
     fitted, beta, rmse = fit_trajectories(samples, np.array(release))
     assert fitted.all()
     for i, (pts, rel) in enumerate(zip(samples, release)):
-        want = fit_trajectory(pts, rel)
+        want = lstsq_fit(pts, rel)
         np.testing.assert_allclose(beta[i], want.beta, rtol=0, atol=1e-9)
         assert abs(rmse[i] - want.rmse_ft) <= 1e-9
 
@@ -112,6 +112,8 @@ def test_non_finite_samples_raise_as_the_one_shot_fit_does():
     pts[4, 2] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
         fit_trajectories([pts], rel[None, :])
+    with pytest.raises(ValueError, match="non-finite"):
+        fit_trajectory(pts, rel)
     fitted, _, _ = fit_trajectories([pts[:3]], rel[None, :])   # too thin to be fitted at all
     assert not fitted.any()
 

@@ -1,5 +1,7 @@
 """Conjugate quadratic-surface fitting against independent linear-algebra oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,30 +11,25 @@ from shotarc.trajectory import (
     IllConditionedError,
     InsufficientSamplesError,
     filter_shots,
+    fit_trajectories,
     fit_trajectory,
     make_pseudo_data,
     quadratic_features,
 )
-from conftest import base_posterior, parabola_shot, sequential_chain
+from conftest import base_posterior, lstsq_fit, parabola_shot, sequential_chain
 
 
-def lstsq_oracle(samples_xy, z, release_xy, epsilon, pseudo_weight=1.0):
+def lstsq_oracle(samples_xy, z, release_xy, epsilon):
     """Ridge solution via an augmented least-squares system (SVD path).
 
-    Independent of the package's equilibrated normal-equations solver: the
-    prior and pseudo rows are stacked as extra observations and the system
-    is solved with numpy's lstsq.
+    Independent of the package's batched QR solve: the prior and pseudo rows
+    are stacked as extra observations, after the samples, and the system is
+    solved with numpy's lstsq.
     """
     xy_p, z_p = make_pseudo_data(release_xy)
-    rows = [quadratic_features(samples_xy)]
-    targets = [np.asarray(z, dtype=float)]
-    if pseudo_weight > 0:
-        rows.append(np.sqrt(pseudo_weight) * quadratic_features(xy_p))
-        targets.append(np.sqrt(pseudo_weight) * z_p)
-    rows.append(np.sqrt(epsilon) * np.eye(6))
-    targets.append(np.zeros(6))
-    A = np.vstack(rows)
-    b = np.concatenate(targets)
+    A = np.vstack([quadratic_features(samples_xy), quadratic_features(xy_p),
+                   np.sqrt(epsilon) * np.eye(6)])
+    b = np.concatenate([np.asarray(z, dtype=float), z_p, np.zeros(6)])
     beta, *_ = np.linalg.lstsq(A, b, rcond=None)
     return beta
 
@@ -76,14 +73,6 @@ class TestPseudoData:
 
 
 class TestFit:
-    def test_exact_recovery_without_pseudo(self):
-        beta_true = np.array([10.0, 0.5, -0.2, -0.03, -0.01, 0.005])
-        rng = np.random.default_rng(1)
-        xy = rng.uniform(-5, 25, size=(60, 2))
-        z = quadratic_features(xy) @ beta_true
-        fit = fit_trajectory(np.column_stack([xy, z]), (20.0, 5.0), pseudo_weight=0.0)
-        np.testing.assert_allclose(fit.beta, beta_true, atol=1e-6)
-
     def test_pseudo_only_fit_hits_targets(self):
         fit = fit_trajectory(np.empty((0, 3)), (20.0, 5.0), min_samples=0)
         xy_p, z_p = make_pseudo_data((20.0, 5.0))
@@ -107,8 +96,7 @@ class TestFit:
                 seed=100 + i,
             )
             fit = fit_trajectory(pts, release)
-            oracle = lstsq_oracle(pts[:, :2], pts[:, 2], release,
-                                  DEFAULT_PRIOR_EPS, pseudo_weight=1.0)
+            oracle = lstsq_oracle(pts[:, :2], pts[:, 2], release, DEFAULT_PRIOR_EPS)
             np.testing.assert_allclose(fit.beta, oracle, atol=1e-8)
 
     def test_sequential_equals_batch(self):
@@ -126,32 +114,40 @@ class TestFit:
         assert seq.scale == pytest.approx(batch.scale, abs=1e-10)
         np.testing.assert_allclose(seq.mean, batch.mean, atol=1e-10)
 
-    # the chain's scale telescopes mu'h differences, so its cancellation
-    # error grows with the pseudo weight (1.3e-9 at 2.5); the closed form
-    # reads the stacked residual
-    @pytest.mark.parametrize("pseudo_weight,scale_tol", [(1.0, 1e-10), (0.0, 1e-10), (2.5, 1e-8)])
-    def test_one_solve_beta_equals_sequential_chain(self, pseudo_weight, scale_tol):
+    # the SVD solve stacks the chain's root, so it gives the chain's mean bit for
+    # bit; the batched QR agrees to rounding.  The chain's scale telescopes mu'h
+    # differences; the closed form reads the stacked residual
+    def test_one_solve_beta_equals_sequential_chain(self):
         for pts, release in criterion_1_shots():
-            fit = fit_trajectory(pts, release, pseudo_weight=pseudo_weight)
-            chain = sequential_chain(pts, release, pseudo_weight)
-            assert np.array_equal(fit.beta, chain.mean)
+            fit = fit_trajectory(pts, release)
+            chain = sequential_chain(pts, release)
+            assert np.array_equal(lstsq_fit(pts, release).beta, chain.mean)
+            assert np.max(np.abs(fit.beta - chain.mean)) <= 1e-10
             assert np.array_equal(fit.posterior_precision, chain.precision)
             assert fit.posterior_shape == chain.shape
-            assert abs(fit.posterior_scale - chain.scale) <= scale_tol
-
-    @pytest.mark.parametrize("pseudo_weight", [-1.0, float("nan")])
-    def test_invalid_pseudo_weight_rejected(self, pseudo_weight):
-        pts, release, _ = parabola_shot(noise=0.1, seed=5)
-        with pytest.raises(ValueError, match="pseudo_weight"):
-            fit_trajectory(pts, release, pseudo_weight=pseudo_weight)
+            assert abs(fit.posterior_scale - chain.scale) <= 1e-10
 
     def test_pseudo_only_fit_equals_chain(self):
+        # four pseudo rows alone leave the system conditioned near data / epsilon
         fit = fit_trajectory(np.empty((0, 3)), (20.0, 5.0), min_samples=0)
         xy_p, z_p = make_pseudo_data((20.0, 5.0))
         chain = base_posterior().updated(quadratic_features(xy_p), z_p)
-        assert np.array_equal(fit.beta, chain.mean)
+        assert np.max(np.abs(fit.beta - chain.mean)) <= 1e-9
         assert fit.posterior_shape == chain.shape
         assert abs(fit.posterior_scale - chain.scale) <= 1e-10
+
+    def test_release_at_rim_center_is_not_fitted_by_either_solve(self):
+        pts, _, _ = parabola_shot(noise=0.1, seed=5)
+        with pytest.raises(IllConditionedError):
+            fit_trajectory(pts, (0.0, 0.0))
+        fitted, beta, rmse = fit_trajectories([pts], np.zeros((1, 2)))
+        assert not fitted[0] and np.isnan(beta).all() and np.isnan(rmse).all()
+
+    def test_empty_window_rmse_is_nan_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = fit_trajectory(np.empty((0, 3)), (20.0, 5.0), min_samples=0)
+        assert np.isnan(fit.rmse_ft) and fit.n_samples == 0
 
     def test_duplicate_observation_influence(self):
         pts, release, _ = parabola_shot(noise=0.1, seed=5, lr_ft=0.25)
