@@ -116,6 +116,8 @@ def load_json_config(path: str | None) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except RecursionError:
+        raise ConfigError(f"{path}: JSON nested too deeply") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top-level JSON value must be an object")
     return doc

@@ -11,7 +11,14 @@ File formats (all UTF-8 text, base-10 numerals):
 Malformed rows are counted under a reason and skipped, never fatal;
 structurally broken files (missing, unparseable, non-monotone timestamps)
 raise.  Bytes that are not UTF-8 are read as lone surrogates, so they fail
-the row they sit in rather than the whole load.  A tracking row is
+the row they sit in rather than the whole load.
+
+A tracking line ends at LF, CR or CR LF.  ``orjson.loads`` parses a line of
+up to ``ORJSON_MAX_LINE`` bytes when it can.  Any other line (orjson
+rejects ``NaN``, ``Infinity``, float overflow, lone surrogate escapes and
+bytes that are not UTF-8) is decoded and parsed by ``json.loads``.  Where
+both parse a line the documents are equal, floats bit for bit; only orjson
+reads a line nested about 1,000 levels deep or more.  A tracking row is
 rejected as ``unparseable`` (it does not parse), then
 ``wrong_player_count``, then ``non_finite`` (a NaN or infinite time, ball
 coordinate or player x/y), then ``unparseable`` (a bad id), then
@@ -123,6 +130,11 @@ class LoadReport:
 # (a worker each) loaded a 19 MB file no faster than one, a 38 MB file 1.16x faster.
 MIN_RANGE_BYTES = 16 << 20
 
+# orjson 3.8 builds a document recursively with no depth limit (an array nested 150,000
+# deep overflowed an 8 MB stack); a line of n bytes nests at most n / 2 deep, and a
+# ten-player row is ~0.7 kB, so a line longer than this goes straight to json.loads
+ORJSON_MAX_LINE = 8 << 10
+
 
 class _GamePart(NamedTuple):
     """One game's rows from one byte range that pass every row-local check."""
@@ -230,9 +242,8 @@ def _good_id(value) -> bool:
     return type(value) is str and not _BAD_ID_CHAR.search(value)
 
 
-def _parse_jsonl_row(line: str):
+def _row_fields(doc):
     """(game_id, t, ball, (player id, team) pairs, interleaved player x/y) of one JSON frame."""
-    doc = json.loads(line)
     players = doc["players"]
     ball = doc["ball"]
     return (
@@ -244,6 +255,21 @@ def _parse_jsonl_row(line: str):
     )
 
 
+_BLANK = object()
+
+
+def _json_loads(line: bytes):
+    """``json.loads`` of the line decoded with ``surrogateescape``: ``_BLANK`` for a blank
+    line, None (a row that fails its field lookup) for one that does not parse."""
+    text = line.decode("utf-8", "surrogateescape")
+    if not text.strip():
+        return _BLANK
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError):
+        return None
+
+
 def _parse_range(path: Path, start: int, end: int) -> _RangeParse:
     """Apply the row-local checks to the lines in bytes ``[start, end)``.
 
@@ -251,18 +277,26 @@ def _parse_range(path: Path, start: int, end: int) -> _RangeParse:
     line number in the range: a range holds fewer lines than bytes, so keys
     increase in file order across ranges.
     """
+    import orjson   # here, not above: only this parse uses it, and the import costs ~6 ms
     games: dict[GameId, _GameBuffers] = {}
     n_rows = 0
     reasons: Counter[str] = Counter()
     isfinite = math.isfinite
-    raw = io.BufferedReader(_ByteRange(path, start, end), 1 << 16)
-    with io.TextIOWrapper(raw, encoding="utf-8", errors="surrogateescape", newline="") as fh:
-        for row, line in enumerate(fh, start):
-            if not line.strip():
+    loads = orjson.loads
+    with io.BufferedReader(_ByteRange(path, start, end), 1 << 16) as fh:
+        # the binary reader ends lines at \n only; a line holding \r is split the way
+        # a text reader splits universal newlines
+        lines = chain.from_iterable(line.splitlines() if b"\r" in line else (line,) for line in fh)
+        for row, line in enumerate(lines, start):
+            try:
+                doc = loads(line) if len(line) <= ORJSON_MAX_LINE else _json_loads(line)
+            except ValueError:      # orjson rejects it: json.loads decides
+                doc = _json_loads(line)
+            if doc is _BLANK:
                 continue
             n_rows += 1
             try:
-                game_id, t, ball, pairs, xy = _parse_jsonl_row(line)
+                game_id, t, ball, pairs, xy = _row_fields(doc)
             except (ValueError, KeyError, TypeError, IndexError, OverflowError):
                 reasons["unparseable"] += 1
                 continue

@@ -125,6 +125,8 @@ class MakeProbModel:
             doc = json.loads(text)
         except ValueError as exc:      # JSONDecodeError, or bytes that are not UTF-8
             raise TrainingError(f"model file is not JSON: {exc}") from None
+        except RecursionError:
+            raise TrainingError("model file is not JSON: nested too deeply") from None
         version = doc.get("version") if isinstance(doc, dict) else None
         if version != MODEL_FORMAT_VERSION:
             raise TrainingError(f"unsupported model version {version!r}")

@@ -124,7 +124,7 @@ def fit_trajectory(
         raise InsufficientSamplesError(f"{len(pts)} samples < min_samples={min_samples}")
     xy_p, z_p = make_pseudo_data(release_xy)
     with np.errstate(invalid="ignore"):     # no samples: the RMSE is 0/0, NaN
-        fitted, beta, rmse = fit_trajectories([pts], xy_p[0], min_samples)
+        fitted, beta, rmse = _solve([pts], xy_p[0], min_samples)
     if not fitted[0]:
         raise IllConditionedError(f"equilibrated condition exceeds {CONDITION_GUARD:.0e}")
     Xp, X = quadratic_features(xy_p), quadratic_features(pts[:, :2])
@@ -177,7 +177,7 @@ def fit_trajectories(
     """The posterior-mean surfaces of many shots at once.
 
     ``samples`` holds each shot's (n_i, 3) local-frame points and
-    ``release_xy`` (k, 2) its release; ``min_samples`` is at least 1.
+    ``release_xy`` (k, 2) its release; ``min_samples`` below 1 is a ValueError.
     Returns ``fitted`` (k,), true for a shot with at least ``min_samples``
     samples, a release away from the rim center and an equilibrated
     condition within ``CONDITION_GUARD``, and its ``beta`` (k, 6) and
@@ -191,6 +191,15 @@ def fit_trajectories(
     the posterior precision, the equilibrated condition is the square of
     that of R with unit columns.
     """
+    if min_samples < 1:
+        raise ValueError(f"min_samples must be at least 1, got {min_samples!r}")
+    return _solve(samples, release_xy, min_samples)
+
+
+def _solve(samples: list[np.ndarray], release_xy: np.ndarray,
+           min_samples: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``fit_trajectories`` for any ``min_samples``; below 1, a shot without samples
+    gets the pseudo-observation-only fit that ``fit_trajectory`` offers."""
     k = len(samples)
     n = np.array([len(s) for s in samples], dtype=np.int64)
     release = np.asarray(release_xy, dtype=float).reshape(k, 2)

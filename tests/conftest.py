@@ -1,8 +1,12 @@
 """Shared fixtures: deterministic synthetic shots, the sequential
-conjugate-update oracle and the SVD one-shot solve for fit-level tests, and
-the scalar shot-factor oracle for the array factors."""
+conjugate-update oracle and the SVD one-shot solve for fit-level tests, the
+scalar shot-factor oracle for the array factors, and the text-mode
+``json.loads`` range parse for the tracking loader's orjson fast path."""
 
+import io
+import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -12,6 +16,7 @@ import pytest
 from shotarc.core import RIM_HEIGHT_FT, RIM_RADIUS_FT, ShotFactors
 from shotarc.factors import AscendingCrossingError, CrossingError, NoCrossingError, PathError, \
     ShotPath
+from shotarc import ingest
 from shotarc.ingest import extract_shot_events
 from shotarc.trajectory import (
     BASE_EPSILON,
@@ -307,3 +312,50 @@ def assert_season_matches_chain(fit, chain, tol=1e-9):
     assert_matches_chain(fits["rejection"], fits["fitted"], fits["beta"], fits["rmse_ft"],
                          fits.matrix(("depth_ft", "lr_ft", "entry_angle_deg")), chain, tol)
     assert fit.rows["shot_id"].tolist() == fits["shot_id"][fits["rejection"] == ""].tolist()
+
+
+def oracle_parse_range(path, start, end) -> ingest._RangeParse:
+    """``ingest._parse_range`` as a text stream read by ``json.loads`` alone.
+
+    The bytes are decoded with ``surrogateescape`` and split into lines by
+    universal newlines (LF, CR or CR LF); a blank line (``str.strip``)
+    is skipped, but still numbered.  A line nested too deep for ``json.loads``
+    raises ``RecursionError`` here.
+    """
+    games = {}
+    n_rows = 0
+    reasons = Counter()
+    isfinite = math.isfinite
+    raw = io.BufferedReader(ingest._ByteRange(path, start, end), 1 << 16)
+    with io.TextIOWrapper(raw, encoding="utf-8", errors="surrogateescape", newline="") as fh:
+        for row, line in enumerate(fh, start):
+            if not line.strip():
+                continue
+            n_rows += 1
+            try:
+                doc = json.loads(line)
+                players = doc["players"]
+                game_id, t = doc["game_id"], float(doc["t"])
+                ball = (float(doc["ball"][0]), float(doc["ball"][1]), float(doc["ball"][2]))
+                pairs = [(p["id"], p["team"]) for p in players]
+                xy = [float(v) for p in players for v in (p["x"], p["y"])]
+            except (ValueError, KeyError, TypeError, IndexError, OverflowError):
+                reasons["unparseable"] += 1
+                continue
+            if len(pairs) != ingest.PLAYERS_PER_FRAME:
+                reasons["wrong_player_count"] += 1
+                continue
+            if not (isfinite(t) and all(map(isfinite, ball)) and all(map(isfinite, xy))):
+                reasons["non_finite"] += 1
+                continue
+            try:
+                game = games[game_id]
+            except (KeyError, TypeError):   # a new game id, or one that is not a string
+                if not ingest._good_id(game_id):
+                    reasons["unparseable"] += 1
+                    continue
+                game = games[game_id] = ingest._GameBuffers()
+            if not game.append(row, t, ball, pairs, xy):
+                reasons["unparseable"] += 1
+    return ingest._RangeParse(n_rows, dict(reasons),
+                              {gid: g.part() for gid, g in games.items() if g.times})

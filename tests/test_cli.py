@@ -62,6 +62,19 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "bad.json:1:" in err
 
+    @pytest.mark.parametrize("command", ["simulate", "evaluate"])
+    def test_deeply_nested_config_exits_2_and_writes_nothing(self, tmp_path, capsys, command):
+        # json.loads raises RecursionError, not JSONDecodeError, on this
+        bad = tmp_path / "deep.json"
+        bad.write_text("[" * 3000)
+        out = tmp_path / "out"
+        argv = (["simulate", "--config", str(bad), "--out-dir", str(out)] if command == "simulate"
+                else ["evaluate", "--analysis", "fig3", "--shots", str(bad), "--spec", str(bad),
+                      "--out-dir", str(out)])
+        assert main(argv) == 2
+        assert "deep.json: JSON nested too deeply" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_config_key_exits_2(self, workdir):
         bad = workdir / "unknown.json"
         bad.write_text('{"n_gmaes": 5}')
@@ -894,9 +907,10 @@ class TestModelFile:
         (b"{not json", "model file is not JSON"),
         (b'{"version": 1, "coeffs": "\xff"}', "model file is not JSON"),
         (b"[1]", "unsupported model version None"),
+        (b"[" * 3000, "model file is not JSON: nested too deeply"),
     ], ids=["nan-coeff", "zero-scale", "three-coeffs", "string-mean", "missing-means",
             "string-train-n", "version-only", "missing-converged", "version-2", "not-json",
-            "not-utf8", "list"])
+            "not-utf8", "list", "deep-nesting"])
     def test_broken_model_exits_2_and_predict_writes_nothing(self, tmp_path, capsys,
                                                              edit, message):
         doc, factors = _model_doc(tmp_path)

@@ -4,13 +4,18 @@ import csv
 import json
 import math
 import multiprocessing
+import os
+import subprocess
+import sys
 from array import array
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import shotarc
 from shotarc import core, ingest
 from shotarc.cli import fit_season
 from shotarc.ingest import (
@@ -30,6 +35,7 @@ from shotarc.ingest import (
     nearest_defender,
 )
 from shotarc.sim import SimConfig, season_tracking, simulate_season, write_season
+from conftest import oracle_parse_range
 
 
 def frame_line(game_id="G0", t=0.0, ball=(10.0, 25.0, 8.0), n_players=10):
@@ -448,6 +454,114 @@ class TestByteRangeSeams:
         got = load_with_cuts(p, cuts)
         assert_same_load(got, want)
         assert sum(got[1].reasons.values()) == got[1].n_rejected
+
+
+# --- the orjson fast path against the json.loads range parse -------------------------
+
+def perf_line(slots):
+    """A tracking row in the compact form ``shotarc simulate`` writes, from its 45 literals:
+    game id, t, ball x/y/z, then each player's id, team, x, y."""
+    game_id, t, bx, by, bz, *players = slots
+    body = ",".join(f'{{"id":{pid},"team":{team},"x":{x},"y":{y}}}'
+                    for pid, team, x, y in zip(*[iter(players)] * 4))
+    return f'{{"game_id":{game_id},"t":{t},"ball":[{bx},{by},{bz}],"players":[{body}]}}'
+
+
+def perf_slots(i, coords):
+    """Row ``i``'s literals: two games alternating at 25 Hz, ``coords`` the 23 floats."""
+    ball, xy = coords[:3], coords[3:]
+    players = [lit for k in range(PLAYERS_PER_FRAME)
+               for lit in (f'"P{k}"', f'"{"AB"[k // 5]}"', repr(xy[2 * k]), repr(xy[2 * k + 1]))]
+    return [f'"G{i % 2}"', repr(0.04 * (i // 2)), *map(repr, ball), *players]
+
+
+DEEP_LINE = b"[" * 3000
+BIG_INTS = st.integers(20, 400).flatmap(
+    lambda d: st.integers(10 ** (d - 1), 10 ** d - 1)).map(str)
+LITERALS = st.one_of(
+    st.sampled_from(["NaN", "Infinity", "-Infinity", "1e400", "-1e400",
+                     r'"\ud800"', r'"P\ud800"']),
+    st.one_of(BIG_INTS, BIG_INTS.map("-".__add__)),
+)
+BLANKS = st.sampled_from(["", " ", "\t", "　", " 　\t"]).map(str.encode)
+
+
+@st.composite
+def mutated_tracking(draw):
+    """(lines of a tracking file without their \n, whether the last has one)."""
+    rows = [perf_slots(i, draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                        min_size=23, max_size=23)))
+            for i in range(draw(st.integers(1, 6)))]
+    for _ in range(draw(st.integers(0, 3))):      # a literal in a number or id position
+        row = draw(st.sampled_from(rows))
+        row[draw(st.integers(0, len(row) - 1))] = draw(LITERALS)
+    lines = [perf_line(row).encode() for row in rows]
+    for _ in range(draw(st.integers(0, 3))):      # byte edits and inserted lines
+        i = draw(st.integers(0, len(lines) - 1))
+        at = draw(st.integers(0, len(lines[i])))
+        edit = draw(st.sampled_from([b"\xff", b"\r", b"\r\n", b"blank"]))
+        if edit == b"blank":
+            lines.insert(i, draw(BLANKS))
+        else:
+            lines[i] = lines[i][:at] + edit + lines[i][at:]
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), DEEP_LINE)
+    return lines, draw(st.booleans())
+
+
+def assert_same_parse(got, want):
+    """Same row count and reasons, games in the same order, same pairs, bit-equal columns."""
+    assert (got.n_rows, got.reasons) == (want.n_rows, want.reasons)
+    assert list(got.parts) == list(want.parts)
+    for game_id, part in got.parts.items():
+        assert part.pairs == want.parts[game_id].pairs
+        for a, b in zip(part[:len(ingest._COLUMNS)], want.parts[game_id]):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+class TestOrjsonFastPath:
+    @settings(max_examples=400, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=mutated_tracking(), cut=st.integers(1, 12))
+    def test_same_parse_as_json_loads(self, tmp_path, case, cut):
+        lines, newline_at_end = case
+        end = b"\n" if newline_at_end else b""
+        got, want = tmp_path / "got.jsonl", tmp_path / "want.jsonl"
+        got.write_bytes(b"\n".join(lines) + end)
+        # json.loads raises RecursionError on the deep line, so the oracle reads in its
+        # place a line of the same length that fails without nesting
+        want.write_bytes(b"\n".join(b"[" + b" " * (len(ln) - 1) if ln == DEEP_LINE else ln
+                                    for ln in lines) + end)
+        size = got.stat().st_size
+        newlines = [i + 1 for i, byte in enumerate(got.read_bytes()) if byte == ord("\n")]
+        at = newlines[cut - 1] if cut <= len(newlines) else size
+        for start, stop in ((0, size), (0, at), (at, size)):
+            assert_same_parse(ingest._parse_range(got, start, stop),
+                              oracle_parse_range(want, start, stop))
+
+    def test_deep_row_is_unparseable(self, tmp_path):
+        p = tmp_path / "t.jsonl"
+        p.write_bytes(frame_line(t=0.0).encode() + b"\n" + DEEP_LINE + b"\n"
+                      + frame_line(t=0.04).encode() + b"\n")
+        with pytest.raises(RecursionError):
+            oracle_parse_range(p, 0, p.stat().st_size)
+        games, report = load_tracking(p)
+        assert report.reasons == {"unparseable": 1}
+        assert len(games["G0"]) == 2
+
+    def test_long_balanced_nesting_does_not_reach_orjson(self, tmp_path):
+        # orjson 3.8 builds such a document recursively and overflows the C stack
+        # (SIGSEGV at 150,000 levels on an 8 MB stack); json.loads raises RecursionError
+        p = tmp_path / "t.jsonl"
+        depth = 200_000
+        p.write_bytes(b"[" * depth + b"]" * depth + b"\n" + frame_line(t=0.0).encode() + b"\n")
+        assert 2 * depth > ingest.ORJSON_MAX_LINE
+        script = ("import sys; from shotarc.ingest import load_tracking; "
+                  "print(load_tracking(sys.argv[1])[1].reasons)")
+        env = {**os.environ, "PYTHONPATH": str(Path(shotarc.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", script, str(p)], capture_output=True,
+                              text=True, env=env)
+        assert (done.returncode, done.stdout) == (0, "{'unparseable': 1}\n"), done.stderr
 
 
 @pytest.fixture(scope="module")

@@ -215,6 +215,10 @@ class TestSurfaceAndPersistence:
         assert clone.train_n == model.train_n
         assert clone.converged == model.converged
 
+    def test_deep_nesting_is_a_training_error(self):
+        with pytest.raises(TrainingError, match="nested too deeply"):
+            MakeProbModel.from_json("[" * 3000)
+
     def test_version_checked(self):
         with pytest.raises(ValueError):
             MakeProbModel.from_json('{"version": 99}')

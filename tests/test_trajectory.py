@@ -78,6 +78,12 @@ class TestFit:
         xy_p, z_p = make_pseudo_data((20.0, 5.0))
         np.testing.assert_allclose(quadratic_features(xy_p) @ fit.beta, z_p, atol=1e-3)
 
+    def test_fit_trajectories_refuses_min_samples_below_one(self):
+        # at 0 an empty window used to come back fitted, with a NaN RMSE and a warning
+        for min_samples in (0, -1):
+            with pytest.raises(ValueError, match="min_samples must be at least 1"):
+                fit_trajectories([np.empty((0, 3))], np.array([[20.0, 5.0]]), min_samples)
+
     def test_min_samples_threshold(self):
         pts = np.column_stack([np.arange(4.0), np.zeros(4), np.full(4, 8.0)])
         with pytest.raises(InsufficientSamplesError):
