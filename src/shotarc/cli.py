@@ -23,6 +23,7 @@ import hashlib
 import json
 import math
 import sys
+import threading
 from collections.abc import Iterable, Mapping
 from pathlib import Path
 from typing import NamedTuple
@@ -75,10 +76,11 @@ class Run(NamedTuple):
 
 
 def _sha256(path: Path) -> str:
-    digest = hashlib.sha256()
-    with path.open("rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
+    # 768 KiB, reused: fit's hashing thread holds it at peak RSS and waits for the GIL per chunk
+    digest, chunk = hashlib.sha256(), memoryview(bytearray(3 << 18))
+    with path.open("rb", buffering=0) as fh:
+        while n := fh.readinto(chunk):
+            digest.update(chunk[:n])
     return digest.hexdigest()
 
 
@@ -100,7 +102,7 @@ def write_manifest(
         "command": command,
         "config": config,
         "seed": seed,
-        "inputs": {p.name: _sha256(p) for p in inputs},
+        "inputs": {p.name: known.get(p) or _sha256(p) for p in inputs},
         "outputs": {p.name: known.get(p) or _sha256(p) for p in outputs},
     })
 
@@ -230,7 +232,14 @@ def cmd_fit(args: argparse.Namespace) -> Run:
     tracking, tracking_load = load_tracking(inputs[0])
     events, events_load = load_events(inputs[1])
     roster, roster_load = load_roster(inputs[2])
-    fit = fit_season(tracking, events, roster, thresholds)
+    # hash the inputs on another core while the fit runs (hashlib and reads release the GIL)
+    digests: dict[Path, str] = {}
+    hashing = threading.Thread(target=lambda: digests.update((p, _sha256(p)) for p in inputs))
+    hashing.start()
+    try:
+        fit = fit_season(tracking, events, roster, thresholds)
+    finally:
+        hashing.join()
     del tracking  # the largest allocation of the run; not needed for writing
     rows, report = fit.rows, fit.filtering
 
@@ -256,7 +265,8 @@ def cmd_fit(args: argparse.Namespace) -> Run:
 
     print(f"fit {report.n_input} shots: retained {report.n_retained} "
           f"({report.retention:.3f}), factor rows {len(rows)}")
-    return Run("fit", dataclasses.asdict(thresholds), inputs, [factors_path, traj_csv, report_path])
+    return Run("fit", dataclasses.asdict(thresholds), inputs, [factors_path, traj_csv, report_path],
+               digests=digests)
 
 
 def cmd_train_makeprob(args: argparse.Namespace) -> Run:

@@ -19,10 +19,10 @@ rejects ``NaN``, ``Infinity``, float overflow, lone surrogate escapes and
 bytes that are not UTF-8) is decoded and parsed by ``json.loads``.  Where
 both parse a line the documents are equal, floats bit for bit; only orjson
 reads a line nested about 1,000 levels deep or more.  A tracking row is
-rejected as ``unparseable`` (it does not parse), then
-``wrong_player_count``, then ``non_finite`` (a NaN or infinite time, ball
-coordinate or player x/y), then ``unparseable`` (a bad id), then
-``duplicate_timestamp``, so every loaded coordinate is finite.  A
+rejected as ``unparseable`` (it does not parse, or a time, ball coordinate
+or player x/y is not a JSON number), then ``wrong_player_count``, then
+``non_finite`` (a NaN or infinite number), then ``unparseable`` (a bad
+id), then ``duplicate_timestamp``, so every loaded coordinate is finite.  A
 tracking game id, player id or team is bad unless it is a JSON string,
 and an id in any file is bad if it holds a carriage return or a
 surrogate.  An events row repeating an earlier shot id is rejected as
@@ -125,9 +125,9 @@ class LoadReport:
     reasons: dict[str, int] = field(default_factory=dict)
 
 
-# A second range pays off only when it takes clearly longer to parse than a worker
-# takes to start (a fresh interpreter importing numpy, ~0.4 s).  On 2 vCPUs, two ranges
-# (a worker each) loaded a 19 MB file no faster than one, a 38 MB file 1.16x faster.
+# A second range pays off only when it takes clearly longer to parse than a worker takes
+# to start (spawn to the reply for an empty range, numpy imported: 0.15-0.24 s on 2 vCPUs).
+# On 2 vCPUs, two ranges loaded a 19 MB file no faster than one, a 38 MB file 1.16x faster.
 MIN_RANGE_BYTES = 16 << 20
 
 # orjson 3.8 builds a document recursively with no depth limit (an array nested 150,000
@@ -164,52 +164,65 @@ class _GameBuffers:
     Player codes index (player id, team) pairs, not ids: which appearance
     of an id comes first among the rows finally kept is only known once
     the timestamp rules have run, and that appearance fixes the id's team.
-    Only pairs of two good strings are interned, so a pair found in the
-    index needs no further check.
+    A lineup (a row's pairs in order) is checked and interned once.  Rows
+    are appended before their numbers are checked for finiteness.
     """
 
     def __init__(self):
         self.row = array("q")
-        self.times = array("d")
-        self.ball = array("d")
+        self.tball = array("d")    # t, ball x, y, z
         self.codes = array("h")
         self.xy = array("d")
         self.pairs: list[tuple[PlayerId, str]] = []
         self._index: dict[tuple[PlayerId, str], int] = {}
+        self._lineups: dict[tuple, array] = {}
+        self.opened = math.inf     # key of the first finite row refused for a bad id
 
-    def append(self, row: int, t: float, ball: tuple, pairs: list, xy: list) -> bool:
+    def append(self, row: int, tball: array, lineup: tuple, xy: array) -> bool:
         """Append the row; False, appending nothing, if a player id or team is bad."""
         try:
-            codes = list(map(self._index.__getitem__, pairs))
-        except (KeyError, TypeError):
-            codes = self._intern(pairs)
+            codes = self._lineups[lineup]
+        except (KeyError, TypeError):   # a new lineup, or one holding an unhashable id
+            codes = self._intern(lineup)
             if codes is None:
                 return False
         self.row.append(row)
-        self.times.append(t)
-        self.ball.extend(ball)
+        self.tball.extend(tball)
         self.codes.extend(codes)
         self.xy.extend(xy)
         return True
 
-    def _intern(self, pairs: list) -> list[int] | None:
-        """Codes of the row's pairs, or None, interning nothing, if an id or team is bad."""
-        if not all(map(_good_id, chain.from_iterable(pairs))):
+    def _intern(self, lineup: tuple) -> array | None:
+        """The lineup's codes, remembered; None, interning nothing, if an id or team is bad."""
+        if not all(map(_good_id, chain.from_iterable(lineup))):
             return None
         index = self._index
-        for pair in pairs:
+        for pair in lineup:
             if pair not in index:
                 index[pair] = len(self.pairs)
                 self.pairs.append(pair)
-        return [index[pair] for pair in pairs]
+        return self._lineups.setdefault(lineup, array("h", map(index.__getitem__, lineup)))
 
-    def part(self) -> _GamePart:
-        n = len(self.times)
-        return _GamePart(*(
-            np.frombuffer(buf, dtype=dtype).reshape(n, *shape)
-            for buf, (dtype, shape) in zip(
-                (self.row, self.times, self.ball, self.codes, self.xy), _COLUMNS)
-        ), pairs=self.pairs)
+    def part(self, reasons: Counter) -> _GamePart | None:
+        """The finite rows, None without one; each other row counts as ``non_finite``.
+        When a row is dropped, the pairs are recoded by first appearance in those kept."""
+        n = len(self.row)
+        row = np.frombuffer(self.row, dtype=np.int64)
+        tball = np.frombuffer(self.tball).reshape(n, 4)
+        codes = np.frombuffer(self.codes, dtype=np.int16).reshape(n, PLAYERS_PER_FRAME)
+        xy = np.frombuffer(self.xy).reshape(n, PLAYERS_PER_FRAME, 2)
+        finite = np.isfinite(tball).all(axis=1) & np.isfinite(xy).all(axis=(1, 2))
+        pairs = self.pairs
+        if not finite.all():
+            reasons["non_finite"] += int(n - finite.sum())
+            row, tball, codes, xy = row[finite], tball[finite], codes[finite], xy[finite]
+            order = _first_appearances(codes)
+            lut = np.zeros(len(pairs), dtype=np.int16)
+            lut[order] = np.arange(len(order))
+            codes, pairs = lut[codes], [pairs[code] for code in order]
+        if not len(row):
+            return None
+        return _GamePart(row, tball[:, 0].copy(), tball[:, 1:].copy(), codes, xy, pairs)
 
 
 class _ByteRange(io.RawIOBase):
@@ -235,6 +248,7 @@ class _ByteRange(io.RawIOBase):
 
 _PLAYER_ID_TEAM = itemgetter("id", "team")
 _PLAYER_XY = itemgetter("x", "y")
+_CR, _U, _F = b"\ruf"  # ints: ``int in line`` is a memchr, several times faster than bytes
 
 
 def _good_id(value) -> bool:
@@ -242,17 +256,14 @@ def _good_id(value) -> bool:
     return type(value) is str and not _BAD_ID_CHAR.search(value)
 
 
-def _row_fields(doc):
-    """(game_id, t, ball, (player id, team) pairs, interleaved player x/y) of one JSON frame."""
-    players = doc["players"]
+def _bool_number(line: bytes, doc) -> bool:
+    """Whether the row's time or a ball or player coordinate is a JSON bool, which
+    ``array("d")`` takes; no key or number holds "u" or "f", so a line without them has none."""
+    if _U not in line and _F not in line:
+        return False
     ball = doc["ball"]
-    return (
-        doc["game_id"],
-        float(doc["t"]),
-        (float(ball[0]), float(ball[1]), float(ball[2])),
-        list(map(_PLAYER_ID_TEAM, players)),
-        list(map(float, chain.from_iterable(map(_PLAYER_XY, players)))),
-    )
+    return bool in map(type, chain((doc["t"], ball[0], ball[1], ball[2]),
+                                   chain.from_iterable(map(_PLAYER_XY, doc["players"]))))
 
 
 _BLANK = object()
@@ -281,12 +292,11 @@ def _parse_range(path: Path, start: int, end: int) -> _RangeParse:
     games: dict[GameId, _GameBuffers] = {}
     n_rows = 0
     reasons: Counter[str] = Counter()
-    isfinite = math.isfinite
     loads = orjson.loads
     with io.BufferedReader(_ByteRange(path, start, end), 1 << 16) as fh:
         # the binary reader ends lines at \n only; a line holding \r is split the way
         # a text reader splits universal newlines
-        lines = chain.from_iterable(line.splitlines() if b"\r" in line else (line,) for line in fh)
+        lines = chain.from_iterable(line.splitlines() if _CR in line else (line,) for line in fh)
         for row, line in enumerate(lines, start):
             try:
                 doc = loads(line) if len(line) <= ORJSON_MAX_LINE else _json_loads(line)
@@ -295,28 +305,31 @@ def _parse_range(path: Path, start: int, end: int) -> _RangeParse:
             if doc is _BLANK:
                 continue
             n_rows += 1
-            try:
-                game_id, t, ball, pairs, xy = _row_fields(doc)
-            except (ValueError, KeyError, TypeError, IndexError, OverflowError):
+            try:    # array("d") converts the numbers in C and takes no string
+                players, ball, game_id = doc["players"], doc["ball"], doc["game_id"]
+                tball = array("d", (doc["t"], ball[0], ball[1], ball[2]))
+                xy = array("d", chain.from_iterable(map(_PLAYER_XY, players)))
+                lineup = tuple(map(_PLAYER_ID_TEAM, players))
+            except (KeyError, TypeError, IndexError, OverflowError):
+                lineup = None
+            if lineup is None or _bool_number(line, doc):
                 reasons["unparseable"] += 1
                 continue
-            if len(pairs) != PLAYERS_PER_FRAME:
+            if len(lineup) != PLAYERS_PER_FRAME:
                 reasons["wrong_player_count"] += 1
                 continue
-            if not (isfinite(t) and all(map(isfinite, ball)) and all(map(isfinite, xy))):
-                reasons["non_finite"] += 1
-                continue
-            try:
-                game = games[game_id]
-            except (KeyError, TypeError):   # a new game id, or one that is not a string
-                if not _good_id(game_id):
-                    reasons["unparseable"] += 1
-                    continue
+            game = games.get(game_id) if type(game_id) is str else None
+            if game is None and _good_id(game_id):
                 game = games[game_id] = _GameBuffers()
-            if not game.append(row, t, ball, pairs, xy):
-                reasons["unparseable"] += 1
-    return _RangeParse(n_rows, dict(reasons),
-                       {gid: g.part() for gid, g in games.items() if g.times})
+            if game is None or not game.append(row, tball, lineup, xy):
+                finite = all(map(math.isfinite, chain(tball, xy)))  # non_finite before a bad id
+                reasons["unparseable" if finite else "non_finite"] += 1
+                if finite and game is not None:
+                    game.opened = min(game.opened, row)
+    parts = {gid: part for gid, game in games.items() if (part := game.part(reasons)) is not None}
+    # games in the order a row-at-a-time parse opens them: at their first finite row
+    return _RangeParse(n_rows, dict(reasons), dict(sorted(
+        parts.items(), key=lambda kv: min(games[kv[0]].opened, kv[1].row[0]))))
 
 
 def _range_worker(conn: Connection, path: str, start: int, end: int) -> None:
@@ -471,14 +484,14 @@ def load_tracking(path: str | Path) -> tuple[dict[GameId, GameTracking], LoadRep
     """Load JSONL tracking frames grouped by game, preserving within-game time order.
 
     Each row is checked in this order and, on the first failure, counted
-    under the reason named and skipped: it fails to parse or holds a
-    number too large for a float (``unparseable``), it carries other than
-    ten players (``wrong_player_count``), its time, ball or any player
-    coordinate is NaN or infinite (``non_finite``), its ``game_id``, a
-    player ``id`` or a ``team`` is not a JSON string or holds a carriage
-    return or a surrogate (``unparseable``), or it repeats its game's last
-    accepted timestamp (``duplicate_timestamp``).  A row passing the checks
-    before that one, whose timestamp steps backwards by more than
+    under the reason named and skipped: it fails to parse, or its time or a
+    ball or player coordinate is a string, a bool or too large for a float
+    (``unparseable``), it has other than ten players (``wrong_player_count``),
+    one of those numbers is NaN or infinite (``non_finite``), its
+    ``game_id``, a player ``id`` or a ``team`` is not a JSON string or holds
+    a carriage return or a surrogate (``unparseable``), or it repeats its
+    game's last accepted timestamp (``duplicate_timestamp``).  A row passing
+    the checks before that one, whose timestamp steps backwards by more than
     ``MONOTONE_TOL_S`` within its game, aborts the load.
 
     The file is cut into ``core.part_count(size // MIN_RANGE_BYTES)`` byte
@@ -564,6 +577,8 @@ class EventRecord:
 
 
 def _event_record(row: dict) -> EventRecord:
+    if "_" in row["release_frame"] + row["outcome"]:    # int() takes digit separators
+        raise ValueError("'_' in an integer field")
     outcome = int(row["outcome"])
     if outcome not in (0, 1):
         raise ValueError("outcome must be 0/1")

@@ -1,11 +1,13 @@
 """Shared fixtures: deterministic synthetic shots, the sequential
 conjugate-update oracle and the SVD one-shot solve for fit-level tests, the
 scalar shot-factor oracle for the array factors, and the text-mode
-``json.loads`` range parse for the tracking loader's orjson fast path."""
+``json.loads`` range parse, with its own row-at-a-time buffers, for the
+tracking loader's range parse."""
 
 import io
 import json
 import math
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -314,13 +316,83 @@ def assert_season_matches_chain(fit, chain, tol=1e-9):
     assert fit.rows["shot_id"].tolist() == fits["shot_id"][fits["rejection"] == ""].tolist()
 
 
+def json_number(value) -> float:
+    """A JSON number as a float; a string, bool or null is no number."""
+    if type(value) not in (int, float):
+        raise TypeError(f"{value!r} is not a JSON number")
+    return float(value)
+
+
+def _oracle_row_fields(doc):
+    """(game_id, t, ball, (player id, team) pairs, interleaved player x/y) of one JSON frame."""
+    players = doc["players"]
+    ball = doc["ball"]
+    return (
+        doc["game_id"],
+        json_number(doc["t"]),
+        (json_number(ball[0]), json_number(ball[1]), json_number(ball[2])),
+        [(p["id"], p["team"]) for p in players],
+        [json_number(v) for p in players for v in (p["x"], p["y"])],
+    )
+
+
+class _OracleGameBuffers:
+    """One game's rows that pass every row-local check, appended one row at a time,
+    each row's pairs interned one by one."""
+
+    def __init__(self):
+        self.row = array("q")
+        self.times = array("d")
+        self.ball = array("d")
+        self.codes = array("h")
+        self.xy = array("d")
+        self.pairs = []
+        self._index = {}
+
+    def append(self, row, t, ball, pairs, xy) -> bool:
+        """Append the row; False, appending nothing, if a player id or team is bad."""
+        try:
+            codes = list(map(self._index.__getitem__, pairs))
+        except (KeyError, TypeError):
+            codes = self._intern(pairs)
+            if codes is None:
+                return False
+        self.row.append(row)
+        self.times.append(t)
+        self.ball.extend(ball)
+        self.codes.extend(codes)
+        self.xy.extend(xy)
+        return True
+
+    def _intern(self, pairs):
+        """Codes of the row's pairs, or None, interning nothing, if an id or team is bad."""
+        if not all(ingest._good_id(value) for pair in pairs for value in pair):
+            return None
+        index = self._index
+        for pair in pairs:
+            if pair not in index:
+                index[pair] = len(self.pairs)
+                self.pairs.append(pair)
+        return [index[pair] for pair in pairs]
+
+    def part(self) -> ingest._GamePart:
+        n = len(self.times)
+        return ingest._GamePart(*(
+            np.frombuffer(buf, dtype=dtype).reshape(n, *shape)
+            for buf, (dtype, shape) in zip(
+                (self.row, self.times, self.ball, self.codes, self.xy), ingest._COLUMNS)
+        ), pairs=self.pairs)
+
+
 def oracle_parse_range(path, start, end) -> ingest._RangeParse:
-    """``ingest._parse_range`` as a text stream read by ``json.loads`` alone.
+    """``ingest._parse_range`` as a text stream read by ``json.loads`` alone, checked and
+    buffered one row at a time.
 
     The bytes are decoded with ``surrogateescape`` and split into lines by
     universal newlines (LF, CR or CR LF); a blank line (``str.strip``)
     is skipped, but still numbered.  A line nested too deep for ``json.loads``
-    raises ``RecursionError`` here.
+    raises ``RecursionError`` here.  A game is opened at its first row that
+    passes the finite and game-id checks.
     """
     games = {}
     n_rows = 0
@@ -333,12 +405,7 @@ def oracle_parse_range(path, start, end) -> ingest._RangeParse:
                 continue
             n_rows += 1
             try:
-                doc = json.loads(line)
-                players = doc["players"]
-                game_id, t = doc["game_id"], float(doc["t"])
-                ball = (float(doc["ball"][0]), float(doc["ball"][1]), float(doc["ball"][2]))
-                pairs = [(p["id"], p["team"]) for p in players]
-                xy = [float(v) for p in players for v in (p["x"], p["y"])]
+                game_id, t, ball, pairs, xy = _oracle_row_fields(json.loads(line))
             except (ValueError, KeyError, TypeError, IndexError, OverflowError):
                 reasons["unparseable"] += 1
                 continue
@@ -354,7 +421,7 @@ def oracle_parse_range(path, start, end) -> ingest._RangeParse:
                 if not ingest._good_id(game_id):
                     reasons["unparseable"] += 1
                     continue
-                game = games[game_id] = ingest._GameBuffers()
+                game = games[game_id] = _OracleGameBuffers()
             if not game.append(row, t, ball, pairs, xy):
                 reasons["unparseable"] += 1
     return ingest._RangeParse(n_rows, dict(reasons),

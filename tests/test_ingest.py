@@ -35,7 +35,7 @@ from shotarc.ingest import (
     nearest_defender,
 )
 from shotarc.sim import SimConfig, season_tracking, simulate_season, write_season
-from conftest import oracle_parse_range
+from conftest import json_number, oracle_parse_range
 
 
 def frame_line(game_id="G0", t=0.0, ball=(10.0, 25.0, 8.0), n_players=10):
@@ -58,11 +58,11 @@ def _oracle_parse_row(line):
     ball = doc["ball"]
     return (
         doc["game_id"],
-        float(doc["t"]),
-        (float(ball[0]), float(ball[1]), float(ball[2])),
+        json_number(doc["t"]),
+        (json_number(ball[0]), json_number(ball[1]), json_number(ball[2])),
         [p["id"] for p in players],
         [p["team"] for p in players],
-        [float(v) for p in players for v in (p["x"], p["y"])],
+        [json_number(v) for p in players for v in (p["x"], p["y"])],
     )
 
 
@@ -264,6 +264,23 @@ class TestLoadTracking:
         assert list(games) == ["G0"]
         assert games["G0"].id_table == [f"P{k}" for k in range(10)]
 
+    def test_number_fields_must_hold_json_numbers(self, tmp_path):
+        # float() took all of these: "0.04", "1_000" and " 8e-2 " as numbers, a bool as 0 or 1
+        docs = [json.loads(frame_line(t=0.04 * i)) for i in range(8)]
+        docs[1]["t"] = "0.04"
+        docs[2]["players"][3]["x"] = "1_000"
+        docs[3]["t"] = " 8e-2 "
+        docs[4]["ball"][1] = True
+        docs[5]["players"][9]["y"] = False
+        docs[6]["t"], docs[6]["players"][0]["x"] = 1, 0       # ints stay numbers
+        docs[7]["players"][2]["id"] = True                    # an id: unparseable as before
+        p = tmp_path / "t.jsonl"
+        p.write_text("\n".join(map(json.dumps, docs)) + "\n")
+        games, report = load_tracking(p)
+        assert report.reasons == {"unparseable": 6}
+        np.testing.assert_array_equal(games["G0"].times, [0.0, 1.0])
+        assert games["G0"].player_xy[1, 0, 0] == 0.0
+
     def test_integer_too_large_for_float_unparseable(self, tmp_path):
         p = tmp_path / "t.jsonl"
         big = frame_line(t=0.04).replace('"x": 3.0', '"x": 1' + "0" * 400)
@@ -456,6 +473,87 @@ class TestByteRangeSeams:
         assert sum(got[1].reasons.values()) == got[1].n_rejected
 
 
+def nan_ball(doc):
+    """The frame with a NaN ball z."""
+    doc["ball"][2] = float("nan")
+    return doc
+
+
+def reversed_players(doc):
+    doc["players"].reverse()
+    return doc
+
+
+def parse_rows(tmp_path, docs, seam):
+    """(each range's ``_parse_range``, ``load_tracking``'s result) for the rows in one
+    range (``seam`` 0) or in two, the second starting at row ``seam``."""
+    p, starts = write_rows(tmp_path, docs)
+    cuts = [starts[seam]] if seam else []
+    bounds = [0, *cuts, p.stat().st_size]
+    return ([ingest._parse_range(p, a, b) for a, b in zip(bounds, bounds[1:])],
+            load_with_cuts(p, cuts))
+
+
+class TestRowPaths:
+    """A row is appended before its finite check, and a lineup seen before is looked up:
+    the result is still that of checking each row in the stated order."""
+
+    @pytest.mark.parametrize("seam", [0, 2])
+    def test_non_finite_row_with_a_bad_id_is_non_finite(self, tmp_path, seam):
+        docs = [frame_doc(t=0.0), nan_ball(frame_doc(t=0.04, P3=7)),
+                nan_ball(frame_doc(1, 0.08)), nan_ball(frame_doc("G\r", 0.08)),
+                nan_ball(frame_doc("G1", 0.0, team4="B\r")), frame_doc("G1", 0.04),
+                frame_doc(t=0.12)]
+        ranges, (games, report) = parse_rows(tmp_path, docs, seam)
+        assert report.reasons == {"non_finite": 4}
+        assert list(games) == ["G0", "G1"]
+        np.testing.assert_array_equal(games["G0"].times, [0.0, 0.12])
+
+    @pytest.mark.parametrize("seam", [0, 1])
+    def test_player_named_only_in_a_non_finite_row_is_not_loaded(self, tmp_path, seam):
+        docs = [frame_doc(t=0.0), nan_ball(frame_doc(t=0.04, P0="Z", team0="C")),
+                frame_doc(t=0.08)]
+        ranges, (games, report) = parse_rows(tmp_path, docs, seam)
+        assert report.reasons == {"non_finite": 1}
+        assert all(("Z", "C") not in part.pairs for rng in ranges for part in rng.parts.values())
+        g = games["G0"]
+        assert g.id_table == [f"P{k}" for k in range(10)] and "Z" not in g.team_of
+        np.testing.assert_array_equal(g.player_ids, [np.arange(10)] * 2)
+
+    @pytest.mark.parametrize("seam", [0, 1])
+    def test_non_finite_first_row_recodes_the_pairs(self, tmp_path, seam):
+        docs = [nan_ball(frame_doc(t=0.0, P0="Z")), frame_doc(t=0.04), frame_doc(t=0.08)]
+        ranges, (games, report) = parse_rows(tmp_path, docs, seam)
+        assert report.reasons == {"non_finite": 1}
+        part = ranges[-1].parts["G0"]
+        assert part.pairs == [(f"P{k}", "AB"[k // 5]) for k in range(10)]
+        np.testing.assert_array_equal(part.codes, [np.arange(10)] * 2)
+        assert games["G0"].id_table == [f"P{k}" for k in range(10)]
+
+    @pytest.mark.parametrize("seam", [0, 2])
+    def test_game_whose_rows_are_all_non_finite_gives_no_part(self, tmp_path, seam):
+        docs = [frame_doc("G0", 0.0), nan_ball(frame_doc("G1", 0.0)),
+                nan_ball(frame_doc("G1", 0.04)), frame_doc("G0", 0.04)]
+        ranges, (games, report) = parse_rows(tmp_path, docs, seam)
+        assert [list(rng.parts) for rng in ranges] == [["G0"]] * len(ranges)
+        assert list(games) == ["G0"] and report.reasons == {"non_finite": 2}
+
+    @pytest.mark.parametrize("seam", [0, 2])
+    def test_same_players_in_a_new_order_get_their_own_codes(self, tmp_path, seam):
+        docs = [frame_doc(t=0.0), reversed_players(frame_doc(t=0.04)), frame_doc(t=0.08),
+                reversed_players(frame_doc(t=0.12))]
+        ranges, (games, report) = parse_rows(tmp_path, docs, seam)
+        assert report.reasons == {}
+        forward, backward = np.arange(10), np.arange(10)[::-1]
+        np.testing.assert_array_equal(np.concatenate([rng.parts["G0"].codes for rng in ranges]),
+                                      [forward, backward] * 2)
+        g = games["G0"]
+        np.testing.assert_array_equal(g.player_ids, [forward, backward] * 2)
+        np.testing.assert_array_equal(g.player_xy[1], g.player_xy[0][::-1])
+        ids, teams, _ = row_players(g, 1)
+        assert ids == [f"P{k}" for k in range(9, -1, -1)] and teams == list("BBBBBAAAAA")
+
+
 # --- the orjson fast path against the json.loads range parse -------------------------
 
 def perf_line(slots):
@@ -479,7 +577,7 @@ DEEP_LINE = b"[" * 3000
 BIG_INTS = st.integers(20, 400).flatmap(
     lambda d: st.integers(10 ** (d - 1), 10 ** d - 1)).map(str)
 LITERALS = st.one_of(
-    st.sampled_from(["NaN", "Infinity", "-Infinity", "1e400", "-1e400",
+    st.sampled_from(["NaN", "Infinity", "-Infinity", "1e400", "-1e400", "true", "false",
                      r'"\ud800"', r'"P\ud800"']),
     st.one_of(BIG_INTS, BIG_INTS.map("-".__add__)),
 )
@@ -704,6 +802,16 @@ class TestRosterAndEvents:
         events, report = load_events(p)
         assert [e.shot_id for e in events] == ["s1"]
         assert report.reasons == {"unparseable": 3}
+
+    def test_integer_fields_take_no_digit_separator(self, tmp_path):
+        p = tmp_path / "e.csv"
+        p.write_text("shot_id,game_id,shooter_id,release_frame,outcome,hoop_end\n"
+                     "s1,G0,P1,1_0,1,left\n"
+                     "s2,G0,P2,10,0_1,left\n"
+                     "s3,G0,P3, 7 ,1,left\n")
+        events, report = load_events(p)
+        assert [(e.shot_id, e.release_frame) for e in events] == [("s3", 7)]
+        assert report.reasons == {"unparseable": 2}
 
     def test_duplicate_shot_id_keeps_first(self, tmp_path):
         p = tmp_path / "e.csv"
