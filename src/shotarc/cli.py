@@ -76,8 +76,8 @@ class Run(NamedTuple):
 
 
 def _sha256(path: Path) -> str:
-    # 768 KiB, reused: fit's hashing thread holds it at peak RSS and waits for the GIL per chunk
-    digest, chunk = hashlib.sha256(), memoryview(bytearray(3 << 18))
+    # 256 KiB, reused: fit's hashing thread holds it at peak RSS, and more was no faster
+    digest, chunk = hashlib.sha256(), memoryview(bytearray(1 << 18))
     with path.open("rb", buffering=0) as fh:
         while n := fh.readinto(chunk):
             digest.update(chunk[:n])

@@ -164,8 +164,9 @@ class _GameBuffers:
     Player codes index (player id, team) pairs, not ids: which appearance
     of an id comes first among the rows finally kept is only known once
     the timestamp rules have run, and that appearance fixes the id's team.
-    A lineup (a row's pairs in order) is checked and interned once.  Rows
-    are appended before their numbers are checked for finiteness.
+    The codes of the previous row's lineup (its pairs in order) are kept, so
+    a row that repeats it looks nothing up.  Rows are appended before their
+    numbers are checked for finiteness.
     """
 
     def __init__(self):
@@ -175,25 +176,27 @@ class _GameBuffers:
         self.xy = array("d")
         self.pairs: list[tuple[PlayerId, str]] = []
         self._index: dict[tuple[PlayerId, str], int] = {}
-        self._lineups: dict[tuple, array] = {}
+        self._lineup = self._codes = None
         self.opened = math.inf     # key of the first finite row refused for a bad id
 
     def append(self, row: int, tball: array, lineup: tuple, xy: array) -> bool:
         """Append the row; False, appending nothing, if a player id or team is bad."""
-        try:
-            codes = self._lineups[lineup]
-        except (KeyError, TypeError):   # a new lineup, or one holding an unhashable id
-            codes = self._intern(lineup)
-            if codes is None:
-                return False
+        if lineup != self._lineup:
+            try:
+                codes = array("h", map(self._index.__getitem__, lineup))
+            except (KeyError, TypeError):   # a new pair, or one holding an unhashable id
+                codes = self._intern(lineup)
+                if codes is None:
+                    return False
+            self._lineup, self._codes = lineup, codes
         self.row.append(row)
         self.tball.extend(tball)
-        self.codes.extend(codes)
+        self.codes.extend(self._codes)
         self.xy.extend(xy)
         return True
 
     def _intern(self, lineup: tuple) -> array | None:
-        """The lineup's codes, remembered; None, interning nothing, if an id or team is bad."""
+        """The lineup's codes; None, interning nothing, if an id or team is bad."""
         if not all(map(_good_id, chain.from_iterable(lineup))):
             return None
         index = self._index
@@ -201,7 +204,7 @@ class _GameBuffers:
             if pair not in index:
                 index[pair] = len(self.pairs)
                 self.pairs.append(pair)
-        return self._lineups.setdefault(lineup, array("h", map(index.__getitem__, lineup)))
+        return array("h", map(index.__getitem__, lineup))
 
     def part(self, reasons: Counter) -> _GamePart | None:
         """The finite rows, None without one; each other row counts as ``non_finite``.
@@ -256,14 +259,10 @@ def _good_id(value) -> bool:
     return type(value) is str and not _BAD_ID_CHAR.search(value)
 
 
-def _bool_number(line: bytes, doc) -> bool:
+def _bool_number(line: bytes, numbers: tuple) -> bool:
     """Whether the row's time or a ball or player coordinate is a JSON bool, which
     ``array("d")`` takes; no key or number holds "u" or "f", so a line without them has none."""
-    if _U not in line and _F not in line:
-        return False
-    ball = doc["ball"]
-    return bool in map(type, chain((doc["t"], ball[0], ball[1], ball[2]),
-                                   chain.from_iterable(map(_PLAYER_XY, doc["players"]))))
+    return (_U in line or _F in line) and bool in map(type, numbers)
 
 
 _BLANK = object()
@@ -307,12 +306,13 @@ def _parse_range(path: Path, start: int, end: int) -> _RangeParse:
             n_rows += 1
             try:    # array("d") converts the numbers in C and takes no string
                 players, ball, game_id = doc["players"], doc["ball"], doc["game_id"]
-                tball = array("d", (doc["t"], ball[0], ball[1], ball[2]))
-                xy = array("d", chain.from_iterable(map(_PLAYER_XY, players)))
+                numbers = (doc["t"], ball[0], ball[1], ball[2],
+                           *chain.from_iterable(map(_PLAYER_XY, players)))
+                tball, xy = array("d", numbers[:4]), array("d", numbers[4:])
                 lineup = tuple(map(_PLAYER_ID_TEAM, players))
             except (KeyError, TypeError, IndexError, OverflowError):
                 lineup = None
-            if lineup is None or _bool_number(line, doc):
+            if lineup is None or _bool_number(line, numbers):
                 reasons["unparseable"] += 1
                 continue
             if len(lineup) != PLAYERS_PER_FRAME:
@@ -322,7 +322,7 @@ def _parse_range(path: Path, start: int, end: int) -> _RangeParse:
             if game is None and _good_id(game_id):
                 game = games[game_id] = _GameBuffers()
             if game is None or not game.append(row, tball, lineup, xy):
-                finite = all(map(math.isfinite, chain(tball, xy)))  # non_finite before a bad id
+                finite = all(map(math.isfinite, numbers))  # non_finite before a bad id
                 reasons["unparseable" if finite else "non_finite"] += 1
                 if finite and game is not None:
                     game.opened = min(game.opened, row)

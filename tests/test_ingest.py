@@ -495,8 +495,8 @@ def parse_rows(tmp_path, docs, seam):
 
 
 class TestRowPaths:
-    """A row is appended before its finite check, and a lineup seen before is looked up:
-    the result is still that of checking each row in the stated order."""
+    """A row is appended before its finite check, and a row repeating its game's previous
+    lineup reuses its codes: the result is still that of checking each row in the stated order."""
 
     @pytest.mark.parametrize("seam", [0, 2])
     def test_non_finite_row_with_a_bad_id_is_non_finite(self, tmp_path, seam):
@@ -552,6 +552,19 @@ class TestRowPaths:
         np.testing.assert_array_equal(g.player_xy[1], g.player_xy[0][::-1])
         ids, teams, _ = row_players(g, 1)
         assert ids == [f"P{k}" for k in range(9, -1, -1)] and teams == list("BBBBBAAAAA")
+
+    @pytest.mark.parametrize("seam", [0, 2])
+    def test_refused_lineup_keeps_the_previous_codes(self, tmp_path, seam):
+        docs = [frame_doc(t=0.0), frame_doc("G1", 0.0), frame_doc(t=0.04, P3=7),
+                reversed_players(frame_doc("G1", 0.04)), frame_doc(t=0.06, P3=7),
+                frame_doc(t=0.08), frame_doc(t=0.12, P3="Z")]
+        ranges, (games, report) = parse_rows(tmp_path, docs, seam)
+        assert report.reasons == {"unparseable": 2}
+        forward = np.arange(10)
+        np.testing.assert_array_equal(games["G0"].player_ids, [forward, forward, [
+            0, 1, 2, 10, 4, 5, 6, 7, 8, 9]])
+        np.testing.assert_array_equal(games["G1"].player_ids, [forward, forward[::-1]])
+        assert games["G0"].id_table[10] == "Z"
 
 
 # --- the orjson fast path against the json.loads range parse -------------------------
