@@ -23,8 +23,7 @@ import hashlib
 import json
 import math
 import sys
-import threading
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable
 from pathlib import Path
 from typing import NamedTuple
 
@@ -72,11 +71,10 @@ class Run(NamedTuple):
     inputs: list[Path]
     outputs: list[Path]
     seed: int | None = None
-    digests: Mapping[Path, str] | None = None
 
 
 def _sha256(path: Path) -> str:
-    # 256 KiB, reused: fit's hashing thread holds it at peak RSS, and more was no faster
+    # one 256 KiB buffer, reused: a larger one hashed no faster
     digest, chunk = hashlib.sha256(), memoryview(bytearray(1 << 18))
     with path.open("rb", buffering=0) as fh:
         while n := fh.readinto(chunk):
@@ -91,19 +89,17 @@ def write_manifest(
     inputs: list[Path],
     outputs: list[Path],
     seed: int | None = None,
-    digests: Mapping[Path, str] | None = None,
 ) -> None:
-    """Write the manifest; a file in ``digests`` keeps the digest given there
-    instead of being read and hashed again."""
-    known = digests or {}
+    """Write the manifest, with the SHA-256 of every file in ``inputs`` and ``outputs``
+    read from disk: the one place a digest is computed."""
     write_json(manifest_path, {
         "tool": "shotarc",
         "version": __version__,
         "command": command,
         "config": config,
         "seed": seed,
-        "inputs": {p.name: known.get(p) or _sha256(p) for p in inputs},
-        "outputs": {p.name: known.get(p) or _sha256(p) for p in outputs},
+        "inputs": {p.name: _sha256(p) for p in inputs},
+        "outputs": {p.name: _sha256(p) for p in outputs},
     })
 
 
@@ -211,12 +207,11 @@ def cmd_simulate(args: argparse.Namespace) -> Run:
             file_cfg["seed"] = args.seed
     config = sim_config_from_dict(file_cfg)
     out_dir = Path(args.out_dir)
-    paths, made, digests = simulate_to_files(config, out_dir)
+    paths, made = simulate_to_files(config, out_dir)
     print(f"simulated {config.n_shots} shots over {config.n_games} games "
           f"({made / config.n_shots:.3f} make rate) -> {out_dir}")
     return Run("simulate", json.loads(json.dumps(dataclasses.asdict(config))),
-               [Path(args.config)] if args.config else [], sorted(paths.values()), config.seed,
-               digests)
+               [Path(args.config)] if args.config else [], sorted(paths.values()), config.seed)
 
 
 def cmd_fit(args: argparse.Namespace) -> Run:
@@ -232,14 +227,7 @@ def cmd_fit(args: argparse.Namespace) -> Run:
     tracking, tracking_load = load_tracking(inputs[0])
     events, events_load = load_events(inputs[1])
     roster, roster_load = load_roster(inputs[2])
-    # hash the inputs on another core while the fit runs (hashlib and reads release the GIL)
-    digests: dict[Path, str] = {}
-    hashing = threading.Thread(target=lambda: digests.update((p, _sha256(p)) for p in inputs))
-    hashing.start()
-    try:
-        fit = fit_season(tracking, events, roster, thresholds)
-    finally:
-        hashing.join()
+    fit = fit_season(tracking, events, roster, thresholds)
     del tracking  # the largest allocation of the run; not needed for writing
     rows, report = fit.rows, fit.filtering
 
@@ -265,8 +253,7 @@ def cmd_fit(args: argparse.Namespace) -> Run:
 
     print(f"fit {report.n_input} shots: retained {report.n_retained} "
           f"({report.retention:.3f}), factor rows {len(rows)}")
-    return Run("fit", dataclasses.asdict(thresholds), inputs, [factors_path, traj_csv, report_path],
-               digests=digests)
+    return Run("fit", dataclasses.asdict(thresholds), inputs, [factors_path, traj_csv, report_path])
 
 
 def cmd_train_makeprob(args: argparse.Namespace) -> Run:

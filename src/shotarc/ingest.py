@@ -177,7 +177,6 @@ class _GameBuffers:
         self.pairs: list[tuple[PlayerId, str]] = []
         self._index: dict[tuple[PlayerId, str], int] = {}
         self._lineup = self._codes = None
-        self.opened = math.inf     # key of the first finite row refused for a bad id
 
     def append(self, row: int, tball: array, lineup: tuple, xy: array) -> bool:
         """Append the row; False, appending nothing, if a player id or team is bad."""
@@ -324,12 +323,9 @@ def _parse_range(path: Path, start: int, end: int) -> _RangeParse:
             if game is None or not game.append(row, tball, lineup, xy):
                 finite = all(map(math.isfinite, numbers))  # non_finite before a bad id
                 reasons["unparseable" if finite else "non_finite"] += 1
-                if finite and game is not None:
-                    game.opened = min(game.opened, row)
+    # before the reasons are copied: part() counts the non-finite rows it drops
     parts = {gid: part for gid, game in games.items() if (part := game.part(reasons)) is not None}
-    # games in the order a row-at-a-time parse opens them: at their first finite row
-    return _RangeParse(n_rows, dict(reasons), dict(sorted(
-        parts.items(), key=lambda kv: min(games[kv[0]].opened, kv[1].row[0]))))
+    return _RangeParse(n_rows, dict(reasons), parts)
 
 
 def _range_worker(conn: Connection, path: str, start: int, end: int) -> None:
@@ -550,6 +546,8 @@ def _load_csv(path: str | Path, parse, key: str) -> tuple[dict, LoadReport]:
 
 
 def _roster_record(row: dict) -> RosterRecord | str:
+    if "_" in row["height_in"]:     # float() takes digit separators
+        raise ValueError("'_' in height_in")
     pid = _clean_id(row["player_id"])
     height = float(row["height_in"])
     pos = row.get("position", "").strip()

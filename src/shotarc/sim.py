@@ -37,7 +37,6 @@ inflation, and an entry-angle rise that grows with defender height.
 
 from __future__ import annotations
 
-import hashlib
 import io
 import json
 import math
@@ -793,19 +792,6 @@ def write_season(season: SeasonData, out_dir: str | Path) -> dict[str, Path]:
 MIN_BLOCK_SHOTS = 2000
 
 
-class _HashedFile(io.FileIO):
-    """A file opened for writing that feeds every byte written through SHA-256."""
-
-    def __init__(self, path: Path):
-        super().__init__(path, "w")
-        self.sha256 = hashlib.sha256()
-
-    def write(self, b) -> int:
-        n = super().write(b)
-        self.sha256.update(memoryview(b)[:n])
-        return n
-
-
 def _write_block(tracking, events, truth, config: SimConfig, shooters: list[ShooterSkill],
                  defenders: list[DefenderTrait], game_seeds: list, start: int) -> int:
     """Simulate a block of games, writing each game's lines as it is made; its makes."""
@@ -832,10 +818,9 @@ def _block_worker(conn: Connection, config: SimConfig, start: int, stop: int, pa
     conn.send_bytes(truth.getvalue().encode())
 
 
-def simulate_to_files(config: SimConfig, out_dir: str | Path,
-                      ) -> tuple[dict[str, Path], int, dict[Path, str]]:
+def simulate_to_files(config: SimConfig, out_dir: str | Path) -> tuple[dict[str, Path], int]:
     """The files of :func:`write_season` for the season of ``config``, byte for byte;
-    returns their paths, the number of makes and the SHA-256 digests taken as written.
+    returns their paths and the number of makes.
 
     The season is cut into ``core.part_count`` contiguous blocks of games: at
     most one per game, and more than one only if they average at least
@@ -857,9 +842,7 @@ def simulate_to_files(config: SimConfig, out_dir: str | Path,
     shooters, defenders, game_seeds = _season_draws(config)
     try:
         with (worker_processes(_block_worker, jobs) as conns,
-              _HashedFile(hidden["tracking"]) as raw,
-              io.TextIOWrapper(io.BufferedWriter(raw, 1 << 20), encoding="utf-8",
-                               newline="\n") as tracking,
+              _text_file(hidden["tracking"]) as tracking,
               _text_file(hidden["events"]) as events,
               _text_file(hidden["ground_truth"]) as truth):
             events.write(_EVENTS_HEADER)
@@ -881,4 +864,4 @@ def simulate_to_files(config: SimConfig, out_dir: str | Path,
         for path in (*parts, *hidden.values()):
             if path.is_file():
                 path.unlink()
-    return paths, made, {paths["tracking"]: raw.sha256.hexdigest()}
+    return paths, made

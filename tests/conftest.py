@@ -391,8 +391,8 @@ def oracle_parse_range(path, start, end) -> ingest._RangeParse:
     The bytes are decoded with ``surrogateescape`` and split into lines by
     universal newlines (LF, CR or CR LF); a blank line (``str.strip``)
     is skipped, but still numbered.  A line nested too deep for ``json.loads``
-    raises ``RecursionError`` here.  A game is opened at its first row that
-    passes the finite and game-id checks.
+    raises ``RecursionError`` here.  The order of the games is not part of
+    the result: ``ingest._apply_time_rules`` orders them by their first kept row.
     """
     games = {}
     n_rows = 0

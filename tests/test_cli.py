@@ -7,7 +7,6 @@ import multiprocessing
 import os
 import subprocess
 import sys
-import threading
 from collections import Counter
 from pathlib import Path
 
@@ -15,7 +14,7 @@ import numpy as np
 import pytest
 
 import shotarc
-from shotarc import cli, core, evaluate, sim
+from shotarc import core, evaluate, sim
 from shotarc.cli import (
     ShotRow,
     fit_season,
@@ -24,7 +23,7 @@ from shotarc.cli import (
     write_shot_rows,
 )
 from shotarc.core import rim_center_xy
-from shotarc.ingest import IngestError, load_events, load_roster, load_tracking
+from shotarc.ingest import load_events, load_roster, load_tracking
 from shotarc.sim import SimConfig, season_tracking, simulate_season, write_season
 
 
@@ -394,6 +393,12 @@ class TestFitAndDownstream:
         assert report["filtering"]["n_retained"] > 0
         manifest = json.loads((fit_dir / "manifest.json").read_text())
         assert set(manifest["outputs"]) == names - {"manifest.json"}
+
+    def test_fit_manifest_inputs_are_sha256_of_their_bytes(self, fit_dir, season_dir):
+        manifest = json.loads((fit_dir / "manifest.json").read_text())
+        assert manifest["inputs"] == {
+            name: hashlib.sha256((season_dir / name).read_bytes()).hexdigest()
+            for name in ("tracking.jsonl", "events.csv", "roster.csv")}
 
     def test_factors_match_in_memory_pipeline(self, fit_dir):
         season = simulate_season(SimConfig(n_games=8, shots_per_game=40, seed=404))
@@ -959,47 +964,6 @@ def test_backward_timestamp_exits_2_and_fit_writes_nothing(tmp_path, season_dir,
     assert _fit(season, tmp_path / "f") == 2
     assert f"error: game {last['game_id']}: timestamp {last['t']} after " in capsys.readouterr().err
     assert not (tmp_path / "f").exists()
-
-
-class TestInputDigests:
-    """``fit`` hashes its inputs in a thread while the season is fitted."""
-
-    def test_manifest_equals_one_with_serial_digests(self, tmp_path, season_dir):
-        args = cli.build_parser().parse_args([
-            "fit", "--tracking", str(season_dir / "tracking.jsonl"),
-            "--events", str(season_dir / "events.csv"),
-            "--roster", str(season_dir / "roster.csv"), "--out-dir", str(tmp_path / "fit")])
-        run = cli.cmd_fit(args)
-        assert run.digests == {p: hashlib.sha256(p.read_bytes()).hexdigest() for p in run.inputs}
-        cli.write_manifest(tmp_path / "threaded.json", *run)
-        cli.write_manifest(tmp_path / "serial.json", *run._replace(digests=None))
-        assert (tmp_path / "threaded.json").read_bytes() == (tmp_path / "serial.json").read_bytes()
-
-    @pytest.mark.parametrize("error, code", [(RuntimeError("fit failed"), 1),
-                                             (IngestError("bad input"), 2)])
-    def test_failing_fit_joins_the_hashing_thread(self, tmp_path, season_dir, monkeypatch,
-                                                  capsys, error, code):
-        hashing, fitting = threading.Event(), threading.Event()
-        sha256, during = cli._sha256, []
-
-        def slow_sha256(path):          # keeps the thread hashing until the fit has failed
-            hashing.set()
-            assert fitting.wait(10)
-            return sha256(path)
-
-        def failing_fit(*args):
-            assert hashing.wait(10)
-            during.append(threading.active_count())
-            fitting.set()
-            raise error
-
-        monkeypatch.setattr(cli, "_sha256", slow_sha256)
-        monkeypatch.setattr(cli, "fit_season", failing_fit)
-        before = threading.active_count()
-        assert _fit(season_dir, tmp_path / "fit") == code
-        assert during == [before + 1] and threading.active_count() == before
-        assert f"error: {error}" in capsys.readouterr().err
-        assert not (tmp_path / "fit").exists()
 
 
 def test_literal_ndd_drops_the_common_slope(tmp_path):
