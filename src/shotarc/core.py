@@ -16,7 +16,6 @@ treated as ball-center positions throughout.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from contextlib import contextmanager
@@ -168,24 +167,24 @@ def part_count(limit: int) -> int:
 
 def _worker_main(conn: Connection, target, job: tuple) -> None:
     """A worker process's body: ``target(conn, *job)``, or the error that stopped
-    it sent as a JSON message that :func:`receive_header` raises."""
+    it sent as a ``RuntimeError`` naming it, which :func:`receive` raises."""
     with conn:
         try:
             target(conn, *job)
         except Exception as exc:
-            conn.send_bytes(json.dumps({"error": f"{type(exc).__name__}: {exc}"}).encode())
+            conn.send(RuntimeError(f"{type(exc).__name__}: {exc}"))
 
 
-def receive_header(conn: Connection, where: str) -> dict:
-    """A worker's next JSON message; RuntimeError naming ``where`` if the worker
-    failed or exited without sending one."""
+def receive(conn: Connection, where: str):
+    """A worker's next message, the Python object it sent; RuntimeError naming
+    ``where`` if the worker failed or exited without sending one."""
     try:
-        head = json.loads(conn.recv_bytes())
+        message = conn.recv()
     except EOFError:
         raise RuntimeError(f"{where} exited without a result") from None
-    if "error" in head:
-        raise RuntimeError(f"{where}: {head['error']}")
-    return head
+    if isinstance(message, RuntimeError):
+        raise RuntimeError(f"{where}: {message}")
+    return message
 
 
 @contextmanager
@@ -195,9 +194,11 @@ def worker_processes(target, jobs: list[tuple]):
 
     Workers are spawned: each is a fresh interpreter that gets only its job
     and the sending end of one pipe, and ``target`` must be a module-level
-    function.  Every worker has been joined when the block exits; one that
-    exits by an exception terminates the workers first.  No jobs start no
-    process and import nothing.
+    function.  A worker sends Python objects with ``conn.send`` (pickled, so
+    each is copied once on each side), and the caller reads each with
+    :func:`receive`.  Every worker has been joined when the block exits; a
+    block that exits by an exception terminates the workers first.  No jobs
+    start no process and import nothing.
     """
     if not jobs:
         yield []

@@ -72,7 +72,7 @@ from .core import (
     GameId,
     PlayerId,
     part_count,
-    receive_header,
+    receive,
     rim_center_xy,
     to_local_frame,
     worker_processes,
@@ -145,11 +145,6 @@ class _GamePart(NamedTuple):
     codes: np.ndarray      # (n, 10) int16 indices into ``pairs``
     xy: np.ndarray         # (n, 10, 2)
     pairs: list            # (player id, team) per code, in order of first appearance
-
-
-# dtype and trailing shape of each array column of a _GamePart, in field order
-_COLUMNS = ((np.int64, ()), (np.float64, ()), (np.float64, (3,)),
-            (np.int16, (PLAYERS_PER_FRAME,)), (np.float64, (PLAYERS_PER_FRAME, 2)))
 
 
 class _RangeParse(NamedTuple):
@@ -329,34 +324,22 @@ def _parse_range(path: Path, start: int, end: int) -> _RangeParse:
 
 
 def _range_worker(conn: Connection, path: str, start: int, end: int) -> None:
-    """Worker process body: parse one range and send it back one game at a time.
-
-    Each game is a JSON header (game id, row count, pairs) followed by its
-    array columns as raw buffers; the range ends with its row count and
-    reasons, or with the error that stopped it.
-    """
+    """Worker process body: parse one range and send it back, each game as a
+    ``(game_id, _GamePart)`` pair as it is popped, then the emptied ``_RangeParse``."""
     parsed = _parse_range(Path(path), start, end)
     for game_id in list(parsed.parts):
-        part = parsed.parts.pop(game_id)
-        conn.send_bytes(json.dumps(
-            {"game_id": game_id, "n": len(part.times), "pairs": part.pairs}).encode())
-        for column in part[:len(_COLUMNS)]:
-            conn.send_bytes(column)
-    conn.send_bytes(json.dumps({"n_rows": parsed.n_rows, "reasons": parsed.reasons}).encode())
+        conn.send((game_id, parsed.parts.pop(game_id)))
+    conn.send(parsed)
 
 
 def _receive_range(conn: Connection, start: int, end: int) -> _RangeParse:
+    """The ``_RangeParse`` that ``_range_worker`` sends, its games put back in."""
     where = f"tracking worker for bytes {start}-{end}"
     parts = {}
-    while "n_rows" not in (head := receive_header(conn, where)):
-        columns = []
-        for dtype, shape in _COLUMNS:
-            column = np.empty((head["n"], *shape), dtype=dtype)
-            if conn.recv_bytes_into(column.reshape(-1)) != column.nbytes:
-                raise RuntimeError(f"{where}: short column")
-            columns.append(column)
-        parts[head["game_id"]] = _GamePart(*columns, pairs=head["pairs"])
-    return _RangeParse(head["n_rows"], head["reasons"], parts)
+    while not isinstance(message := receive(conn, where), _RangeParse):
+        game_id, part = message
+        parts[game_id] = part
+    return message._replace(parts=parts)
 
 
 def _byte_ranges(path: Path, n: int) -> list[tuple[int, int]]:

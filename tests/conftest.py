@@ -377,11 +377,13 @@ class _OracleGameBuffers:
 
     def part(self) -> ingest._GamePart:
         n = len(self.times)
-        return ingest._GamePart(*(
-            np.frombuffer(buf, dtype=dtype).reshape(n, *shape)
-            for buf, (dtype, shape) in zip(
-                (self.row, self.times, self.ball, self.codes, self.xy), ingest._COLUMNS)
-        ), pairs=self.pairs)
+        return ingest._GamePart(
+            np.frombuffer(self.row, dtype=np.int64),
+            np.frombuffer(self.times, dtype=np.float64),
+            np.frombuffer(self.ball, dtype=np.float64).reshape(n, 3),
+            np.frombuffer(self.codes, dtype=np.int16).reshape(n, ingest.PLAYERS_PER_FRAME),
+            np.frombuffer(self.xy, dtype=np.float64).reshape(n, ingest.PLAYERS_PER_FRAME, 2),
+            pairs=self.pairs)
 
 
 def oracle_parse_range(path, start, end) -> ingest._RangeParse:

@@ -9,6 +9,7 @@ bit-reproducible.
 import contextlib
 import hashlib
 import json
+import math
 import shutil
 import time
 from pathlib import Path
@@ -36,14 +37,7 @@ from shotarc.makeprob import (
     predict,
     train,
 )
-from shotarc.sim import (
-    ReleaseState,
-    SimConfig,
-    TargetCrossing,
-    sample_trajectory,
-    season_tracking,
-    simulate_season,
-)
+from shotarc.sim import SimConfig, season_tracking, simulate_season
 from shotarc.trajectory import (
     BASE_EPSILON,
     fit_trajectory,
@@ -165,13 +159,13 @@ def test_criterion_2_factor_recovery_zero_noise():
 
         rng = np.random.default_rng(7)
         for k in range(20):
-            release = ReleaseState(
-                (float(rng.uniform(22.5, 26.5)), float(rng.uniform(-8, 8))), 7.0)
+            x, y = float(rng.uniform(22.5, 26.5)), float(rng.uniform(-8, 8))
             angle = float(rng.uniform(38.0, 55.0))
-            traj = sample_trajectory(release, TargetCrossing(0.75, 0.0, angle),
-                                     rng, extra_frames=2)
-            fit = fit_trajectory(traj.points, release.xy)
-            f = compute_shot_factors(fit, fit_path_line(traj.points))
+            pts, release, _ = parabola_shot(release_dist=math.hypot(x, y),
+                                            azimuth_rad=math.atan2(y, x), depth_ft=0.75,
+                                            lr_ft=0.0, entry_angle_deg=angle)
+            fit = fit_trajectory(pts, release)
+            f = compute_shot_factors(fit, fit_path_line(pts))
             assert abs(f.depth_in - 9.0) <= 1e-6
         elapsed = time.perf_counter() - t0
         assert elapsed < 30.0, f"took {elapsed:.1f}s"

@@ -113,6 +113,11 @@ class TestExitCodes:
         ('{"pressure": {"ramp_width_ft": -0.2}}', "ramp_width_ft must be positive"),
         ('{"pressure": {"ramp_width_ft": 0}}', "ramp_width_ft must be positive"),
         ('{"pressure": {"depth_var_inflation": 0.5}}', "variance inflation factors must be >= 1"),
+        # math.isfinite takes a bool; a JSON boolean is no number here
+        ('{"corrupt_fraction": true}', "corrupt_fraction must be finite, not True"),
+        ('{"tracking_noise_ft": true}', "tracking_noise_ft must be finite, not True"),
+        ('{"pressure": {"depth_shift_ft": false}}', "depth_shift_ft must be finite, not False"),
+        ('{"ndd_range_ft": [true, 10]}', "ndd_range_ft must be two finite numbers lo <= hi"),
     ])
     def test_bad_sim_value_exits_2_and_writes_nothing(self, workdir, doc, message, capsys):
         bad = workdir / "bad_value.json"

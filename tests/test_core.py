@@ -1,6 +1,8 @@
-"""Frame transforms, geometry constants, unit conversions, and the logistic sigmoid."""
+"""Frame transforms, geometry constants, unit conversions, the logistic sigmoid, and
+worker processes."""
 
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -12,6 +14,7 @@ import scipy.special
 from hypothesis import given, strategies as st
 
 import shotarc
+from shotarc import core
 from shotarc.core import (
     BALL_RADIUS_FT,
     COURT_WIDTH_FT,
@@ -161,3 +164,15 @@ def test_ingest_loads_only_core():
     # tracking workers import shotarc.ingest; the package itself imports no stage
     assert _loaded_packages("shotarc.ingest", "shotarc") == str(
         ["shotarc", "shotarc.core", "shotarc.ingest"])
+
+
+def _exit_without_a_message(conn):
+    """A worker body that ends its process before it sends anything."""
+    os._exit(0)
+
+
+def test_worker_exiting_without_a_message_raises_and_is_joined():
+    with pytest.raises(RuntimeError, match="^silent worker exited without a result$"):
+        with core.worker_processes(_exit_without_a_message, [()]) as (conn,):
+            core.receive(conn, "silent worker")
+    assert multiprocessing.active_children() == []

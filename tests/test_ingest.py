@@ -626,7 +626,7 @@ def assert_same_parse(got, want):
     assert got.parts.keys() == want.parts.keys()
     for game_id, part in got.parts.items():
         assert part.pairs == want.parts[game_id].pairs
-        for a, b in zip(part[:len(ingest._COLUMNS)], want.parts[game_id]):
+        for a, b in zip(part[:-1], want.parts[game_id][:-1]):   # the array columns
             assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
 
 
@@ -717,6 +717,19 @@ class TestWorkerPool:
             load_tracking(p)
         assert str(got.value) == str(want.value)
         assert multiprocessing.active_children() == []
+
+    def test_range_from_a_worker_equals_the_in_process_parse(self, two_range_season):
+        ranges = ingest._byte_ranges(two_range_season, 2)
+        jobs = [(str(two_range_season), *bounds) for bounds in ranges]
+        with core.worker_processes(ingest._range_worker, jobs) as conns:
+            got = [ingest._receive_range(conn, *bounds) for conn, bounds in zip(conns, ranges)]
+        assert multiprocessing.active_children() == []
+        for parsed, bounds in zip(got, ranges):
+            want = ingest._parse_range(two_range_season, *bounds)
+            assert_same_parse(parsed, want)
+            assert list(parsed.parts) == list(want.parts)
+            for part in parsed.parts.values():
+                assert part.pairs and all(type(pair) is tuple for pair in part.pairs)
 
     def test_failed_worker_raises_and_is_joined(self, tmp_path):
         ranges = [(0, 1), (1, 2)]

@@ -1,4 +1,9 @@
-"""Simulator: parabola sampling, make oracle, season generation, determinism."""
+"""Simulator: the parabola solve, make oracle, season generation, determinism.
+
+``oracle_simulate_season`` is the shot-at-a-time reference generator: it
+solves and samples each shot's parabola with numpy arrays on its own
+(``oracle_sample_trajectory``) and maps each point and player one at a
+time.  ``TestOracleSeason`` holds ``simulate_season`` to it bit for bit."""
 
 import hashlib
 import math
@@ -17,25 +22,23 @@ from shotarc.sim import (
     MIN_RELEASE_HEIGHT_FT,
     GroundTruthShot,
     PressureModel,
-    ReleaseState,
-    SampledTrajectory,
     SeasonData,
     SimConfig,
     SimGame,
     SimShot,
-    TargetCrossing,
     UnreachableTargetError,
+    _solve_arc,
     clean_entry_radius_ft,
     make_defender_pool,
     make_shooter_pool,
     make_with_back_rim_capture,
     physical_make_oracle,
-    sample_trajectory,
     season_tracking,
     simulate_season,
     write_season,
 )
 from shotarc.trajectory import fit_trajectory
+from conftest import parabola_shot
 
 
 # --- the shot-at-a-time season generator, kept as the reference ----------------------
@@ -51,16 +54,17 @@ def _oracle_path_through(release_xy, lr_ft):
     return np.array([c * u[0] - s * u[1], s * u[0] + c * u[1]])
 
 
-def oracle_sample_trajectory(release, target, rng, noise_sigma_ft=0.0, extra_frames=0):
-    """One shot's parabola, solved and sampled with numpy arrays throughout."""
-    release_xy = np.asarray(release.xy, dtype=float)
-    d = _oracle_path_through(release_xy, target.lr_ft)
+def oracle_sample_trajectory(release_xy, height, depth_ft, lr_ft, angle_deg, rng,
+                             noise_sigma_ft=0.0, extra_frames=0):
+    """One shot's (n, 3) local-frame points, solved and sampled with numpy arrays throughout."""
+    release_xy = np.asarray(release_xy, dtype=float)
+    d = _oracle_path_through(release_xy, lr_ft)
     s_center = float((np.zeros(2) - release_xy) @ d)
-    s_cross = s_center + target.depth_ft - RIM_RADIUS_FT
+    s_cross = s_center + depth_ft - RIM_RADIUS_FT
     if s_cross <= 0:
         raise UnreachableTargetError("crossing lies behind the release point")
-    tan_a = math.tan(math.radians(target.entry_angle_deg))
-    c2 = -((RIM_HEIGHT_FT - release.height_ft) + tan_a * s_cross) / s_cross**2
+    tan_a = math.tan(math.radians(angle_deg))
+    c2 = -((RIM_HEIGHT_FT - height) + tan_a * s_cross) / s_cross**2
     c1 = -tan_a - 2.0 * c2 * s_cross
     if c2 >= 0.0 or c1 <= 0.0:
         raise UnreachableTargetError("no ascending-release parabola reaches the target")
@@ -70,12 +74,11 @@ def oracle_sample_trajectory(release, target, rng, noise_sigma_ft=0.0, extra_fra
     t = np.arange(n_flight + extra_frames) / FRAME_RATE_HZ
     s = v_h * t
     xy = release_xy[None, :] + s[:, None] * d[None, :]
-    z = release.height_ft + c1 * s + c2 * s * s
+    z = height + c1 * s + c2 * s * s
     pts = np.column_stack([xy, z])
     if noise_sigma_ft > 0.0:
         pts = pts + rng.normal(0.0, noise_sigma_ft, pts.shape)
-    return SampledTrajectory(points=pts, n_flight=n_flight, flight_time_s=flight_time,
-                             direction=d, s_cross_ft=s_cross)
+    return pts
 
 
 def _oracle_rotate(v, angle_rad):
@@ -151,11 +154,9 @@ def oracle_simulate_season(config):
             made = make_with_back_rim_capture(depth, lr, angle, config.back_rim_capture_ft)
             if config.outcome_flip_prob > 0.0 and rng.random() < config.outcome_flip_prob:
                 made = not made
-            traj = oracle_sample_trajectory(
-                ReleaseState((float(release_xy[0]), float(release_xy[1])), height),
-                TargetCrossing(depth, lr, angle), rng,
+            pts = oracle_sample_trajectory(
+                (float(release_xy[0]), float(release_xy[1])), height, depth, lr, angle, rng,
                 noise_sigma_ft=config.tracking_noise_ft, extra_frames=config.extra_frames_past_rim)
-            pts = traj.points
             corrupted = False
             if config.corrupt_fraction > 0.0 and rng.random() < config.corrupt_fraction:
                 corrupted = True
@@ -202,36 +203,8 @@ def _assert_same_bits(got, want, what):
 
 
 class TestSampleTrajectory:
-    def test_one_second_flight_gives_25_samples(self):
-        # choose the geometry so the flight takes exactly one second:
-        # T^2 = 2 * (rim_rise + tan(A) * s_cross) / g  with A = 45 deg
-        s_cross = (32.174 / 2.0 - 3.0) / 1.0
-        release_dist = s_cross   # depth = rim radius -> crossing at rim center
-        traj = sample_trajectory(
-            ReleaseState((release_dist, 0.0), 7.0),
-            TargetCrossing(0.75, 0.0, 45.0),
-            np.random.default_rng(0),
-        )
-        assert traj.flight_time_s == pytest.approx(1.0, abs=1e-12)
-        assert traj.n_flight == 25
-
-    def test_sample_count_is_rounded_flight_frames(self):
-        rng = np.random.default_rng(1)
-        for _ in range(20):
-            traj = sample_trajectory(
-                ReleaseState((rng.uniform(22, 27), rng.uniform(-8, 8)), 7.0),
-                TargetCrossing(rng.uniform(0.2, 1.4), rng.uniform(-0.5, 0.5),
-                               rng.uniform(36, 55)),
-                rng,
-            )
-            assert traj.n_flight == int(round(traj.flight_time_s * 25.0))
-
-    def test_same_seed_identical_samples(self):
-        a = sample_trajectory(ReleaseState((23.75, 2.0), 7.0), TargetCrossing(0.8, 0.1, 45.0),
-                              np.random.default_rng(99), noise_sigma_ft=0.1)
-        b = sample_trajectory(ReleaseState((23.75, 2.0), 7.0), TargetCrossing(0.8, 0.1, 45.0),
-                              np.random.default_rng(99), noise_sigma_ft=0.1)
-        np.testing.assert_array_equal(a.points, b.points)
+    """Sampled arcs: the pipeline recovers their crossings; the solve refuses one it
+    cannot reach."""
 
     def test_zero_noise_round_trip_through_pipeline(self):
         rng = np.random.default_rng(5)
@@ -239,21 +212,19 @@ class TestSampleTrajectory:
             depth = rng.uniform(0.2, 1.4)
             lr = rng.uniform(-0.5, 0.5)
             ang = rng.uniform(38, 54)
-            traj = sample_trajectory(
-                ReleaseState((rng.uniform(22.5, 26.5), rng.uniform(-10, 10)), 7.0),
-                TargetCrossing(depth, lr, ang), rng, extra_frames=2)
-            release = traj.points[0, :2]
-            fit = fit_trajectory(traj.points, release)
-            f = compute_shot_factors(fit, fit_path_line(traj.points))
+            x, y = rng.uniform(22.5, 26.5), rng.uniform(-10, 10)
+            pts, release, _ = parabola_shot(release_dist=math.hypot(x, y),
+                                            azimuth_rad=math.atan2(y, x), lr_ft=lr,
+                                            depth_ft=depth, entry_angle_deg=ang)
+            fit = fit_trajectory(pts, release)
+            f = compute_shot_factors(fit, fit_path_line(pts))
             assert f.depth_ft == pytest.approx(depth, abs=0.02)
             assert f.left_right_ft == pytest.approx(lr, abs=0.02)
             assert f.entry_angle_deg == pytest.approx(ang, abs=0.2)
 
     def test_unreachable_geometry_rejected(self):
-        rng = np.random.default_rng(0)
         with pytest.raises(UnreachableTargetError):
-            sample_trajectory(ReleaseState((2.0, 0.0), 7.0),
-                              TargetCrossing(0.75, 3.0, 45.0), rng)
+            _solve_arc(2.0, 0.0, 7.0, 0.75, 3.0, 45.0)
 
 
 class TestMakeOracle:
@@ -487,21 +458,3 @@ class TestOracleSeason:
         want_paths = write_season(want, tmp_path / "want")
         for key in got_paths:
             assert got_paths[key].read_bytes() == want_paths[key].read_bytes(), key
-
-    def test_sample_trajectory_matches_oracle(self):
-        rng = np.random.default_rng(17)
-        for _ in range(200):
-            release = ReleaseState((rng.uniform(20, 28), rng.uniform(-12, 12)),
-                                   rng.uniform(6.5, 7.5))
-            target = TargetCrossing(rng.uniform(-0.5, 2.0), rng.uniform(-1.0, 1.0),
-                                    rng.uniform(33, 64))
-            seed = int(rng.integers(1 << 30))
-            extra = int(rng.integers(3))
-            got = sample_trajectory(release, target, np.random.default_rng(seed),
-                                    noise_sigma_ft=0.1, extra_frames=extra)
-            want = oracle_sample_trajectory(release, target, np.random.default_rng(seed),
-                                            noise_sigma_ft=0.1, extra_frames=extra)
-            _assert_same_bits(got.points, want.points, "points")
-            _assert_same_bits(got.direction, want.direction, "direction")
-            assert (got.n_flight, got.flight_time_s, got.s_cross_ft) == (
-                want.n_flight, want.flight_time_s, want.s_cross_ft)
