@@ -16,11 +16,12 @@ from shotarc.sim import SimConfig, season_tracking, simulate_season
 from shotarc.trajectory import BASE_EPSILON, fit_trajectory, make_pseudo_data, quadratic_features
 
 season = simulate_season(SimConfig(seed=7, n_games=1, shots_per_game=1, tracking_noise_ft=0.12))
-(shot,), _ = extract_shot_events(*season_tracking(season))
-print(f"{len(shot.samples)} ball samples from the release at "
-      f"({shot.release_xy[0]:.2f}, {shot.release_xy[1]:.2f}) ft to the rim plane")
+shots, _ = extract_shot_events(*season_tracking(season))
+(samples,), (release,) = shots["samples"], shots["release_xy"]
+print(f"{len(samples)} ball samples from the release at "
+      f"({release[0]:.2f}, {release[1]:.2f}) ft to the rim plane")
 
-fit = fit_trajectory(shot.samples, shot.release_xy)
+fit = fit_trajectory(samples, release)
 names = ("1", "x", "y", "x^2", "y^2", "x*y")
 print("\nposterior-mean surface coefficients:")
 for name, b in zip(names, fit.beta):
@@ -32,9 +33,9 @@ print(f"posterior shape/scale: {fit.posterior_shape:.1f} / {fit.posterior_scale:
 # over the pseudo and observed rows; the base prior has mean mu0 = 0.  The
 # normal equations square the condition number of the fit's stacked solve,
 # so the two agree to within 1e-8 here (5e-9 on this shot), not to the last bit.
-xy_p, z_p = make_pseudo_data(shot.release_xy)
-X = quadratic_features(np.vstack([xy_p, shot.samples[:, :2]]))
-z = np.concatenate([z_p, shot.samples[:, 2]])
+xy_p, z_p = make_pseudo_data(release)
+X = quadratic_features(np.vstack([xy_p, samples[:, :2]]))
+z = np.concatenate([z_p, samples[:, 2]])
 ridge = np.linalg.solve(BASE_EPSILON * np.eye(6) + X.T @ X, X.T @ z)
 print(f"\none-solve vs ridge closed form posterior mean, max diff: "
       f"{np.max(np.abs(fit.beta - ridge)):.2e}")

@@ -22,11 +22,12 @@ for sigma in (0.0, 0.12):
     shots, _ = extract_shot_events(*season_tracking(season))
     print(f"\n=== tracking noise {sigma} ft ===")
     print(f"{'shot':<8} {'depth in (true)':>16} {'lr in (true)':>15} {'angle deg (true)':>17}")
-    for shot in shots:
-        fit = fit_trajectory(shot.samples, shot.release_xy)
-        f = compute_shot_factors(fit, fit_path_line(shot.samples))
-        t = truth[shot.shot_id]
-        print(f"{shot.shot_id:<8} {f.depth_in:8.2f} ({feet_to_inches(t.true_depth_ft):5.2f})"
+    for shot_id, samples, release in zip(shots["shot_id"].tolist(), shots["samples"],
+                                         shots["release_xy"]):
+        fit = fit_trajectory(samples, release)
+        f = compute_shot_factors(fit, fit_path_line(samples))
+        t = truth[shot_id]
+        print(f"{shot_id:<8} {f.depth_in:8.2f} ({feet_to_inches(t.true_depth_ft):5.2f})"
               f" {f.left_right_in:8.2f} ({feet_to_inches(t.true_lr_ft):5.2f})"
               f" {f.entry_angle_deg:9.2f} ({t.true_angle_deg:5.1f})")
 

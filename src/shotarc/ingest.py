@@ -42,12 +42,13 @@ game that lies in one range and loses no row keeps the parsed buffers as
 its ``GameTracking`` arrays; shot extraction reads the release row and
 the ball window straight from those arrays.
 
-Shot windows run from the tagged release frame to the first frame at or
-below rim height after the apex ("the ball reaches the rim plane"), or
-until the 25 Hz stream breaks off.  Ball samples are converted to the
-rim-local frame of the attacked hoop.  Defender context (nearest defender,
-its roster height, and the signed contest angle) is evaluated at the
-release frame only.
+Shots are extracted as columns, one game's shots at a time, from that
+game's arrays.  A shot's window runs from its tagged release frame to the
+first frame at or below rim height after the apex ("the ball reaches the
+rim plane"), or until the 25 Hz stream breaks off, in the rim-local frame
+of the attacked hoop.  Defender context (nearest defender, its roster
+height, and the signed contest angle) is read from the release frame only,
+with ``math.hypot`` and ``math.atan2`` taken element by element.
 """
 
 from __future__ import annotations
@@ -68,6 +69,7 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from .core import (
+    HOOP_ENDS,
     RIM_HEIGHT_FT,
     GameId,
     PlayerId,
@@ -94,10 +96,6 @@ class IngestError(ValueError):
 
 
 class NonMonotoneTimestampsError(IngestError):
-    pass
-
-
-class NoOpponentsError(IngestError):
     pass
 
 
@@ -582,79 +580,7 @@ def load_events(path: str | Path) -> tuple[list[EventRecord], LoadReport]:
     return list(events.values()), report
 
 
-# --- defender context ----------------------------------------------------------
-
-def nearest_defender(
-    ids: list[PlayerId],
-    teams: list[str],
-    xy: list[list[float]],
-    shooter_id: PlayerId,
-) -> tuple[PlayerId, float, int, int]:
-    """Opposing player minimizing planar distance to the shooter in one tracking row.
-
-    ``ids``, ``teams`` and ``xy`` hold the row's players in the same order.
-    Returns (defender id, distance, shooter's position in the row,
-    defender's position in the row).  Ties break toward the
-    lexicographically smaller player id.
-    """
-    try:
-        s = ids.index(shooter_id)
-    except ValueError:
-        raise IngestError(f"shooter {shooter_id} not on court") from None
-    s_team = teams[s]
-    sx, sy = xy[s]
-    best: tuple[float, PlayerId] | None = None
-    for k, (pid, team, (x, y)) in enumerate(zip(ids, teams, xy)):
-        if team == s_team:
-            continue
-        dist = math.hypot(x - sx, y - sy)
-        if best is None or (dist, pid) < best:
-            best, d = (dist, pid), k
-    if best is None:
-        raise NoOpponentsError("no opposing player on court at release")
-    return best[1], best[0], s, d
-
-
-def contest_angle(
-    shooter_xy: tuple[float, float],
-    defender_xy: tuple[float, float],
-    rim_xy: tuple[float, float],
-) -> float:
-    """Signed angle between shooter->rim and shooter->defender rays, degrees.
-
-    Positive means the defender stands on the shooter's right; the value
-    lies in (-180, 180].
-    """
-    ux, uy = rim_xy[0] - shooter_xy[0], rim_xy[1] - shooter_xy[1]
-    vx, vy = defender_xy[0] - shooter_xy[0], defender_xy[1] - shooter_xy[1]
-    if math.hypot(ux, uy) < 1e-12:
-        raise IngestError("shooter co-located with the rim")
-    if math.hypot(vx, vy) < 1e-12:
-        raise IngestError("defender co-located with the shooter; angle undefined")
-    cross = ux * vy - uy * vx
-    dot = ux * vx + uy * vy
-    return math.degrees(math.atan2(-cross, dot))
-
-
 # --- shot extraction -------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ShotEvent:
-    """One extracted three-point attempt with defender context and ball samples."""
-
-    shot_id: str
-    game_id: GameId
-    shooter: PlayerId
-    defender: PlayerId
-    ndd_ft: float
-    defender_height_in: float
-    contest_angle_deg: float
-    outcome: int
-    samples: np.ndarray          # (n, 3) rim-local frame
-    release_xy: tuple[float, float]   # shooter location, rim-local frame
-    max_gap_s: float             # largest step between sample times; 0 below two samples
-    flags: tuple[str, ...] = ()
-
 
 @dataclass(frozen=True)
 class ExtractionReport:
@@ -664,21 +590,103 @@ class ExtractionReport:
     n_flagged: int = 0
 
 
-def _cut_at_rim_plane(z: np.ndarray) -> int:
-    """Index one past the first frame at/below rim height on the way down.
+# a shot's flags, joined by ";" in this order; _FLAG_SETS[mask] holds those whose bit is set
+_FLAGS = ("insufficient_samples", "contest_angle_undefined", "defender_height_missing")
+_FLAG_SETS = tuple(";".join(f for j, f in enumerate(_FLAGS) if mask >> j & 1) for mask in range(8))
 
-    Arcs that never rise above the rim plane have no descending crossing;
-    the whole window is kept.
-    """
-    if len(z) == 0:
-        return 0
-    apex = int(np.argmax(z))
-    if z[apex] <= RIM_HEIGHT_FT:
-        return len(z)
-    for i in range(apex + 1, len(z)):
-        if z[i] <= RIM_HEIGHT_FT:
-            return i + 1
-    return len(z)
+
+def _elementwise(f, *args) -> np.ndarray:
+    """``f`` of ``math`` taken element by element, as ``core.expit`` takes ``math.exp``:
+    ``np.hypot`` and ``np.arctan2`` differ from ``math``'s in the last bit on some inputs."""
+    return np.asarray(np.frompyfunc(f, len(args), 1)(*args), dtype=float)
+
+
+def _degrees_atan2(y: float, x: float) -> float:
+    return math.degrees(math.atan2(y, x))
+
+
+def _local(points, left: np.ndarray) -> np.ndarray:
+    """Court-frame points (3, n) in the frame of the left rim where ``left``, else the right."""
+    return np.where(left, to_local_frame(points, "left"), to_local_frame(points, "right"))
+
+
+_NUMBERS = ("ndd_ft", "defender_height_in", "contest_angle_deg", "n_samples", "flag_set",
+            "max_gap_s", "release_x", "release_y")
+
+
+def _game_shots(game: GameTracking, events: list[EventRecord],
+                roster: dict[PlayerId, RosterRecord], min_samples: int,
+                stream_break_s: float, max_window_s: float):
+    """The shots of one game's events, whose release frames and hoop ends are known:
+    each one's rejection reason ("" if extracted), ``_NUMBERS`` (k, 8), defender
+    code and ball samples; for a rejected shot all but the reason are meaningless."""
+    at = np.arange(len(events))
+    first = np.array([ev.release_frame for ev in events], dtype=np.intp)
+    left = np.array([ev.hoop_end == "left" for ev in events], dtype=bool)
+    codes, xy = game.player_ids[first], game.player_xy[first]
+    # the shooter's first slot; the opponents are the players of another team
+    code_of = {pid: code for code, pid in enumerate(game.id_table)}
+    is_shooter = codes == np.array([code_of.get(ev.shooter_id, -1) for ev in events])[:, None]
+    s = is_shooter.argmax(axis=1)
+    team = np.array([game.team_of[pid] for pid in game.id_table], dtype=object)[codes]
+    opponent = team != team[at, s][:, None]
+    # the nearest opponent: least distance, then the lexicographically smaller id, then slot
+    shooter_xy = xy[at, s]
+    dist = _elementwise(math.hypot, *np.moveaxis(xy - shooter_xy[:, None], 2, 0))
+    rank = np.argsort(sorted(range(len(game.id_table)), key=game.id_table.__getitem__))
+    slot = np.broadcast_to(np.arange(codes.shape[1]), codes.shape)
+    d = np.lexsort((slot, rank[codes], dist, ~opponent))[:, 0]
+    reason = np.where(~is_shooter.any(axis=1), "shooter_not_on_court",
+                      np.where(opponent[at, d], "", "no_defender"))
+    defender = codes[at, d]
+
+    # the signed contest angle, defender to the shooter's right positive, in (-180, 180]
+    rim = np.where(left[:, None], rim_center_xy("left"), rim_center_xy("right"))
+    (ux, vx), (uy, vy) = np.moveaxis([rim - shooter_xy, xy[at, d] - shooter_xy], 2, 0)
+    undefined = (_elementwise(math.hypot, (ux, vx), (uy, vy)) < 1e-12).any(axis=0)
+    angle = _elementwise(_degrees_atan2, -(ux * vy - uy * vx), ux * vx + uy * vy)
+    angle[undefined] = np.nan
+    record = [roster.get(pid) for pid in game.id_table]
+    height = np.array([np.nan if r is None else r.height_in for r in record])[defender]
+    no_height = np.array([r is None for r in record], dtype=bool)[defender]
+
+    # window: from the release to a stream break or past max_window_s, whichever is first
+    times = game.times
+    gaps = np.diff(times)
+    breaks = np.append(np.flatnonzero(~(gaps <= stream_break_s)) + 1, len(times))
+    end = breaks[np.searchsorted(breaks, first + 1)]
+    t0 = times[first]
+    hi = np.clip(np.searchsorted(times, t0 + max_window_s, side="right"), first + 1, end)
+    # times increase, so times[h] - t0 <= max_window_s holds for a prefix of the rows after
+    # the release: the search finds its end up to the rounding of t0 + max_window_s
+    while True:
+        back = (hi > first + 1) & (times[hi - 1] - t0 > max_window_s)
+        ahead = (hi < end) & (times[np.minimum(hi, len(times) - 1)] - t0 <= max_window_s)
+        if not (back.any() or ahead.any()):
+            break
+        hi += ahead.astype(np.intp) - back
+    # then cut one past the first frame at or below the rim plane after the highest
+    # (the first of equal highest); a window never above the rim plane is kept whole
+    n = hi - first
+    start = np.cumsum(n) - n
+    pos = np.arange(n.sum()) - np.repeat(start, n)
+    z = game.ball[np.repeat(first, n) + pos, 2]
+    top = np.maximum.reduceat(z, start)
+    apex = np.minimum.reduceat(np.where(z == np.repeat(top, n), pos, len(z)), start)
+    down = (z <= RIM_HEIGHT_FT) & (pos > np.repeat(apex, n))
+    cut = np.where(top > RIM_HEIGHT_FT,
+                   np.minimum.reduceat(np.where(down, pos + 1, np.repeat(n, n)), start), n)
+
+    start = np.cumsum(cut) - cut
+    rows = np.repeat(first - start, cut) + np.arange(cut.sum())
+    step = np.append(gaps, -np.inf)[rows]
+    step[start + cut - 1] = -np.inf     # no step after a window's last sample
+    max_gap = np.where(cut >= 2, np.maximum.reduceat(step, start), 0.0)
+    samples = np.split(_local(game.ball[rows].T, np.repeat(left, cut)).T.copy(), start[1:])
+    release = _local((shooter_xy[:, 0], shooter_xy[:, 1], np.zeros(len(at))), left)
+    flag_set = (cut < min_samples) + 2 * undefined + 4 * no_height
+    numbers = np.column_stack([dist[at, d], height, angle, cut, flag_set, max_gap, *release[:2]])
+    return reason, numbers, defender, samples
 
 
 def extract_shot_events(
@@ -688,8 +696,8 @@ def extract_shot_events(
     min_samples: int = 5,
     stream_break_s: float = 1.0,
     max_window_s: float = 3.0,
-) -> tuple[list[ShotEvent], ExtractionReport]:
-    """Assemble ShotEvents from tagged releases.
+) -> tuple[dict, ExtractionReport]:
+    """The shots of tagged releases as columns, one game's shots at a time.
 
     A window ends at the first descending rim-plane arrival, at a break in
     the 25 Hz stream (gap > ``stream_break_s``), or after ``max_window_s``.
@@ -697,99 +705,55 @@ def extract_shot_events(
     Shots are rejected when their game or release frame is unknown, the
     shooter is off court, or no opponent is on court; thin windows are only
     flagged (``insufficient_samples``) so callers can report them.
-    """
-    out: list[ShotEvent] = []
-    reasons: Counter[str] = Counter()
-    n_flagged = 0
-    steps: dict[GameId, tuple[np.ndarray, np.ndarray]] = {}   # per game: gaps, break indices
 
-    for ev in events:
+    The shots come in event order as a dict of columns: ``shot_id``,
+    ``game_id``, ``shooter_id``, ``defender_id``, ``ndd_ft``,
+    ``defender_height_in`` (NaN off the roster), ``contest_angle_deg`` (NaN
+    where undefined), ``outcome``, ``n_samples`` and ``flags`` (";"-joined),
+    as ``season.SHOT_COLUMNS`` types them; ``max_gap_s``, the largest step
+    between sample times (0 below two samples); ``samples``, a list of each
+    shot's (n, 3) ball samples in the rim-local frame; and ``release_xy``
+    (k, 2), the shooter's rim-local position.
+    """
+    reasons = [""] * len(events)
+    by_game: dict[GameId, list[int]] = {}
+    for i, ev in enumerate(events):
         game = tracking.get(ev.game_id)
         if game is None:
-            reasons["unknown_game"] += 1
-            continue
-        if not 0 <= ev.release_frame < len(game):
-            reasons["release_out_of_range"] += 1
-            continue
-        try:
-            rim_xy = rim_center_xy(ev.hoop_end)
-        except ValueError:
-            reasons["unknown_hoop_end"] += 1
-            continue
-
-        ids = [game.id_table[j] for j in game.player_ids[ev.release_frame].tolist()]
-        xy = game.player_xy[ev.release_frame].tolist()
-        try:
-            defender_id, ndd, s, d = nearest_defender(
-                ids, [game.team_of[pid] for pid in ids], xy, ev.shooter_id)
-        except NoOpponentsError:
-            reasons["no_defender"] += 1
-            continue
-        except IngestError:
-            reasons["shooter_not_on_court"] += 1
-            continue
-
-        # window: stop before a stream break or past max_window_s, then cut at the rim plane
-        if ev.game_id not in steps:
-            gaps = np.diff(game.times)
-            steps[ev.game_id] = gaps, np.flatnonzero(~(gaps <= stream_break_s)) + 1
-        gaps, breaks = steps[ev.game_id]
-        times, first = game.times, ev.release_frame
-        t0 = times[first]
-        k = np.searchsorted(breaks, first + 1)
-        end = breaks[k] if k < len(breaks) else len(times)
-        # times increase, so times[h] - t0 <= max_window_s holds for a prefix of h; the
-        # search finds its end up to the rounding of t0 + max_window_s, the slice exactly
-        bound = min(max(int(np.searchsorted(times, t0 + max_window_s, side="right")),
-                        first + 1), end)
-        while bound < end and times[bound] - t0 <= max_window_s:
-            bound += 1
-        hi = first + 1 + int(np.count_nonzero(times[first + 1:bound] - t0 <= max_window_s))
-        window = slice(first, hi)
-        ball_local = np.column_stack(to_local_frame(game.ball[window].T, ev.hoop_end))
-        cut = _cut_at_rim_plane(ball_local[:, 2])
-        samples = ball_local[:cut]
-        max_gap = float(gaps[first:first + cut - 1].max()) if cut >= 2 else 0.0
-
-        flags: list[str] = []
-        if len(samples) < min_samples:
-            flags.append("insufficient_samples")
-
-        shooter_xy = xy[s]
-        try:
-            angle = contest_angle(shooter_xy, xy[d], rim_xy)
-        except IngestError:
-            angle = float("nan")
-            flags.append("contest_angle_undefined")
-
-        height = float("nan")
-        rec = roster.get(defender_id)
-        if rec is not None:
-            height = rec.height_in
+            reasons[i] = "unknown_game"
+        elif not 0 <= ev.release_frame < len(game):
+            reasons[i] = "release_out_of_range"
+        elif ev.hoop_end not in HOOP_ENDS:
+            reasons[i] = "unknown_hoop_end"
         else:
-            flags.append("defender_height_missing")
+            by_game.setdefault(ev.game_id, []).append(i)
 
-        release_local = to_local_frame((shooter_xy[0], shooter_xy[1], 0.0), ev.hoop_end)
-        if flags:
-            n_flagged += 1
-        out.append(ShotEvent(
-            shot_id=ev.shot_id,
-            game_id=ev.game_id,
-            shooter=ev.shooter_id,
-            defender=defender_id,
-            ndd_ft=ndd,
-            defender_height_in=height,
-            contest_angle_deg=angle,
-            outcome=ev.outcome,
-            samples=samples,
-            release_xy=(release_local[0], release_local[1]),
-            max_gap_s=max_gap,
-            flags=tuple(flags),
-        ))
+    numbers = np.empty((len(events), len(_NUMBERS)))
+    defender, samples = [None] * len(events), [None] * len(events)
+    for game_id, idx in by_game.items():
+        game = tracking[game_id]
+        reason, numbers[idx], codes, windows = _game_shots(
+            game, [events[i] for i in idx], roster, min_samples, stream_break_s, max_window_s)
+        for i, why, code, window in zip(idx, reason.tolist(), codes.tolist(), windows):
+            reasons[i], defender[i], samples[i] = why, game.id_table[code], window
 
-    return out, ExtractionReport(
-        n_events=len(events),
-        n_extracted=len(out),
-        rejections=dict(reasons),
-        n_flagged=n_flagged,
-    )
+    keep = [i for i, why in enumerate(reasons) if not why]
+    kept = [events[i] for i in keep]
+    ndd, height, angle, n_samples, flag_set, max_gap, *release = numbers[keep].T.copy()
+    shots = {
+        "shot_id": np.array([ev.shot_id for ev in kept], dtype=str),
+        "game_id": np.array([ev.game_id for ev in kept], dtype=str),
+        "shooter_id": np.array([ev.shooter_id for ev in kept], dtype=str),
+        "defender_id": np.array([defender[i] for i in keep], dtype=str),
+        "ndd_ft": ndd,
+        "defender_height_in": height,
+        "contest_angle_deg": angle,
+        "outcome": np.array([ev.outcome for ev in kept], dtype=np.int64),
+        "n_samples": n_samples.astype(np.int64),
+        "flags": np.array([_FLAG_SETS[int(m)] for m in flag_set.tolist()], dtype=str),
+        "max_gap_s": max_gap,
+        "samples": [samples[i] for i in keep],
+        "release_xy": np.column_stack(release),
+    }
+    return shots, ExtractionReport(len(events), len(keep), dict(Counter(filter(None, reasons))),
+                                   int(np.count_nonzero(flag_set)))

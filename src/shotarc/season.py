@@ -1,11 +1,11 @@
 """One season's shots fitted array at a time, the shot rows they give, and the shots file.
 
 ``fit_season`` runs extraction, the trajectory solve, the filter and the
-shot factors over a whole season.  The solve and the factors take one
-game's shots at a time (``trajectory.fit_trajectories`` and
-``factors.shot_factors``), so their arrays stay the size of a game's shots;
-the solve's padded blocks are bounded apart from that
-(``trajectory.MAX_PADDED_ROWS``).
+shot factors over a whole season.  Extraction, the solve and the factors
+take one game's shots at a time (``ingest.extract_shot_events``,
+``trajectory.fit_trajectories`` and ``factors.shot_factors``), so their
+arrays stay the size of a game's shots; the solve's padded blocks are
+bounded apart from that (``trajectory.MAX_PADDED_ROWS``).
 ``fit_trajectory`` is a one-row view of ``fit_trajectories``, as
 ``fit_path_line`` and ``compute_shot_factors`` are of ``shot_factors``.
 
@@ -126,24 +126,10 @@ def fit_season(
     exactly one place: an extraction rejection, a filtering rejection, a
     factor rejection, or a row.
     """
-    shots, extraction = extract_shot_events(
+    cols, extraction = extract_shot_events(
         tracking, events, roster, min_samples=thresholds.min_samples)
-    samples = [ev.samples for ev in shots]
-    cols: dict[str, np.ndarray] = {
-        "shot_id": np.array([ev.shot_id for ev in shots], dtype=str),
-        "game_id": np.array([ev.game_id for ev in shots], dtype=str),
-        "shooter_id": np.array([ev.shooter for ev in shots], dtype=str),
-        "defender_id": np.array([ev.defender for ev in shots], dtype=str),
-        "ndd_ft": np.array([ev.ndd_ft for ev in shots], dtype=float),
-        "defender_height_in": np.array([ev.defender_height_in for ev in shots], dtype=float),
-        "contest_angle_deg": np.array([ev.contest_angle_deg for ev in shots], dtype=float),
-        "outcome": np.array([ev.outcome for ev in shots], dtype=np.int64),
-        "n_samples": np.array([len(s) for s in samples], dtype=np.int64),
-        "flags": np.array([";".join(ev.flags) for ev in shots], dtype=str),
-        "max_gap_s": np.array([ev.max_gap_s for ev in shots], dtype=float),
-    }
-    release = np.array([ev.release_xy for ev in shots], dtype=float).reshape(-1, 2)
-    n = len(shots)
+    samples, release = cols.pop("samples"), cols.pop("release_xy")
+    n = len(samples)
     # each game's shots, in extraction order, wherever its events sit in the file
     _, game_code = np.unique(cols["game_id"], return_inverse=True)
     games = np.split(np.argsort(game_code, kind="stable"), np.cumsum(np.bincount(game_code))[:-1])

@@ -1,8 +1,9 @@
 """Shared fixtures: deterministic synthetic shots, the sequential
 conjugate-update oracle and the SVD one-shot solve for fit-level tests, the
-scalar shot-factor oracle for the array factors, and the text-mode
+scalar shot-factor oracle for the array factors, the text-mode
 ``json.loads`` range parse, with its own row-at-a-time buffers, for the
-tracking loader's range parse."""
+tracking loader's range parse, and the shot-at-a-time extraction for the
+per-game shot extraction."""
 
 import io
 import json
@@ -15,11 +16,12 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from shotarc.core import RIM_HEIGHT_FT, RIM_RADIUS_FT, ShotFactors
+from shotarc.core import RIM_HEIGHT_FT, RIM_RADIUS_FT, ShotFactors, rim_center_xy, \
+    to_local_frame
 from shotarc.factors import AscendingCrossingError, CrossingError, NoCrossingError, PathError, \
     ShotPath
 from shotarc import ingest
-from shotarc.ingest import extract_shot_events
+from shotarc.ingest import ExtractionReport, extract_shot_events
 from shotarc.trajectory import (
     BASE_EPSILON,
     BASE_SCALE,
@@ -284,8 +286,7 @@ def one_shot_chain(samples, release_xy, max_gap_s, thresholds=FilterThresholds()
 def season_chain(tracking, events, roster, thresholds=FilterThresholds()) -> list[OneShot]:
     """``one_shot_chain`` over every shot that ``extract_shot_events`` extracts."""
     shots, _ = extract_shot_events(tracking, events, roster, min_samples=thresholds.min_samples)
-    return one_shot_chain([ev.samples for ev in shots], [ev.release_xy for ev in shots],
-                          [ev.max_gap_s for ev in shots], thresholds)
+    return one_shot_chain(shots["samples"], shots["release_xy"], shots["max_gap_s"], thresholds)
 
 
 def assert_matches_chain(rejection, fitted, beta, rmse, factors, chain, tol=1e-9):
@@ -428,3 +429,223 @@ def oracle_parse_range(path, start, end) -> ingest._RangeParse:
                 reasons["unparseable"] += 1
     return ingest._RangeParse(n_rows, dict(reasons),
                               {gid: g.part() for gid, g in games.items() if g.times})
+
+
+# --- the shot-at-a-time extraction, kept as the oracle of extract_shot_events ---------
+
+class OracleIngestError(ValueError):
+    pass
+
+
+class NoOpponentsError(OracleIngestError):
+    pass
+
+
+def nearest_defender(ids, teams, xy, shooter_id):
+    """Opposing player minimizing planar distance to the shooter in one tracking row.
+
+    ``ids``, ``teams`` and ``xy`` hold the row's players in the same order.
+    Returns (defender id, distance, shooter's position in the row,
+    defender's position in the row).  Ties break toward the
+    lexicographically smaller player id.
+    """
+    try:
+        s = ids.index(shooter_id)
+    except ValueError:
+        raise OracleIngestError(f"shooter {shooter_id} not on court") from None
+    s_team = teams[s]
+    sx, sy = xy[s]
+    best = None
+    for k, (pid, team, (x, y)) in enumerate(zip(ids, teams, xy)):
+        if team == s_team:
+            continue
+        dist = math.hypot(x - sx, y - sy)
+        if best is None or (dist, pid) < best:
+            best, d = (dist, pid), k
+    if best is None:
+        raise NoOpponentsError("no opposing player on court at release")
+    return best[1], best[0], s, d
+
+
+def contest_angle(shooter_xy, defender_xy, rim_xy) -> float:
+    """Signed angle between shooter->rim and shooter->defender rays, degrees.
+
+    Positive means the defender stands on the shooter's right; the value
+    lies in (-180, 180].
+    """
+    ux, uy = rim_xy[0] - shooter_xy[0], rim_xy[1] - shooter_xy[1]
+    vx, vy = defender_xy[0] - shooter_xy[0], defender_xy[1] - shooter_xy[1]
+    if math.hypot(ux, uy) < 1e-12:
+        raise OracleIngestError("shooter co-located with the rim")
+    if math.hypot(vx, vy) < 1e-12:
+        raise OracleIngestError("defender co-located with the shooter; angle undefined")
+    cross = ux * vy - uy * vx
+    dot = ux * vx + uy * vy
+    return math.degrees(math.atan2(-cross, dot))
+
+
+def cut_at_rim_plane(z) -> int:
+    """Index one past the first frame at/below rim height on the way down.
+
+    Arcs that never rise above the rim plane have no descending crossing;
+    the whole window is kept.
+    """
+    if len(z) == 0:
+        return 0
+    apex = int(np.argmax(z))
+    if z[apex] <= RIM_HEIGHT_FT:
+        return len(z)
+    for i in range(apex + 1, len(z)):
+        if z[i] <= RIM_HEIGHT_FT:
+            return i + 1
+    return len(z)
+
+
+@dataclass(frozen=True)
+class ShotEvent:
+    """One extracted three-point attempt with defender context and ball samples."""
+
+    shot_id: str
+    game_id: str
+    shooter: str
+    defender: str
+    ndd_ft: float
+    defender_height_in: float
+    contest_angle_deg: float
+    outcome: int
+    samples: np.ndarray          # (n, 3) rim-local frame
+    release_xy: tuple            # shooter location, rim-local frame
+    max_gap_s: float             # largest step between sample times; 0 below two samples
+    flags: tuple = ()
+
+
+def oracle_extract(tracking, events, roster, min_samples=5, stream_break_s=1.0,
+                   max_window_s=3.0):
+    """``extract_shot_events`` one shot at a time: a ``ShotEvent`` per extracted shot
+    from ``nearest_defender``, ``contest_angle`` and ``cut_at_rim_plane``, packed into
+    the same columns at the end."""
+    out = []
+    reasons = Counter()
+    n_flagged = 0
+    steps = {}   # per game: gaps, break indices
+
+    for ev in events:
+        game = tracking.get(ev.game_id)
+        if game is None:
+            reasons["unknown_game"] += 1
+            continue
+        if not 0 <= ev.release_frame < len(game):
+            reasons["release_out_of_range"] += 1
+            continue
+        try:
+            rim_xy = rim_center_xy(ev.hoop_end)
+        except ValueError:
+            reasons["unknown_hoop_end"] += 1
+            continue
+
+        ids = [game.id_table[j] for j in game.player_ids[ev.release_frame].tolist()]
+        xy = game.player_xy[ev.release_frame].tolist()
+        try:
+            defender_id, ndd, s, d = nearest_defender(
+                ids, [game.team_of[pid] for pid in ids], xy, ev.shooter_id)
+        except NoOpponentsError:
+            reasons["no_defender"] += 1
+            continue
+        except OracleIngestError:
+            reasons["shooter_not_on_court"] += 1
+            continue
+
+        # window: stop before a stream break or past max_window_s, then cut at the rim plane
+        if ev.game_id not in steps:
+            gaps = np.diff(game.times)
+            steps[ev.game_id] = gaps, np.flatnonzero(~(gaps <= stream_break_s)) + 1
+        gaps, breaks = steps[ev.game_id]
+        times, first = game.times, ev.release_frame
+        t0 = times[first]
+        k = np.searchsorted(breaks, first + 1)
+        end = breaks[k] if k < len(breaks) else len(times)
+        # times increase, so times[h] - t0 <= max_window_s holds for a prefix of h; the
+        # search finds its end up to the rounding of t0 + max_window_s, the slice exactly
+        bound = min(max(int(np.searchsorted(times, t0 + max_window_s, side="right")),
+                        first + 1), end)
+        while bound < end and times[bound] - t0 <= max_window_s:
+            bound += 1
+        hi = first + 1 + int(np.count_nonzero(times[first + 1:bound] - t0 <= max_window_s))
+        window = slice(first, hi)
+        ball_local = np.column_stack(to_local_frame(game.ball[window].T, ev.hoop_end))
+        cut = cut_at_rim_plane(ball_local[:, 2])
+        samples = ball_local[:cut]
+        max_gap = float(gaps[first:first + cut - 1].max()) if cut >= 2 else 0.0
+
+        flags = []
+        if len(samples) < min_samples:
+            flags.append("insufficient_samples")
+
+        shooter_xy = xy[s]
+        try:
+            angle = contest_angle(shooter_xy, xy[d], rim_xy)
+        except OracleIngestError:
+            angle = float("nan")
+            flags.append("contest_angle_undefined")
+
+        height = float("nan")
+        rec = roster.get(defender_id)
+        if rec is not None:
+            height = rec.height_in
+        else:
+            flags.append("defender_height_missing")
+
+        release_local = to_local_frame((shooter_xy[0], shooter_xy[1], 0.0), ev.hoop_end)
+        if flags:
+            n_flagged += 1
+        out.append(ShotEvent(
+            shot_id=ev.shot_id,
+            game_id=ev.game_id,
+            shooter=ev.shooter_id,
+            defender=defender_id,
+            ndd_ft=ndd,
+            defender_height_in=height,
+            contest_angle_deg=angle,
+            outcome=ev.outcome,
+            samples=samples,
+            release_xy=(release_local[0], release_local[1]),
+            max_gap_s=max_gap,
+            flags=tuple(flags),
+        ))
+
+    shots = {
+        "shot_id": np.array([ev.shot_id for ev in out], dtype=str),
+        "game_id": np.array([ev.game_id for ev in out], dtype=str),
+        "shooter_id": np.array([ev.shooter for ev in out], dtype=str),
+        "defender_id": np.array([ev.defender for ev in out], dtype=str),
+        "ndd_ft": np.array([ev.ndd_ft for ev in out], dtype=float),
+        "defender_height_in": np.array([ev.defender_height_in for ev in out], dtype=float),
+        "contest_angle_deg": np.array([ev.contest_angle_deg for ev in out], dtype=float),
+        "outcome": np.array([ev.outcome for ev in out], dtype=np.int64),
+        "n_samples": np.array([len(ev.samples) for ev in out], dtype=np.int64),
+        "flags": np.array([";".join(ev.flags) for ev in out], dtype=str),
+        "max_gap_s": np.array([ev.max_gap_s for ev in out], dtype=float),
+        "samples": [ev.samples for ev in out],
+        "release_xy": np.array([ev.release_xy for ev in out], dtype=float).reshape(-1, 2),
+    }
+    return shots, ExtractionReport(n_events=len(events), n_extracted=len(out),
+                                   rejections=dict(reasons), n_flagged=n_flagged)
+
+
+def assert_same_extraction(got, want):
+    """Two ``extract_shot_events`` results equal column for column, to the bit
+    (NaN and the sign of zero included), sample window for sample window, and in
+    their reports, the rejection reasons in the same order."""
+    (shots, report), (oracle_shots, oracle_report) = got, want
+    assert list(shots) == list(oracle_shots)
+    for name, expected in oracle_shots.items():
+        values = shots[name]
+        if name == "samples":
+            assert len(values) == len(expected)
+            for a, b in zip(values, expected):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        else:
+            assert (values.dtype, values.shape) == (expected.dtype, expected.shape), name
+            assert values.tobytes() == expected.tobytes(), name
+    assert report == oracle_report
+    assert list(report.rejections) == list(oracle_report.rejections)

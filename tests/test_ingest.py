@@ -24,18 +24,15 @@ from shotarc.ingest import (
     EventRecord,
     GameTracking,
     LoadReport,
-    IngestError,
-    NoOpponentsError,
     NonMonotoneTimestampsError,
-    contest_angle,
+    RosterRecord,
     extract_shot_events,
     load_events,
     load_roster,
     load_tracking,
-    nearest_defender,
 )
 from shotarc.sim import SimConfig, season_tracking, simulate_season, write_season
-from conftest import json_number, oracle_parse_range
+from conftest import assert_same_extraction, json_number, oracle_extract, oracle_parse_range
 
 
 def frame_line(game_id="G0", t=0.0, ball=(10.0, 25.0, 8.0), n_players=10):
@@ -237,7 +234,7 @@ class TestLoadTracking:
             load_tracking(p)
 
     def test_non_finite_player_coordinate_rejected(self, tmp_path):
-        # a NaN opponent x used to load and make nearest_defender return NDD = NaN
+        # a NaN opponent x used to load and make shot extraction return NDD = NaN
         bad = json.loads(frame_line(t=0.04))
         bad["players"][6]["x"] = float("nan")
         worse = json.loads(frame_line(t=0.08))
@@ -250,9 +247,11 @@ class TestLoadTracking:
         g = games["G0"]
         np.testing.assert_array_equal(g.times, [0.0, 0.12])
         assert np.isfinite(g.player_xy).all()
-        pid, ndd, s, d = nearest_defender(*row_players(g, 0), "P0")
+        shots, _ = extract_shot_events(games, [EventRecord("s0", "G0", "P0", 0, 1, "left")], {})
+        pid, ndd = shots["defender_id"][0], shots["ndd_ft"][0]
         assert (pid, ndd) == ("P5", pytest.approx(5.0 * math.sqrt(2.0)))
-        assert (s, d) == (0, 5)
+        # the shooter in slot 0 stands at (0, 0); P5 is slot 5
+        assert shots["release_xy"][0].tolist() == [0.0 - 5.25, 0.0 - 25.0]
 
     def test_unhashable_player_id_unparseable_and_not_interned(self, tmp_path):
         bad = json.loads(frame_line(game_id="G1", t=0.0))
@@ -872,55 +871,88 @@ class TestRosterAndEvents:
         assert (report.n_rows, report.n_loaded, report.n_rejected) == (4, 2, 2)
 
 
+def one_frame_game(players, game_id="G0") -> GameTracking:
+    """A game of one tracking row holding (id, team, x, y) entries; an id's first entry
+    gives its team."""
+    id_table = list(dict.fromkeys(p[0] for p in players))
+    team_of = {}
+    for pid, team, _, _ in players:
+        team_of.setdefault(pid, team)
+    return GameTracking(game_id, np.zeros(1), np.array([[0.0, 0.0, 5.0]]),
+                        np.array([[id_table.index(p[0]) for p in players]], dtype=np.int16),
+                        np.array([[[p[2], p[3]] for p in players]], dtype=float),
+                        id_table, team_of)
+
+
+def one_frame_shot(players, shooter_id):
+    """``extract_shot_events`` of one shot by ``shooter_id`` at the left hoop, released
+    in a one-frame game of (id, team, x, y) entries."""
+    return extract_shot_events({"G0": one_frame_game(players)},
+                               [EventRecord("s0", "G0", shooter_id, 0, 1, "left")], {},
+                               min_samples=1)
+
+
 def nearest_in_row(players, shooter_id):
-    """``nearest_defender`` on one row given as (id, team, x, y) entries."""
-    return nearest_defender([p[0] for p in players], [p[1] for p in players],
-                            [[p[2], p[3]] for p in players], shooter_id)
+    """(defender id, distance, the shooter's court x/y) of ``one_frame_shot``."""
+    shots, _ = one_frame_shot(players, shooter_id)
+    rim = np.array(core.rim_center_xy("left"))
+    return (shots["defender_id"][0], shots["ndd_ft"][0],
+            tuple((shots["release_xy"][0] + rim).tolist()))
 
 
 class TestNearestDefender:
     def test_three_four_five(self):
-        pid, ndd, s, d = nearest_in_row([
+        pid, ndd, at = nearest_in_row([
             ("S", "A", 0.0, 0.0),
             ("D1", "B", 3.0, 4.0),
             ("D2", "B", 10.0, 0.0),
         ] + [(f"X{k}", "A", 50.0, 50.0) for k in range(7)], "S")
         assert pid == "D1"
         assert ndd == pytest.approx(5.0)
-        assert (s, d) == (0, 1)
+        assert at == (0.0, 0.0)     # the shooter's slot 0; D1 is slot 1
 
     def test_co_located_opponent(self):
-        assert nearest_in_row([("S", "A", 2.0, 2.0), ("D", "B", 2.0, 2.0)], "S") == ("D", 0.0, 0, 1)
+        assert nearest_in_row([("S", "A", 2.0, 2.0), ("D", "B", 2.0, 2.0)], "S") == ("D", 0.0,
+                                                                                     (2.0, 2.0))
 
     def test_tie_lexicographic(self):
-        pid, ndd, s, d = nearest_in_row([
+        pid, ndd, at = nearest_in_row([
             ("DB", "B", 6.0, 0.0),
             ("S", "A", 0.0, 0.0),
             ("DA", "B", 0.0, 6.0),
         ], "S")
         assert pid == "DA"
         assert ndd == pytest.approx(6.0)
-        assert (s, d) == (1, 2)
+        assert at == (0.0, 0.0)     # the shooter's slot 1; DA is slot 2
 
     def test_no_opponents(self):
-        with pytest.raises(NoOpponentsError):
-            nearest_in_row([("S", "A", 0.0, 0.0), ("T", "A", 3.0, 3.0)], "S")
+        shots, report = one_frame_shot([("S", "A", 0.0, 0.0), ("T", "A", 3.0, 3.0)], "S")
+        assert report.rejections == {"no_defender": 1} and shots["samples"] == []
 
     def test_shooter_not_in_row(self):
-        with pytest.raises(IngestError, match="not on court"):
-            nearest_in_row([("S", "A", 0.0, 0.0), ("D", "B", 3.0, 3.0)], "X")
+        shots, report = one_frame_shot([("S", "A", 0.0, 0.0), ("D", "B", 3.0, 3.0)], "X")
+        assert report.rejections == {"shooter_not_on_court": 1} and shots["samples"] == []
+
+
+def contest_angle(shooter_xy, defender_xy, rim_xy):
+    """The contest angle and flags of ``one_frame_shot`` with the three points moved
+    together so that ``rim_xy`` falls on the left rim."""
+    shift = np.subtract(core.rim_center_xy("left"), rim_xy)
+    (sx, sy), (dx, dy) = np.add(shooter_xy, shift), np.add(defender_xy, shift)
+    shots, _ = one_frame_shot([("S", "A", sx, sy), ("D", "B", dx, dy)], "S")
+    return shots["contest_angle_deg"][0], shots["flags"][0]
 
 
 class TestContestAngle:
     def test_on_segment_zero(self):
-        assert contest_angle((0, 0), (5, 0), (20, 0)) == pytest.approx(0.0)
+        assert contest_angle((0, 0), (5, 0), (20, 0))[0] == pytest.approx(0.0)
 
     def test_perpendicular_right(self):
         # shooter faces +x; their right is -y
-        assert contest_angle((0, 0), (0, -1), (20, 0)) == pytest.approx(90.0)
+        assert contest_angle((0, 0), (0, -1), (20, 0))[0] == pytest.approx(90.0)
 
     def test_hand_geometry_minus_45(self):
-        assert contest_angle((0, 0), (1, 1), (20, 0)) == pytest.approx(-45.0)
+        assert contest_angle((0, 0), (1, 1), (20, 0))[0] == pytest.approx(-45.0)
 
     def test_mirror_negates(self):
         rng = np.random.default_rng(0)
@@ -930,15 +962,15 @@ class TestContestAngle:
             r = rng.uniform(-10, 10, 2)
             if np.hypot(*(r - s)) < 1e-6 or np.hypot(*(d - s)) < 1e-6:
                 continue
-            a = contest_angle(tuple(s), tuple(d), tuple(r))
-            b = contest_angle((s[0], -s[1]), (d[0], -d[1]), (r[0], -r[1]))
+            a, _ = contest_angle(tuple(s), tuple(d), tuple(r))
+            b, _ = contest_angle((s[0], -s[1]), (d[0], -d[1]), (r[0], -r[1]))
             if abs(a) == pytest.approx(180.0, abs=1e-9):
                 continue
             assert b == pytest.approx(-a, abs=1e-9)
 
     def test_co_located_defender_flagged(self):
-        with pytest.raises(Exception):
-            contest_angle((1.0, 1.0), (1.0, 1.0), (20.0, 0.0))
+        angle, flags = contest_angle((1.0, 1.0), (1.0, 1.0), (20.0, 0.0))
+        assert math.isnan(angle) and "contest_angle_undefined" in flags.split(";")
 
 
 @pytest.fixture(scope="module")
@@ -959,13 +991,13 @@ class TestExtraction:
         shots, report = extract_shot_events(tracking, events, roster)
         assert report.rejections == {}
         truth = {r.shot_id: r for r in season.ground_truth}
-        assert len(shots) == len(truth)
-        for ev in shots:
-            t = truth[ev.shot_id]
-            assert ev.shooter == t.shooter_id
-            assert ev.defender == t.defender_id
-            assert ev.ndd_ft == pytest.approx(t.ndd_ft, abs=1e-9)
-            assert ev.outcome == t.outcome
+        assert len(shots["shot_id"]) == len(truth)
+        for i, shot_id in enumerate(shots["shot_id"].tolist()):
+            t = truth[shot_id]
+            assert shots["shooter_id"][i] == t.shooter_id
+            assert shots["defender_id"][i] == t.defender_id
+            assert shots["ndd_ft"][i] == pytest.approx(t.ndd_ft, abs=1e-9)
+            assert shots["outcome"][i] == t.outcome
 
     def test_windows_cut_at_rim_plane(self, season_files):
         season, paths = season_files
@@ -973,8 +1005,8 @@ class TestExtraction:
         events, _ = load_events(paths["events"])
         roster, _ = load_roster(paths["roster"])
         shots, _ = extract_shot_events(tracking, events, roster)
-        for ev in shots[:40]:
-            z = ev.samples[:, 2]
+        for samples in shots["samples"][:40]:
+            z = samples[:, 2]
             apex = int(np.argmax(z))
             if z[apex] > 10.0 and z[-1] <= 10.0:
                 # descending arrival frame included, nothing beyond it
@@ -994,9 +1026,9 @@ class TestExtraction:
         want = {0: 7, 2: 5, 6: 5, 7: 4, 10: 1}
         events = [EventRecord(f"s{i}", "G0", "P0", i, 1, "left") for i in want]
         shots, _ = extract_shot_events({"G0": game}, events, {}, min_samples=1)
-        assert [len(ev.samples) for ev in shots] == list(want.values())
-        for (first, cut), ev in zip(want.items(), shots):
-            assert ev.samples[:, 2].tolist() == z[first:first + cut].tolist()
+        assert [len(samples) for samples in shots["samples"]] == list(want.values())
+        for (first, cut), samples in zip(want.items(), shots["samples"]):
+            assert samples[:, 2].tolist() == z[first:first + cut].tolist()
 
     def test_insufficient_samples_flagged_not_dropped(self, tmp_path):
         # 3 in-flight frames only
@@ -1011,8 +1043,8 @@ class TestExtraction:
         games, _ = load_tracking(p)
         events = [EventRecord("s1", "G0", "P0", 0, 1, "left")]
         shots, report = extract_shot_events(games, events, {})
-        assert len(shots) == 1
-        assert "insufficient_samples" in shots[0].flags
+        assert len(shots["shot_id"]) == 1
+        assert "insufficient_samples" in shots["flags"][0].split(";")
         assert report.n_flagged == 1
 
     @pytest.mark.parametrize("stream_break_s, max_window_s",
@@ -1033,14 +1065,14 @@ class TestExtraction:
         events = [EventRecord(f"s{i}", "G0", "P0", i, 1, "left") for i in range(n)]
         shots, _ = extract_shot_events({"G0": game}, events, {}, min_samples=1,
                                        stream_break_s=stream_break_s, max_window_s=max_window_s)
-        for i, ev in enumerate(shots):
+        for i, (samples, max_gap) in enumerate(zip(shots["samples"], shots["max_gap_s"])):
             hi = i + 1
             while (hi < n and times[hi] - times[hi - 1] <= stream_break_s
                    and times[hi] - times[i] <= max_window_s):
                 hi += 1
-            assert len(ev.samples) == hi - i
+            assert len(samples) == hi - i
             gap = float(np.max(np.diff(times[i:hi]))) if hi - i >= 2 else 0.0
-            assert ev.max_gap_s == gap
+            assert max_gap == gap
 
     def test_window_end_where_the_rounded_search_overshoots(self):
         # t0 + 0.1 rounds up onto the third time, which lies more than 0.1 s past t0
@@ -1054,7 +1086,23 @@ class TestExtraction:
             [f"P{k}" for k in range(10)], {f"P{k}": "A" if k < 5 else "B" for k in range(10)})
         shots, _ = extract_shot_events({"G0": game}, [EventRecord("s0", "G0", "P0", 0, 1, "left")],
                                        {}, min_samples=1, max_window_s=0.1)
-        assert len(shots[0].samples) == 2
+        assert len(shots["samples"][0]) == 2
+
+    def test_window_end_where_the_rounded_search_undershoots(self):
+        # t0 + 0.5 rounds down below the third time, which lies exactly 0.5 s past t0
+        t0 = 0.040528951506723365
+        times = np.array([t0, t0 + 0.25, 0.5405289515067234, 0.8])
+        assert times[2] > t0 + 0.5 and times[2] - t0 == 0.5
+        game = GameTracking(
+            "G0", times, np.tile([10.0, 25.0, 5.0], (4, 1)),
+            np.tile(np.arange(10, dtype=np.int16), (4, 1)),
+            np.tile(np.stack([np.arange(10.0), np.arange(10.0)], axis=1), (4, 1, 1)),
+            [f"P{k}" for k in range(10)], {f"P{k}": "A" if k < 5 else "B" for k in range(10)})
+        events = [EventRecord("s0", "G0", "P0", 0, 1, "left")]
+        got = extract_shot_events({"G0": game}, events, {}, min_samples=1, max_window_s=0.5)
+        assert len(got[0]["samples"][0]) == 3
+        assert_same_extraction(got, oracle_extract({"G0": game}, events, {}, min_samples=1,
+                                                   max_window_s=0.5))
 
     def test_release_out_of_range_rejected(self, tmp_path):
         p = tmp_path / "t.jsonl"
@@ -1062,7 +1110,7 @@ class TestExtraction:
         games, _ = load_tracking(p)
         events = [EventRecord("s1", "G0", "P0", 99, 1, "left")]
         shots, report = extract_shot_events(games, events, {})
-        assert shots == []
+        assert shots["samples"] == [] and len(shots["shot_id"]) == 0
         assert report.rejections == {"release_out_of_range": 1}
 
     def test_contest_angle_convention_against_simulator(self, season_files):
@@ -1072,8 +1120,72 @@ class TestExtraction:
         events, _ = load_events(paths["events"])
         roster, _ = load_roster(paths["roster"])
         shots, _ = extract_shot_events(tracking, events, roster)
-        angles = np.array([ev.contest_angle_deg for ev in shots])
+        angles = shots["contest_angle_deg"]
         assert np.isfinite(angles).all()
         assert np.abs(angles).max() <= 180.0
         # planted distribution is zero-centered with sd 25
         assert abs(np.mean(angles)) < 10.0
+
+
+def plant_bad_events(tracking, events, roster, season):
+    """The events with five bad ones put among them, and the roster without the
+    defender of the season's first shot."""
+    game_id, game = next(iter(tracking.items()))
+    shooter = events[0].shooter_id
+    bad = [EventRecord("bad_game", "no_such_game", shooter, 0, 1, "left"),
+           EventRecord("bad_shooter", game_id, "nobody", 0, 1, "left"),
+           EventRecord("bad_frame", game_id, shooter, len(game), 1, "left"),
+           EventRecord("bad_end", game_id, shooter, 0, 1, "middle")]
+    events = [bad[0], *events[:7], bad[1], *events[7:40], bad[2], bad[3], *events[40:]]
+    roster = dict(roster)
+    del roster[season.ground_truth[0].defender_id]
+    return events, roster
+
+
+class TestExtractionOracle:
+    """The per-game extraction against ``conftest.oracle_extract``, its shot-at-a-time
+    original: every column to the bit, every window, and the report."""
+
+    @pytest.mark.parametrize("config", [SimConfig(), SimConfig(corrupt_fraction=0.3)],
+                             ids=["default", "corrupt_0.3"])
+    def test_season_with_bad_events(self, config):
+        season = simulate_season(config)
+        tracking, events, roster = season_tracking(season)
+        events, roster = plant_bad_events(tracking, events, roster, season)
+        got = extract_shot_events(tracking, events, roster)
+        assert_same_extraction(got, oracle_extract(tracking, events, roster))
+        report = got[1]
+        assert report.rejections == {"unknown_game": 1, "shooter_not_on_court": 1,
+                                     "release_out_of_range": 1, "unknown_hoop_end": 1}
+        assert "defender_height_missing" in ";".join(got[0]["flags"].tolist())
+        if config.corrupt_fraction:
+            assert "insufficient_samples" in ";".join(got[0]["flags"].tolist())
+
+    @settings(derandomize=True, max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data())
+    def test_one_frame_games(self, data):
+        # ids whose code-point order ("D" < "P10" < "P9" < "a") is not their slot order; x/y on
+        # a grid that holds both rims, so distances tie and a shooter can stand on the rim
+        pool = ("P9", "P10", "a", "D", "P1", "d")
+        coord = st.tuples(st.sampled_from([3.0, 4.0, 5.0, 5.25, 6.0, 88.75]),
+                          st.sampled_from([23.0, 24.0, 25.0, 26.0]))
+        tracking, events = {}, []
+        for g in range(data.draw(st.integers(1, 3))):
+            ids = data.draw(st.lists(st.sampled_from(pool), min_size=PLAYERS_PER_FRAME,
+                                     max_size=PLAYERS_PER_FRAME))
+            teams = data.draw(st.lists(st.sampled_from("AB"), min_size=len(pool),
+                                       max_size=len(pool)))
+            xy = data.draw(st.lists(coord, min_size=PLAYERS_PER_FRAME,
+                                    max_size=PLAYERS_PER_FRAME))
+            tracking[f"G{g}"] = one_frame_game(
+                [(pid, teams[pool.index(pid)], x, y) for pid, (x, y) in zip(ids, xy)], f"G{g}")
+            for j in range(data.draw(st.integers(1, 4))):
+                events.append(EventRecord(f"s{g}.{j}", f"G{g}",
+                                          data.draw(st.sampled_from(pool + ("X",))), 0, 1,
+                                          data.draw(st.sampled_from(core.HOOP_ENDS))))
+        events = data.draw(st.permutations(events))
+        roster = {pid: RosterRecord(pid, 70.0 + k, "G") for k, pid in enumerate(pool)
+                  if data.draw(st.booleans())}
+        assert_same_extraction(extract_shot_events(tracking, events, roster, min_samples=1),
+                               oracle_extract(tracking, events, roster, min_samples=1))
