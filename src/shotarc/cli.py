@@ -38,6 +38,8 @@ from .effects import (
     rank_players,
 )
 from .evaluate import (
+    CONTESTED_NDD_FT,
+    OPEN_NDD_FT,
     EvalError,
     SubsampleSpec,
     binned_profiles,
@@ -142,8 +144,8 @@ def _edges(v) -> bool:
 # that fig3, fig4, depth-bins, fig5 and split-half read, so one spec may serve all five.
 # model_kind and unit carry only a default: the analyses check them.
 SPEC = {
-    "open_threshold_ft": (6.0, _number, "a finite number"),
-    "contested_threshold_ft": (4.0, _number, "a finite number"),
+    "open_threshold_ft": (OPEN_NDD_FT, _number, "a finite number"),
+    "contested_threshold_ft": (CONTESTED_NDD_FT, _number, "a finite number"),
     "n_bootstrap": (1000, _int_at_least(1), "an integer of at least 1"),
     "seed": (0, _int_at_least(0), "an integer of at least 0"),
     "ndd_edges": ((0.0, 12.01, 2.0), _edges, "[start, stop, step], finite numbers with step > 0"),
@@ -440,8 +442,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-makeprob", help="train the shot-make model")
     p.add_argument("--factors", required=True)
     p.add_argument("--out-model", required=True)
-    p.add_argument("--ridge", type=float, default=1e-6)
-    p.add_argument("--min-shots", type=int, default=500)
+    p.add_argument("--ridge", type=float, default=TrainConfig.ridge)
+    p.add_argument("--min-shots", type=int, default=TrainConfig.min_shots)
     p.set_defaults(func=cmd_train_makeprob)
 
     p = sub.add_parser("predict", help="attach make probabilities to a factors file")

@@ -121,14 +121,17 @@ def feet_to_inches(x_ft: float) -> float:
     return x_ft * 12.0
 
 
+def elementwise(f, *args) -> np.ndarray:
+    """``f`` of floats, by libm, element by element: numpy's ``exp``, ``hypot`` and
+    ``arctan2`` differ from libm's in the last bit on some inputs."""
+    return np.asarray(np.frompyfunc(f, len(args), 1)(*args), dtype=float)
+
+
 def _expit_scalar(x: float) -> float:
     try:
         return 1.0 / (1.0 + math.exp(-x))
     except OverflowError:   # exp(-x) exceeds the float range below x ~ -709.78
         return 0.0
-
-
-_expit_ufunc = np.frompyfunc(_expit_scalar, 1, 1)
 
 
 def expit(x):
@@ -140,7 +143,7 @@ def expit(x):
     scalar, an n-d input a float64 array of the same shape.
     """
     with np.errstate(over="ignore"):    # libm raises the flag before OverflowError
-        out = np.asarray(_expit_ufunc(np.asarray(x, dtype=float)), dtype=float)
+        out = elementwise(_expit_scalar, np.asarray(x, dtype=float))
     return out if out.ndim else out[()]
 
 

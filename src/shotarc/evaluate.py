@@ -18,7 +18,6 @@ from .effects import (
     RESPONSE_KINDS,
     EffectsDataset,
     EffectsError,
-    RankDeficientError,
     apply_min_shots_filter,
     fit_effects,
     min_shots_roles,
@@ -350,7 +349,7 @@ def subsample_mse(
             for kind in RESPONSE_KINDS:
                 try:
                     est = fit_effects(sub, model_kind, kind)
-                except (RankDeficientError, EffectsError):
+                except EffectsError:    # RankDeficientError among them
                     dropped[kind] += 1
                     continue
                 players = sorted(est.effects.keys() & ref_effects.keys())

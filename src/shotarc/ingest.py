@@ -6,7 +6,7 @@ File formats (all UTF-8 text, base-10 numerals):
                   {"game_id": ..., "t": seconds, "ball": [x, y, z],
                    "players": [{"id", "team", "x", "y"} x 10]}
   events.csv      shot_id, game_id, shooter_id, release_frame, outcome, hoop_end
-  roster.csv      player_id, height_in, position
+  roster.csv      player_id, height_in, position (``simulate`` writes it; nothing reads it)
 
 Malformed rows are counted under a reason and skipped, never fatal;
 structurally broken files (missing, unparseable, non-monotone timestamps)
@@ -42,8 +42,9 @@ game that lies in one range and loses no row keeps the parsed buffers as
 its ``GameTracking`` arrays; shot extraction reads the release row and
 the ball window straight from those arrays.
 
-Shots are extracted as columns, one game's shots at a time, from that
-game's arrays.  A shot's window runs from its tagged release frame to the
+Events load as columns, the roster as heights.  The events are grouped by
+game once, and each game's shots are extracted as columns at a time from
+that game's arrays.  A shot's window runs from its tagged release frame to the
 first frame at or below rim height after the apex ("the ball reaches the
 rim plane"), or until the 25 Hz stream breaks off, in the rim-local frame
 of the attacked hoop.  Defender context (nearest defender, its roster
@@ -73,6 +74,7 @@ from .core import (
     RIM_HEIGHT_FT,
     GameId,
     PlayerId,
+    elementwise,
     part_count,
     receive,
     rim_center_xy,
@@ -495,17 +497,10 @@ def _clean_id(value: str) -> str:
     return value
 
 
-@dataclass(frozen=True)
-class RosterRecord:
-    player_id: PlayerId
-    height_in: float
-    position: str
-
-
 def _load_csv(path: str | Path, parse, key: str) -> tuple[dict, LoadReport]:
-    """``parse``'s record of each row of a CSV file, by its ``key`` field: a row that
+    """``parse``'s (key, value) of each row of a CSV file, as a dict: a row that
     ``parse`` raises on is ``unparseable``, one it returns a reason for is counted
-    under it, and a record repeating a key kept before is ``duplicate_<key>``."""
+    under it, and a row repeating a key kept before is ``duplicate_<key>``."""
     records: dict = {}
     reasons: Counter[str] = Counter()
     n_rows = 0
@@ -519,65 +514,61 @@ def _load_csv(path: str | Path, parse, key: str) -> tuple[dict, LoadReport]:
                 continue
             if isinstance(record, str):
                 reasons[record] += 1
-            elif (value := getattr(record, key)) in records:
+            elif record[0] in records:
                 reasons[f"duplicate_{key}"] += 1
             else:
-                records[value] = record
+                records[record[0]] = record[1]
     return records, LoadReport(n_rows, len(records), n_rows - len(records), dict(reasons))
 
 
-def _roster_record(row: dict) -> RosterRecord | str:
+def _roster_height(row: dict) -> tuple[PlayerId, float] | str:
     if "_" in row["height_in"]:     # float() takes digit separators
         raise ValueError("'_' in height_in")
     pid = _clean_id(row["player_id"])
     height = float(row["height_in"])
-    pos = row.get("position", "").strip()
     if not pid:
         return "empty_id"
     if not 60.0 <= height <= 96.0:
         return "height_out_of_range"
-    return RosterRecord(player_id=pid, height_in=height, position=pos)
+    return pid, height
 
 
-def load_roster(path: str | Path) -> tuple[dict[PlayerId, RosterRecord], LoadReport]:
-    """Read roster rows; heights outside [60, 96] inches are rejected, and of the rows
-    left the first of each player id is kept (later ones are ``duplicate_player_id``)."""
-    return _load_csv(path, _roster_record, "player_id")
+def load_roster(path: str | Path) -> tuple[dict[PlayerId, float], LoadReport]:
+    """Each player's height in inches by player id; heights outside [60, 96] inches are
+    rejected, and of the rows left the first of each id is kept (later: ``duplicate_player_id``)."""
+    return _load_csv(path, _roster_height, "player_id")
 
 
-@dataclass(frozen=True)
-class EventRecord:
-    shot_id: str
-    game_id: GameId
-    shooter_id: PlayerId
-    release_frame: int
-    outcome: int
-    hoop_end: str
+EVENT_COLUMNS = ("shot_id", "game_id", "shooter_id", "release_frame", "outcome", "hoop_end")
 
 
-def _event_record(row: dict) -> EventRecord:
+def event_columns(rows) -> dict[str, np.ndarray]:
+    """Events as ``load_events`` returns them, from one tuple of ``EVENT_COLUMNS`` per event."""
+    table = np.array(list(rows), dtype=object).reshape(-1, len(EVENT_COLUMNS)).T
+    return {name: column.astype(np.int64) if name in ("release_frame", "outcome") else column
+            for name, column in zip(EVENT_COLUMNS, table)}
+
+
+def _event(row: dict) -> tuple[str, tuple]:
     if "_" in row["release_frame"] + row["outcome"]:    # int() takes digit separators
         raise ValueError("'_' in an integer field")
     outcome = int(row["outcome"])
     if outcome not in (0, 1):
         raise ValueError("outcome must be 0/1")
-    return EventRecord(
-        shot_id=_clean_id(row["shot_id"]),
-        game_id=_clean_id(row["game_id"]),
-        shooter_id=_clean_id(row["shooter_id"]),
-        release_frame=int(row["release_frame"]),
-        outcome=outcome,
-        hoop_end=row["hoop_end"].strip(),
-    )
+    frame = int(row["release_frame"])
+    shot_id = _clean_id(row["shot_id"])
+    # a frame below 0 or beyond int64 is kept as -1, so extraction counts it out of range
+    return shot_id, (shot_id, _clean_id(row["game_id"]), _clean_id(row["shooter_id"]),
+                     frame if 0 <= frame < 1 << 63 else -1, outcome, row["hoop_end"].strip())
 
 
-def load_events(path: str | Path) -> tuple[list[EventRecord], LoadReport]:
-    """Read shot events; a shot id seen before is counted as ``duplicate_shot_id``.
-
-    The first parseable row of each shot id is kept.
-    """
-    events, report = _load_csv(path, _event_record, "shot_id")
-    return list(events.values()), report
+def load_events(path: str | Path) -> tuple[dict[str, np.ndarray], LoadReport]:
+    """Shot events as columns keyed by ``EVENT_COLUMNS``, the ``events.csv`` header, in file
+    order: ``release_frame`` and ``outcome`` int64, the others object arrays of str (a
+    fixed-width str array would widen every row to its longest value).  A shot id seen
+    before is ``duplicate_shot_id``; the first parseable row of each shot id is kept."""
+    events, report = _load_csv(path, _event, "shot_id")
+    return event_columns(events.values()), report
 
 
 # --- shot extraction -------------------------------------------------------------
@@ -595,12 +586,6 @@ _FLAGS = ("insufficient_samples", "contest_angle_undefined", "defender_height_mi
 _FLAG_SETS = tuple(";".join(f for j, f in enumerate(_FLAGS) if mask >> j & 1) for mask in range(8))
 
 
-def _elementwise(f, *args) -> np.ndarray:
-    """``f`` of ``math`` taken element by element, as ``core.expit`` takes ``math.exp``:
-    ``np.hypot`` and ``np.arctan2`` differ from ``math``'s in the last bit on some inputs."""
-    return np.asarray(np.frompyfunc(f, len(args), 1)(*args), dtype=float)
-
-
 def _degrees_atan2(y: float, x: float) -> float:
     return math.degrees(math.atan2(y, x))
 
@@ -614,25 +599,23 @@ _NUMBERS = ("ndd_ft", "defender_height_in", "contest_angle_deg", "n_samples", "f
             "max_gap_s", "release_x", "release_y")
 
 
-def _game_shots(game: GameTracking, events: list[EventRecord],
-                roster: dict[PlayerId, RosterRecord], min_samples: int,
-                stream_break_s: float, max_window_s: float):
-    """The shots of one game's events, whose release frames and hoop ends are known:
-    each one's rejection reason ("" if extracted), ``_NUMBERS`` (k, 8), defender
-    code and ball samples; for a rejected shot all but the reason are meaningless."""
-    at = np.arange(len(events))
-    first = np.array([ev.release_frame for ev in events], dtype=np.intp)
-    left = np.array([ev.hoop_end == "left" for ev in events], dtype=bool)
+def _game_shots(game: GameTracking, first: np.ndarray, left: np.ndarray, shooters: np.ndarray,
+                roster: dict[PlayerId, float], min_samples: int, stream_break_s: float,
+                max_window_s: float):
+    """The shots by ``shooters`` released at rows ``first`` toward the left hoop where ``left``:
+    each one's rejection reason ("" if extracted), ``_NUMBERS`` (k, 8), defender code and
+    ball samples; for a rejected shot all but the reason are meaningless."""
+    at = np.arange(len(first))
     codes, xy = game.player_ids[first], game.player_xy[first]
     # the shooter's first slot; the opponents are the players of another team
     code_of = {pid: code for code, pid in enumerate(game.id_table)}
-    is_shooter = codes == np.array([code_of.get(ev.shooter_id, -1) for ev in events])[:, None]
+    is_shooter = codes == np.array([code_of.get(pid, -1) for pid in shooters.tolist()])[:, None]
     s = is_shooter.argmax(axis=1)
     team = np.array([game.team_of[pid] for pid in game.id_table], dtype=object)[codes]
     opponent = team != team[at, s][:, None]
     # the nearest opponent: least distance, then the lexicographically smaller id, then slot
     shooter_xy = xy[at, s]
-    dist = _elementwise(math.hypot, *np.moveaxis(xy - shooter_xy[:, None], 2, 0))
+    dist = elementwise(math.hypot, *np.moveaxis(xy - shooter_xy[:, None], 2, 0))
     rank = np.argsort(sorted(range(len(game.id_table)), key=game.id_table.__getitem__))
     slot = np.broadcast_to(np.arange(codes.shape[1]), codes.shape)
     d = np.lexsort((slot, rank[codes], dist, ~opponent))[:, 0]
@@ -643,12 +626,10 @@ def _game_shots(game: GameTracking, events: list[EventRecord],
     # the signed contest angle, defender to the shooter's right positive, in (-180, 180]
     rim = np.where(left[:, None], rim_center_xy("left"), rim_center_xy("right"))
     (ux, vx), (uy, vy) = np.moveaxis([rim - shooter_xy, xy[at, d] - shooter_xy], 2, 0)
-    undefined = (_elementwise(math.hypot, (ux, vx), (uy, vy)) < 1e-12).any(axis=0)
-    angle = _elementwise(_degrees_atan2, -(ux * vy - uy * vx), ux * vx + uy * vy)
+    undefined = (elementwise(math.hypot, (ux, vx), (uy, vy)) < 1e-12).any(axis=0)
+    angle = elementwise(_degrees_atan2, -(ux * vy - uy * vx), ux * vx + uy * vy)
     angle[undefined] = np.nan
-    record = [roster.get(pid) for pid in game.id_table]
-    height = np.array([np.nan if r is None else r.height_in for r in record])[defender]
-    no_height = np.array([r is None for r in record], dtype=bool)[defender]
+    height = np.array([roster.get(pid, np.nan) for pid in game.id_table])[defender]
 
     # window: from the release to a stream break or past max_window_s, whichever is first
     times = game.times
@@ -684,76 +665,72 @@ def _game_shots(game: GameTracking, events: list[EventRecord],
     max_gap = np.where(cut >= 2, np.maximum.reduceat(step, start), 0.0)
     samples = np.split(_local(game.ball[rows].T, np.repeat(left, cut)).T.copy(), start[1:])
     release = _local((shooter_xy[:, 0], shooter_xy[:, 1], np.zeros(len(at))), left)
-    flag_set = (cut < min_samples) + 2 * undefined + 4 * no_height
+    flag_set = (cut < min_samples) + 2 * undefined + 4 * np.isnan(height)
     numbers = np.column_stack([dist[at, d], height, angle, cut, flag_set, max_gap, *release[:2]])
     return reason, numbers, defender, samples
 
 
 def extract_shot_events(
     tracking: dict[GameId, GameTracking],
-    events: list[EventRecord],
-    roster: dict[PlayerId, RosterRecord],
+    events: dict[str, np.ndarray],
+    roster: dict[PlayerId, float],
     min_samples: int = 5,
     stream_break_s: float = 1.0,
     max_window_s: float = 3.0,
 ) -> tuple[dict, ExtractionReport]:
-    """The shots of tagged releases as columns, one game's shots at a time.
+    """The shots of tagged releases as columns, from the event columns and heights
+    that ``load_events`` and ``load_roster`` return, one game's shots at a time.
 
     A window ends at the first descending rim-plane arrival, at a break in
     the 25 Hz stream (gap > ``stream_break_s``), or after ``max_window_s``.
     Each game's times must increase, as ``load_tracking`` leaves them.
-    Shots are rejected when their game or release frame is unknown, the
-    shooter is off court, or no opponent is on court; thin windows are only
-    flagged (``insufficient_samples``) so callers can report them.
+    Shots are rejected when their game, release frame or hoop end is unknown,
+    the shooter is off court, or no opponent is on court; thin windows are
+    only flagged (``insufficient_samples``) so callers can report them.
 
     The shots come in event order as a dict of columns: ``shot_id``,
-    ``game_id``, ``shooter_id``, ``defender_id``, ``ndd_ft``,
-    ``defender_height_in`` (NaN off the roster), ``contest_angle_deg`` (NaN
-    where undefined), ``outcome``, ``n_samples`` and ``flags`` (";"-joined),
-    as ``season.SHOT_COLUMNS`` types them; ``max_gap_s``, the largest step
-    between sample times (0 below two samples); ``samples``, a list of each
-    shot's (n, 3) ball samples in the rim-local frame; and ``release_xy``
-    (k, 2), the shooter's rim-local position.
+    ``game_id`` and ``shooter_id`` (slices of the event columns, as str),
+    ``defender_id``, ``ndd_ft``, ``defender_height_in`` (NaN off the
+    roster), ``contest_angle_deg`` (NaN where undefined), ``outcome``,
+    ``n_samples`` and ``flags`` (";"-joined), as ``season.SHOT_COLUMNS``
+    types them; ``max_gap_s``, the largest step between sample times (0
+    below two samples); ``samples``, a list of each shot's (n, 3) ball
+    samples in the rim-local frame; and ``release_xy`` (k, 2), the shooter's
+    rim-local position.
     """
-    reasons = [""] * len(events)
-    by_game: dict[GameId, list[int]] = {}
-    for i, ev in enumerate(events):
-        game = tracking.get(ev.game_id)
-        if game is None:
-            reasons[i] = "unknown_game"
-        elif not 0 <= ev.release_frame < len(game):
-            reasons[i] = "release_out_of_range"
-        elif ev.hoop_end not in HOOP_ENDS:
-            reasons[i] = "unknown_hoop_end"
-        else:
-            by_game.setdefault(ev.game_id, []).append(i)
+    frame, n = events["release_frame"], len(events["release_frame"])
+    names, game_code = np.unique(events["game_id"], return_inverse=True)
+    games = [tracking.get(name) for name in names.tolist()]
+    n_frames = np.array([-1 if g is None else len(g) for g in games], dtype=np.int64)[game_code]
+    reasons = np.select(
+        [n_frames < 0, (frame < 0) | (frame >= n_frames), ~np.isin(events["hoop_end"], HOOP_ENDS)],
+        ["unknown_game", "release_out_of_range", "unknown_hoop_end"], "")
 
-    numbers = np.empty((len(events), len(_NUMBERS)))
-    defender, samples = [None] * len(events), [None] * len(events)
-    for game_id, idx in by_game.items():
-        game = tracking[game_id]
-        reason, numbers[idx], codes, windows = _game_shots(
-            game, [events[i] for i in idx], roster, min_samples, stream_break_s, max_window_s)
-        for i, why, code, window in zip(idx, reason.tolist(), codes.tolist(), windows):
-            reasons[i], defender[i], samples[i] = why, game.id_table[code], window
+    numbers, defender, samples = np.empty((n, len(_NUMBERS))), [None] * n, [None] * n
+    ok = np.flatnonzero(reasons == "")
+    by_game = ok[np.argsort(game_code[ok], kind="stable")]
+    for idx in filter(len, np.split(by_game, np.flatnonzero(np.diff(game_code[by_game])) + 1)):
+        game = games[game_code[idx[0]]]
+        reasons[idx], numbers[idx], codes, windows = _game_shots(
+            game, frame[idx], events["hoop_end"][idx] == "left", events["shooter_id"][idx],
+            roster, min_samples, stream_break_s, max_window_s)
+        for i, code, window in zip(idx.tolist(), codes.tolist(), windows):
+            defender[i], samples[i] = game.id_table[code], window
 
-    keep = [i for i, why in enumerate(reasons) if not why]
-    kept = [events[i] for i in keep]
+    keep = np.flatnonzero(reasons == "")
     ndd, height, angle, n_samples, flag_set, max_gap, *release = numbers[keep].T.copy()
     shots = {
-        "shot_id": np.array([ev.shot_id for ev in kept], dtype=str),
-        "game_id": np.array([ev.game_id for ev in kept], dtype=str),
-        "shooter_id": np.array([ev.shooter_id for ev in kept], dtype=str),
-        "defender_id": np.array([defender[i] for i in keep], dtype=str),
+        **{name: events[name][keep].astype(str) for name in ("shot_id", "game_id", "shooter_id")},
+        "defender_id": np.array([defender[i] for i in keep.tolist()], dtype=str),
         "ndd_ft": ndd,
         "defender_height_in": height,
         "contest_angle_deg": angle,
-        "outcome": np.array([ev.outcome for ev in kept], dtype=np.int64),
+        "outcome": events["outcome"][keep],
         "n_samples": n_samples.astype(np.int64),
         "flags": np.array([_FLAG_SETS[int(m)] for m in flag_set.tolist()], dtype=str),
         "max_gap_s": max_gap,
-        "samples": [samples[i] for i in keep],
+        "samples": [samples[i] for i in keep.tolist()],
         "release_xy": np.column_stack(release),
     }
-    return shots, ExtractionReport(len(events), len(keep), dict(Counter(filter(None, reasons))),
+    return shots, ExtractionReport(n, len(keep), dict(Counter(filter(None, reasons.tolist()))),
                                    int(np.count_nonzero(flag_set)))

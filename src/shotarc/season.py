@@ -30,7 +30,7 @@ import numpy as np
 from .core import GameId, PlayerId
 from .effects import EffectsDataset
 from .factors import shot_factors
-from .ingest import EventRecord, ExtractionReport, GameTracking, RosterRecord, extract_shot_events
+from .ingest import ExtractionReport, GameTracking, extract_shot_events
 from .trajectory import FilterReport, FilterThresholds, filter_shots, fit_trajectories
 
 
@@ -114,14 +114,14 @@ class SeasonFit(NamedTuple):
 
 def fit_season(
     tracking: dict[GameId, GameTracking],
-    events: list[EventRecord],
-    roster: dict[PlayerId, RosterRecord],
+    events: dict[str, np.ndarray],
+    roster: dict[PlayerId, float],
     thresholds: FilterThresholds = FilterThresholds(),
 ) -> SeasonFit:
     """Extract every tagged shot, fit its trajectory, filter the season, compute factors.
 
-    Takes what ``load_tracking``, ``load_events`` and ``load_roster`` return
-    (``sim.season_tracking`` returns the same for a simulated season).  With
+    Takes the arrays, event columns and heights that ``load_tracking``,
+    ``load_events`` and ``load_roster`` return (or ``sim.season_tracking``).  With
     shot ids unique, as ``load_events`` leaves them, every event ends up in
     exactly one place: an extraction rejection, a filtering rejection, a
     factor rejection, or a row.

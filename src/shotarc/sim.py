@@ -63,7 +63,7 @@ from .core import (
     receive,
     worker_processes,
 )
-from .ingest import EventRecord, GameTracking, RosterRecord
+from .ingest import EVENT_COLUMNS, GameTracking, event_columns
 
 if TYPE_CHECKING:
     from multiprocessing.connection import Connection
@@ -610,16 +610,15 @@ def _position_tag(height_in: float) -> str:
     return "C"
 
 
-def _roster(shooters: list[ShooterSkill], defenders: list[DefenderTrait]) -> list[RosterRecord]:
-    """Every pooled player, sorted by player id."""
-    players = sorted([(s.player_id, s.height_in) for s in shooters]
-                     + [(d.player_id, d.height_in) for d in defenders])
-    return [RosterRecord(pid, height, _position_tag(height)) for pid, height in players]
+def _roster(shooters: list[ShooterSkill], defenders: list[DefenderTrait]) -> list[tuple]:
+    """Every pooled player's (id, height in inches), sorted by player id."""
+    return sorted([(s.player_id, s.height_in) for s in shooters]
+                  + [(d.player_id, d.height_in) for d in defenders])
 
 
 def season_tracking(
     season: SeasonData,
-) -> tuple[dict[GameId, GameTracking], list[EventRecord], dict[PlayerId, RosterRecord]]:
+) -> tuple[dict[GameId, GameTracking], dict[str, np.ndarray], dict[PlayerId, float]]:
     """The season as ``load_tracking``, ``load_events`` and ``load_roster`` return it.
 
     Equal, array for array, to loading the files :func:`write_season`
@@ -639,17 +638,16 @@ def season_tracking(
             id_table=list(game.player_ids),
             team_of=dict(zip(game.player_ids, game.player_teams)),
         )
-    events = [EventRecord(shot.shot_id, game.game_id, shot.shooter_id, shot.release_frame,
-                          shot.outcome, game.hoop_end)
-              for game in season.games for shot in game.shots]
-    roster = _roster(season.shooter_pool, season.defender_pool)
-    return tracking, events, {r.player_id: r for r in roster}
+    events = event_columns((shot.shot_id, game.game_id, shot.shooter_id, shot.release_frame,
+                            shot.outcome, game.hoop_end)
+                           for game in season.games for shot in game.shots)
+    return tracking, events, dict(_roster(season.shooter_pool, season.defender_pool))
 
 
 # --- file emission ---------------------------------------------------------------
 # write_season and simulate_to_files write each game's lines with the same helpers.
 
-_EVENTS_HEADER = "shot_id,game_id,shooter_id,release_frame,outcome,hoop_end\n"
+_EVENTS_HEADER = ",".join(EVENT_COLUMNS) + "\n"
 _TRUTH_HEADER = ("shot_id,game_id,shooter_id,defender_id,ndd_ft,contest_intensity,"
                  "true_depth_ft,true_lr_ft,true_angle_deg,outcome,corrupted\n")
 
@@ -702,8 +700,8 @@ def _write_roster(path: Path, shooters: list[ShooterSkill],
                   defenders: list[DefenderTrait]) -> None:
     with _text_file(path) as fh:
         fh.write("player_id,height_in,position\n")
-        for r in _roster(shooters, defenders):
-            fh.write(f"{r.player_id},{r.height_in!r},{r.position}\n")
+        for pid, height in _roster(shooters, defenders):
+            fh.write(f"{pid},{height!r},{_position_tag(height)}\n")
 
 
 def write_season(season: SeasonData, out_dir: str | Path) -> dict[str, Path]:

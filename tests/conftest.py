@@ -21,7 +21,7 @@ from shotarc.core import RIM_HEIGHT_FT, RIM_RADIUS_FT, ShotFactors, rim_center_x
 from shotarc.factors import AscendingCrossingError, CrossingError, NoCrossingError, PathError, \
     ShotPath
 from shotarc import ingest
-from shotarc.ingest import ExtractionReport, extract_shot_events
+from shotarc.ingest import EVENT_COLUMNS, ExtractionReport, extract_shot_events
 from shotarc.trajectory import (
     BASE_EPSILON,
     BASE_SCALE,
@@ -501,6 +501,17 @@ def cut_at_rim_plane(z) -> int:
     return len(z)
 
 
+class EventRow(NamedTuple):
+    """One event, a row of the columns that ``ingest.load_events`` returns."""
+
+    shot_id: str
+    game_id: str
+    shooter_id: str
+    release_frame: int
+    outcome: int
+    hoop_end: str
+
+
 @dataclass(frozen=True)
 class ShotEvent:
     """One extracted three-point attempt with defender context and ball samples."""
@@ -521,15 +532,15 @@ class ShotEvent:
 
 def oracle_extract(tracking, events, roster, min_samples=5, stream_break_s=1.0,
                    max_window_s=3.0):
-    """``extract_shot_events`` one shot at a time: a ``ShotEvent`` per extracted shot
-    from ``nearest_defender``, ``contest_angle`` and ``cut_at_rim_plane``, packed into
-    the same columns at the end."""
+    """``extract_shot_events`` one shot at a time, reading the event columns row by
+    row: a ``ShotEvent`` per extracted shot from ``nearest_defender``,
+    ``contest_angle`` and ``cut_at_rim_plane``, packed into the same columns at the end."""
     out = []
     reasons = Counter()
     n_flagged = 0
     steps = {}   # per game: gaps, break indices
 
-    for ev in events:
+    for ev in map(EventRow._make, zip(*(events[c].tolist() for c in EVENT_COLUMNS))):
         game = tracking.get(ev.game_id)
         if game is None:
             reasons["unknown_game"] += 1
@@ -588,11 +599,9 @@ def oracle_extract(tracking, events, roster, min_samples=5, stream_break_s=1.0,
             angle = float("nan")
             flags.append("contest_angle_undefined")
 
-        height = float("nan")
-        rec = roster.get(defender_id)
-        if rec is not None:
-            height = rec.height_in
-        else:
+        height = roster.get(defender_id)
+        if height is None:
+            height = float("nan")
             flags.append("defender_height_missing")
 
         release_local = to_local_frame((shooter_xy[0], shooter_xy[1], 0.0), ev.hoop_end)
@@ -628,7 +637,7 @@ def oracle_extract(tracking, events, roster, min_samples=5, stream_break_s=1.0,
         "samples": [ev.samples for ev in out],
         "release_xy": np.array([ev.release_xy for ev in out], dtype=float).reshape(-1, 2),
     }
-    return shots, ExtractionReport(n_events=len(events), n_extracted=len(out),
+    return shots, ExtractionReport(n_events=len(events["shot_id"]), n_extracted=len(out),
                                    rejections=dict(reasons), n_flagged=n_flagged)
 
 

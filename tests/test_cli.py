@@ -613,6 +613,18 @@ class TestShotAccounting:
                                 + doc["n_factor_rows"])
 
 
+    def test_release_frame_beyond_int64_counted_out_of_range(self, tmp_path):
+        season = tmp_path / "s"
+        write_season(simulate_season(SimConfig(n_games=4, shots_per_game=40, seed=12)), season)
+        with (season / "events.csv").open("a", encoding="utf-8") as fh:
+            fh.write("huge,G0000,S000,99999999999999999999999,1,left\n"
+                     "negative,G0000,S000,-4,1,left\n"
+                     "hugely_negative,G0000,S000,-99999999999999999999999,1,left\n")
+        assert _fit(season, tmp_path / "f") == 0
+        doc = json.loads((tmp_path / "f" / "filter_report.json").read_text())
+        assert doc["load"]["events"]["reasons"] == {}
+        assert doc["extraction"]["rejections"] == {"release_out_of_range": 3}
+
     def test_shooter_at_the_rim_center_counted_unfittable(self, tmp_path):
         season = tmp_path / "s"
         write_season(simulate_season(SimConfig(n_games=4, shots_per_game=40, seed=12)), season)

@@ -21,11 +21,12 @@ from shotarc.cli import fit_season
 from shotarc.ingest import (
     MIN_RANGE_BYTES,
     PLAYERS_PER_FRAME,
-    EventRecord,
+    EVENT_COLUMNS,
+    ExtractionReport,
     GameTracking,
     LoadReport,
     NonMonotoneTimestampsError,
-    RosterRecord,
+    event_columns,
     extract_shot_events,
     load_events,
     load_roster,
@@ -247,7 +248,7 @@ class TestLoadTracking:
         g = games["G0"]
         np.testing.assert_array_equal(g.times, [0.0, 0.12])
         assert np.isfinite(g.player_xy).all()
-        shots, _ = extract_shot_events(games, [EventRecord("s0", "G0", "P0", 0, 1, "left")], {})
+        shots, _ = extract_shot_events(games, event_columns([("s0", "G0", "P0", 0, 1, "left")]), {})
         pid, ndd = shots["defender_id"][0], shots["ndd_ft"][0]
         assert (pid, ndd) == ("P5", pytest.approx(5.0 * math.sqrt(2.0)))
         # the shooter in slot 0 stands at (0, 0); P5 is slot 5
@@ -759,7 +760,6 @@ class TestWorkerPool:
         assert multiprocessing.active_children() == []
 
 
-EVENT_COLUMNS = ["shot_id", "game_id", "shooter_id", "release_frame", "outcome", "hoop_end"]
 EVENT_SEASON = season_tracking(simulate_season(
     SimConfig(n_games=2, shots_per_game=3, seed=8, corrupt_fraction=0.3)))
 EVENT_VALUES = st.one_of(
@@ -770,7 +770,7 @@ EVENT_VALUES = st.one_of(
     st.floats().map(repr),
     st.integers(-2, max(len(g) for g in EVENT_SEASON[0].values()) + 1).map(str),
     st.sampled_from(["", " ", "1 ", "1e999", "3.0", "0", "1", "2", "left", "right", "center"]
-                    + [e.shot_id for e in EVENT_SEASON[1]] + list(EVENT_SEASON[0])
+                    + EVENT_SEASON[1]["shot_id"].tolist() + list(EVENT_SEASON[0])
                     + [pid for g in EVENT_SEASON[0].values() for pid in g.id_table]),
 )
 
@@ -780,11 +780,10 @@ class TestLoadEventsProperties:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(column=st.integers(0, len(EVENT_COLUMNS) - 1),
            value=st.one_of(EVENT_VALUES, st.just(DELETE), st.just(TRUNCATE)),
-           position=st.integers(0, len(EVENT_SEASON[1]) - 1))
+           position=st.integers(0, len(EVENT_SEASON[1]["shot_id"]) - 1))
     def test_mutated_field_counted_or_finite(self, tmp_path, column, value, position):
         tracking, events, roster = EVENT_SEASON
-        records = [[e.shot_id, e.game_id, e.shooter_id, str(e.release_frame), str(e.outcome),
-                    e.hoop_end] for e in events]
+        records = [list(map(str, row)) for row in zip(*(events[c].tolist() for c in EVENT_COLUMNS))]
         if value is DELETE:
             del records[position][column]
         elif value is TRUNCATE:   # keep one field: csv skips an empty line
@@ -821,7 +820,7 @@ class TestRosterAndEvents:
         p = tmp_path / "r.csv"
         p.write_text("player_id,height_in,position\nA,7_0,G\nB,75.5,C\n")
         roster, report = load_roster(p)
-        assert [(r.player_id, r.height_in) for r in roster.values()] == [("B", 75.5)]
+        assert list(roster.items()) == [("B", 75.5)]
         assert report.reasons == {"unparseable": 1}
 
     def test_events_loaded_and_validated(self, tmp_path):
@@ -832,7 +831,7 @@ class TestRosterAndEvents:
                      "s3,G0,P3,20,2,right\n"
                      "s4,G0\n")
         events, report = load_events(p)
-        assert [e.shot_id for e in events] == ["s1"]
+        assert events["shot_id"].tolist() == ["s1"]
         assert report.reasons == {"unparseable": 3}
 
     def test_integer_fields_take_no_digit_separator(self, tmp_path):
@@ -842,7 +841,7 @@ class TestRosterAndEvents:
                      "s2,G0,P2,10,0_1,left\n"
                      "s3,G0,P3, 7 ,1,left\n")
         events, report = load_events(p)
-        assert [(e.shot_id, e.release_frame) for e in events] == [("s3", 7)]
+        assert (events["shot_id"].tolist(), events["release_frame"].tolist()) == (["s3"], [7])
         assert report.reasons == {"unparseable": 2}
 
     def test_duplicate_shot_id_keeps_first(self, tmp_path):
@@ -853,9 +852,37 @@ class TestRosterAndEvents:
                      "s1,G0,P3,30,0,right\n"
                      "s1,G1,P4,40,1,left\n")
         events, report = load_events(p)
-        assert [(e.shot_id, e.shooter_id) for e in events] == [("s1", "P1"), ("s2", "P2")]
+        assert events["shot_id"].tolist() == ["s1", "s2"]
+        assert events["shooter_id"].tolist() == ["P1", "P2"]
         assert report.reasons == {"duplicate_shot_id": 2}
         assert (report.n_rows, report.n_loaded, report.n_rejected) == (4, 2, 2)
+
+    def test_header_only_events_extract_nothing(self, tmp_path):
+        p = tmp_path / "t.jsonl"
+        p.write_text(frame_line() + "\n")
+        games, _ = load_tracking(p)
+        e = tmp_path / "e.csv"
+        e.write_text("shot_id,game_id,shooter_id,release_frame,outcome,hoop_end\n")
+        events, report = load_events(e)
+        assert (report.n_rows, report.n_loaded) == (0, 0)
+        shots, extraction = extract_shot_events(games, events, {})
+        assert extraction == ExtractionReport(n_events=0, n_extracted=0, rejections={})
+        assert shots["samples"] == [] and shots["release_xy"].shape == (0, 2)
+        assert all(len(column) == 0 for column in shots.values())
+
+    def test_hoop_end_not_utf8_is_unknown_hoop_end(self, tmp_path):
+        p = tmp_path / "t.jsonl"
+        p.write_text(frame_line() + "\n")
+        games, _ = load_tracking(p)
+        e = tmp_path / "e.csv"
+        e.write_bytes(b"shot_id,game_id,shooter_id,release_frame,outcome,hoop_end\n"
+                      b"s1,G0,P0,0,1,l\xffeft\n"
+                      b"s2,G0,P0,0,1,left\n")
+        events, report = load_events(e)
+        assert report.n_rejected == 0
+        shots, extraction = extract_shot_events(games, events, {})
+        assert shots["shot_id"].tolist() == ["s2"]
+        assert extraction.rejections == {"unknown_hoop_end": 1}
 
     def test_duplicate_player_id_keeps_first(self, tmp_path):
         p = tmp_path / "r.csv"
@@ -865,8 +892,7 @@ class TestRosterAndEvents:
                      "S001,75.0,G\n"
                      "S001,300,C\n")   # a rejected row is not a duplicate
         roster, report = load_roster(p)
-        assert [(r.player_id, r.height_in) for r in roster.values()] == [("D001", 80.0),
-                                                                         ("S001", 75.0)]
+        assert list(roster.items()) == [("D001", 80.0), ("S001", 75.0)]
         assert report.reasons == {"duplicate_player_id": 1, "height_out_of_range": 1}
         assert (report.n_rows, report.n_loaded, report.n_rejected) == (4, 2, 2)
 
@@ -888,7 +914,7 @@ def one_frame_shot(players, shooter_id):
     """``extract_shot_events`` of one shot by ``shooter_id`` at the left hoop, released
     in a one-frame game of (id, team, x, y) entries."""
     return extract_shot_events({"G0": one_frame_game(players)},
-                               [EventRecord("s0", "G0", shooter_id, 0, 1, "left")], {},
+                               event_columns([("s0", "G0", shooter_id, 0, 1, "left")]), {},
                                min_samples=1)
 
 
@@ -1024,7 +1050,7 @@ class TestExtraction:
         # the first of two equal highest frames is the apex, and a window that never
         # rises above the rim is kept whole
         want = {0: 7, 2: 5, 6: 5, 7: 4, 10: 1}
-        events = [EventRecord(f"s{i}", "G0", "P0", i, 1, "left") for i in want]
+        events = event_columns((f"s{i}", "G0", "P0", i, 1, "left") for i in want)
         shots, _ = extract_shot_events({"G0": game}, events, {}, min_samples=1)
         assert [len(samples) for samples in shots["samples"]] == list(want.values())
         for (first, cut), samples in zip(want.items(), shots["samples"]):
@@ -1041,7 +1067,7 @@ class TestExtraction:
         p = tmp_path / "t.jsonl"
         p.write_text("\n".join(lines) + "\n")
         games, _ = load_tracking(p)
-        events = [EventRecord("s1", "G0", "P0", 0, 1, "left")]
+        events = event_columns([("s1", "G0", "P0", 0, 1, "left")])
         shots, report = extract_shot_events(games, events, {})
         assert len(shots["shot_id"]) == 1
         assert "insufficient_samples" in shots["flags"][0].split(";")
@@ -1062,7 +1088,7 @@ class TestExtraction:
             np.tile(np.arange(10, dtype=np.int16), (n, 1)),
             np.tile(np.stack([np.arange(10.0), np.arange(10.0)], axis=1), (n, 1, 1)),
             [f"P{k}" for k in range(10)], {f"P{k}": "A" if k < 5 else "B" for k in range(10)})
-        events = [EventRecord(f"s{i}", "G0", "P0", i, 1, "left") for i in range(n)]
+        events = event_columns((f"s{i}", "G0", "P0", i, 1, "left") for i in range(n))
         shots, _ = extract_shot_events({"G0": game}, events, {}, min_samples=1,
                                        stream_break_s=stream_break_s, max_window_s=max_window_s)
         for i, (samples, max_gap) in enumerate(zip(shots["samples"], shots["max_gap_s"])):
@@ -1084,8 +1110,8 @@ class TestExtraction:
             np.tile(np.arange(10, dtype=np.int16), (4, 1)),
             np.tile(np.stack([np.arange(10.0), np.arange(10.0)], axis=1), (4, 1, 1)),
             [f"P{k}" for k in range(10)], {f"P{k}": "A" if k < 5 else "B" for k in range(10)})
-        shots, _ = extract_shot_events({"G0": game}, [EventRecord("s0", "G0", "P0", 0, 1, "left")],
-                                       {}, min_samples=1, max_window_s=0.1)
+        events = event_columns([("s0", "G0", "P0", 0, 1, "left")])
+        shots, _ = extract_shot_events({"G0": game}, events, {}, min_samples=1, max_window_s=0.1)
         assert len(shots["samples"][0]) == 2
 
     def test_window_end_where_the_rounded_search_undershoots(self):
@@ -1098,7 +1124,7 @@ class TestExtraction:
             np.tile(np.arange(10, dtype=np.int16), (4, 1)),
             np.tile(np.stack([np.arange(10.0), np.arange(10.0)], axis=1), (4, 1, 1)),
             [f"P{k}" for k in range(10)], {f"P{k}": "A" if k < 5 else "B" for k in range(10)})
-        events = [EventRecord("s0", "G0", "P0", 0, 1, "left")]
+        events = event_columns([("s0", "G0", "P0", 0, 1, "left")])
         got = extract_shot_events({"G0": game}, events, {}, min_samples=1, max_window_s=0.5)
         assert len(got[0]["samples"][0]) == 3
         assert_same_extraction(got, oracle_extract({"G0": game}, events, {}, min_samples=1,
@@ -1108,7 +1134,7 @@ class TestExtraction:
         p = tmp_path / "t.jsonl"
         p.write_text(frame_line() + "\n")
         games, _ = load_tracking(p)
-        events = [EventRecord("s1", "G0", "P0", 99, 1, "left")]
+        events = event_columns([("s1", "G0", "P0", 99, 1, "left")])
         shots, report = extract_shot_events(games, events, {})
         assert shots["samples"] == [] and len(shots["shot_id"]) == 0
         assert report.rejections == {"release_out_of_range": 1}
@@ -1127,16 +1153,25 @@ class TestExtraction:
         assert abs(np.mean(angles)) < 10.0
 
 
-def plant_bad_events(tracking, events, roster, season):
-    """The events with five bad ones put among them, and the roster without the
-    defender of the season's first shot."""
+def plant_bad_events(tracking, events, roster, season, tmp_path):
+    """The events with seven bad ones put among them, written to an events file and read
+    back by ``load_events``, and the roster without the defender of the season's first shot."""
     game_id, game = next(iter(tracking.items()))
-    shooter = events[0].shooter_id
-    bad = [EventRecord("bad_game", "no_such_game", shooter, 0, 1, "left"),
-           EventRecord("bad_shooter", game_id, "nobody", 0, 1, "left"),
-           EventRecord("bad_frame", game_id, shooter, len(game), 1, "left"),
-           EventRecord("bad_end", game_id, shooter, 0, 1, "middle")]
-    events = [bad[0], *events[:7], bad[1], *events[7:40], bad[2], bad[3], *events[40:]]
+    rows = [list(map(str, row)) for row in zip(*(events[c].tolist() for c in EVENT_COLUMNS))]
+    shooter = rows[0][2]
+    bad = [["bad_game", "no_such_game", shooter, "0", "1", "left"],
+           ["bad_shooter", game_id, "nobody", "0", "1", "left"],
+           ["bad_frame", game_id, shooter, str(len(game)), "1", "left"],
+           ["bad_end", game_id, shooter, "0", "1", "middle"],
+           ["negative_frame", game_id, shooter, "-4", "1", "left"],
+           ["huge_frame", game_id, shooter, "99999999999999999999999", "1", "left"]]
+    rows = [bad[0], *rows[:7], bad[1], *rows[7:40], bad[2], bad[3], *rows[40:60], bad[4],
+            *rows[60:], bad[5]]
+    path = tmp_path / "events.csv"
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows([EVENT_COLUMNS, *rows])
+    events, report = load_events(path)
+    assert report.n_rejected == 0
     roster = dict(roster)
     del roster[season.ground_truth[0].defender_id]
     return events, roster
@@ -1148,15 +1183,15 @@ class TestExtractionOracle:
 
     @pytest.mark.parametrize("config", [SimConfig(), SimConfig(corrupt_fraction=0.3)],
                              ids=["default", "corrupt_0.3"])
-    def test_season_with_bad_events(self, config):
+    def test_season_with_bad_events(self, config, tmp_path):
         season = simulate_season(config)
         tracking, events, roster = season_tracking(season)
-        events, roster = plant_bad_events(tracking, events, roster, season)
+        events, roster = plant_bad_events(tracking, events, roster, season, tmp_path)
         got = extract_shot_events(tracking, events, roster)
         assert_same_extraction(got, oracle_extract(tracking, events, roster))
         report = got[1]
         assert report.rejections == {"unknown_game": 1, "shooter_not_on_court": 1,
-                                     "release_out_of_range": 1, "unknown_hoop_end": 1}
+                                     "release_out_of_range": 3, "unknown_hoop_end": 1}
         assert "defender_height_missing" in ";".join(got[0]["flags"].tolist())
         if config.corrupt_fraction:
             assert "insufficient_samples" in ";".join(got[0]["flags"].tolist())
@@ -1181,11 +1216,9 @@ class TestExtractionOracle:
             tracking[f"G{g}"] = one_frame_game(
                 [(pid, teams[pool.index(pid)], x, y) for pid, (x, y) in zip(ids, xy)], f"G{g}")
             for j in range(data.draw(st.integers(1, 4))):
-                events.append(EventRecord(f"s{g}.{j}", f"G{g}",
-                                          data.draw(st.sampled_from(pool + ("X",))), 0, 1,
-                                          data.draw(st.sampled_from(core.HOOP_ENDS))))
-        events = data.draw(st.permutations(events))
-        roster = {pid: RosterRecord(pid, 70.0 + k, "G") for k, pid in enumerate(pool)
-                  if data.draw(st.booleans())}
+                events.append((f"s{g}.{j}", f"G{g}", data.draw(st.sampled_from(pool + ("X",))),
+                               0, 1, data.draw(st.sampled_from(core.HOOP_ENDS))))
+        events = event_columns(data.draw(st.permutations(events)))
+        roster = {pid: 70.0 + k for k, pid in enumerate(pool) if data.draw(st.booleans())}
         assert_same_extraction(extract_shot_events(tracking, events, roster, min_samples=1),
                                oracle_extract(tracking, events, roster, min_samples=1))

@@ -123,7 +123,8 @@ def test_corrupted_season_matches_one_shot_chain(shuffle):
     tracking, events, roster = season_tracking(simulate_season(SimConfig(
         seed=5, n_games=3, shots_per_game=80, corrupt_fraction=0.4)))
     if shuffle:   # games interleaved: each shot keeps its place in the output
-        events = [events[i] for i in np.random.default_rng(0).permutation(len(events))]
+        order = np.random.default_rng(0).permutation(len(events["shot_id"]))
+        events = {name: column[order] for name, column in events.items()}
     fit = fit_season(tracking, events, roster)
     chain = season_chain(tracking, events, roster)
     assert_season_matches_chain(fit, chain)

@@ -400,7 +400,11 @@ class TestSeasonTracking:
                 np.testing.assert_array_equal(got, exp)
             assert game.id_table == want.id_table
             assert game.team_of == want.team_of
-        assert events == load_events(paths["events"])[0]
+        want_events = load_events(paths["events"])[0]
+        assert list(events) == list(want_events)
+        for name, column in events.items():
+            assert column.dtype == want_events[name].dtype, name
+            assert np.array_equal(column, want_events[name]), name
         want_roster = load_roster(paths["roster"])[0]
         assert roster == want_roster
         assert list(roster) == list(want_roster)
