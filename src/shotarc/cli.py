@@ -48,10 +48,10 @@ from .evaluate import (
     subsample_mse,
     variance_comparison,
 )
-from .ingest import IngestError, load_events, load_roster, load_tracking
+from .ingest import IngestError
 from .makeprob import MakeProbModel, TrainConfig, TrainingError, predict, train
-# the shots file lives in season; ShotRow is re-exported for callers of write_shot_rows
-from .season import (ShotRow, ShotsFileError, fit_season, read_shot_rows, write_csv,
+# the shots file lives in season; ShotRow and fit_season are re-exported for library callers
+from .season import (ShotRow, ShotsFileError, fit_files, fit_season, read_shot_rows, write_csv,
                      write_json, write_shot_rows)
 from .sim import PressureModel, SimConfig, simulate_to_files
 from .trajectory import FilterThresholds
@@ -226,11 +226,7 @@ def cmd_fit(args: argparse.Namespace) -> Run:
     except ValueError as exc:
         raise ConfigError(f"invalid fit thresholds: {exc}") from exc
     inputs = [Path(args.tracking), Path(args.events), Path(args.roster)]
-    tracking, tracking_load = load_tracking(inputs[0])
-    events, events_load = load_events(inputs[1])
-    roster, roster_load = load_roster(inputs[2])
-    fit = fit_season(tracking, events, roster, thresholds)
-    del tracking  # the largest allocation of the run; not needed for writing
+    fit, loads = fit_files(*inputs, thresholds)
     rows, report = fit.rows, fit.filtering
 
     out_dir = Path(args.out_dir)
@@ -244,8 +240,8 @@ def cmd_fit(args: argparse.Namespace) -> Run:
             fits["rmse_ft"][done].tolist(), fits["n_samples"][done].tolist()))
 
     report_path = write_json(out_dir / "filter_report.json", {
-        "load": {name: dataclasses.asdict(load) for name, load in (
-            ("tracking", tracking_load), ("events", events_load), ("roster", roster_load))},
+        "load": {name: dataclasses.asdict(load)
+                 for name, load in zip(("tracking", "events", "roster"), loads)},
         "extraction": dataclasses.asdict(fit.extraction),
         "filtering": {**dataclasses.asdict(report), "retention": report.retention},
         "factor_rejections": fit.factor_rejections,

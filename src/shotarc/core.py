@@ -193,15 +193,16 @@ def receive(conn: Connection, where: str):
 @contextmanager
 def worker_processes(target, jobs: list[tuple]):
     """Run ``target(conn, *job)`` for each job in a worker process of its own;
-    yields the receiving ends of their pipes, in job order.
+    yields this process's ends of their two-way pipes, in job order.
 
     Workers are spawned: each is a fresh interpreter that gets only its job
-    and the sending end of one pipe, and ``target`` must be a module-level
-    function.  A worker sends Python objects with ``conn.send`` (pickled, so
-    each is copied once on each side), and the caller reads each with
-    :func:`receive`.  Every worker has been joined when the block exits; a
-    block that exits by an exception terminates the workers first.  No jobs
-    start no process and import nothing.
+    and its end of one pipe, and ``target`` must be a module-level function.
+    Either side sends Python objects with ``conn.send`` (pickled, so each is
+    copied once on each side); a worker reads with ``conn.recv`` and the
+    caller with :func:`receive`.  Every worker has been joined when the block
+    exits; a block that exits by an exception terminates the workers first,
+    so a worker waiting for a message the caller will not send is stopped
+    too.  No jobs start no process and import nothing.
     """
     if not jobs:
         yield []
@@ -212,20 +213,20 @@ def worker_processes(target, jobs: list[tuple]):
     workers = []
     try:
         for job in jobs:
-            receiver, sender = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=_worker_main, args=(sender, target, job), daemon=True)
-            workers.append((proc, receiver))
-            with sender:
+            here, there = ctx.Pipe()
+            proc = ctx.Process(target=_worker_main, args=(there, target, job), daemon=True)
+            workers.append((proc, here))
+            with there:
                 proc.start()
-        yield [receiver for _, receiver in workers]
+        yield [here for _, here in workers]
     except BaseException:
         for proc, _ in workers:
             if proc.pid is not None:
                 proc.terminate()
         raise
     finally:
-        for proc, receiver in workers:
-            receiver.close()
+        for proc, here in workers:
+            here.close()
             if proc.pid is not None:
                 proc.join()
             proc.close()

@@ -29,18 +29,22 @@ surrogate.  An events row repeating an earlier shot id is rejected as
 ``duplicate_shot_id``, and a roster row repeating an earlier player id as
 ``duplicate_player_id``; the first occurrence is kept.
 
-Tracking is read in two phases.  First the file is cut, just after
-newlines, into ``core.part_count`` byte ranges: one per CPU this process
-may run on, at most ``MAX_WORKERS`` and only as many as leave each range
+Tracking is read in byte ranges.  The file is cut, just after newlines,
+into ``core.part_count`` ranges: one per CPU this process may run on, at
+most ``MAX_WORKERS`` and only as many as leave each range
 ``MIN_RANGE_BYTES``.  This process parses the first range itself and a
-worker process each other one, applying the checks needing nothing but
-the row itself and filling typed per-game column buffers.  Then this
-process applies the per-game timestamp rules to all ranges at once: the
-last accepted time before a row is the running maximum of its game's
-earlier rows, which makes the result the same wherever the cuts fall.  A
-game that lies in one range and loses no row keeps the parsed buffers as
-its ``GameTracking`` arrays; shot extraction reads the release row and
-the ball window straight from those arrays.
+worker process each other one, applying the checks needing nothing but the
+row itself and filling typed per-game column buffers.  Each range reports
+the games it holds.  A game that one worker's range alone holds may stay in
+that worker (``tracking_ranges``, which ``fit`` uses); every other game comes
+to this process, split games as the parts each range parsed.  Each process
+then applies the per-game timestamp rules to the games it holds: the last
+accepted time before a row is the running maximum of its game's earlier
+rows, which makes the result the same wherever the cuts fall, and this
+process raises at the first aborting row in file order.  A game that lies
+in one range and loses no row keeps the parsed buffers as its
+``GameTracking`` arrays; shot extraction reads the release row and the ball
+window straight from those arrays.
 
 Events load as columns, the roster as heights.  The events are grouped by
 game once, and each game's shots are extracted as columns at a time from
@@ -61,6 +65,7 @@ import math
 import re
 from array import array
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain
 from operator import itemgetter
@@ -324,19 +329,35 @@ def _parse_range(path: Path, start: int, end: int) -> _RangeParse:
 
 
 def _range_worker(conn: Connection, path: str, start: int, end: int) -> None:
-    """Worker process body: parse one range and send it back, each game as a
-    ``(game_id, _GamePart)`` pair as it is popped, then the emptied ``_RangeParse``."""
+    """Worker process body, one byte range's side of ``tracking_ranges``.
+
+    Parse the range and send the ids of its games; take the set of them left
+    to this worker; send each other game as a ``(game_id, _GamePart)`` pair as
+    it is popped, then the ``_RangeParse`` emptied of them.  With games left:
+    apply the time rules to them, send the ``_Checked``, then answer one
+    message ``(fit, *args)`` with ``fit(games, *args)``.
+    """
     parsed = _parse_range(Path(path), start, end)
-    for game_id in list(parsed.parts):
+    conn.send(list(parsed.parts))
+    left = conn.recv()
+    for game_id in [g for g in parsed.parts if g not in left]:
         conn.send((game_id, parsed.parts.pop(game_id)))
-    conn.send(parsed)
+    conn.send(parsed._replace(parts={}))
+    if left:
+        games, checked = _apply_time_rules([parsed])
+        conn.send(checked)
+        fit, *args = conn.recv()
+        conn.send(fit(games, *args))
+
+
+def _where(start: int, end: int) -> str:
+    return f"tracking worker for bytes {start}-{end}"
 
 
 def _receive_range(conn: Connection, start: int, end: int) -> _RangeParse:
-    """The ``_RangeParse`` that ``_range_worker`` sends, its games put back in."""
-    where = f"tracking worker for bytes {start}-{end}"
+    """The ``_RangeParse`` that ``_range_worker`` sends, the games it sent put back in."""
     parts = {}
-    while not isinstance(message := receive(conn, where), _RangeParse):
+    while not isinstance(message := receive(conn, _where(start, end)), _RangeParse):
         game_id, part = message
         parts[game_id] = part
     return message._replace(parts=parts)
@@ -410,27 +431,33 @@ def _assemble(game_id: GameId, parts: list[_GamePart], keep: np.ndarray) -> Game
     )
 
 
-def _apply_time_rules(parsed: list[_RangeParse]) -> tuple[dict[GameId, GameTracking], LoadReport]:
+class _Checked(NamedTuple):
+    """What the timestamp rules found in the games one process holds."""
+
+    n_loaded: int
+    n_duplicate: int
+    abort: tuple[int, str] | None   # the first aborting row in file order, and its message
+
+
+def _apply_time_rules(parsed: list[_RangeParse]) -> tuple[dict[GameId, GameTracking], _Checked]:
     """Join the ranges' game parts, in file order, under the per-game timestamp rules.
 
     In a game, accepted times strictly increase and a duplicate never
     exceeds the last accepted time, so the last accepted time before row i
     is the running maximum M_i of the game's earlier rows.  Row i aborts the
     load when t < M_i - MONOTONE_TOL_S and is a ``duplicate_timestamp`` when
-    t <= M_i.  The load raises at the first aborting row in file order.  A
-    game's first row is always kept, so games come in order of their first
-    rows.
+    t <= M_i.  With an aborting row no game is assembled.  A game's first
+    row is always kept, so games come in order of their first rows.
     """
-    reasons: Counter[str] = Counter()
     by_game: dict[GameId, list[_GamePart]] = {}
     for rng in parsed:
-        reasons.update(rng.reasons)
         for game_id, part in rng.parts.items():
             by_game.setdefault(game_id, []).append(part)
         rng.parts.clear()   # so a game rebuilt below frees its parts
 
     kept: list[tuple[int, GameId, np.ndarray]] = []
     abort = None
+    n_duplicate = 0
     for game_id, parts in by_game.items():
         times = np.concatenate([p.times for p in parts])
         before = np.empty_like(times)
@@ -441,22 +468,66 @@ def _apply_time_rules(parsed: list[_RangeParse]) -> tuple[dict[GameId, GameTrack
         if backward.size:
             i = backward[0]
             if abort is None or rows[i] < abort[0]:
-                abort = (rows[i], f"game {game_id}: timestamp {float(times[i])} "
-                                  f"after {float(before[i])}")
+                abort = (int(rows[i]), f"game {game_id}: timestamp {float(times[i])} "
+                                       f"after {float(before[i])}")
             continue
         keep = times > before
-        if not keep.all():
-            reasons["duplicate_timestamp"] += int(keep.size - keep.sum())
+        n_duplicate += int(keep.size - keep.sum())
         kept.append((int(rows[0]), game_id, keep))
     if abort is not None:
-        raise NonMonotoneTimestampsError(abort[1])
+        return {}, _Checked(0, n_duplicate, abort)
 
     games = {game_id: _assemble(game_id, by_game.pop(game_id), keep)
              for _, game_id, keep in sorted(kept, key=itemgetter(0))}
+    return games, _Checked(sum(map(len, games.values())), n_duplicate, None)
+
+
+def _load_report(parsed: list[_RangeParse], checked: list[_Checked]) -> LoadReport:
+    """The load's report from every range's parse and every process's time rules;
+    ``NonMonotoneTimestampsError`` at the first aborting row in file order."""
+    abort = min((c.abort for c in checked if c.abort is not None), default=None)
+    if abort is not None:
+        raise NonMonotoneTimestampsError(abort[1])
+    reasons: Counter[str] = Counter()
+    for rng in parsed:
+        reasons.update(rng.reasons)
+    if n_duplicate := sum(c.n_duplicate for c in checked):
+        reasons["duplicate_timestamp"] += n_duplicate
     n_rows = sum(rng.n_rows for rng in parsed)
-    n_loaded = sum(len(g) for g in games.values())
-    return games, LoadReport(n_rows=n_rows, n_loaded=n_loaded, n_rejected=n_rows - n_loaded,
-                             reasons=dict(reasons))
+    n_loaded = sum(c.n_loaded for c in checked)
+    return LoadReport(n_rows=n_rows, n_loaded=n_loaded, n_rejected=n_rows - n_loaded,
+                      reasons=dict(reasons))
+
+
+@contextmanager
+def tracking_ranges(path: str | Path, leave_games: bool):
+    """Load tracking as ``load_tracking`` does, with its workers kept running: yields
+    the games this process holds, the load's report, and each worker left holding
+    games as ``(conn, where, game_ids)``.
+
+    Without ``leave_games`` every game comes to this process and no worker is
+    left.  With it, each game that one worker's range alone holds stays in
+    that worker, which applies the time rules to it; the load's report still
+    counts every row.  Such a worker then waits for one message ``(fit,
+    *args)``, sent with ``conn.send``, and answers it with ``fit(games,
+    *args)``, read with ``core.receive(conn, where)``; ``fit`` must be a
+    module-level function.  Every worker has been joined when the block exits.
+    """
+    path = Path(path)
+    first, *rest = _byte_ranges(path, part_count(path.stat().st_size // MIN_RANGE_BYTES))
+    wheres = [_where(*bounds) for bounds in rest]
+    with worker_processes(_range_worker, [(str(path), *bounds) for bounds in rest]) as conns:
+        parsed = [_parse_range(path, *first)]
+        held = [receive(conn, where) for conn, where in zip(conns, wheres)]
+        n_ranges = Counter(chain(parsed[0].parts, *held))
+        left = [{g for g in ids if n_ranges[g] == 1} if leave_games else set() for ids in held]
+        for conn, games in zip(conns, left):
+            conn.send(games)
+        parsed += [_receive_range(conn, *bounds) for conn, bounds in zip(conns, rest)]
+        checked = [receive(conn, where) for conn, where, games in zip(conns, wheres, left) if games]
+        games, mine = _apply_time_rules(parsed)
+        report = _load_report(parsed, [mine, *checked])
+        yield games, report, [worker for worker in zip(conns, wheres, left) if worker[2]]
 
 
 def load_tracking(path: str | Path) -> tuple[dict[GameId, GameTracking], LoadReport]:
@@ -476,17 +547,16 @@ def load_tracking(path: str | Path) -> tuple[dict[GameId, GameTracking], LoadRep
     The file is cut into ``core.part_count(size // MIN_RANGE_BYTES)`` byte
     ranges.  This process parses the first range itself and a worker
     process each other one, so a file under ``2 * MIN_RANGE_BYTES`` starts
-    no process; the workers are joined before this returns or raises.
-    They are started by ``multiprocessing``'s spawn method, which imports
-    the caller's main module in each worker: a script that calls this with
-    a larger file must keep its own work under ``if __name__ == "__main__":``.
+    no process.  Each worker sends back every game of its range, and this
+    process applies the time rules to all of them (``tracking_ranges``
+    without ``leave_games``); the workers are joined before this returns or
+    raises.  They are started by ``multiprocessing``'s spawn method, which
+    imports the caller's main module in each worker: a script that calls
+    this with a larger file must keep its own work under
+    ``if __name__ == "__main__":``.
     """
-    path = Path(path)
-    first, *rest = _byte_ranges(path, part_count(path.stat().st_size // MIN_RANGE_BYTES))
-    with worker_processes(_range_worker, [(str(path), *bounds) for bounds in rest]) as conns:
-        parsed = [_parse_range(path, *first)]
-        parsed += [_receive_range(conn, *bounds) for conn, bounds in zip(conns, rest)]
-    return _apply_time_rules(parsed)
+    with tracking_ranges(path, leave_games=False) as (games, report, _):
+        return games, report
 
 
 def _clean_id(value: str) -> str:
@@ -689,14 +759,14 @@ def extract_shot_events(
     only flagged (``insufficient_samples``) so callers can report them.
 
     The shots come in event order as a dict of columns: ``shot_id``,
-    ``game_id`` and ``shooter_id`` (slices of the event columns, as str),
+    ``game_id`` and ``shooter_id`` (slices of the event columns),
     ``defender_id``, ``ndd_ft``, ``defender_height_in`` (NaN off the
     roster), ``contest_angle_deg`` (NaN where undefined), ``outcome``,
-    ``n_samples`` and ``flags`` (";"-joined), as ``season.SHOT_COLUMNS``
-    types them; ``max_gap_s``, the largest step between sample times (0
-    below two samples); ``samples``, a list of each shot's (n, 3) ball
-    samples in the rim-local frame; and ``release_xy`` (k, 2), the shooter's
-    rim-local position.
+    ``n_samples`` and ``flags`` (";"-joined); the ids and flags are object
+    arrays of str, so one long id widens no other row; ``max_gap_s``, the
+    largest step between sample times (0 below two samples); ``samples``, a
+    list of each shot's (n, 3) ball samples in the rim-local frame; and
+    ``release_xy`` (k, 2), the shooter's rim-local position.
     """
     frame, n = events["release_frame"], len(events["release_frame"])
     names, game_code = np.unique(events["game_id"], return_inverse=True)
@@ -720,14 +790,14 @@ def extract_shot_events(
     keep = np.flatnonzero(reasons == "")
     ndd, height, angle, n_samples, flag_set, max_gap, *release = numbers[keep].T.copy()
     shots = {
-        **{name: events[name][keep].astype(str) for name in ("shot_id", "game_id", "shooter_id")},
-        "defender_id": np.array([defender[i] for i in keep.tolist()], dtype=str),
+        **{name: events[name][keep] for name in ("shot_id", "game_id", "shooter_id")},
+        "defender_id": np.array([defender[i] for i in keep.tolist()], dtype=object),
         "ndd_ft": ndd,
         "defender_height_in": height,
         "contest_angle_deg": angle,
         "outcome": events["outcome"][keep],
         "n_samples": n_samples.astype(np.int64),
-        "flags": np.array([_FLAG_SETS[int(m)] for m in flag_set.tolist()], dtype=str),
+        "flags": np.array([_FLAG_SETS[int(m)] for m in flag_set.tolist()], dtype=object),
         "max_gap_s": max_gap,
         "samples": [samples[i] for i in keep.tolist()],
         "release_xy": np.column_stack(release),

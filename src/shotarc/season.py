@@ -1,13 +1,21 @@
 """One season's shots fitted array at a time, the shot rows they give, and the shots file.
 
 ``fit_season`` runs extraction, the trajectory solve, the filter and the
-shot factors over a whole season.  Extraction, the solve and the factors
+shot factors over a season's games.  Extraction, the solve and the factors
 take one game's shots at a time (``ingest.extract_shot_events``,
 ``trajectory.fit_trajectories`` and ``factors.shot_factors``), so their
 arrays stay the size of a game's shots; the solve's padded blocks are
 bounded apart from that (``trajectory.MAX_PADDED_ROWS``).
 ``fit_trajectory`` is a one-row view of ``fit_trajectories``, as
 ``fit_path_line`` and ``compute_shot_factors`` are of ``shot_factors``.
+
+``fit_files`` runs ``fit_season`` on a season's three files without
+gathering every game's arrays in one process: each game that one byte range
+of the tracking file alone holds is fitted in the worker that parsed it
+(``ingest.tracking_ranges``), and only its shot columns and reports come
+back.  This process fits the rest, and the shots are put back in event
+order.  Every shot's numbers depend on its own game alone, so the result is
+the one ``fit_season`` gives on all the games at once.
 
 The shots file (``write_shot_rows``, ``read_shot_rows``) is a CSV of the
 ``SHOT_COLUMNS``, and of ``make_prob`` after ``predict``.
@@ -27,10 +35,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import GameId, PlayerId
+from .core import GameId, PlayerId, receive
 from .effects import EffectsDataset
 from .factors import shot_factors
-from .ingest import ExtractionReport, GameTracking, extract_shot_events
+from .ingest import (ExtractionReport, GameTracking, LoadReport, extract_shot_events, load_events,
+                     load_roster, tracking_ranges)
 from .trajectory import FilterReport, FilterThresholds, filter_shots, fit_trajectories
 
 
@@ -68,8 +77,9 @@ INTEGER_COLUMNS = ("outcome", "n_samples")
 
 @dataclasses.dataclass
 class ShotTable:
-    """Shots as columns by header name: ids as str arrays, ``outcome`` and
-    ``n_samples`` as int64, the other ``SHOT_COLUMNS`` float64."""
+    """Shots as columns by header name: ids as arrays of str (object arrays from
+    ``fit_season``), ``outcome`` and ``n_samples`` as int64, the other
+    ``SHOT_COLUMNS`` float64."""
 
     columns: dict[str, np.ndarray]
     n_rows: int
@@ -105,11 +115,15 @@ class SeasonFit(NamedTuple):
     ("" for a row).  ``rows`` holds the ``SHOT_COLUMNS`` of the rows.
     """
 
-    rows: ShotTable
     fits: ShotTable
     extraction: ExtractionReport
     filtering: FilterReport
     factor_rejections: dict[str, int]
+
+    @property
+    def rows(self) -> ShotTable:
+        has_row = self.fits["rejection"] == ""
+        return ShotTable({c: self.fits[c][has_row] for c in SHOT_COLUMNS}, int(has_row.sum()))
 
 
 def fit_season(
@@ -145,12 +159,54 @@ def fit_season(
     for idx in games:
         idx = idx[kept[idx]]
         factors[idx], rejection[idx] = shot_factors([samples[i] for i in idx], beta[idx])
-    has_row = rejection == ""
     cols.update(depth_ft=factors[:, 0], lr_ft=factors[:, 1], entry_angle_deg=factors[:, 2],
                 rmse_ft=rmse, fitted=fitted, beta=beta, rejection=rejection)
-    rows = ShotTable({c: cols[c][has_row] for c in SHOT_COLUMNS}, int(has_row.sum()))
-    return SeasonFit(rows, ShotTable(cols, n), extraction, filtering,
-                     dict(Counter(rejection[kept & ~has_row].tolist())))
+    return SeasonFit(ShotTable(cols, n), extraction, filtering,
+                     dict(Counter(rejection[kept & (rejection != "")].tolist())))
+
+
+def _counts(dicts: Iterable[dict[str, int]]) -> dict[str, int]:
+    return dict(sum(map(Counter, dicts), Counter()))
+
+
+def _summed(reports: list):
+    """Reports of one dataclass added field by field, dict fields as counts."""
+    return type(reports[0])(*(_counts(values) if isinstance(values[0], dict) else sum(values)
+                              for values in zip(*map(dataclasses.astuple, reports))))
+
+
+def _merged(parts: list[SeasonFit], shot_ids: np.ndarray) -> SeasonFit:
+    """One ``SeasonFit`` of the shots of ``parts``, ordered as their ids are in ``shot_ids``."""
+    cols = {name: np.concatenate([p.fits[name] for p in parts]) for name in parts[0].fits.columns}
+    position = dict(zip(shot_ids.tolist(), range(len(shot_ids))))
+    order = np.argsort([position[shot_id] for shot_id in cols["shot_id"].tolist()])
+    return SeasonFit(ShotTable({name: column[order] for name, column in cols.items()}, len(order)),
+                     _summed([p.extraction for p in parts]), _summed([p.filtering for p in parts]),
+                     _counts(p.factor_rejections for p in parts))
+
+
+def fit_files(tracking_path: str | Path, events_path: str | Path, roster_path: str | Path,
+              thresholds: FilterThresholds = FilterThresholds(),
+              ) -> tuple[SeasonFit, tuple[LoadReport, LoadReport, LoadReport]]:
+    """``fit_season`` on a season's tracking, events and roster files, and their load reports.
+
+    Each game that one worker's byte range alone holds is fitted in that
+    worker (``ingest.tracking_ranges``), on its events; this process fits the
+    others with every event whose game no range holds.  The events and the
+    roster are loaded once the tracking load has passed its checks, so a
+    tracking error comes first, then an events error, then a roster error.
+    """
+    with tracking_ranges(tracking_path, leave_games=True) as (tracking, tracking_load, workers):
+        events, events_load = load_events(events_path)
+        roster, roster_load = load_roster(roster_path)
+        fitter = {game_id: k for k, (_, _, games) in enumerate(workers, 1) for game_id in games}
+        by = np.array([fitter.get(game_id, 0) for game_id in events["game_id"].tolist()], dtype=int)
+        for k, (conn, _, _) in enumerate(workers, 1):
+            conn.send((fit_season, {c: v[by == k] for c, v in events.items()}, roster, thresholds))
+        parts = [fit_season(tracking, {c: v[by == 0] for c, v in events.items()}, roster,
+                            thresholds)]
+        parts += [receive(conn, where) for conn, where, _ in workers]
+    return _merged(parts, events["shot_id"]), (tracking_load, events_load, roster_load)
 
 
 # --- the shots file -------------------------------------------------------------------

@@ -623,16 +623,16 @@ def oracle_extract(tracking, events, roster, min_samples=5, stream_break_s=1.0,
         ))
 
     shots = {
-        "shot_id": np.array([ev.shot_id for ev in out], dtype=str),
-        "game_id": np.array([ev.game_id for ev in out], dtype=str),
-        "shooter_id": np.array([ev.shooter for ev in out], dtype=str),
-        "defender_id": np.array([ev.defender for ev in out], dtype=str),
+        "shot_id": np.array([ev.shot_id for ev in out], dtype=object),
+        "game_id": np.array([ev.game_id for ev in out], dtype=object),
+        "shooter_id": np.array([ev.shooter for ev in out], dtype=object),
+        "defender_id": np.array([ev.defender for ev in out], dtype=object),
         "ndd_ft": np.array([ev.ndd_ft for ev in out], dtype=float),
         "defender_height_in": np.array([ev.defender_height_in for ev in out], dtype=float),
         "contest_angle_deg": np.array([ev.contest_angle_deg for ev in out], dtype=float),
         "outcome": np.array([ev.outcome for ev in out], dtype=np.int64),
         "n_samples": np.array([len(ev.samples) for ev in out], dtype=np.int64),
-        "flags": np.array([";".join(ev.flags) for ev in out], dtype=str),
+        "flags": np.array([";".join(ev.flags) for ev in out], dtype=object),
         "max_gap_s": np.array([ev.max_gap_s for ev in out], dtype=float),
         "samples": [ev.samples for ev in out],
         "release_xy": np.array([ev.release_xy for ev in out], dtype=float).reshape(-1, 2),
@@ -655,6 +655,10 @@ def assert_same_extraction(got, want):
                 assert a.shape == b.shape and a.tobytes() == b.tobytes()
         else:
             assert (values.dtype, values.shape) == (expected.dtype, expected.shape), name
-            assert values.tobytes() == expected.tobytes(), name
+            if values.dtype == object:      # the ids and flags: str objects, not bytes
+                assert [type(v) for v in values.tolist()] == [str] * len(values), name
+                assert values.tolist() == expected.tolist(), name
+            else:
+                assert values.tobytes() == expected.tobytes(), name
     assert report == oracle_report
     assert list(report.rejections) == list(oracle_report.rejections)

@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 import shotarc
-from shotarc import core, evaluate, sim
+from shotarc import core, evaluate, ingest, sim
+from shotarc import season as season_module
 from shotarc.cli import (
     ShotRow,
     fit_season,
@@ -653,6 +654,140 @@ class TestShotAccounting:
                                                    + sum(rejections.values())
                                                    + sum(doc["factor_rejections"].values())
                                                    + doc["n_factor_rows"])
+
+
+FIT_FILES = ("factors.csv", "trajectories.csv", "filter_report.json", "manifest.json")
+
+
+def _fit_in_two_ranges(monkeypatch, season, out):
+    """``_fit`` with the tracking file cut in two just after its middle, as a host with two
+    CPUs cuts a large file: this process parses the first range, a worker the second."""
+    monkeypatch.setattr(core, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(ingest, "MIN_RANGE_BYTES", 1)
+    return _fit(season, out)
+
+
+def _games_by_side(tracking):
+    """The game ids of the rows before and after the two-range cut."""
+    (_, cut), _ = ingest._byte_ranges(tracking, 2)
+    lines = tracking.read_bytes().splitlines(keepends=True)
+    ends = np.cumsum([len(line) for line in lines])
+    sides = ({json.loads(line)["game_id"] for line, end in zip(lines, ends) if (end > cut) == after}
+             for after in (False, True))
+    return tuple(sides)
+
+
+def _fit_season_failing_in_a_worker(*args):
+    """``fit_season``, raising in a worker process."""
+    if multiprocessing.parent_process() is not None:
+        raise ValueError("no fit in a worker")
+    return fit_season(*args)
+
+
+class TestFitInTwoRanges:
+    """``fit`` with games left in the worker that parsed them, against one range."""
+
+    @staticmethod
+    def assert_same_fit_files(got, want):
+        for name in FIT_FILES:
+            assert (got / name).read_bytes() == (want / name).read_bytes(), name
+
+    def test_games_interleaved_across_the_cut_give_the_same_files(self, tmp_path, monkeypatch):
+        season = tmp_path / "s"
+        write_season(simulate_season(SimConfig(n_games=3, shots_per_game=20, seed=9,
+                                               corrupt_fraction=0.1)), season)
+        tracking = season / "tracking.jsonl"
+        by_game = {}
+        for line in tracking.read_text(encoding="utf-8").splitlines(keepends=True):
+            by_game.setdefault(json.loads(line)["game_id"], []).append(line)
+        # round robin over the games: each game's rows keep their order, and lie on both sides
+        rows = [row for turn in zip(*by_game.values()) for row in turn]
+        rows += [row for game in by_game.values() for row in game[len(rows) // len(by_game):]]
+        tracking.write_text("".join(rows), encoding="utf-8")
+        before, after = _games_by_side(tracking)
+        assert before == after == set(by_game)
+        assert _fit(season, tmp_path / "one") == 0
+        assert _fit_in_two_ranges(monkeypatch, season, tmp_path / "two") == 0
+        self.assert_same_fit_files(tmp_path / "two", tmp_path / "one")
+        assert multiprocessing.active_children() == []
+
+    def test_every_event_accounted_for_with_a_game_left_in_the_worker(self, tmp_path,
+                                                                      monkeypatch):
+        season = tmp_path / "s"
+        write_season(simulate_season(SimConfig(n_games=4, shots_per_game=30, seed=12,
+                                               corrupt_fraction=0.1)), season)
+        # the events of the worker's games first, so the rows must be put back in event order
+        header, *events = (season / "events.csv").read_text(encoding="utf-8").splitlines()
+        events = [header, *events[::-1], "T_nowhere,G_nowhere,S000,5,1,left"]  # unknown_game
+        (season / "events.csv").write_text("\n".join(events) + "\n", encoding="utf-8")
+        # a game whose every row is rejected, at the end: in the worker's range; CI appends
+        # the same three rows (a string time, a bool x, a NaN ball beside a numeric id)
+        players = [{"id": f"P{k}", "team": "AB"[k // 5], "x": float(k), "y": 1.0}
+                   for k in range(10)]
+        with (season / "tracking.jsonl").open("a", encoding="utf-8") as fh:
+            for t, ball, first in (("0.0", [1.0, 2.0, 3.0], {}),
+                                   (0.04, [1.0, 2.0, 3.0], {"x": True}),
+                                   (0.08, [1.0, float("nan"), 3.0], {"id": 7})):
+                fh.write(json.dumps({"game_id": "appended", "t": t, "ball": ball,
+                                     "players": [{**players[0], **first}] + players[1:]}) + "\n")
+        before, after = _games_by_side(season / "tracking.jsonl")
+        assert after - before - {"appended"}, "no game lies in the worker's range alone"
+        assert _fit(season, tmp_path / "one") == 0
+        assert _fit_in_two_ranges(monkeypatch, season, tmp_path / "two") == 0
+        self.assert_same_fit_files(tmp_path / "two", tmp_path / "one")
+        doc = json.loads((tmp_path / "two" / "filter_report.json").read_text())
+        assert doc["load"]["tracking"]["reasons"] == {"non_finite": 1, "unparseable": 2}
+        assert doc["extraction"]["rejections"]["unknown_game"] == 1
+        assert len(_csv_records(season / "events.csv")) - 1 == (
+            sum(doc["load"]["events"]["reasons"].values())
+            + sum(doc["extraction"]["rejections"].values())
+            + sum(doc["filtering"]["rejections"].values())
+            + sum(doc["factor_rejections"].values())
+            + doc["n_factor_rows"])
+        assert multiprocessing.active_children() == []
+
+    def test_worker_failing_in_fit_season_fails_the_run_naming_its_range(
+            self, tmp_path, monkeypatch, capsys):
+        season = tmp_path / "s"
+        write_season(simulate_season(SimConfig(n_games=4, shots_per_game=10, seed=12)), season)
+        _, after = _games_by_side(season / "tracking.jsonl")
+        # the worker is sent season.fit_season by name, so it runs this one
+        monkeypatch.setattr(season_module, "fit_season", _fit_season_failing_in_a_worker)
+        assert _fit_in_two_ranges(monkeypatch, season, tmp_path / "f") == 1
+        (start, end), = ingest._byte_ranges(season / "tracking.jsonl", 2)[1:]
+        assert after and (f"error: tracking worker for bytes {start}-{end}: "
+                          "ValueError: no fit in a worker") in capsys.readouterr().err
+        assert not (tmp_path / "f").exists()
+        assert multiprocessing.active_children() == []
+
+    def test_missing_roster_exits_2_and_stops_the_worker_left_with_games(
+            self, tmp_path, monkeypatch, capsys):
+        season = tmp_path / "s"
+        write_season(simulate_season(SimConfig(n_games=4, shots_per_game=10, seed=12)), season)
+        before, after = _games_by_side(season / "tracking.jsonl")
+        assert after - before
+        (season / "roster.csv").unlink()      # found missing while the worker waits to fit
+        assert _fit_in_two_ranges(monkeypatch, season, tmp_path / "f") == 2
+        assert "roster.csv" in capsys.readouterr().err
+        assert not (tmp_path / "f").exists()
+        assert multiprocessing.active_children() == []
+
+    def test_backward_step_in_a_worker_game_exits_2_and_writes_nothing(
+            self, tmp_path, monkeypatch, capsys):
+        season = tmp_path / "s"
+        write_season(simulate_season(SimConfig(n_games=4, shots_per_game=10, seed=12)), season)
+        tracking = season / "tracking.jsonl"
+        lines = tracking.read_text(encoding="utf-8").splitlines()
+        last = json.loads(lines[-1])
+        last["t"] -= 5.0                      # back 5 s inside the last game
+        tracking.write_text("\n".join(lines[:-1] + [json.dumps(last)]) + "\n", encoding="utf-8")
+        before, after = _games_by_side(tracking)
+        assert last["game_id"] in after - before
+        assert _fit_in_two_ranges(monkeypatch, season, tmp_path / "f") == 2
+        assert (f"error: game {last['game_id']}: timestamp {last['t']} after "
+                in capsys.readouterr().err)
+        assert not (tmp_path / "f").exists()
+        assert multiprocessing.active_children() == []
 
 
 class TestCsvQuoting:

@@ -176,3 +176,27 @@ def test_worker_exiting_without_a_message_raises_and_is_joined():
         with core.worker_processes(_exit_without_a_message, [()]) as (conn,):
             core.receive(conn, "silent worker")
     assert multiprocessing.active_children() == []
+
+
+def _reply_doubled(conn, first):
+    """A worker body: send ``first``, then answer the caller's message with it doubled."""
+    conn.send(first)
+    conn.send(2 * conn.recv())
+
+
+def test_caller_sends_worker_replies_and_is_joined():
+    with core.worker_processes(_reply_doubled, [("a",), ("b",)]) as conns:
+        assert [core.receive(conn, "worker") for conn in conns] == ["a", "b"]
+        for conn, message in zip(conns, (3, [4])):
+            conn.send(message)
+        assert [core.receive(conn, "worker") for conn in conns] == [6, [4, 4]]
+    assert multiprocessing.active_children() == []
+
+
+def test_caller_raising_between_messages_terminates_the_waiting_worker():
+    # the worker waits for a message that never comes: only terminate() ends it
+    with pytest.raises(KeyError, match="caller gave up"):
+        with core.worker_processes(_reply_doubled, [("a",)]) as (conn,):
+            assert core.receive(conn, "worker") == "a"
+            raise KeyError("caller gave up")
+    assert multiprocessing.active_children() == []

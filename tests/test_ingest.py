@@ -7,6 +7,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import tracemalloc
 from array import array
 from collections import Counter
 from pathlib import Path
@@ -32,6 +33,7 @@ from shotarc.ingest import (
     load_roster,
     load_tracking,
 )
+from shotarc.season import fit_files
 from shotarc.sim import SimConfig, season_tracking, simulate_season, write_season
 from conftest import assert_same_extraction, json_number, oracle_extract, oracle_parse_range
 
@@ -150,14 +152,26 @@ def oracle_load_tracking(path, monotone_tol=1e-9):
     return loaded, LoadReport(n_rows, n_loaded, n_rows - n_loaded, dict(reasons))
 
 
-def load_with_cuts(path, cuts):
-    """``load_tracking`` with the file cut into ranges at the given byte offsets, in-process."""
+def load_with_cuts(path, cuts, leave_games=False):
+    """``load_tracking`` with the file cut into ranges at the given byte offsets, in-process;
+    with ``leave_games``, each game that one range after the first alone holds is checked
+    apart from the others, as ``tracking_ranges`` leaves it in a worker (games then come
+    first those of this process, then each worker's)."""
     size = path.stat().st_size
     bounds = [0, *cuts, size]
     data = path.read_bytes()
     assert all(data[c - 1:c] == b"\n" for c in cuts), "a cut must follow a newline"
     parsed = [ingest._parse_range(path, a, b) for a, b in zip(bounds, bounds[1:])]
-    return ingest._apply_time_rules(parsed)
+    n_ranges = Counter(game_id for rng in parsed for game_id in rng.parts)
+    left = [{g: rng.parts.pop(g) for g in list(rng.parts) if n_ranges[g] == 1}
+            for rng in parsed[1:]] if leave_games else []
+    games, checked = ingest._apply_time_rules(parsed)
+    checked = [checked]
+    for parts in left:
+        more, more_checked = ingest._apply_time_rules([ingest._RangeParse(0, {}, parts)])
+        games.update(more)
+        checked.append(more_checked)
+    return games, ingest._load_report(parsed, checked)
 
 
 def assert_same_load(got, want):
@@ -408,8 +422,11 @@ class TestByteRangeSeams:
         p, starts = write_rows(tmp_path, docs)
         want = oracle_load_tracking(p)
         after = starts[seam + 1] if seam + 1 < len(starts) else starts[seam - 1]
+        by_id = dict(sorted(want[0].items())), want[1]
         for cuts in ([], [starts[seam]], sorted({starts[seam], after}), starts[1:]):
             assert_same_load(load_with_cuts(p, cuts), want)
+            games, report = load_with_cuts(p, cuts, leave_games=True)
+            assert_same_load((dict(sorted(games.items())), report), by_id)
         assert_same_load(load_tracking(p), want)
 
     @pytest.mark.parametrize("case, reasons", [("non_string_ids", {"unparseable": 7}),
@@ -428,9 +445,10 @@ class TestByteRangeSeams:
             oracle_load_tracking(p)
         assert str(want.value) == "game G1: timestamp 4.0 after 5.0"
         for cuts in ([], [starts[3]], [starts[2], starts[4]], starts[1:]):
-            with pytest.raises(NonMonotoneTimestampsError) as got:
-                load_with_cuts(p, cuts)
-            assert str(got.value) == str(want.value)
+            for leave_games in (False, True):
+                with pytest.raises(NonMonotoneTimestampsError) as got:
+                    load_with_cuts(p, cuts, leave_games)
+                assert str(got.value) == str(want.value)
 
     def test_cuts_follow_newlines_and_cover_the_file(self, tmp_path):
         p, starts = write_rows(tmp_path, [frame_doc(t=0.04 * i) for i in range(7)])
@@ -722,10 +740,14 @@ class TestWorkerPool:
         ranges = ingest._byte_ranges(two_range_season, 2)
         jobs = [(str(two_range_season), *bounds) for bounds in ranges]
         with core.worker_processes(ingest._range_worker, jobs) as conns:
+            held = [core.receive(conn, "worker") for conn in conns]
+            for conn in conns:
+                conn.send(set())    # no game left to the worker: it sends every one
             got = [ingest._receive_range(conn, *bounds) for conn, bounds in zip(conns, ranges)]
         assert multiprocessing.active_children() == []
-        for parsed, bounds in zip(got, ranges):
+        for parsed, bounds, game_ids in zip(got, ranges, held):
             want = ingest._parse_range(two_range_season, *bounds)
+            assert game_ids == list(want.parts)
             assert_same_parse(parsed, want)
             assert list(parsed.parts) == list(want.parts)
             for part in parsed.parts.values():
@@ -757,6 +779,34 @@ class TestWorkerPool:
         monkeypatch.setattr(ingest, "_receive_range", abort)
         with pytest.raises(KeyError, match="parent gave up"):
             load_tracking(two_range_season)
+        assert multiprocessing.active_children() == []
+
+
+def cut_ranges(monkeypatch, path, *cuts):
+    """Have ``tracking_ranges`` cut ``path`` at the byte offsets ``cuts``, each range after
+    the first parsed by a worker."""
+    bounds = [0, *cuts, path.stat().st_size]
+    monkeypatch.setattr(ingest, "_byte_ranges", lambda p, n: list(zip(bounds, bounds[1:])))
+
+
+class TestGamesLeftInWorkers:
+    @pytest.mark.parametrize("first", ["worker_game", "split_game"])
+    def test_first_backward_step_in_file_order_raises_the_oracle_message(
+            self, tmp_path, monkeypatch, first):
+        # G0 lies in this process's range, G1 in both, G2 in the worker's alone, so the
+        # worker checks G2 and this process G1: the step first in the file is raised
+        docs = [frame_doc("G0", 0.0), frame_doc("G1", 0.0), frame_doc("G1", 0.04),
+                frame_doc("G1", 0.08), frame_doc("G2", 0.0), frame_doc("G2", 0.04)]
+        steps = [frame_doc("G2", 0.02), frame_doc("G1", 0.02)]
+        p, starts = write_rows(tmp_path, docs + (steps if first == "worker_game" else steps[::-1]))
+        cut_ranges(monkeypatch, p, starts[3])
+        with pytest.raises(NonMonotoneTimestampsError) as want:
+            oracle_load_tracking(p)
+        assert str(want.value).startswith("game G2" if first == "worker_game" else "game G1")
+        with pytest.raises(NonMonotoneTimestampsError) as got:
+            # the tracking error comes before the missing events file is opened
+            fit_files(p, tmp_path / "missing_events.csv", tmp_path / "missing_roster.csv")
+        assert str(got.value) == str(want.value)
         assert multiprocessing.active_children() == []
 
 
@@ -1024,6 +1074,20 @@ class TestExtraction:
             assert shots["defender_id"][i] == t.defender_id
             assert shots["ndd_ft"][i] == pytest.approx(t.ndd_ft, abs=1e-9)
             assert shots["outcome"][i] == t.outcome
+
+    def test_one_long_shot_id_widens_no_other_row(self):
+        # a fixed-width str column would hold every id at the longest one's width: 400 MB here
+        tracking, events, roster = season_tracking(simulate_season(
+            SimConfig(n_games=2, shots_per_game=500, seed=3)))
+        long_id = events["shot_id"][0] = "x" * 100_000
+        tracemalloc.start()
+        try:
+            shots, report = extract_shot_events(tracking, events, roster)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.n_extracted == 1000 and shots["shot_id"][0] == long_id
+        assert peak < 20 << 20
 
     def test_windows_cut_at_rim_plane(self, season_files):
         season, paths = season_files
