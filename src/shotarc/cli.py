@@ -51,8 +51,8 @@ from .evaluate import (
 from .ingest import IngestError
 from .makeprob import MakeProbModel, TrainConfig, TrainingError, predict, train
 # the shots file lives in season; ShotRow and fit_season are re-exported for library callers
-from .season import (ShotRow, ShotsFileError, fit_files, fit_season, read_shot_rows, write_csv,
-                     write_json, write_shot_rows)
+from .season import (ShotRow, ShotsFileError, fit_files, fit_season, read_shot_rows, write_columns,
+                     write_csv, write_json, write_shot_rows)
 from .sim import PressureModel, SimConfig, simulate_to_files
 from .trajectory import FilterThresholds
 
@@ -233,11 +233,11 @@ def cmd_fit(args: argparse.Namespace) -> Run:
     factors_path = out_dir / "factors.csv"
     write_shot_rows(rows, factors_path)     # makes out_dir
     fits, done = fit.fits, fit.fits["fitted"]
-    traj_csv = write_csv(
+    traj_csv = write_columns(
         out_dir / "trajectories.csv",
         ["shot_id"] + [f"beta{i}" for i in range(6)] + ["rmse_ft", "n_samples"],
-        zip(fits["shot_id"][done].tolist(), *fits["beta"][done].T.tolist(),
-            fits["rmse_ft"][done].tolist(), fits["n_samples"][done].tolist()))
+        [fits["shot_id"][done], *fits["beta"][done].T, fits["rmse_ft"][done],
+         fits["n_samples"][done]])
 
     report_path = write_json(out_dir / "filter_report.json", {
         "load": {name: dataclasses.asdict(load)

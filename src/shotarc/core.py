@@ -127,6 +127,30 @@ def elementwise(f, *args) -> np.ndarray:
     return np.asarray(np.frompyfunc(f, len(args), 1)(*args), dtype=float)
 
 
+def float_reprs(values: np.ndarray) -> list[str]:
+    """``repr`` of each float of a 1-d float64 array, formatted in bulk.
+
+    orjson's shortest round-trip formatter writes the digits and layout of
+    ``repr`` for zero and every 1e-4 <= |x| < 1e16, so one ``orjson.dumps``
+    of the whole array, split at its commas, gives those.  The rest (NaN,
+    ±inf, and nonzero |x| below or above that range, which orjson writes as
+    ``null``, ``0.00001`` and ``1e16`` where ``repr`` writes ``nan``,
+    ``1e-05`` and ``1e+16``) take ``repr`` one by one.
+    """
+    import orjson   # here, not above: a stage that writes no floats in bulk does not load it
+
+    if not len(values):
+        return []
+    out = orjson.dumps(values.tolist()).decode()[1:-1].split(",")
+    magnitude = np.abs(values)
+    if magnitude.min() >= 1e-4 and magnitude.max() < 1e16:     # False if any is NaN
+        return out
+    slow = ~((magnitude >= 1e-4) & (magnitude < 1e16)) & (values != 0)
+    for i in np.flatnonzero(slow).tolist():
+        out[i] = repr(float(values[i]))
+    return out
+
+
 def _expit_scalar(x: float) -> float:
     try:
         return 1.0 / (1.0 + math.exp(-x))

@@ -30,12 +30,13 @@ import operator
 import re
 from collections import Counter
 from collections.abc import Iterable, Iterator
+from itertools import chain
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import GameId, PlayerId, receive
+from .core import GameId, PlayerId, float_reprs, receive
 from .effects import EffectsDataset
 from .factors import shot_factors
 from .ingest import (ExtractionReport, GameTracking, LoadReport, extract_shot_events, load_events,
@@ -214,12 +215,13 @@ def fit_files(tracking_path: str | Path, events_path: str | Path, roster_path: s
 _NON_BLANK = re.compile(rb"\S")
 _LOADTXT = dict(delimiter=",", quotechar='"', comments=None, skiprows=1, ndmin=2,
                 encoding="utf-8")
-_ROW_VALUES = operator.attrgetter(*SHOT_COLUMNS, "make_prob")
 
 
 def write_csv(path: Path, header: Iterable, rows: Iterable[Iterable]) -> Path:
     """Write one table, making its directory.  ``csv`` quotes only a field holding
-    ``,``, ``"`` or a line break, and writes floats by ``repr``, so they read back to the bit."""
+    ``,``, ``"`` or a line break, and writes a float by ``repr`` and any other
+    value by ``str``, so floats read back to the bit; ``write_columns`` hands
+    it floats already formatted as their ``repr``."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -235,10 +237,45 @@ def write_json(path: Path, doc) -> Path:
     return path
 
 
-def write_shot_rows(rows: Iterable[ShotRow], path: Path, with_prob: bool = False) -> None:
-    """The shots file: the ``SHOT_COLUMNS`` of each row, then ``make_prob`` if ``with_prob``."""
-    width = len(SHOT_COLUMNS) + with_prob
-    write_csv(path, (SHOT_COLUMNS + ("make_prob",))[:width], (_ROW_VALUES(r)[:width] for r in rows))
+# rows that write_columns formats at a time: a block's float cells are ~1 MB of str
+CSV_BLOCK_ROWS = 2048
+
+
+def _cells(values) -> list:
+    """One column's block as ``csv`` cells: floats (a float64 array, or a list of
+    Python floats only) as their ``repr`` by ``core.float_reprs``; any other
+    values as they are, for ``csv`` to write."""
+    if isinstance(values, np.ndarray):
+        return float_reprs(values) if values.dtype == np.float64 else values.tolist()
+    if set(map(type, values)) == {float}:
+        return float_reprs(np.array(values))
+    return values
+
+
+def write_columns(path: Path, header: Iterable, columns: list) -> Path:
+    """``write_csv`` of equal-length columns (arrays or lists), one cell of each
+    per row, formatted ``CSV_BLOCK_ROWS`` rows at a time, so the cells held at
+    once do not grow with the table."""
+    n = len(columns[0])
+    blocks = (zip(*(_cells(column[start:start + CSV_BLOCK_ROWS]) for column in columns))
+              for start in range(0, n, CSV_BLOCK_ROWS))
+    return write_csv(path, header, chain.from_iterable(blocks))
+
+
+def write_shot_rows(rows: ShotTable | Iterable[ShotRow], path: Path,
+                    with_prob: bool = False) -> None:
+    """The shots file: the ``SHOT_COLUMNS`` of each row, then ``make_prob`` if
+    ``with_prob`` (an empty cell where a row has none).  Rows given as
+    ``ShotRow`` objects are turned into columns first, so every table is
+    written by ``write_columns``, floats by their ``repr``."""
+    names = (SHOT_COLUMNS + ("make_prob",))[:len(SHOT_COLUMNS) + with_prob]
+    if isinstance(rows, ShotTable):
+        given = {"make_prob": np.full(len(rows), None), **rows.columns}
+        columns = [given[name] for name in names]
+    else:
+        rows = list(rows)
+        columns = [list(map(operator.attrgetter(name), rows)) for name in names]
+    write_columns(path, names, columns)
 
 
 def read_shot_rows(path: str | Path, columns: tuple[str, ...] | None = None,

@@ -58,6 +58,7 @@ from .core import (
     GameId,
     PlayerId,
     _expit_scalar,
+    float_reprs,
     from_local_frame,
     part_count,
     receive,
@@ -653,7 +654,12 @@ _TRUTH_HEADER = ("shot_id,game_id,shooter_id,defender_id,ndd_ft,contest_intensit
 
 
 def _write_tracking(fh, game: SimGame) -> None:
-    """One game's tracking rows, one frame per line."""
+    """One game's tracking rows, one frame per line.
+
+    A shot's lines are one join: its times and ball coordinates, each
+    formatted in bulk by ``float_reprs``, go into the slots of a line's
+    pieces repeated once per frame.
+    """
     prefix = f'{{"game_id":"{game.game_id}","t":'
     for shot in game.shots:
         players = ",".join(
@@ -661,8 +667,15 @@ def _write_tracking(fh, game: SimGame) -> None:
             for pid, team, (x, y) in zip(
                 game.player_ids, game.player_teams, shot.player_xy.tolist())
         )
-        for t, (bx, by, bz) in zip(shot.times_s.tolist(), shot.ball_points.tolist()):
-            fh.write(f'{prefix}{t!r},"ball":[{bx!r},{by!r},{bz!r}],"players":[{players}]}}\n')
+        # prefix, t, ',"ball":[', bx, ',', by, ',', bz, players and line end
+        parts = [prefix, "", ',"ball":[', "", ",", "", ",", "",
+                 f'],"players":[{players}]}}\n'] * len(shot.times_s)
+        ball = float_reprs(shot.ball_points.ravel())
+        parts[1::9] = float_reprs(shot.times_s)
+        parts[3::9] = ball[0::3]
+        parts[5::9] = ball[1::3]
+        parts[7::9] = ball[2::3]
+        fh.write("".join(parts))
 
 
 def _write_events(fh, game: SimGame) -> None:
@@ -680,8 +693,9 @@ def _write_truth(fh, records: list[GroundTruthShot]) -> None:
 
 
 def _text_file(path: Path):
-    # tracking lines are ~600 bytes: 204 MB of them took 0.178 s to write through Python's
-    # default 8 KiB buffer and 0.110 s through 64 KiB (2 vCPUs, medians of 6)
+    # the tracking file is written a shot at a time, ~20 KB a write: 204 MB of those took
+    # 0.308 s through Python's default 8 KiB buffer and 0.270 s through 64 KiB (2 vCPUs,
+    # medians of 10 alternating)
     return path.open("w", encoding="utf-8", newline="\n", buffering=64 << 10)
 
 
@@ -730,10 +744,12 @@ def write_season(season: SeasonData, out_dir: str | Path) -> dict[str, Path]:
 # A block pays off in a worker only when it takes clearly longer to simulate and
 # write than the worker takes to start (a fresh interpreter importing numpy).  On
 # 2 vCPUs, `shotarc simulate` of 300-shot games in two blocks against one (median
-# ratio, pairs won): 1,800 shots 0.87x 0/7 and 0.79x 2/9; 2,400 shots 1.06x 3/7 and
-# 0.90x 2/9; 3,000 shots 1.25x 6/7 and 1.01x 6/9; 3,600 shots 1.10x 8/9; 4,200 shots
-# 1.21x 8/9; 4,800 shots 1.34x 6/7 and 1.33x 8/9.  Two blocks start at 4,000 shots.
-MIN_BLOCK_SHOTS = 2000
+# ratio, pairs won of 9), with the tracking lines formatted in bulk: 1,800 shots
+# 0.73x 0; 2,400 shots 0.81x 1; 3,000 shots 0.79x 2; 3,600 shots 0.91x 3; 4,200
+# shots 0.95x 3; 4,800 shots 0.97x 3; 5,400 shots 1.03x 5; 6,000 shots 1.01x 5 and
+# 1.03x 5; 6,600 shots 1.06x 6; 7,200 shots 1.28x 8 and 1.13x 6; 8,400 shots 1.11x 6;
+# 10,200 shots 1.15x 9.  Two blocks start at 6,000 shots.
+MIN_BLOCK_SHOTS = 3000
 
 
 def _write_block(tracking, events, truth, config: SimConfig, shooters: list[ShooterSkill],

@@ -2,9 +2,11 @@
 conjugate-update oracle and the SVD one-shot solve for fit-level tests, the
 scalar shot-factor oracle for the array factors, the text-mode
 ``json.loads`` range parse, with its own row-at-a-time buffers, for the
-tracking loader's range parse, and the shot-at-a-time extraction for the
-per-game shot extraction."""
+tracking loader's range parse, the shot-at-a-time extraction for the
+per-game shot extraction, and the f-string tracking writer and row-by-row
+``csv.writer`` shots file for the writers that format floats in bulk."""
 
+import csv
 import io
 import json
 import math
@@ -22,6 +24,7 @@ from shotarc.factors import AscendingCrossingError, CrossingError, NoCrossingErr
     ShotPath
 from shotarc import ingest
 from shotarc.ingest import EVENT_COLUMNS, ExtractionReport, extract_shot_events
+from shotarc.season import SHOT_COLUMNS
 from shotarc.trajectory import (
     BASE_EPSILON,
     BASE_SCALE,
@@ -662,3 +665,27 @@ def assert_same_extraction(got, want):
                 assert values.tobytes() == expected.tobytes(), name
     assert report == oracle_report
     assert list(report.rejections) == list(oracle_report.rejections)
+
+
+def oracle_write_tracking(fh, game) -> None:
+    """One ``sim.SimGame``'s tracking rows, one frame per line, every float by its
+    own ``repr`` in an f-string."""
+    prefix = f'{{"game_id":"{game.game_id}","t":'
+    for shot in game.shots:
+        players = ",".join(
+            f'{{"id":"{pid}","team":"{team}","x":{x!r},"y":{y!r}}}'
+            for pid, team, (x, y) in zip(
+                game.player_ids, game.player_teams, shot.player_xy.tolist())
+        )
+        for t, (bx, by, bz) in zip(shot.times_s.tolist(), shot.ball_points.tolist()):
+            fh.write(f'{prefix}{t!r},"ball":[{bx!r},{by!r},{bz!r}],"players":[{players}]}}\n')
+
+
+def oracle_write_shot_rows(rows, path, with_prob=False) -> None:
+    """The shots file row by row: each ``ShotRow`` (or each row a ``ShotTable``
+    gives) straight into ``csv.writer``, which writes floats by ``repr``."""
+    names = (SHOT_COLUMNS + ("make_prob",))[:len(SHOT_COLUMNS) + with_prob]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(names)
+        writer.writerows([getattr(row, name) for name in names] for row in rows)

@@ -1,5 +1,5 @@
-"""Frame transforms, geometry constants, unit conversions, the logistic sigmoid, and
-worker processes."""
+"""Frame transforms, geometry constants, unit conversions, the logistic sigmoid, the bulk
+float formatter, and worker processes."""
 
 import math
 import multiprocessing
@@ -11,7 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.special
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import shotarc
 from shotarc import core
@@ -25,6 +26,7 @@ from shotarc.core import (
     UnknownHoopEndError,
     expit,
     feet_to_inches,
+    float_reprs,
     from_local_frame,
     rim_center_xy,
     to_local_frame,
@@ -144,6 +146,47 @@ class TestExpit:
         got = expit(x)
         assert got.shape == x.shape and got.dtype == np.float64
         assert np.array_equal(_bits(got), _bits(scipy.special.expit(x)))
+
+
+def _reprs(values: np.ndarray) -> list[str]:
+    return [repr(x) for x in values.tolist()]
+
+
+class TestFloatReprs:
+    """``float_reprs`` against ``repr``, float by float."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(arrays(np.float64, st.integers(0, 64),
+                  elements=st.floats(allow_nan=True, allow_infinity=True,
+                                     allow_subnormal=True)))
+    def test_equals_repr_on_any_floats(self, values):
+        assert float_reprs(values) == _reprs(values)
+
+    def test_range_boundaries_and_extremes(self):
+        edges = []
+        for edge in (1e-4, 1e16):
+            edges += [np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf)]
+        values = np.array(edges + [0.0, -0.0, 5e-324, np.finfo(float).max, np.finfo(float).tiny,
+                                   np.nan, np.inf, -np.inf, 1e-5, 0.1, 1e15, 9999999999999998.0])
+        values = np.concatenate([values, -values])
+        assert float_reprs(values) == _reprs(values)
+
+    def test_a_million_random_bit_patterns(self):
+        bits = np.random.default_rng(29).integers(0, 2**64, size=1_000_000, dtype=np.uint64)
+        values = bits.view(np.float64)
+        assert float_reprs(values) == _reprs(values)
+
+    def test_a_million_values_in_the_fast_range(self):
+        rng = np.random.default_rng(30)
+        values = rng.choice([-1.0, 1.0], 1_000_000) * 10.0 ** rng.uniform(-4.0, 16.0, 1_000_000)
+        assert float_reprs(values) == _reprs(values)
+
+    def test_strided_view(self):
+        values = np.random.default_rng(31).normal(size=(50, 3)) * 40.0
+        assert float_reprs(values.T[1]) == _reprs(values[:, 1])
+
+    def test_empty(self):
+        assert float_reprs(np.empty(0)) == []
 
 
 def _loaded_packages(imports: str, package: str) -> str:

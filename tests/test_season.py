@@ -1,17 +1,21 @@
 """The batched season fit against the one-shot chain of ``lstsq_fit``,
 the filter's rules and the scalar factor oracle (``oracle_path_line``,
-``oracle_factors``)."""
+``oracle_factors``); the shots file against the row-by-row ``csv.writer``
+(``oracle_write_shot_rows``)."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from shotarc.factors import shot_factors
-from shotarc.season import SHOT_COLUMNS, ShotRow, ShotsFileError, fit_season, read_shot_rows
+from shotarc.season import CSV_BLOCK_ROWS, ID_COLUMNS, INTEGER_COLUMNS, SHOT_COLUMNS, ShotRow, \
+    ShotsFileError, ShotTable, fit_season, read_shot_rows, write_shot_rows
 from shotarc.sim import SimConfig, season_tracking, simulate_season
 from shotarc.trajectory import MAX_PADDED_ROWS, FilterThresholds, filter_shots, fit_trajectories, \
     fit_trajectory, padded_blocks
 from conftest import assert_matches_chain, assert_season_matches_chain, lstsq_fit, \
-    one_shot_chain, parabola_shot, season_chain
+    one_shot_chain, oracle_write_shot_rows, parabola_shot, season_chain
 
 INF = float("inf")
 # sends every fitted shot on to the factors, so their rejections show
@@ -138,3 +142,76 @@ def test_shots_file_header_is_the_shot_row_fields(tmp_path):
     empty.write_text(",".join(SHOT_COLUMNS) + "\n")
     with pytest.raises(ShotsFileError, match="holds no shots"):
         read_shot_rows(empty)
+
+
+# floats that the bulk formatter leaves to repr, and some it formats itself
+ODD_FLOATS = (np.nan, np.inf, -np.inf, 1e-5, 1e16, -0.0, 0.0, 5e-324, -1e16, 1e-4, 0.1, 78.0)
+FLOAT_COLUMNS = tuple(c for c in SHOT_COLUMNS + ("make_prob",)
+                      if c not in ID_COLUMNS + INTEGER_COLUMNS)
+
+
+def _odd_rows(n: int, with_prob: bool) -> list[ShotRow]:
+    """Rows whose ids need quoting (``,``, ``"``, a line break), with empty and set
+    flags, and with ``ODD_FLOATS`` among seeded draws in every float column."""
+    rng = np.random.default_rng(12)
+    rows = []
+    for i in range(n):
+        floats = rng.normal(size=len(FLOAT_COLUMNS)) * 10.0 ** rng.integers(-3, 4)
+        floats[i % len(FLOAT_COLUMNS)] = ODD_FLOATS[i % len(ODD_FLOATS)]
+        values = dict(zip(FLOAT_COLUMNS, floats.tolist()))
+        if not with_prob:
+            values["make_prob"] = None
+        rows.append(ShotRow(shot_id=f'T{i},"x\ny' if i % 3 == 0 else f"T{i}", game_id=f"G{i % 4}",
+                            shooter_id=f"S,{i % 5}", defender_id=f'D"{i % 6}', outcome=i % 2,
+                            n_samples=10 + i % 30, flags="" if i % 2 else "a;b", **values))
+    return rows
+
+
+def _as_table(rows: list[ShotRow], with_prob: bool) -> ShotTable:
+    names = SHOT_COLUMNS + (("make_prob",) if with_prob else ())
+    dtypes = {c: object for c in ID_COLUMNS} | {c: np.int64 for c in INTEGER_COLUMNS}
+    return ShotTable({c: np.array([getattr(r, c) for r in rows], dtype=dtypes.get(c, float))
+                      for c in names}, len(rows))
+
+
+@pytest.mark.parametrize("as_table", [False, True], ids=["shot-rows", "table"])
+@pytest.mark.parametrize("has_prob, with_prob", [(True, True), (True, False), (False, True),
+                                                  (False, False)])
+def test_shots_file_bytes_equal_the_row_by_row_csv_writer(tmp_path, as_table, has_prob,
+                                                          with_prob):
+    rows = _odd_rows(CSV_BLOCK_ROWS + 300, has_prob)
+    given = _as_table(rows, has_prob) if as_table else rows
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    write_shot_rows(given, got, with_prob)
+    oracle_write_shot_rows(given, want, with_prob)
+    assert got.read_bytes() == want.read_bytes()
+    # a row with no make_prob has an empty cell, which the reader refuses
+    back = read_shot_rows(got, SHOT_COLUMNS + (("make_prob",) if has_prob and with_prob else ()))
+    for name, column in back.columns.items():
+        values = [getattr(r, name) for r in rows]
+        if name in ID_COLUMNS:
+            assert column.tolist() == values, name
+        elif name in INTEGER_COLUMNS:
+            assert column.dtype == np.int64 and column.tolist() == values, name
+        else:
+            assert column.view(np.int64).tolist() == np.array(values).view(np.int64).tolist(), name
+
+
+def test_writing_a_rank_sized_table_holds_a_bounded_set_of_cells(tmp_path):
+    # the rank workload's predictions: 25,200 rows of 9 float cells.  Formatted all at
+    # once they are ~16 MB of str; row by row through ShotRow objects the writer peaked
+    # at 7.6 MiB, and a block at a time it peaks at 1.8 MiB
+    n = 25_200
+    rng = np.random.default_rng(5)
+    columns = {c: rng.normal(size=n) * 30.0 for c in FLOAT_COLUMNS}
+    columns |= {c: np.array([f"{c[:2]}{i % 997}" for i in range(n)], dtype=object)
+                for c in ID_COLUMNS}
+    columns |= {c: rng.integers(0, 40, n) for c in INTEGER_COLUMNS}
+    table = ShotTable(columns, n)
+    tracemalloc.start()
+    try:
+        write_shot_rows(table, tmp_path / "preds.csv", with_prob=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20

@@ -5,7 +5,9 @@ solves and samples each shot's parabola with numpy arrays on its own
 (``oracle_sample_trajectory``) and maps each point and player one at a
 time.  ``TestOracleSeason`` holds ``simulate_season`` to it bit for bit."""
 
+import dataclasses
 import hashlib
+import io
 import math
 
 import numpy as np
@@ -38,7 +40,7 @@ from shotarc.sim import (
     write_season,
 )
 from shotarc.trajectory import fit_trajectory
-from conftest import parabola_shot
+from conftest import oracle_write_tracking, parabola_shot
 
 
 # --- the shot-at-a-time season generator, kept as the reference ----------------------
@@ -417,6 +419,43 @@ class TestSeasonTracking:
                                            release_height_ft=height,
                                            release_height_jitter_ft=jitter))
         assert fit_season(*season_tracking(season)).filtering.retention >= 0.9
+
+
+class TestTrackingWriter:
+    """The tracking lines against the f-string writer in ``conftest``, byte for byte."""
+
+    @pytest.mark.parametrize("config", [
+        SimConfig(seed=1, n_games=2, shots_per_game=20),
+        SimConfig(seed=7, n_games=3, shots_per_game=25, corrupt_fraction=0.5,
+                  tracking_noise_ft=0.0),
+        SimConfig(seed=424242, n_games=2, shots_per_game=30, release_height_jitter_ft=0.5,
+                  outcome_flip_prob=0.2),
+    ])
+    def test_same_bytes_as_the_oracle(self, config, tmp_path):
+        self._assert_same_bytes(simulate_season(config), tmp_path)
+
+    def test_values_outside_the_bulk_range_fall_back_to_repr(self, tmp_path):
+        season = simulate_season(SimConfig(seed=3, n_games=2, shots_per_game=5))
+        game = season.games[0]
+        shot = game.shots[0]
+        times, ball = shot.times_s.copy(), shot.ball_points.copy()
+        times[0] = 5e-05
+        ball[0] = (-0.0, 1e-5, 1e16)
+        ball[1] = (np.nan, -np.inf, -1e-300)
+        shot = dataclasses.replace(shot, times_s=times, ball_points=ball)
+        season.games[0] = dataclasses.replace(game, shots=(shot, *game.shots[1:]))
+        text = self._assert_same_bytes(season, tmp_path)
+        assert '"t":5e-05,"ball":[-0.0,1e-05,1e+16]' in text
+        assert '"ball":[nan,-inf,-1e-300]' in text
+
+    @staticmethod
+    def _assert_same_bytes(season, tmp_path) -> str:
+        want = io.StringIO()
+        for game in season.games:
+            oracle_write_tracking(want, game)
+        got = write_season(season, tmp_path)["tracking"].read_bytes()
+        assert got == want.getvalue().encode()
+        return got.decode()
 
 
 class TestOracleSeason:
