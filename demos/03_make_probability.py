@@ -20,8 +20,8 @@ season = simulate_season(cfg)
 rows = fit_season(*season_tracking(season)).rows
 print(f"{len(rows)} shots retained from {cfg.n_shots} attempts")
 
-factors = np.array([[r.depth_ft, r.lr_ft, r.entry_angle_deg] for r in rows])
-outcomes = np.array([float(r.outcome) for r in rows])
+factors = rows.matrix(("depth_ft", "lr_ft", "entry_angle_deg"))
+outcomes = rows["outcome"].astype(float)
 model = train(factors, outcomes, TrainConfig())
 probs = predict(model, factors)
 print(f"make rate {outcomes.mean():.3f}; model converged={model.converged}; "

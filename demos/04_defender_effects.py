@@ -7,27 +7,19 @@ per-shooter NDD slope, then prints the top/bottom of each table.
 Run:  python demos/04_defender_effects.py
 """
 
-import numpy as np
-
 from shotarc.cli import fit_season
-from shotarc.effects import EffectsDataset, apply_min_shots_filter, fit_effects, rank_players
+from shotarc.effects import apply_min_shots_filter, fit_effects, rank_players
 from shotarc.makeprob import TrainConfig, predict, train
 from shotarc.sim import SimConfig, season_tracking, simulate_season
 
 cfg = SimConfig(seed=33, n_games=60, shots_per_game=200, outcome_flip_prob=0.08)
 season = simulate_season(cfg)
 rows = fit_season(*season_tracking(season)).rows
-factors = np.array([[r.depth_ft, r.lr_ft, r.entry_angle_deg] for r in rows])
-outcomes = np.array([float(r.outcome) for r in rows])
+factors = rows.matrix(("depth_ft", "lr_ft", "entry_angle_deg"))
+outcomes = rows["outcome"].astype(float)
 model = train(factors, outcomes, TrainConfig())
-data = EffectsDataset(
-    shooters=np.array([r.shooter_id for r in rows]),
-    defenders=np.array([r.defender_id for r in rows]),
-    ndd_ft=np.array([r.ndd_ft for r in rows]),
-    outcomes=outcomes,
-    probs=predict(model, factors),
-    game_ids=np.array([r.game_id for r in rows]),
-)
+rows.columns["make_prob"] = predict(model, factors)
+data = rows.effects_dataset()
 data = apply_min_shots_filter(data, threshold=100)
 print(f"{len(data)} shots after the 100-shot filter")
 

@@ -9,10 +9,7 @@ raw-response fit, then checks rank stability across season halves.
 Run:  python demos/05_variance_reduction.py   (about a minute)
 """
 
-import numpy as np
-
 from shotarc.cli import fit_season
-from shotarc.effects import EffectsDataset
 from shotarc.evaluate import SubsampleSpec, split_half_rank_correlation, subsample_mse
 from shotarc.makeprob import TrainConfig, predict, train
 from shotarc.sim import PressureModel, SimConfig, season_tracking, simulate_season
@@ -21,17 +18,11 @@ cfg = SimConfig(seed=55, n_games=120, shots_per_game=250, outcome_flip_prob=0.10
                 pressure_scale_sd=0.55, pressure=PressureModel(depth_shift_ft=-0.11))
 season = simulate_season(cfg)
 rows = fit_season(*season_tracking(season)).rows
-factors = np.array([[r.depth_ft, r.lr_ft, r.entry_angle_deg] for r in rows])
-outcomes = np.array([float(r.outcome) for r in rows])
+factors = rows.matrix(("depth_ft", "lr_ft", "entry_angle_deg"))
+outcomes = rows["outcome"].astype(float)
 model = train(factors, outcomes, TrainConfig())
-data = EffectsDataset(
-    shooters=np.array([r.shooter_id for r in rows]),
-    defenders=np.array([r.defender_id for r in rows]),
-    ndd_ft=np.array([r.ndd_ft for r in rows]),
-    outcomes=outcomes,
-    probs=predict(model, factors),
-    game_ids=np.array([r.game_id for r in rows]),
-)
+rows.columns["make_prob"] = predict(model, factors)
+data = rows.effects_dataset()
 print(f"{len(data)} shots, {len(set(data.defenders))} defenders")
 
 spec = SubsampleSpec(fractions=(0.1, 0.2, 0.3, 0.4, 0.5), n_replicates=20, seed=5)

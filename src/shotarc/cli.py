@@ -270,7 +270,7 @@ def cmd_predict(args: argparse.Namespace) -> Run:
     model = MakeProbModel.from_json(Path(args.model).read_bytes())
     table.columns["make_prob"] = predict(model, table.matrix(FACTOR_COLUMNS))
     out = Path(args.out)
-    write_shot_rows(table, out, with_prob=True)
+    write_shot_rows(table, out)
     print(f"predicted {len(table)} shots -> {out}")
     return Run("predict", {}, [Path(args.factors), Path(args.model)], [out])
 

@@ -29,7 +29,7 @@ import json
 import operator
 import re
 from collections import Counter
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from itertools import chain
 from pathlib import Path
 from typing import NamedTuple
@@ -70,7 +70,7 @@ class ShotRow:
 
 
 # the shots file's columns: every ShotRow field but make_prob, which predict appends;
-# ids are read as str, INTEGER_COLUMNS as int64, the rest as float64
+# ids are read as str objects, INTEGER_COLUMNS as int64, the rest as float64
 SHOT_COLUMNS = tuple(f.name for f in dataclasses.fields(ShotRow))[:-1]
 ID_COLUMNS = ("shot_id", "game_id", "shooter_id", "defender_id", "flags")
 INTEGER_COLUMNS = ("outcome", "n_samples")
@@ -78,9 +78,9 @@ INTEGER_COLUMNS = ("outcome", "n_samples")
 
 @dataclasses.dataclass
 class ShotTable:
-    """Shots as columns by header name: ids as arrays of str (object arrays from
-    ``fit_season``), ``outcome`` and ``n_samples`` as int64, the other
-    ``SHOT_COLUMNS`` float64."""
+    """Shots as columns by header name: ids as object arrays of str, ``outcome``
+    and ``n_samples`` as int64, the other ``SHOT_COLUMNS`` (and ``make_prob``)
+    float64."""
 
     columns: dict[str, np.ndarray]
     n_rows: int
@@ -93,11 +93,6 @@ class ShotTable:
 
     def matrix(self, names: tuple[str, ...]) -> np.ndarray:
         return np.column_stack([self.columns[c] for c in names])
-
-    def __iter__(self) -> Iterator[ShotRow]:
-        """One ``ShotRow`` per shot; the table must hold every column of ``SHOT_COLUMNS``."""
-        cols = {"make_prob": np.full(self.n_rows, None), **self.columns}
-        return map(ShotRow, *(cols[c].tolist() for c in SHOT_COLUMNS + ("make_prob",)))
 
     def effects_dataset(self) -> EffectsDataset:
         cols = self.columns
@@ -213,7 +208,7 @@ def fit_files(tracking_path: str | Path, events_path: str | Path, roster_path: s
 # --- the shots file -------------------------------------------------------------------
 
 _NON_BLANK = re.compile(rb"\S")
-_LOADTXT = dict(delimiter=",", quotechar='"', comments=None, skiprows=1, ndmin=2,
+_LOADTXT = dict(delimiter=",", quotechar='"', comments=None, skiprows=1, ndmin=1,
                 encoding="utf-8")
 
 
@@ -262,34 +257,36 @@ def write_columns(path: Path, header: Iterable, columns: list) -> Path:
     return write_csv(path, header, chain.from_iterable(blocks))
 
 
-def write_shot_rows(rows: ShotTable | Iterable[ShotRow], path: Path,
-                    with_prob: bool = False) -> None:
-    """The shots file: the ``SHOT_COLUMNS`` of each row, then ``make_prob`` if
-    ``with_prob`` (an empty cell where a row has none).  Rows given as
-    ``ShotRow`` objects are turned into columns first, so every table is
+def write_shot_rows(rows: ShotTable | Iterable[ShotRow], path: Path) -> None:
+    """The shots file: the ``SHOT_COLUMNS`` of each row, then ``make_prob`` when
+    the table has it or some ``ShotRow`` has one (an empty cell where a row has
+    none).  ``ShotRow``s are turned into columns first, so every table is
     written by ``write_columns``, floats by their ``repr``."""
-    names = (SHOT_COLUMNS + ("make_prob",))[:len(SHOT_COLUMNS) + with_prob]
     if isinstance(rows, ShotTable):
-        given = {"make_prob": np.full(len(rows), None), **rows.columns}
-        columns = [given[name] for name in names]
+        columns = rows.columns
     else:
         rows = list(rows)
-        columns = [list(map(operator.attrgetter(name), rows)) for name in names]
-    write_columns(path, names, columns)
+        columns = {name: list(map(operator.attrgetter(name), rows))
+                   for name in SHOT_COLUMNS + ("make_prob",)}
+        if all(prob is None for prob in columns["make_prob"]):
+            del columns["make_prob"]
+    names = SHOT_COLUMNS + (("make_prob",) if "make_prob" in columns else ())
+    write_columns(path, names, [columns[name] for name in names])
 
 
 def read_shot_rows(path: str | Path, columns: tuple[str, ...] | None = None,
                    finite: tuple[str, ...] = ()) -> ShotTable:
     """Read ``columns`` of a shots file (default: those of ``SHOT_COLUMNS``, and
     ``make_prob`` when present) and the ``finite`` ones into a ``ShotTable``,
-    with numpy's C parser: one pass for the numbers, one for the ids.
+    in one pass of numpy's C parser: ids as str objects, every other column as
+    float64, ``INTEGER_COLUMNS`` then cast to int64.
 
     A ``ShotsFileError`` names the file, and the line, for bytes that are not
     UTF-8 or a carriage return; the file for no shots or a missing column;
     and the row (data rows from 0) and column (from 1), as numpy counts them,
     for a number that does not parse, an empty or missing cell, a non-finite
     value in a ``finite`` column, an ``outcome`` other than 0/1, or an
-    ``n_samples`` that is not an integer.
+    ``n_samples`` that is not an integer from 0 to below 2**63.
     """
     path = Path(path)
     data = path.read_bytes()
@@ -311,23 +308,19 @@ def read_shot_rows(path: str | Path, columns: tuple[str, ...] | None = None,
     names = tuple(dict.fromkeys(columns + finite))
     if missing := [c for c in names if c not in header]:
         raise ShotsFileError(f"{path}: no column {', '.join(missing)}")
-    table: dict[str, np.ndarray] = {}
-    for group, dtype in (([c for c in names if c not in ID_COLUMNS], float),
-                         ([c for c in names if c in ID_COLUMNS], str)):
-        if group:
-            try:
-                block = np.loadtxt(path, dtype=dtype, usecols=[header.index(c) for c in group],
-                                   **_LOADTXT)
-            except ValueError as exc:
-                raise ShotsFileError(f"{path}: {exc}") from None
-            table.update(zip(group, block.T.copy()))
+    try:
+        block = np.loadtxt(path, dtype=[(c, object if c in ID_COLUMNS else float) for c in names],
+                           usecols=[header.index(c) for c in names], **_LOADTXT)
+    except ValueError as exc:
+        raise ShotsFileError(f"{path}: {exc}") from None
+    table = {name: block[name].copy() for name in names}
     for name, values in table.items():
         if name in finite:
             bad = ~np.isfinite(values)
         elif name == "outcome":
             bad = (values != 0) & (values != 1)
         elif name == "n_samples":
-            bad = values != np.round(values)
+            bad = (values != np.round(values)) | (values < 0) | (values >= 2.0 ** 63)
         else:
             continue
         if bad.any():

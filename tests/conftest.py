@@ -3,8 +3,9 @@ conjugate-update oracle and the SVD one-shot solve for fit-level tests, the
 scalar shot-factor oracle for the array factors, the text-mode
 ``json.loads`` range parse, with its own row-at-a-time buffers, for the
 tracking loader's range parse, the shot-at-a-time extraction for the
-per-game shot extraction, and the f-string tracking writer and row-by-row
-``csv.writer`` shots file for the writers that format floats in bulk."""
+per-game shot extraction, the f-string tracking writer and row-by-row
+``csv.writer`` shots file for the writers that format floats in bulk, and a
+shots table as ``ShotRow`` objects."""
 
 import csv
 import io
@@ -24,7 +25,7 @@ from shotarc.factors import AscendingCrossingError, CrossingError, NoCrossingErr
     ShotPath
 from shotarc import ingest
 from shotarc.ingest import EVENT_COLUMNS, ExtractionReport, extract_shot_events
-from shotarc.season import SHOT_COLUMNS
+from shotarc.season import SHOT_COLUMNS, ShotRow, ShotTable
 from shotarc.trajectory import (
     BASE_EPSILON,
     BASE_SCALE,
@@ -681,10 +682,23 @@ def oracle_write_tracking(fh, game) -> None:
             fh.write(f'{prefix}{t!r},"ball":[{bx!r},{by!r},{bz!r}],"players":[{players}]}}\n')
 
 
-def oracle_write_shot_rows(rows, path, with_prob=False) -> None:
-    """The shots file row by row: each ``ShotRow`` (or each row a ``ShotTable``
-    gives) straight into ``csv.writer``, which writes floats by ``repr``."""
-    names = (SHOT_COLUMNS + ("make_prob",))[:len(SHOT_COLUMNS) + with_prob]
+def shot_row_objects(table) -> list:
+    """One ``ShotRow`` per shot of a ``ShotTable`` that holds every column of
+    ``SHOT_COLUMNS``, with ``make_prob`` None where the table has none."""
+    cols = {"make_prob": np.full(len(table), None), **table.columns}
+    return list(map(ShotRow, *(cols[c].tolist() for c in SHOT_COLUMNS + ("make_prob",))))
+
+
+def oracle_write_shot_rows(rows, path) -> None:
+    """The shots file row by row: each ``ShotRow`` (or each row of a ``ShotTable``,
+    by ``shot_row_objects``) straight into ``csv.writer``, which writes floats
+    by ``repr``; ``make_prob`` last when the table has it or some row has one."""
+    if isinstance(rows, ShotTable):
+        has_prob, rows = "make_prob" in rows.columns, shot_row_objects(rows)
+    else:
+        rows = list(rows)
+        has_prob = any(row.make_prob is not None for row in rows)
+    names = SHOT_COLUMNS + (("make_prob",) if has_prob else ())
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(names)

@@ -44,7 +44,8 @@ from shotarc.trajectory import (
     make_pseudo_data,
     quadratic_features,
 )
-from conftest import assert_season_matches_chain, base_posterior, parabola_shot, season_chain
+from conftest import assert_season_matches_chain, base_posterior, parabola_shot, season_chain, \
+    shot_row_objects
 
 
 @contextlib.contextmanager
@@ -78,8 +79,8 @@ def default_season_rows(default_season_fit):
 @pytest.fixture(scope="module")
 def default_season_model(default_season_rows):
     rows = default_season_rows
-    factors = np.array([[r.depth_ft, r.lr_ft, r.entry_angle_deg] for r in rows])
-    outcomes = np.array([float(r.outcome) for r in rows])
+    factors = rows.matrix(("depth_ft", "lr_ft", "entry_angle_deg"))
+    outcomes = rows["outcome"].astype(float)
     model = train(factors, outcomes, TrainConfig())
     return model, factors, outcomes
 
@@ -148,7 +149,7 @@ def test_criterion_2_factor_recovery_zero_noise():
         cfg = SimConfig(seed=2024, n_games=10, shots_per_game=100,
                         tracking_noise_ft=0.0)
         season = simulate_season(cfg)
-        rows = fit_season(*season_tracking(season)).rows
+        rows = shot_row_objects(fit_season(*season_tracking(season)).rows)
         truth = {r.shot_id: r for r in season.ground_truth}
         assert len(rows) == 1000
         for r in rows:
@@ -238,9 +239,9 @@ def test_criterion_5_variance_inflation_round_trip(default_season_rows):
                       "re-measured within +/-0.15 at >= 10k shots per group"):
         rows = default_season_rows
         out = variance_comparison(
-            np.array([r.depth_ft for r in rows]),
-            np.array([r.lr_ft for r in rows]),
-            np.array([r.ndd_ft for r in rows]),
+            rows["depth_ft"],
+            rows["lr_ft"],
+            rows["ndd_ft"],
             seed=3,
         )
         assert out["depth"].n_contested >= 10_000
@@ -255,17 +256,17 @@ def test_criterion_6_rao_blackwell_variance_reduction():
         season = simulate_season(RB_SEASON)
         assert RB_SEASON.n_games >= 120 and RB_SEASON.n_defenders >= 30
         rows = fit_season(*season_tracking(season)).rows
-        factors = np.array([[r.depth_ft, r.lr_ft, r.entry_angle_deg] for r in rows])
-        outcomes = np.array([float(r.outcome) for r in rows])
+        factors = rows.matrix(("depth_ft", "lr_ft", "entry_angle_deg"))
+        outcomes = rows["outcome"].astype(float)
         model = train(factors, outcomes, TrainConfig())
         probs = predict(model, factors)
         data = EffectsDataset(
-            shooters=np.array([r.shooter_id for r in rows]),
-            defenders=np.array([r.defender_id for r in rows]),
-            ndd_ft=np.array([r.ndd_ft for r in rows]),
+            shooters=rows["shooter_id"],
+            defenders=rows["defender_id"],
+            ndd_ft=rows["ndd_ft"],
             outcomes=outcomes,
             probs=probs,
-            game_ids=np.array([r.game_id for r in rows]),
+            game_ids=rows["game_id"],
         )
         spec = SubsampleSpec(fractions=(0.1, 0.2, 0.3, 0.4, 0.5), n_replicates=20, seed=5)
         results = subsample_mse(data, spec, min_shots=100)

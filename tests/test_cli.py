@@ -7,6 +7,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -26,6 +27,7 @@ from shotarc.cli import (
 from shotarc.core import rim_center_xy
 from shotarc.ingest import load_events, load_roster, load_tracking
 from shotarc.sim import SimConfig, season_tracking, simulate_season, write_season
+from conftest import shot_row_objects
 
 
 @pytest.fixture(scope="module")
@@ -171,7 +173,7 @@ class TestExitCodes:
     def test_failing_analysis_exits_2_and_writes_nothing(self, tmp_path, capsys, analysis, spec,
                                                          message):
         shots = tmp_path / "preds.csv"
-        write_shot_rows(_shot_rows(600), shots, with_prob=True)
+        write_shot_rows(_shot_rows(600), shots)
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(spec))
         out = tmp_path / "ev"
@@ -208,7 +210,7 @@ class TestExitCodes:
     ])
     def test_wrong_spec_value_exits_2_and_writes_nothing(self, tmp_path, capsys, analysis, spec):
         shots = tmp_path / "preds.csv"
-        write_shot_rows(_shot_rows(600), shots, with_prob=True)
+        write_shot_rows(_shot_rows(600), shots)
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(spec))
         out = tmp_path / "ev"
@@ -219,7 +221,7 @@ class TestExitCodes:
 
     def test_unknown_spec_key_exits_2_and_writes_nothing(self, tmp_path, capsys):
         shots = tmp_path / "preds.csv"
-        write_shot_rows(_shot_rows(600), shots, with_prob=True)
+        write_shot_rows(_shot_rows(600), shots)
         spec = tmp_path / "spec.json"
         out = tmp_path / "ev"
         # a key that only another analysis reads passes; a misspelt one does not
@@ -412,7 +414,8 @@ class TestFitAndDownstream:
         rows = read_shot_rows(fit_dir / "factors.csv")
         assert len(rows) == len(expected) > 0
         # repr shows every field, floats to the last bit and NaN as nan
-        assert [repr(r) for r in rows] == [repr(e) for e in expected]
+        assert [repr(r) for r in shot_row_objects(rows)] == [
+            repr(e) for e in shot_row_objects(expected)]
 
     def test_train_predict_effects_evaluate_compose(self, workdir, fit_dir):
         model = workdir / "model.json"
@@ -421,8 +424,8 @@ class TestFitAndDownstream:
         preds = workdir / "preds.csv"
         assert main(["predict", "--model", str(model),
                      "--factors", str(fit_dir / "factors.csv"), "--out", str(preds)]) == 0
-        rows = read_shot_rows(preds)
-        assert all(r.make_prob is not None and 0 < r.make_prob < 1 for r in rows)
+        probs = read_shot_rows(preds)["make_prob"]
+        assert len(probs) and ((0 < probs) & (probs < 1)).all()
 
         eff = workdir / "effects"
         assert main(["effects", "--factors", str(preds), "--model-kind", "defender",
@@ -804,8 +807,9 @@ class TestCsvQuoting:
         assert _fit(season, tmp_path / "f") == 0
         factors = tmp_path / "f" / "factors.csv"
         rows = read_shot_rows(factors)
-        assert rows and all(r.shot_id.endswith(',"x') for r in rows)
-        assert {r.shot_id for r in rows} <= {rec[0] for rec in records[1:]}
+        shot_ids = rows["shot_id"].tolist()
+        assert shot_ids and all(shot_id.endswith(',"x') for shot_id in shot_ids)
+        assert set(shot_ids) <= {rec[0] for rec in records[1:]}
         traj = _csv_records(tmp_path / "f" / "trajectories.csv")
         assert all(len(rec) == len(traj[0]) for rec in traj)
         assert main(["train-makeprob", "--factors", str(factors),
@@ -834,7 +838,8 @@ class TestCsvQuoting:
         factors = tmp_path / "f" / "factors.csv"
         rows = read_shot_rows(factors)
         assert len(rows) == report["n_factor_rows"] > 0
-        assert not any("\r" in r.shot_id + r.shooter_id + r.defender_id for r in rows)
+        ids = [rows[c].tolist() for c in ("shot_id", "shooter_id", "defender_id")]
+        assert not any("\r" in i for i in sum(ids, []))
         assert main(["train-makeprob", "--factors", str(factors),
                      "--out-model", str(tmp_path / "m.json"), "--min-shots", "100"]) == 0
 
@@ -848,7 +853,7 @@ class TestCsvQuoting:
                 for i in range(120)]
         shots = tmp_path / "shots.csv"
         write_shot_rows(rows, shots)
-        assert [r.defender_id for r in read_shot_rows(shots)] == [r.defender_id for r in rows]
+        assert read_shot_rows(shots)["defender_id"].tolist() == [r.defender_id for r in rows]
         assert main(["effects", "--factors", str(shots), "--min-shots", "10",
                      "--out-dir", str(tmp_path / "e")]) == 0
         table = _csv_records(tmp_path / "e" / "effects_defender_raw.csv")
@@ -866,7 +871,7 @@ class TestMinShotsRule:
                         make_prob=float(rng.uniform(0.2, 0.6)))
                 for i in range(400)]                 # defender DX has 8 shots, below 20
         shots = tmp_path / "shots.csv"
-        write_shot_rows(rows, shots, with_prob=True)
+        write_shot_rows(rows, shots)
         assert main(["effects", "--factors", str(shots), "--model-kind", "resilience",
                      "--response-kind", "prob", "--min-shots", "20",
                      "--out-dir", str(tmp_path / "e")]) == 0
@@ -913,7 +918,7 @@ EVERY_SPEC_DEFAULT = {
 @pytest.mark.parametrize("analysis", ["fig3", "fig4", "fig5", "depth-bins", "split-half"])
 def test_empty_spec_and_spelt_out_defaults_write_the_same_table(tmp_path, analysis):
     shots = tmp_path / "preds.csv"
-    write_shot_rows(_shot_rows(600), shots, with_prob=True)
+    write_shot_rows(_shot_rows(600), shots)
     tables = []
     for name, doc in (("empty", {}), ("defaults", EVERY_SPEC_DEFAULT)):
         spec = tmp_path / f"{name}.json"
@@ -931,7 +936,7 @@ class TestShotsFileContract:
         rows = _shot_rows(400)
         rows[17].ndd_ft = float("nan")
         shots = tmp_path / "preds.csv"
-        write_shot_rows(rows, shots, with_prob=True)
+        write_shot_rows(rows, shots)
         out = tmp_path / "e"
         assert main(["effects", "--factors", str(shots), "--model-kind", "resilience",
                      "--response-kind", "prob", "--min-shots", "10", "--out-dir", str(out)]) == 2
@@ -942,7 +947,7 @@ class TestShotsFileContract:
         rows = _shot_rows(400)
         rows[5].depth_ft = float("nan")
         shots = tmp_path / "preds.csv"
-        write_shot_rows(rows, shots, with_prob=True)
+        write_shot_rows(rows, shots)
         out = tmp_path / "ev"
         assert main(["evaluate", "--analysis", "depth-bins", "--shots", str(shots),
                      "--out-dir", str(out)]) == 2
@@ -984,6 +989,43 @@ class TestShotsFileContract:
         assert f"{shots}{message}" in capsys.readouterr().err
         assert not model.parent.exists()
 
+    @pytest.mark.parametrize("value,shown", [("1e300", "1e+300"), ("inf", "inf"), ("-3", "-3.0"),
+                                             ("9223372036854775808", "9.223372036854776e+18")])
+    def test_n_samples_outside_int64_into_predict_exits_2_and_writes_nothing(
+            self, tmp_path, capsys, value, shown):
+        _, factors = _model_doc(tmp_path)
+        records = _csv_records(factors)
+        records[3][records[0].index("n_samples")] = value
+        factors.write_text("".join(",".join(rec) + "\n" for rec in records))
+        preds = tmp_path / "p" / "preds.csv"
+        assert main(["predict", "--model", str(tmp_path / "model.json"),
+                     "--factors", str(factors), "--out", str(preds)]) == 2
+        message = f"{factors}: {shown} is not a valid n_samples at row 2, column 13"
+        assert message in capsys.readouterr().err
+        assert not preds.parent.exists()
+
+    def test_one_long_shot_id_reads_in_bounded_memory_and_predicts(self, tmp_path):
+        # a fixed-width str column would hold every id at the longest one's width:
+        # 150 x 100,001 x 4 bytes, and several times that while numpy parses the file
+        _, factors = _model_doc(tmp_path)
+        rows = _shot_rows(150)
+        long_id = "T" * 100_000
+        rows[0].shot_id = long_id
+        shots = tmp_path / "long.csv"
+        write_shot_rows(rows, shots)
+        tracemalloc.start()
+        try:
+            table = read_shot_rows(shots)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20
+        assert table["shot_id"][0] == long_id
+        preds = tmp_path / "preds.csv"
+        assert main(["predict", "--model", str(tmp_path / "model.json"),
+                     "--factors", str(shots), "--out", str(preds)]) == 0
+        assert preds.read_bytes().split(b"\n")[1].startswith(long_id.encode() + b",G0,")
+
     def test_fig4_bins_around_a_defender_missing_from_the_roster(self, tmp_path, season_dir):
         season = tmp_path / "s"
         season.mkdir()
@@ -1011,10 +1053,10 @@ class TestShotsFileContract:
             r.defender_id = f" #Dé{i % 5} "
             r.flags = "a;b" if i % 2 else ""
         shots = tmp_path / "shots.csv"
-        write_shot_rows(rows, shots, with_prob=True)
+        write_shot_rows(rows, shots)
         back = read_shot_rows(shots)
-        assert [repr(r) for r in back] == [repr(r) for r in rows]
-        write_shot_rows(back, tmp_path / "again.csv", with_prob=True)
+        assert [repr(r) for r in shot_row_objects(back)] == [repr(r) for r in rows]
+        write_shot_rows(back, tmp_path / "again.csv")
         assert (tmp_path / "again.csv").read_bytes() == shots.read_bytes()
 
     def test_nan_contest_angle_passes_every_stage(self, tmp_path):

@@ -852,9 +852,8 @@ class TestLoadEventsProperties:
                    + sum(fit.filtering.rejections.values()) + sum(fit.factor_rejections.values()))
         assert counted + len(fit.rows) == len(records)
         assert np.isfinite(fit.fits["ndd_ft"]).all()
-        for r in fit.rows:
-            assert all(map(math.isfinite, (r.ndd_ft, r.depth_ft, r.lr_ft, r.entry_angle_deg,
-                                           r.rmse_ft)))
+        assert np.isfinite(fit.rows.matrix(
+            ("ndd_ft", "depth_ft", "lr_ft", "entry_angle_deg", "rmse_ft"))).all()
 
 
 class TestRosterAndEvents:

@@ -8,6 +8,7 @@ from shotarc.effects import EffectsDataset, apply_min_shots_filter, fit_effects
 from shotarc.evaluate import binned_profiles, spearman
 from shotarc.makeprob import TrainConfig, predict, train
 from shotarc.sim import PressureModel, SimConfig, season_tracking, simulate_season, write_season
+from conftest import shot_row_objects
 
 
 @pytest.fixture(scope="module")
@@ -25,16 +26,16 @@ def pressured_season():
 @pytest.fixture(scope="module")
 def pressured_dataset(pressured_season):
     season, rows = pressured_season
-    factors = np.array([[r.depth_ft, r.lr_ft, r.entry_angle_deg] for r in rows])
-    outcomes = np.array([float(r.outcome) for r in rows])
+    factors = rows.matrix(("depth_ft", "lr_ft", "entry_angle_deg"))
+    outcomes = rows["outcome"].astype(float)
     model = train(factors, outcomes, TrainConfig())
     data = EffectsDataset(
-        shooters=np.array([r.shooter_id for r in rows]),
-        defenders=np.array([r.defender_id for r in rows]),
-        ndd_ft=np.array([r.ndd_ft for r in rows]),
+        shooters=rows["shooter_id"],
+        defenders=rows["defender_id"],
+        ndd_ft=rows["ndd_ft"],
         outcomes=outcomes,
         probs=predict(model, factors),
-        game_ids=np.array([r.game_id for r in rows]),
+        game_ids=rows["game_id"],
     )
     return season, rows, data
 
@@ -60,16 +61,14 @@ class TestPressureTrendsThroughPipeline:
     # expected value of a perfectly planted trend
     def test_depth_rises_with_ndd(self, pressured_season):
         _, rows = pressured_season
-        ndd = np.array([r.ndd_ft for r in rows])
-        depth = np.array([r.depth_ft for r in rows])
+        ndd, depth = rows["ndd_ft"], rows["depth_ft"]
         prof = binned_profiles(ndd, depth, np.arange(0.0, 10.1, 2.0),
                                bin_by="ndd", value="depth")
         assert prof.trend >= 0.85   # contested (small NDD) shots land shorter
 
     def test_entry_angle_falls_with_ndd(self, pressured_season):
         _, rows = pressured_season
-        ndd = np.array([r.ndd_ft for r in rows])
-        angle = np.array([r.entry_angle_deg for r in rows])
+        ndd, angle = rows["ndd_ft"], rows["entry_angle_deg"]
         prof = binned_profiles(ndd, angle, np.arange(0.0, 10.1, 2.0),
                                bin_by="ndd", value="entry_angle")
         assert prof.trend <= -0.85  # tight contests push arcs steeper
@@ -80,9 +79,9 @@ class TestPressureTrendsThroughPipeline:
                         pressure_scale_sd=0.0,
                         pressure=PressureModel(angle_height_coef=0.28))
         rows = fit_season(*season_tracking(simulate_season(cfg))).rows
-        contested = [r for r in rows if r.ndd_ft < 4.0]
-        heights = np.array([r.defender_height_in for r in contested])
-        angle = np.array([r.entry_angle_deg for r in contested])
+        contested = rows["ndd_ft"] < 4.0
+        heights = rows["defender_height_in"][contested]
+        angle = rows["entry_angle_deg"][contested]
         prof = binned_profiles(heights, angle, np.arange(72.0, 88.1, 4.0),
                                bin_by="defender_height", value="entry_angle")
         assert prof.trend == 1.0
@@ -100,7 +99,7 @@ class TestFileRoundTripExactness:
                      "--events", str(tmp_path / "season" / "events.csv"),
                      "--roster", str(tmp_path / "season" / "roster.csv"),
                      "--out-dir", str(out)]) == 0
-        rows = read_shot_rows(out / "factors.csv")
+        rows = shot_row_objects(read_shot_rows(out / "factors.csv"))
         truth = {r.shot_id: r for r in season.ground_truth}
         assert len(rows) == 200
         for r in rows:
@@ -109,7 +108,8 @@ class TestFileRoundTripExactness:
             assert r.lr_ft == pytest.approx(t.true_lr_ft, abs=0.02)
             assert r.entry_angle_deg == pytest.approx(t.true_angle_deg, abs=0.2)
 
-        expected = {r.shot_id: r for r in fit_season(*season_tracking(season)).rows}
+        fitted = fit_season(*season_tracking(season)).rows
+        expected = {r.shot_id: r for r in shot_row_objects(fitted)}
         for r in rows:
             e = expected[r.shot_id]
             assert r.depth_ft == e.depth_ft        # repr round-trip is exact

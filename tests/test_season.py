@@ -150,7 +150,7 @@ FLOAT_COLUMNS = tuple(c for c in SHOT_COLUMNS + ("make_prob",)
                       if c not in ID_COLUMNS + INTEGER_COLUMNS)
 
 
-def _odd_rows(n: int, with_prob: bool) -> list[ShotRow]:
+def _odd_rows(n: int, has_prob: bool) -> list[ShotRow]:
     """Rows whose ids need quoting (``,``, ``"``, a line break), with empty and set
     flags, and with ``ODD_FLOATS`` among seeded draws in every float column."""
     rng = np.random.default_rng(12)
@@ -159,7 +159,7 @@ def _odd_rows(n: int, with_prob: bool) -> list[ShotRow]:
         floats = rng.normal(size=len(FLOAT_COLUMNS)) * 10.0 ** rng.integers(-3, 4)
         floats[i % len(FLOAT_COLUMNS)] = ODD_FLOATS[i % len(ODD_FLOATS)]
         values = dict(zip(FLOAT_COLUMNS, floats.tolist()))
-        if not with_prob:
+        if not has_prob:
             values["make_prob"] = None
         rows.append(ShotRow(shot_id=f'T{i},"x\ny' if i % 3 == 0 else f"T{i}", game_id=f"G{i % 4}",
                             shooter_id=f"S,{i % 5}", defender_id=f'D"{i % 6}', outcome=i % 2,
@@ -167,26 +167,26 @@ def _odd_rows(n: int, with_prob: bool) -> list[ShotRow]:
     return rows
 
 
-def _as_table(rows: list[ShotRow], with_prob: bool) -> ShotTable:
-    names = SHOT_COLUMNS + (("make_prob",) if with_prob else ())
+def _as_table(rows: list[ShotRow], has_prob: bool) -> ShotTable:
+    names = SHOT_COLUMNS + (("make_prob",) if has_prob else ())
     dtypes = {c: object for c in ID_COLUMNS} | {c: np.int64 for c in INTEGER_COLUMNS}
     return ShotTable({c: np.array([getattr(r, c) for r in rows], dtype=dtypes.get(c, float))
                       for c in names}, len(rows))
 
 
 @pytest.mark.parametrize("as_table", [False, True], ids=["shot-rows", "table"])
-@pytest.mark.parametrize("has_prob, with_prob", [(True, True), (True, False), (False, True),
-                                                  (False, False)])
+# whether the rows have make_prob, and whether the file then has that column
+@pytest.mark.parametrize("has_prob, writes_prob", [(True, True), (False, False)])
 def test_shots_file_bytes_equal_the_row_by_row_csv_writer(tmp_path, as_table, has_prob,
-                                                          with_prob):
+                                                          writes_prob):
     rows = _odd_rows(CSV_BLOCK_ROWS + 300, has_prob)
     given = _as_table(rows, has_prob) if as_table else rows
     got, want = tmp_path / "got.csv", tmp_path / "want.csv"
-    write_shot_rows(given, got, with_prob)
-    oracle_write_shot_rows(given, want, with_prob)
+    write_shot_rows(given, got)
+    oracle_write_shot_rows(given, want)
     assert got.read_bytes() == want.read_bytes()
-    # a row with no make_prob has an empty cell, which the reader refuses
-    back = read_shot_rows(got, SHOT_COLUMNS + (("make_prob",) if has_prob and with_prob else ()))
+    back = read_shot_rows(got)
+    assert list(back.columns) == list(SHOT_COLUMNS) + ["make_prob"] * writes_prob
     for name, column in back.columns.items():
         values = [getattr(r, name) for r in rows]
         if name in ID_COLUMNS:
@@ -210,8 +210,37 @@ def test_writing_a_rank_sized_table_holds_a_bounded_set_of_cells(tmp_path):
     table = ShotTable(columns, n)
     tracemalloc.start()
     try:
-        write_shot_rows(table, tmp_path / "preds.csv", with_prob=True)
+        write_shot_rows(table, tmp_path / "preds.csv")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 4 << 20
+
+
+def test_every_shot_table_holds_one_type_per_column(tmp_path):
+    # the rows fit_season gives, those rows written and read back, and ShotRow objects
+    # written and read back: ids str objects, INTEGER_COLUMNS int64, the rest float64
+    fitted = fit_season(*season_tracking(simulate_season(
+        SimConfig(n_games=2, shots_per_game=30, seed=5)))).rows
+    write_shot_rows(fitted, tmp_path / "fit.csv")
+    write_shot_rows(_odd_rows(50, True), tmp_path / "rows.csv")
+    tables = [fitted, read_shot_rows(tmp_path / "fit.csv"), read_shot_rows(tmp_path / "rows.csv")]
+    for table in tables:
+        assert set(SHOT_COLUMNS) <= set(table.columns) and len(table) > 0
+        for name, values in table.columns.items():
+            if name in ID_COLUMNS:
+                assert values.dtype == object, name
+                assert {type(v) for v in values.tolist()} == {str}, name
+            else:
+                assert values.dtype == (np.int64 if name in INTEGER_COLUMNS else np.float64), name
+
+
+def test_a_shot_row_without_make_prob_beside_rows_with_one_gets_an_empty_cell(tmp_path):
+    rows = _odd_rows(6, True)
+    rows[4].make_prob = None
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    write_shot_rows(rows, got)
+    oracle_write_shot_rows(rows, want)
+    assert got.read_bytes() == want.read_bytes()
+    with pytest.raises(ShotsFileError, match="'' to float64 at row 4, column 15"):
+        read_shot_rows(got)
