@@ -24,7 +24,7 @@ data = apply_min_shots_filter(data, threshold=100)
 print(f"{len(data)} shots after the 100-shot filter")
 
 est = fit_effects(data, "defender", "prob")
-table = rank_players(est, direction="ascending")
+table = rank_players(est)
 truth = {d.player_id: d.pressure_scale for d in season.defender_pool}
 print("\nnearest-defender impact on make probability (per 100 shots):")
 print(f"{'rank':>4} {'defender':<8} {'impact':>8} {'opp prob':>9} {'shots':>6} {'planted scale':>14}")
@@ -33,7 +33,7 @@ for r in table[:5] + table[-5:]:
           f"{r.opp_mean_prob:>9.3f} {r.n_shots:>6} {truth[r.player_id]:>14.2f}")
 
 res = fit_effects(data, "resilience", "prob")
-res_table = rank_players(res, direction="descending")
+res_table = rank_players(res)
 resilience = {s.player_id: s.resilience for s in season.shooter_pool}
 print(f"\nshooter resilience to contests (common NDD slope "
       f"{100 * res.common_ndd_slope:.2f} per 100 shots per ft):")

@@ -286,8 +286,7 @@ def cmd_effects(args: argparse.Namespace) -> Run:
         raise ConfigError("no rows survive the minimum-shots filter")
     estimates = fit_effects(filtered, args.model_kind, args.response_kind,
                             common_slope=not args.literal_ndd)
-    direction = "ascending" if args.model_kind == "defender" else "descending"
-    table = rank_players(estimates, direction=direction)
+    table = rank_players(estimates)
 
     stem = Path(args.out_dir) / f"effects_{args.model_kind}_{args.response_kind}"
     csv_path = write_csv(

@@ -316,16 +316,14 @@ class RankedPlayer:
     opp_mean_prob: float
 
 
-def rank_players(estimates: EffectEstimates, direction: str = "ascending") -> list[RankedPlayer]:
+def rank_players(estimates: EffectEstimates) -> list[RankedPlayer]:
     """Ordered effect table; effects also scaled per 100 shots.
 
-    'ascending' puts the most negative effect first (best defenders);
-    'descending' the most positive first (most resilient shooters).
+    A defender model puts the most negative effect first (best defenders), a
+    resilience model the most positive first (most resilient shooters).
     Ties break lexicographically by player id.
     """
-    if direction not in ("ascending", "descending"):
-        raise EffectsError(f"unknown direction {direction!r}")
-    sign = 1.0 if direction == "ascending" else -1.0
+    sign = 1.0 if estimates.model_kind == "defender" else -1.0
     ordered = sorted(estimates.effects.items(), key=lambda kv: (sign * kv[1], kv[0]))
     return [
         RankedPlayer(

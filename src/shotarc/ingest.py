@@ -6,7 +6,7 @@ File formats (all UTF-8 text, base-10 numerals):
                   {"game_id": ..., "t": seconds, "ball": [x, y, z],
                    "players": [{"id", "team", "x", "y"} x 10]}
   events.csv      shot_id, game_id, shooter_id, release_frame, outcome, hoop_end
-  roster.csv      player_id, height_in, position (``simulate`` writes it; nothing reads it)
+  roster.csv      player_id, height_in
 
 Malformed rows are counted under a reason and skipped, never fatal;
 structurally broken files (missing, unparseable, non-monotone timestamps)

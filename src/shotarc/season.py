@@ -26,7 +26,6 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
-import operator
 import re
 from collections import Counter
 from collections.abc import Iterable
@@ -236,21 +235,16 @@ def write_json(path: Path, doc) -> Path:
 CSV_BLOCK_ROWS = 2048
 
 
-def _cells(values) -> list:
-    """One column's block as ``csv`` cells: floats (a float64 array, or a list of
-    Python floats only) as their ``repr`` by ``core.float_reprs``; any other
-    values as they are, for ``csv`` to write."""
-    if isinstance(values, np.ndarray):
-        return float_reprs(values) if values.dtype == np.float64 else values.tolist()
-    if set(map(type, values)) == {float}:
-        return float_reprs(np.array(values))
-    return values
+def _cells(values: np.ndarray) -> list:
+    """One column's block as ``csv`` cells: a float64 array as the ``repr`` of each
+    float by ``core.float_reprs``; any other array as its values, for ``csv`` to write."""
+    return float_reprs(values) if values.dtype == np.float64 else values.tolist()
 
 
-def write_columns(path: Path, header: Iterable, columns: list) -> Path:
-    """``write_csv`` of equal-length columns (arrays or lists), one cell of each
-    per row, formatted ``CSV_BLOCK_ROWS`` rows at a time, so the cells held at
-    once do not grow with the table."""
+def write_columns(path: Path, header: Iterable, columns: list[np.ndarray]) -> Path:
+    """``write_csv`` of equal-length array columns, one cell of each per row,
+    formatted ``CSV_BLOCK_ROWS`` rows at a time, so the cells held at once do not
+    grow with the table."""
     n = len(columns[0])
     blocks = (zip(*(_cells(column[start:start + CSV_BLOCK_ROWS]) for column in columns))
               for start in range(0, n, CSV_BLOCK_ROWS))
@@ -259,19 +253,17 @@ def write_columns(path: Path, header: Iterable, columns: list) -> Path:
 
 def write_shot_rows(rows: ShotTable | Iterable[ShotRow], path: Path) -> None:
     """The shots file: the ``SHOT_COLUMNS`` of each row, then ``make_prob`` when
-    the table has it or some ``ShotRow`` has one (an empty cell where a row has
-    none).  ``ShotRow``s are turned into columns first, so every table is
-    written by ``write_columns``, floats by their ``repr``."""
-    if isinstance(rows, ShotTable):
-        columns = rows.columns
-    else:
+    the table has it, by ``write_columns``.  ``ShotRow``s are turned into a
+    table first, one array per column (ids as objects), with ``make_prob`` when
+    some row has one: an object array, with an empty cell where a row has none."""
+    if not isinstance(rows, ShotTable):
         rows = list(rows)
-        columns = {name: list(map(operator.attrgetter(name), rows))
-                   for name in SHOT_COLUMNS + ("make_prob",)}
-        if all(prob is None for prob in columns["make_prob"]):
-            del columns["make_prob"]
-    names = SHOT_COLUMNS + (("make_prob",) if "make_prob" in columns else ())
-    write_columns(path, names, [columns[name] for name in names])
+        has_prob = any(r.make_prob is not None for r in rows)
+        rows = ShotTable({c: np.array([getattr(r, c) for r in rows],
+                                      dtype=object if c in ID_COLUMNS else None)
+                          for c in SHOT_COLUMNS + (("make_prob",) if has_prob else ())}, len(rows))
+    names = SHOT_COLUMNS + (("make_prob",) if "make_prob" in rows.columns else ())
+    write_columns(path, names, [rows[name] for name in names])
 
 
 def read_shot_rows(path: str | Path, columns: tuple[str, ...] | None = None,
@@ -279,14 +271,15 @@ def read_shot_rows(path: str | Path, columns: tuple[str, ...] | None = None,
     """Read ``columns`` of a shots file (default: those of ``SHOT_COLUMNS``, and
     ``make_prob`` when present) and the ``finite`` ones into a ``ShotTable``,
     in one pass of numpy's C parser: ids as str objects, every other column as
-    float64, ``INTEGER_COLUMNS`` then cast to int64.
+    float64, ``INTEGER_COLUMNS`` then cast to int64: exactly, as a float64 holds
+    every integer below 2**53 and parses any larger one to at least 2**53.
 
     A ``ShotsFileError`` names the file, and the line, for bytes that are not
     UTF-8 or a carriage return; the file for no shots or a missing column;
     and the row (data rows from 0) and column (from 1), as numpy counts them,
     for a number that does not parse, an empty or missing cell, a non-finite
     value in a ``finite`` column, an ``outcome`` other than 0/1, or an
-    ``n_samples`` that is not an integer from 0 to below 2**63.
+    ``n_samples`` that is not an integer from 0 to below 2**53.
     """
     path = Path(path)
     data = path.read_bytes()
@@ -320,7 +313,7 @@ def read_shot_rows(path: str | Path, columns: tuple[str, ...] | None = None,
         elif name == "outcome":
             bad = (values != 0) & (values != 1)
         elif name == "n_samples":
-            bad = (values != np.round(values)) | (values < 0) | (values >= 2.0 ** 63)
+            bad = (values != np.round(values)) | (values < 0) | (values >= 2.0 ** 53)
         else:
             continue
         if bad.any():

@@ -603,14 +603,6 @@ def _simulate_game(config: SimConfig, rng: np.random.Generator, game_id: GameId,
 
 # --- the season as the loaders return it --------------------------------------------
 
-def _position_tag(height_in: float) -> str:
-    if height_in <= 76.0:
-        return "G"
-    if height_in <= 81.0:
-        return "F"
-    return "C"
-
-
 def _roster(shooters: list[ShooterSkill], defenders: list[DefenderTrait]) -> list[tuple]:
     """Every pooled player's (id, height in inches), sorted by player id."""
     return sorted([(s.player_id, s.height_in) for s in shooters]
@@ -713,9 +705,9 @@ def _season_paths(out_dir: str | Path) -> dict[str, Path]:
 def _write_roster(path: Path, shooters: list[ShooterSkill],
                   defenders: list[DefenderTrait]) -> None:
     with _text_file(path) as fh:
-        fh.write("player_id,height_in,position\n")
+        fh.write("player_id,height_in\n")
         for pid, height in _roster(shooters, defenders):
-            fh.write(f"{pid},{height!r},{_position_tag(height)}\n")
+            fh.write(f"{pid},{height!r}\n")
 
 
 def write_season(season: SeasonData, out_dir: str | Path) -> dict[str, Path]:

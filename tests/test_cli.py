@@ -989,9 +989,13 @@ class TestShotsFileContract:
         assert f"{shots}{message}" in capsys.readouterr().err
         assert not model.parent.exists()
 
+    # from 2**53 on a float64 no longer holds every integer: 2**53 + 1 parses as 2**53
     @pytest.mark.parametrize("value,shown", [("1e300", "1e+300"), ("inf", "inf"), ("-3", "-3.0"),
-                                             ("9223372036854775808", "9.223372036854776e+18")])
-    def test_n_samples_outside_int64_into_predict_exits_2_and_writes_nothing(
+                                             ("9223372036854775808", "9.223372036854776e+18"),
+                                             ("9223372036854775807", "9.223372036854776e+18"),
+                                             ("9007199254740993", "9007199254740992.0"),
+                                             ("9007199254740992", "9007199254740992.0")])
+    def test_n_samples_outside_0_to_2_53_into_predict_exits_2_and_writes_nothing(
             self, tmp_path, capsys, value, shown):
         _, factors = _model_doc(tmp_path)
         records = _csv_records(factors)
@@ -1003,6 +1007,18 @@ class TestShotsFileContract:
         message = f"{factors}: {shown} is not a valid n_samples at row 2, column 13"
         assert message in capsys.readouterr().err
         assert not preds.parent.exists()
+
+    def test_n_samples_just_below_2_53_reads_and_predicts_exactly(self, tmp_path):
+        _, factors = _model_doc(tmp_path)
+        records = _csv_records(factors)
+        column = records[0].index("n_samples")
+        records[3][column] = "9007199254740991"
+        factors.write_text("".join(",".join(rec) + "\n" for rec in records))
+        assert read_shot_rows(factors)["n_samples"][2] == 2 ** 53 - 1
+        preds = tmp_path / "preds.csv"
+        assert main(["predict", "--model", str(tmp_path / "model.json"),
+                     "--factors", str(factors), "--out", str(preds)]) == 0
+        assert _csv_records(preds)[3][column] == "9007199254740991"
 
     def test_one_long_shot_id_reads_in_bounded_memory_and_predicts(self, tmp_path):
         # a fixed-width str column would hold every id at the longest one's width:

@@ -4,7 +4,7 @@
 that the library's normal equations and solve are checked against.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -431,7 +431,7 @@ class TestCodedIds:
 class TestRanking:
     def test_defender_direction_most_negative_first(self):
         est = fit_effects(balanced_2x2(g=0.05), "defender", "raw")
-        table = rank_players(est, direction="ascending")
+        table = rank_players(est)
         assert table[0].player_id == "K2"
         assert table[0].effect_per_100 == pytest.approx(-5.0, abs=1e-8)
         assert table[0].rank == 1
@@ -456,6 +456,17 @@ class TestRanking:
         est = fit_effects(data, "defender", "raw")
         table = rank_players(est)
         assert [r.player_id for r in table] == ["K1", "K2"]
+
+    def test_resilience_most_positive_slope_first_ties_by_id(self):
+        rows = [(s, "K", ndd, 0.5 + slope * (ndd - 5.0))
+                for s, slope in (("A", 0.01), ("B", 0.03), ("D", -0.02))
+                for ndd in (2.0, 4.0, 6.0, 8.0)]
+        est = fit_effects(dataset_from_rows(rows), "resilience", "raw")
+        table = rank_players(est)
+        assert [r.player_id for r in table] == ["B", "A", "D"]
+        assert table[0].effect > 0 > table[-1].effect and table[0].rank == 1
+        tied = replace(est, effects={"C": 0.01, "D": -0.02, "B": 0.03, "A": 0.01})
+        assert [r.player_id for r in rank_players(tied)] == ["B", "A", "C", "D"]
 
     def test_opp_mean_prob_column(self):
         est = fit_effects(balanced_2x2(), "defender", "raw")

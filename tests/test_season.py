@@ -3,6 +3,7 @@ the filter's rules and the scalar factor oracle (``oracle_path_line``,
 ``oracle_factors``); the shots file against the row-by-row ``csv.writer``
 (``oracle_write_shot_rows``)."""
 
+import csv
 import tracemalloc
 
 import numpy as np
@@ -195,6 +196,21 @@ def test_shots_file_bytes_equal_the_row_by_row_csv_writer(tmp_path, as_table, ha
             assert column.dtype == np.int64 and column.tolist() == values, name
         else:
             assert column.view(np.int64).tolist() == np.array(values).view(np.int64).tolist(), name
+
+
+@pytest.mark.parametrize("n", [CSV_BLOCK_ROWS + 300, 0], ids=["some-make-prob", "no-rows"])
+def test_shot_rows_with_some_make_prob_or_none_equal_the_row_by_row_csv_writer(tmp_path, n):
+    rows = _odd_rows(n, has_prob=True)
+    for row in rows[::3]:
+        row.make_prob = None
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    write_shot_rows(rows, got)
+    oracle_write_shot_rows(rows, want)
+    assert got.read_bytes() == want.read_bytes()
+    with got.open(encoding="utf-8", newline="") as fh:
+        records = list(csv.reader(fh))
+    assert records[0] == list(SHOT_COLUMNS) + ["make_prob"] * bool(rows)
+    assert [rec[-1] == "" for rec in records[1:]] == [i % 3 == 0 for i in range(n)]
 
 
 def test_writing_a_rank_sized_table_holds_a_bounded_set_of_cells(tmp_path):
