@@ -34,17 +34,30 @@ into ``core.part_count`` ranges: one per CPU this process may run on, at
 most ``MAX_WORKERS`` and only as many as leave each range
 ``MIN_RANGE_BYTES``.  This process parses the first range itself and a
 worker process each other one, applying the checks needing nothing but the
-row itself and filling typed per-game column buffers.  Each range reports
-the games it holds.  A game that one worker's range alone holds may stay in
-that worker (``tracking_ranges``, which ``fit`` uses); every other game comes
-to this process, split games as the parts each range parsed.  Each process
-then applies the per-game timestamp rules to the games it holds: the last
-accepted time before a row is the running maximum of its game's earlier
-rows, which makes the result the same wherever the cuts fall, and this
-process raises at the first aborting row in file order.  A game that lies
-in one range and loses no row keeps the parsed buffers as its
-``GameTracking`` arrays; shot extraction reads the release row and the ball
-window straight from those arrays.
+row itself and filling typed per-game column buffers.  A game's run of rows
+ends when a row of another game follows.  Given a ``fit`` (``shotarc fit``
+passes ``season``'s one-game fit), a range applies the per-game timestamp
+rules to each game whose run ends, hands the game to ``fit``, keeps the
+result and the run's byte span, and frees the rows.  A game stays buffered
+instead when its rows may lie outside the run: the range's first game
+(unless the range starts the file), its last (unless it ends the file), and
+a game whose rows come back, which is re-parsed from its span if it was
+fitted.  Each range sends this process its buffered games and its fits.  A
+game fitted early that another range also holds loses its fit and is
+re-parsed from its span here, so only a file whose games interleave pays
+for it.  This process joins the buffered games, split games as the parts
+each range parsed, under the same rules: the last accepted time before a
+row is the running maximum of its game's earlier rows, which makes the
+result the same wherever the cuts fall.  It raises at the first aborting
+row in file order, once every range has reported.  A game that lies in one
+range and loses no row keeps the parsed buffers as its ``GameTracking``
+arrays; shot extraction reads the release row and the ball window straight
+from those arrays.
+
+A release frame indexes its game's rows as written: every row of the
+file whose ``game_id`` can be read, kept or not.  ``GameTracking.dropped``
+holds the indices of the rows dropped at load, and a release on one of them
+is rejected as ``release_row_rejected``.
 
 Events load as columns, the roster as heights.  The events are grouped by
 game once, and each game's shots are extracted as columns at a time from
@@ -65,7 +78,6 @@ import math
 import re
 from array import array
 from collections import Counter
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain
 from operator import itemgetter
@@ -117,6 +129,8 @@ class GameTracking:
     player_xy: np.ndarray      # (n, 10, 2)
     id_table: list[PlayerId]
     team_of: dict[PlayerId, str]
+    # indices among the game's rows as written of those dropped at load, increasing
+    dropped: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
 
     def __len__(self) -> int:
         return len(self.times)
@@ -144,18 +158,36 @@ ORJSON_MAX_LINE = 8 << 10
 class _GamePart(NamedTuple):
     """One game's rows from one byte range that pass every row-local check."""
 
-    row: np.ndarray        # (n,) int64, increasing in file order across ranges
+    row: np.ndarray        # (n,) int64 keys: each row's byte offset in the file
     times: np.ndarray      # (n,)
     ball: np.ndarray       # (n, 3)
     codes: np.ndarray      # (n, 10) int16 indices into ``pairs``
     xy: np.ndarray         # (n, 10, 2)
     pairs: list            # (player id, team) per code, in order of first appearance
+    dropped: np.ndarray    # int64 keys of the game's rows that failed a row-local check
+
+
+class _Checked(NamedTuple):
+    """What the timestamp rules found in the games they were applied to."""
+
+    n_loaded: int
+    reasons: dict[str, int]         # the rows they dropped, by reason
+    abort: tuple[int, str] | None   # the first aborting row in file order, and its message
+
+
+class _Early(NamedTuple):
+    """A game that one range fitted when its run of rows ended."""
+
+    span: tuple[int, int]   # the run's bytes, which hold every row of the game in the range
+    checked: _Checked
+    result: object          # what ``fit`` made of the game; None if it kept no row or aborted
 
 
 class _RangeParse(NamedTuple):
     n_rows: int
     reasons: dict[str, int]
-    parts: dict[GameId, _GamePart]
+    parts: dict[GameId, _GamePart]  # the games buffered
+    early: dict[GameId, _Early]     # the games fitted early
 
 
 class _GameBuffers:
@@ -166,7 +198,8 @@ class _GameBuffers:
     the timestamp rules have run, and that appearance fixes the id's team.
     The codes of the previous row's lineup (its pairs in order) are kept, so
     a row that repeats it looks nothing up.  Rows are appended before their
-    numbers are checked for finiteness.
+    numbers are checked for finiteness; ``dropped`` holds the keys of the
+    game's rows that failed another row-local check.
     """
 
     def __init__(self):
@@ -174,6 +207,7 @@ class _GameBuffers:
         self.tball = array("d")    # t, ball x, y, z
         self.codes = array("h")
         self.xy = array("d")
+        self.dropped = array("q")
         self.pairs: list[tuple[PlayerId, str]] = []
         self._index: dict[tuple[PlayerId, str], int] = {}
         self._lineup = self._codes = None
@@ -205,26 +239,26 @@ class _GameBuffers:
                 self.pairs.append(pair)
         return array("h", map(index.__getitem__, lineup))
 
-    def part(self, reasons: Counter) -> _GamePart | None:
-        """The finite rows, None without one; each other row counts as ``non_finite``.
+    def part(self, reasons: Counter) -> _GamePart:
+        """The finite rows; each other row counts as ``non_finite`` and joins ``dropped``.
         When a row is dropped, the pairs are recoded by first appearance in those kept."""
         n = len(self.row)
         row = np.frombuffer(self.row, dtype=np.int64)
         tball = np.frombuffer(self.tball).reshape(n, 4)
         codes = np.frombuffer(self.codes, dtype=np.int16).reshape(n, PLAYERS_PER_FRAME)
         xy = np.frombuffer(self.xy).reshape(n, PLAYERS_PER_FRAME, 2)
+        dropped = np.frombuffer(self.dropped, dtype=np.int64)
         finite = np.isfinite(tball).all(axis=1) & np.isfinite(xy).all(axis=(1, 2))
         pairs = self.pairs
         if not finite.all():
             reasons["non_finite"] += int(n - finite.sum())
+            dropped = np.sort(np.concatenate([dropped, row[~finite]]))
             row, tball, codes, xy = row[finite], tball[finite], codes[finite], xy[finite]
             order = _first_appearances(codes)
             lut = np.zeros(len(pairs), dtype=np.int16)
             lut[order] = np.arange(len(order))
             codes, pairs = lut[codes], [pairs[code] for code in order]
-        if not len(row):
-            return None
-        return _GamePart(row, tball[:, 0].copy(), tball[:, 1:].copy(), codes, xy, pairs)
+        return _GamePart(row, tball[:, 0].copy(), tball[:, 1:].copy(), codes, xy, pairs, dropped)
 
 
 class _ByteRange(io.RawIOBase):
@@ -279,23 +313,76 @@ def _json_loads(line: bytes):
         return None
 
 
-def _parse_range(path: Path, start: int, end: int) -> _RangeParse:
-    """Apply the row-local checks to the lines in bytes ``[start, end)``.
+def _lines(fh, pos: int):
+    """(byte offset, line) of each line of a binary stream whose first byte lies at ``pos``.
+    The stream ends lines at LF only; a line holding CR is split the way a text reader
+    splits universal newlines, each piece keeping its line end."""
+    for line in fh:
+        if _CR in line:
+            for piece in line.splitlines(keepends=True):
+                yield pos, piece
+                pos += len(piece)
+        else:
+            yield pos, line
+            pos += len(line)
 
-    ``start`` must be 0 or follow a newline.  A row's key is ``start`` plus its
-    line number in the range: a range holds fewer lines than bytes, so keys
-    increase in file order across ranges.
+
+class _Runs:
+    """One byte range's games: buffered, or fitted as their runs end.
+
+    A game's run is a stretch of its rows with no row of another game among
+    them; a row whose game id is bad belongs to no game.  With a ``fit``,
+    each run that ends is fitted (``_fit_early``) and its rows freed, unless
+    it is not its game's first run in the range, or it is the range's first
+    run and the range does not start the file: then the game's rows may lie
+    outside the run.  A game whose rows come back after its fit is re-parsed
+    from the run's byte span (``_reparse``) and buffered from then on.  The
+    range's last run ends only if the range ends the file (``_parse_range``).
     """
+
+    def __init__(self, path: Path, fit=None, starts_file: bool = False):
+        self.path, self.fit = path, fit
+        self.games: dict[GameId, _GameBuffers] = {}
+        self.early: dict[GameId, _Early] = {}
+        self.run = None     # (game id, key of its first row, fitted when it ends)
+        self.starts_file = starts_file
+
+    def end(self, row: int) -> None:
+        """End the current run at key ``row``, fitting its game if it is to be."""
+        if self.run is not None and self.run[2]:
+            name, first, _ = self.run
+            self.early[name] = _fit_early(name, self.games.pop(name), (first, row), self.fit)
+
+    def enter(self, game_id, row: int) -> _GameBuffers | None:
+        """The buffers of the game of the row at key ``row``, which is not the current
+        run's game; None, ending no run, if the game id is bad."""
+        game = self.games.get(game_id) if type(game_id) is str else None
+        if game is None and not _good_id(game_id):
+            return None
+        self.end(row)
+        fits = False
+        if game is None:
+            if game_id in self.early:
+                game = _reparse(self.path, self.early.pop(game_id).span, game_id)
+            else:
+                game = _GameBuffers()
+                fits = self.fit is not None and (self.run is not None or self.starts_file)
+            self.games[game_id] = game
+        self.run = (game_id, row, fits)
+        return game
+
+
+def _parse_lines(path: Path, start: int, end: int, runs: _Runs) -> tuple[int, Counter]:
+    """Apply the row-local checks to the lines in bytes ``[start, end)``, filling the
+    buffers of ``runs``; the number of rows (a blank line is none) and the rejections by
+    reason.  ``start`` must be 0 or follow a line end."""
     import orjson   # here, not above: only this parse uses it, and the import costs ~6 ms
-    games: dict[GameId, _GameBuffers] = {}
+    games, current = runs.games, object()   # the current run's game's buffers: none yet
     n_rows = 0
     reasons: Counter[str] = Counter()
     loads = orjson.loads
     with io.BufferedReader(_ByteRange(path, start, end), 1 << 16) as fh:
-        # the binary reader ends lines at \n only; a line holding \r is split the way
-        # a text reader splits universal newlines
-        lines = chain.from_iterable(line.splitlines() if _CR in line else (line,) for line in fh)
-        for row, line in enumerate(lines, start):
+        for row, line in _lines(fh, start):
             try:
                 doc = loads(line) if len(line) <= ORJSON_MAX_LINE else _json_loads(line)
             except ValueError:      # orjson rejects it: json.loads decides
@@ -310,44 +397,64 @@ def _parse_range(path: Path, start: int, end: int) -> _RangeParse:
                 tball, xy = array("d", numbers[:4]), array("d", numbers[4:])
                 lineup = tuple(map(_PLAYER_ID_TEAM, players))
             except (KeyError, TypeError, IndexError, OverflowError):
-                lineup = None
+                lineup, game_id = None, doc.get("game_id") if type(doc) is dict else None
+            game = games.get(game_id) if type(game_id) is str else None
+            if game is not current:
+                game = runs.enter(game_id, row)
+                if game is not None:
+                    current = game
             if lineup is None or _bool_number(line, numbers):
                 reasons["unparseable"] += 1
-                continue
-            if len(lineup) != PLAYERS_PER_FRAME:
+            elif len(lineup) != PLAYERS_PER_FRAME:
                 reasons["wrong_player_count"] += 1
+            elif game is not None and game.append(row, tball, lineup, xy):
                 continue
-            game = games.get(game_id) if type(game_id) is str else None
-            if game is None and _good_id(game_id):
-                game = games[game_id] = _GameBuffers()
-            if game is None or not game.append(row, tball, lineup, xy):
+            else:
                 finite = all(map(math.isfinite, numbers))  # non_finite before a bad id
                 reasons["unparseable" if finite else "non_finite"] += 1
+            if game is not None:
+                game.dropped.append(row)
+    return n_rows, reasons
+
+
+def _parse_range(path: Path, start: int, end: int, fit=None) -> _RangeParse:
+    """Apply the row-local checks to the lines in bytes ``[start, end)``, fitting games with
+    ``fit`` as their runs end (``_Runs``); a range that ends the file ends its last run.  ``start`` must be 0 or follow a newline.  A row's
+    key is its byte offset in the file, so keys increase in file order across ranges."""
+    runs = _Runs(path, fit, starts_file=start == 0)
+    n_rows, reasons = _parse_lines(path, start, end, runs)
+    if end == path.stat().st_size:     # the file's last run ends with the range
+        runs.end(end)
     # before the reasons are copied: part() counts the non-finite rows it drops
-    parts = {gid: part for gid, game in games.items() if (part := game.part(reasons)) is not None}
-    return _RangeParse(n_rows, dict(reasons), parts)
+    parts = {game_id: game.part(reasons) for game_id, game in runs.games.items()}
+    return _RangeParse(n_rows, dict(reasons), parts, runs.early)
 
 
-def _range_worker(conn: Connection, path: str, start: int, end: int) -> None:
-    """Worker process body, one byte range's side of ``tracking_ranges``.
+def _reparse(path: Path, span: tuple[int, int], game_id: GameId) -> _GameBuffers:
+    """The buffers of a game fitted early, from its run's bytes, where every row with a
+    usable game id is one of its rows; each row gets the key it had."""
+    runs = _Runs(path)
+    _parse_lines(path, *span, runs)
+    return runs.games[game_id]
 
-    Parse the range and send the ids of its games; take the set of them left
-    to this worker; send each other game as a ``(game_id, _GamePart)`` pair as
-    it is popped, then the ``_RangeParse`` emptied of them.  With games left:
-    apply the time rules to them, send the ``_Checked``, then answer one
-    message ``(fit, *args)`` with ``fit(games, *args)``.
-    """
-    parsed = _parse_range(Path(path), start, end)
-    conn.send(list(parsed.parts))
-    left = conn.recv()
-    for game_id in [g for g in parsed.parts if g not in left]:
+
+def _fit_early(game_id: GameId, game: _GameBuffers, span: tuple[int, int], fit) -> _Early:
+    """The time rules and ``fit`` for a game whose rows in its range all lie in ``span``."""
+    reasons: Counter[str] = Counter()
+    games, checked = _apply_time_rules({game_id: [game.part(reasons)]})
+    reasons.update(checked.reasons)
+    return _Early(span, checked._replace(reasons=dict(reasons)),
+                  fit(games[game_id]) if games else None)
+
+
+def _range_worker(conn: Connection, path: str, start: int, end: int, fit) -> None:
+    """Worker process body, one byte range's side of ``tracking_ranges``: parse the range,
+    fitting games with ``fit`` as their runs end; send each buffered game as a
+    ``(game_id, _GamePart)`` pair as it is popped, then the ``_RangeParse`` emptied of them."""
+    parsed = _parse_range(Path(path), start, end, fit)
+    for game_id in list(parsed.parts):
         conn.send((game_id, parsed.parts.pop(game_id)))
-    conn.send(parsed._replace(parts={}))
-    if left:
-        games, checked = _apply_time_rules([parsed])
-        conn.send(checked)
-        fit, *args = conn.recv()
-        conn.send(fit(games, *args))
+    conn.send(parsed)
 
 
 def _where(start: int, end: int) -> str:
@@ -389,7 +496,13 @@ def _first_appearances(codes: np.ndarray) -> list[int]:
 
 
 def _assemble(game_id: GameId, parts: list[_GamePart], keep: np.ndarray) -> GameTracking:
-    """One game's kept rows, with player ids coded by first appearance among them."""
+    """One game's kept rows, with player ids coded by first appearance among them, and
+    the indices among its rows as written of the rows dropped."""
+    rows = np.concatenate([p.row for p in parts])
+    gone = np.sort(np.concatenate([rows[~keep], *(p.dropped for p in parts)]))
+    written = np.sort(np.concatenate([rows, *(p.dropped for p in parts)])) if gone.size else gone
+    dropped = np.searchsorted(written, gone).astype(np.int64)
+
     id_table: list[PlayerId] = []
     team_of: dict[PlayerId, str] = {}
     index: dict[PlayerId, int] = {}
@@ -415,7 +528,7 @@ def _assemble(game_id: GameId, parts: list[_GamePart], keep: np.ndarray) -> Game
         # a game in one range that lost no row keeps the parsed buffers
         return GameTracking(game_id=game_id, times=part.times, ball=part.ball,
                             player_ids=part.codes, player_xy=part.xy,
-                            id_table=id_table, team_of=team_of)
+                            id_table=id_table, team_of=team_of, dropped=dropped)
 
     def column(name: str) -> np.ndarray:
         return np.concatenate([getattr(p, name) if k is None else getattr(p, name)[k]
@@ -428,38 +541,29 @@ def _assemble(game_id: GameId, parts: list[_GamePart], keep: np.ndarray) -> Game
         player_xy=column("xy"),
         id_table=id_table,
         team_of=team_of,
+        dropped=dropped,
     )
 
 
-class _Checked(NamedTuple):
-    """What the timestamp rules found in the games one process holds."""
-
-    n_loaded: int
-    n_duplicate: int
-    abort: tuple[int, str] | None   # the first aborting row in file order, and its message
-
-
-def _apply_time_rules(parsed: list[_RangeParse]) -> tuple[dict[GameId, GameTracking], _Checked]:
-    """Join the ranges' game parts, in file order, under the per-game timestamp rules.
+def _apply_time_rules(by_game: dict[GameId, list[_GamePart]]
+                      ) -> tuple[dict[GameId, GameTracking], _Checked]:
+    """Join each game's parts, given in file order, under the per-game timestamp rules.
 
     In a game, accepted times strictly increase and a duplicate never
     exceeds the last accepted time, so the last accepted time before row i
     is the running maximum M_i of the game's earlier rows.  Row i aborts the
     load when t < M_i - MONOTONE_TOL_S and is a ``duplicate_timestamp`` when
     t <= M_i.  With an aborting row no game is assembled.  A game's first
-    row is always kept, so games come in order of their first rows.
+    row is always kept, so games come in order of their first rows; a game
+    without a row is left out.  Each game assembled is popped from ``by_game``.
     """
-    by_game: dict[GameId, list[_GamePart]] = {}
-    for rng in parsed:
-        for game_id, part in rng.parts.items():
-            by_game.setdefault(game_id, []).append(part)
-        rng.parts.clear()   # so a game rebuilt below frees its parts
-
     kept: list[tuple[int, GameId, np.ndarray]] = []
     abort = None
     n_duplicate = 0
     for game_id, parts in by_game.items():
         times = np.concatenate([p.times for p in parts])
+        if not times.size:
+            continue
         before = np.empty_like(times)
         before[0] = -np.inf
         np.maximum.accumulate(times[:-1], out=before[1:])
@@ -474,60 +578,66 @@ def _apply_time_rules(parsed: list[_RangeParse]) -> tuple[dict[GameId, GameTrack
         keep = times > before
         n_duplicate += int(keep.size - keep.sum())
         kept.append((int(rows[0]), game_id, keep))
+    reasons = {"duplicate_timestamp": n_duplicate} if n_duplicate else {}
     if abort is not None:
-        return {}, _Checked(0, n_duplicate, abort)
+        return {}, _Checked(0, reasons, abort)
 
     games = {game_id: _assemble(game_id, by_game.pop(game_id), keep)
              for _, game_id, keep in sorted(kept, key=itemgetter(0))}
-    return games, _Checked(sum(map(len, games.values())), n_duplicate, None)
+    return games, _Checked(sum(map(len, games.values())), reasons, None)
 
 
 def _load_report(parsed: list[_RangeParse], checked: list[_Checked]) -> LoadReport:
-    """The load's report from every range's parse and every process's time rules;
-    ``NonMonotoneTimestampsError`` at the first aborting row in file order."""
+    """The load's report from every range's parse and every application of the time
+    rules; ``NonMonotoneTimestampsError`` at the first aborting row in file order."""
     abort = min((c.abort for c in checked if c.abort is not None), default=None)
     if abort is not None:
         raise NonMonotoneTimestampsError(abort[1])
     reasons: Counter[str] = Counter()
-    for rng in parsed:
-        reasons.update(rng.reasons)
-    if n_duplicate := sum(c.n_duplicate for c in checked):
-        reasons["duplicate_timestamp"] += n_duplicate
+    for counts in chain((rng.reasons for rng in parsed), (c.reasons for c in checked)):
+        reasons.update(counts)
     n_rows = sum(rng.n_rows for rng in parsed)
     n_loaded = sum(c.n_loaded for c in checked)
     return LoadReport(n_rows=n_rows, n_loaded=n_loaded, n_rejected=n_rows - n_loaded,
                       reasons=dict(reasons))
 
 
-@contextmanager
-def tracking_ranges(path: str | Path, leave_games: bool):
-    """Load tracking as ``load_tracking`` does, with its workers kept running: yields
-    the games this process holds, the load's report, and each worker left holding
-    games as ``(conn, where, game_ids)``.
+def _joined(path: Path, parsed: list[_RangeParse]):
+    """The ranges' parses, in file order, put together: as ``tracking_ranges`` returns."""
+    n_ranges = Counter(chain.from_iterable(chain(rng.parts, rng.early) for rng in parsed))
+    by_game: dict[GameId, list[_GamePart]] = {}
+    for rng in parsed:
+        # a game fitted early that another range holds too is joined here after all
+        for game_id in [g for g in rng.early if n_ranges[g] > 1]:
+            rng.parts[game_id] = _reparse(path, rng.early.pop(game_id).span, game_id).part(
+                Counter())  # its rows were counted when the range read them
+        for game_id, part in rng.parts.items():
+            by_game.setdefault(game_id, []).append(part)
+        rng.parts.clear()   # so a game assembled below frees its parts
+    games, checked = _apply_time_rules(by_game)
+    early = [item for rng in parsed for item in rng.early.items()]
+    report = _load_report(parsed, [checked, *(e.checked for _, e in early)])
+    return games, {game_id: e.result for game_id, e in early if e.result is not None}, report
 
-    Without ``leave_games`` every game comes to this process and no worker is
-    left.  With it, each game that one worker's range alone holds stays in
-    that worker, which applies the time rules to it; the load's report still
-    counts every row.  Such a worker then waits for one message ``(fit,
-    *args)``, sent with ``conn.send``, and answers it with ``fit(games,
-    *args)``, read with ``core.receive(conn, where)``; ``fit`` must be a
-    module-level function.  Every worker has been joined when the block exits.
+
+def tracking_ranges(path: str | Path, fit=None
+                    ) -> tuple[dict[GameId, GameTracking], dict[GameId, object], LoadReport]:
+    """Load tracking in byte ranges, each game fitted by ``fit`` in the process that
+    parsed it when its range can (module docstring): the games joined in this process,
+    by first row; ``fit``'s result for each game fitted early, by game, unless None; and
+    the load's report, which counts every row.
+
+    ``fit`` takes one ``GameTracking`` and is sent to every worker, so it must pickle:
+    a module-level function or a ``functools.partial`` of one.  Without it every game
+    is joined here.  Every worker has been joined when this returns or raises; an
+    aborting timestamp raises once every range has reported.
     """
     path = Path(path)
     first, *rest = _byte_ranges(path, part_count(path.stat().st_size // MIN_RANGE_BYTES))
-    wheres = [_where(*bounds) for bounds in rest]
-    with worker_processes(_range_worker, [(str(path), *bounds) for bounds in rest]) as conns:
-        parsed = [_parse_range(path, *first)]
-        held = [receive(conn, where) for conn, where in zip(conns, wheres)]
-        n_ranges = Counter(chain(parsed[0].parts, *held))
-        left = [{g for g in ids if n_ranges[g] == 1} if leave_games else set() for ids in held]
-        for conn, games in zip(conns, left):
-            conn.send(games)
+    with worker_processes(_range_worker, [(str(path), *bounds, fit) for bounds in rest]) as conns:
+        parsed = [_parse_range(path, *first, fit)]
         parsed += [_receive_range(conn, *bounds) for conn, bounds in zip(conns, rest)]
-        checked = [receive(conn, where) for conn, where, games in zip(conns, wheres, left) if games]
-        games, mine = _apply_time_rules(parsed)
-        report = _load_report(parsed, [mine, *checked])
-        yield games, report, [worker for worker in zip(conns, wheres, left) if worker[2]]
+    return _joined(path, parsed)
 
 
 def load_tracking(path: str | Path) -> tuple[dict[GameId, GameTracking], LoadReport]:
@@ -544,19 +654,14 @@ def load_tracking(path: str | Path) -> tuple[dict[GameId, GameTracking], LoadRep
     the checks before that one, whose timestamp steps backwards by more than
     ``MONOTONE_TOL_S`` within its game, aborts the load.
 
-    The file is cut into ``core.part_count(size // MIN_RANGE_BYTES)`` byte
-    ranges.  This process parses the first range itself and a worker
-    process each other one, so a file under ``2 * MIN_RANGE_BYTES`` starts
-    no process.  Each worker sends back every game of its range, and this
-    process applies the time rules to all of them (``tracking_ranges``
-    without ``leave_games``); the workers are joined before this returns or
-    raises.  They are started by ``multiprocessing``'s spawn method, which
-    imports the caller's main module in each worker: a script that calls
-    this with a larger file must keep its own work under
-    ``if __name__ == "__main__":``.
+    This is ``tracking_ranges`` without a ``fit``: every game comes to this
+    process.  A file of ``2 * MIN_RANGE_BYTES`` or more is parsed by worker
+    processes too, started by ``multiprocessing``'s spawn method, which
+    imports the caller's main module in each: a script that calls this with
+    such a file must keep its own work under ``if __name__ == "__main__":``.
     """
-    with tracking_ranges(path, leave_games=False) as (games, report, _):
-        return games, report
+    games, _, report = tracking_ranges(path)
+    return games, report
 
 
 def _clean_id(value: str) -> str:
@@ -755,6 +860,7 @@ def extract_shot_events(
     the 25 Hz stream (gap > ``stream_break_s``), or after ``max_window_s``.
     Each game's times must increase, as ``load_tracking`` leaves them.
     Shots are rejected when their game, release frame or hoop end is unknown,
+    the release frame is a row the load dropped (``release_row_rejected``),
     the shooter is off court, or no opponent is on court; thin windows are
     only flagged (``insufficient_samples``) so callers can report them.
 
@@ -771,10 +877,18 @@ def extract_shot_events(
     frame, n = events["release_frame"], len(events["release_frame"])
     names, game_code = np.unique(events["game_id"], return_inverse=True)
     games = [tracking.get(name) for name in names.tolist()]
-    n_frames = np.array([-1 if g is None else len(g) for g in games], dtype=np.int64)[game_code]
+    n_frames = np.array([-1 if g is None else len(g) + len(g.dropped) for g in games],
+                        dtype=np.int64)[game_code]
+    # each release frame's row among those kept, where its game dropped rows at load
+    first, on_dropped = frame.copy(), np.zeros(n, dtype=bool)
+    for k in [k for k, g in enumerate(games) if g is not None and len(g.dropped)]:
+        at = np.flatnonzero(game_code == k)
+        on_dropped[at] = np.isin(frame[at], games[k].dropped)
+        first[at] -= np.searchsorted(games[k].dropped, frame[at])
     reasons = np.select(
-        [n_frames < 0, (frame < 0) | (frame >= n_frames), ~np.isin(events["hoop_end"], HOOP_ENDS)],
-        ["unknown_game", "release_out_of_range", "unknown_hoop_end"], "")
+        [n_frames < 0, (frame < 0) | (frame >= n_frames), on_dropped,
+         ~np.isin(events["hoop_end"], HOOP_ENDS)],
+        ["unknown_game", "release_out_of_range", "release_row_rejected", "unknown_hoop_end"], "")
 
     numbers, defender, samples = np.empty((n, len(_NUMBERS))), [None] * n, [None] * n
     ok = np.flatnonzero(reasons == "")
@@ -782,7 +896,7 @@ def extract_shot_events(
     for idx in filter(len, np.split(by_game, np.flatnonzero(np.diff(game_code[by_game])) + 1)):
         game = games[game_code[idx[0]]]
         reasons[idx], numbers[idx], codes, windows = _game_shots(
-            game, frame[idx], events["hoop_end"][idx] == "left", events["shooter_id"][idx],
+            game, first[idx], events["hoop_end"][idx] == "left", events["shooter_id"][idx],
             roster, min_samples, stream_break_s, max_window_s)
         for i, code, window in zip(idx.tolist(), codes.tolist(), windows):
             defender[i], samples[i] = game.id_table[code], window

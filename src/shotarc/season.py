@@ -9,13 +9,14 @@ bounded apart from that (``trajectory.MAX_PADDED_ROWS``).
 ``fit_trajectory`` is a one-row view of ``fit_trajectories``, as
 ``fit_path_line`` and ``compute_shot_factors`` are of ``shot_factors``.
 
-``fit_files`` runs ``fit_season`` on a season's three files without
-gathering every game's arrays in one process: each game that one byte range
-of the tracking file alone holds is fitted in the worker that parsed it
-(``ingest.tracking_ranges``), and only its shot columns and reports come
-back.  This process fits the rest, and the shots are put back in event
-order.  Every shot's numbers depend on its own game alone, so the result is
-the one ``fit_season`` gives on all the games at once.
+``fit_files`` runs ``fit_season`` on a season's three files in memory that
+does not grow with the season: each byte range of the tracking file fits a
+game, one game at a time, in the process that parsed it, as soon as the
+game's run of rows ends (``ingest.tracking_ranges``), and keeps only its
+shot columns and counts.  This process fits the few games left to it, and
+the shots are put back in event order.  Every shot's numbers depend on its
+own game alone, so the result is the one ``fit_season`` gives on all the
+games at once.
 
 The shots file (``write_shot_rows``, ``read_shot_rows``) is a CSV of the
 ``SHOT_COLUMNS``, and of ``make_prob`` after ``predict``.
@@ -29,13 +30,14 @@ import json
 import re
 from collections import Counter
 from collections.abc import Iterable
-from itertools import chain
+from functools import partial
+from itertools import chain, islice
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import GameId, PlayerId, float_reprs, receive
+from .core import GameId, PlayerId, float_reprs
 from .effects import EffectsDataset
 from .factors import shot_factors
 from .ingest import (ExtractionReport, GameTracking, LoadReport, extract_shot_events, load_events,
@@ -172,12 +174,28 @@ def _summed(reports: list):
 
 def _merged(parts: list[SeasonFit], shot_ids: np.ndarray) -> SeasonFit:
     """One ``SeasonFit`` of the shots of ``parts``, ordered as their ids are in ``shot_ids``."""
-    cols = {name: np.concatenate([p.fits[name] for p in parts]) for name in parts[0].fits.columns}
     position = dict(zip(shot_ids.tolist(), range(len(shot_ids))))
-    order = np.argsort([position[shot_id] for shot_id in cols["shot_id"].tolist()])
-    return SeasonFit(ShotTable({name: column[order] for name, column in cols.items()}, len(order)),
+    ids = chain.from_iterable(p.fits["shot_id"].tolist() for p in parts)
+    order = np.argsort([position[shot_id] for shot_id in ids])
+    cols = {name: np.concatenate([p.fits[name] for p in parts])[order]
+            for name in parts[0].fits.columns}
+    return SeasonFit(ShotTable(cols, len(order)),
                      _summed([p.extraction for p in parts]), _summed([p.filtering for p in parts]),
                      _counts(p.factor_rejections for p in parts))
+
+
+def _by_game(events: dict[str, np.ndarray]) -> dict[GameId, dict[str, np.ndarray]]:
+    """The event columns of each game, each in file order."""
+    names, code = np.unique(events["game_id"], return_inverse=True)
+    rows = np.split(np.argsort(code, kind="stable"), np.cumsum(np.bincount(code))[:-1])
+    return {name: {c: v[idx] for c, v in events.items()} for name, idx in zip(names.tolist(), rows)}
+
+
+def _fit_game(events: dict[GameId, dict[str, np.ndarray]], roster: dict[PlayerId, float],
+              thresholds: FilterThresholds, game: GameTracking) -> SeasonFit | None:
+    """``fit_season`` on one game and its events; None for a game without an event."""
+    mine = events.get(game.game_id)
+    return None if mine is None else fit_season({game.game_id: game}, mine, roster, thresholds)
 
 
 def fit_files(tracking_path: str | Path, events_path: str | Path, roster_path: str | Path,
@@ -185,22 +203,26 @@ def fit_files(tracking_path: str | Path, events_path: str | Path, roster_path: s
               ) -> tuple[SeasonFit, tuple[LoadReport, LoadReport, LoadReport]]:
     """``fit_season`` on a season's tracking, events and roster files, and their load reports.
 
-    Each game that one worker's byte range alone holds is fitted in that
-    worker (``ingest.tracking_ranges``), on its events; this process fits the
-    others with every event whose game no range holds.  The events and the
-    roster are loaded once the tracking load has passed its checks, so a
-    tracking error comes first, then an events error, then a roster error.
+    The events and the roster are loaded first, and every range of the
+    tracking file gets each game's events: it fits each game it can as the
+    game's run of rows ends (``ingest.tracking_ranges``).  This process fits
+    the games joined in it, with every event of a game no range fitted.  An
+    events or roster error is raised once the tracking has passed its checks,
+    so a tracking error comes first, then an events error, then a roster error.
     """
-    with tracking_ranges(tracking_path, leave_games=True) as (tracking, tracking_load, workers):
+    events = roster = held = None
+    try:
         events, events_load = load_events(events_path)
         roster, roster_load = load_roster(roster_path)
-        fitter = {game_id: k for k, (_, _, games) in enumerate(workers, 1) for game_id in games}
-        by = np.array([fitter.get(game_id, 0) for game_id in events["game_id"].tolist()], dtype=int)
-        for k, (conn, _, _) in enumerate(workers, 1):
-            conn.send((fit_season, {c: v[by == k] for c, v in events.items()}, roster, thresholds))
-        parts = [fit_season(tracking, {c: v[by == 0] for c, v in events.items()}, roster,
-                            thresholds)]
-        parts += [receive(conn, where) for conn, where, _ in workers]
+    except Exception as exc:    # raised after the tracking checks; no game is fitted
+        held = exc
+    fit = partial(_fit_game, {} if held is not None else _by_game(events), roster, thresholds)
+    tracking, fits, tracking_load = tracking_ranges(tracking_path, fit)
+    if held is not None:
+        raise held
+    rest = np.array([game_id not in fits for game_id in events["game_id"].tolist()], dtype=bool)
+    parts = [*fits.values(), fit_season(tracking, {c: v[rest] for c, v in events.items()}, roster,
+                                        thresholds)]
     return _merged(parts, events["shot_id"]), (tracking_load, events_load, roster_load)
 
 
@@ -266,6 +288,13 @@ def write_shot_rows(rows: ShotTable | Iterable[ShotRow], path: Path) -> None:
     write_columns(path, names, [rows[name] for name in names])
 
 
+def _cell(path: Path, row: int, column: int) -> str:
+    """A cell's text as the file writes it, data rows counted from 0 as numpy counts them
+    (an empty line is none)."""
+    with path.open(encoding="utf-8", newline="") as fh:
+        return next(islice(filter(None, csv.reader(fh)), row + 1, None))[column]
+
+
 def read_shot_rows(path: str | Path, columns: tuple[str, ...] | None = None,
                    finite: tuple[str, ...] = ()) -> ShotTable:
     """Read ``columns`` of a shots file (default: those of ``SHOT_COLUMNS``, and
@@ -279,7 +308,8 @@ def read_shot_rows(path: str | Path, columns: tuple[str, ...] | None = None,
     and the row (data rows from 0) and column (from 1), as numpy counts them,
     for a number that does not parse, an empty or missing cell, a non-finite
     value in a ``finite`` column, an ``outcome`` other than 0/1, or an
-    ``n_samples`` that is not an integer from 0 to below 2**53.
+    ``n_samples`` that is not an integer from 0 to below 2**53; a value
+    refused after parsing is quoted as the file writes it.
     """
     path = Path(path)
     data = path.read_bytes()
@@ -317,9 +347,9 @@ def read_shot_rows(path: str | Path, columns: tuple[str, ...] | None = None,
         else:
             continue
         if bad.any():
-            row = int(np.argmax(bad))
-            raise ShotsFileError(f"{path}: {values[row].tolist()!r} is not a valid {name} "
-                              f"at row {row}, column {header.index(name) + 1}")
+            row, column = int(np.argmax(bad)), header.index(name)
+            raise ShotsFileError(f"{path}: {_cell(path, row, column)!r} is not a valid {name} "
+                                 f"at row {row}, column {column + 1}")
     for name in INTEGER_COLUMNS:
         if name in table:
             table[name] = table[name].astype(np.int64)

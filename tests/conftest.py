@@ -351,6 +351,7 @@ class _OracleGameBuffers:
         self.ball = array("d")
         self.codes = array("h")
         self.xy = array("d")
+        self.dropped = []
         self.pairs = []
         self._index = {}
 
@@ -388,51 +389,63 @@ class _OracleGameBuffers:
             np.frombuffer(self.ball, dtype=np.float64).reshape(n, 3),
             np.frombuffer(self.codes, dtype=np.int16).reshape(n, ingest.PLAYERS_PER_FRAME),
             np.frombuffer(self.xy, dtype=np.float64).reshape(n, ingest.PLAYERS_PER_FRAME, 2),
-            pairs=self.pairs)
+            pairs=self.pairs,
+            dropped=np.array(self.dropped, dtype=np.int64))
+
+
+def oracle_game_id(doc):
+    """The game a parsed row counts toward: its ``game_id`` if the row is a JSON object
+    whose ``game_id`` is a usable id, else None."""
+    game_id = doc.get("game_id") if type(doc) is dict else None
+    return game_id if ingest._good_id(game_id) else None
 
 
 def oracle_parse_range(path, start, end) -> ingest._RangeParse:
-    """``ingest._parse_range`` as a text stream read by ``json.loads`` alone, checked and
-    buffered one row at a time.
+    """``ingest._parse_range`` without a fit, as a text stream read by ``json.loads`` alone,
+    checked and buffered one row at a time.
 
     The bytes are decoded with ``surrogateescape`` and split into lines by
     universal newlines (LF, CR or CR LF); a blank line (``str.strip``)
-    is skipped, but still numbered.  A line nested too deep for ``json.loads``
-    raises ``RecursionError`` here.  The order of the games is not part of
-    the result: ``ingest._apply_time_rules`` orders them by their first kept row.
+    is skipped.  A row's key is its byte offset.  A line nested too deep for
+    ``json.loads`` raises ``RecursionError`` here.  Every game with a row
+    counted toward it has a part, its failed rows' keys in ``dropped``.  The
+    order of the games is not part of the result: ``ingest._apply_time_rules``
+    orders them by their first kept row.
     """
     games = {}
     n_rows = 0
     reasons = Counter()
     isfinite = math.isfinite
     raw = io.BufferedReader(ingest._ByteRange(path, start, end), 1 << 16)
+    pos = start
     with io.TextIOWrapper(raw, encoding="utf-8", errors="surrogateescape", newline="") as fh:
-        for row, line in enumerate(fh, start):
+        for line in fh:
+            key, pos = pos, pos + len(line.encode("utf-8", "surrogateescape"))
             if not line.strip():
                 continue
             n_rows += 1
+            doc = pairs = None
             try:
-                game_id, t, ball, pairs, xy = _oracle_row_fields(json.loads(line))
+                doc = json.loads(line)
+                game_id, t, ball, pairs, xy = _oracle_row_fields(doc)
             except (ValueError, KeyError, TypeError, IndexError, OverflowError):
+                pass    # unparseable; the row's game, if any, is read from doc below
+            game_id = oracle_game_id(doc)
+            game = None if game_id is None else games.setdefault(game_id, _OracleGameBuffers())
+            if pairs is None:
                 reasons["unparseable"] += 1
-                continue
-            if len(pairs) != ingest.PLAYERS_PER_FRAME:
+            elif len(pairs) != ingest.PLAYERS_PER_FRAME:
                 reasons["wrong_player_count"] += 1
-                continue
-            if not (isfinite(t) and all(map(isfinite, ball)) and all(map(isfinite, xy))):
+            elif not (isfinite(t) and all(map(isfinite, ball)) and all(map(isfinite, xy))):
                 reasons["non_finite"] += 1
-                continue
-            try:
-                game = games[game_id]
-            except (KeyError, TypeError):   # a new game id, or one that is not a string
-                if not ingest._good_id(game_id):
-                    reasons["unparseable"] += 1
-                    continue
-                game = games[game_id] = _OracleGameBuffers()
-            if not game.append(row, t, ball, pairs, xy):
+            elif game is None or not game.append(key, t, ball, pairs, xy):
                 reasons["unparseable"] += 1
-    return ingest._RangeParse(n_rows, dict(reasons),
-                              {gid: g.part() for gid, g in games.items() if g.times})
+            else:
+                continue
+            if game is not None:
+                game.dropped.append(key)
+    return ingest._RangeParse(n_rows, dict(reasons), {gid: g.part() for gid, g in games.items()},
+                              {})
 
 
 # --- the shot-at-a-time extraction, kept as the oracle of extract_shot_events ---------
@@ -549,17 +562,23 @@ def oracle_extract(tracking, events, roster, min_samples=5, stream_break_s=1.0,
         if game is None:
             reasons["unknown_game"] += 1
             continue
-        if not 0 <= ev.release_frame < len(game):
+        # release frames index the rows as written, the dropped ones too
+        dropped = game.dropped.tolist()
+        if not 0 <= ev.release_frame < len(game) + len(dropped):
             reasons["release_out_of_range"] += 1
+            continue
+        if ev.release_frame in dropped:
+            reasons["release_row_rejected"] += 1
             continue
         try:
             rim_xy = rim_center_xy(ev.hoop_end)
         except ValueError:
             reasons["unknown_hoop_end"] += 1
             continue
+        first = ev.release_frame - sum(d < ev.release_frame for d in dropped)
 
-        ids = [game.id_table[j] for j in game.player_ids[ev.release_frame].tolist()]
-        xy = game.player_xy[ev.release_frame].tolist()
+        ids = [game.id_table[j] for j in game.player_ids[first].tolist()]
+        xy = game.player_xy[first].tolist()
         try:
             defender_id, ndd, s, d = nearest_defender(
                 ids, [game.team_of[pid] for pid in ids], xy, ev.shooter_id)
@@ -575,7 +594,7 @@ def oracle_extract(tracking, events, roster, min_samples=5, stream_break_s=1.0,
             gaps = np.diff(game.times)
             steps[ev.game_id] = gaps, np.flatnonzero(~(gaps <= stream_break_s)) + 1
         gaps, breaks = steps[ev.game_id]
-        times, first = game.times, ev.release_frame
+        times = game.times
         t0 = times[first]
         k = np.searchsorted(breaks, first + 1)
         end = breaks[k] if k < len(breaks) else len(times)

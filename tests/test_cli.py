@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from itertools import chain
 from collections import Counter
 from pathlib import Path
 
@@ -670,6 +671,22 @@ def _fit_in_two_ranges(monkeypatch, season, out):
     return _fit(season, out)
 
 
+def _fit_cut_at(monkeypatch, season, out, cuts):
+    """``_fit`` with the tracking file cut at the byte offsets ``cuts`` (each just after a
+    newline): this process parses the first range, a worker each other one."""
+    bounds = [0, *cuts, (season / "tracking.jsonl").stat().st_size]
+    monkeypatch.setattr(ingest, "_byte_ranges", lambda path, n: list(zip(bounds, bounds[1:])))
+    return _fit(season, out)
+
+
+def _rows_by_game(tracking):
+    """Each game's tracking lines, in file order."""
+    by_game = {}
+    for line in tracking.read_text(encoding="utf-8").splitlines(keepends=True):
+        by_game.setdefault(json.loads(line)["game_id"], []).append(line)
+    return by_game
+
+
 def _games_by_side(tracking):
     """The game ids of the rows before and after the two-range cut."""
     (_, cut), _ = ingest._byte_ranges(tracking, 2)
@@ -680,38 +697,100 @@ def _games_by_side(tracking):
     return tuple(sides)
 
 
-def _fit_season_failing_in_a_worker(*args):
-    """``fit_season``, raising in a worker process."""
+def _fit_game_failing_in_a_worker(*args, fit_game=season_module._fit_game):
+    """``season._fit_game``, raising in a worker process."""
     if multiprocessing.parent_process() is not None:
         raise ValueError("no fit in a worker")
-    return fit_season(*args)
+    return fit_game(*args)
 
 
 class TestFitInTwoRanges:
-    """``fit`` with games left in the worker that parsed them, against one range."""
+    """``fit`` with games fitted in the process that parsed them, against one range."""
 
     @staticmethod
     def assert_same_fit_files(got, want):
-        for name in FIT_FILES:
+        names = sorted(path.name for path in want.iterdir())
+        assert sorted(path.name for path in got.iterdir()) == names
+        assert set(FIT_FILES) <= set(names)
+        for name in names:
             assert (got / name).read_bytes() == (want / name).read_bytes(), name
+
+    def test_two_ranges_give_the_same_files_as_one(self, tmp_path, monkeypatch):
+        season = tmp_path / "s"
+        write_season(simulate_season(SimConfig(n_games=6, shots_per_game=20, seed=7,
+                                               corrupt_fraction=0.1)), season)
+        before, after = _games_by_side(season / "tracking.jsonl")
+        # games that each process fits as their runs end, beside the one split by the cut
+        assert before - after and after - before and before & after
+        assert _fit(season, tmp_path / "one") == 0
+        assert _fit_in_two_ranges(monkeypatch, season, tmp_path / "two") == 0
+        self.assert_same_fit_files(tmp_path / "two", tmp_path / "one")
+        assert multiprocessing.active_children() == []
+
+    def test_games_interleaved_every_few_rows_give_the_same_files(self, tmp_path, monkeypatch):
+        season = tmp_path / "s"
+        write_season(simulate_season(SimConfig(n_games=4, shots_per_game=20, seed=9,
+                                               corrupt_fraction=0.1)), season)
+        tracking = season / "tracking.jsonl"
+        by_game = _rows_by_game(tracking)
+        # three rows of each game in turn: each game's runs end, and its rows come back
+        blocks = [game[i:i + 3] for i in range(0, max(map(len, by_game.values())), 3)
+                  for game in by_game.values()]
+        tracking.write_text("".join(chain.from_iterable(blocks)), encoding="utf-8")
+        before, after = _games_by_side(tracking)
+        assert before == after == set(by_game)
+        assert _fit(season, tmp_path / "one") == 0
+        assert _fit_in_two_ranges(monkeypatch, season, tmp_path / "two") == 0
+        self.assert_same_fit_files(tmp_path / "two", tmp_path / "one")
+        assert multiprocessing.active_children() == []
 
     def test_games_interleaved_across_the_cut_give_the_same_files(self, tmp_path, monkeypatch):
         season = tmp_path / "s"
         write_season(simulate_season(SimConfig(n_games=3, shots_per_game=20, seed=9,
                                                corrupt_fraction=0.1)), season)
         tracking = season / "tracking.jsonl"
-        by_game = {}
-        for line in tracking.read_text(encoding="utf-8").splitlines(keepends=True):
-            by_game.setdefault(json.loads(line)["game_id"], []).append(line)
+        by_game = _rows_by_game(tracking)
+        assert "".join(chain.from_iterable(by_game.values())) == tracking.read_text("utf-8")
+        assert _fit(season, tmp_path / "whole") == 0
+        # each game in file order, with a cut in the middle of each: every game straddles a
+        # cut, and every range after the first starts inside a game
+        ends = np.cumsum([len(line.encode()) for game in by_game.values() for line in game])
+        counts = np.cumsum([len(game) for game in by_game.values()])
+        cuts = [int(ends[end - len(game) // 2 - 1])
+                for end, game in zip(counts, by_game.values())]
+        assert _fit_cut_at(monkeypatch, season, tmp_path / "cut", cuts) == 0
+        self.assert_same_fit_files(tmp_path / "cut", tmp_path / "whole")
         # round robin over the games: each game's rows keep their order, and lie on both sides
         rows = [row for turn in zip(*by_game.values()) for row in turn]
         rows += [row for game in by_game.values() for row in game[len(rows) // len(by_game):]]
         tracking.write_text("".join(rows), encoding="utf-8")
+        monkeypatch.undo()
         before, after = _games_by_side(tracking)
         assert before == after == set(by_game)
         assert _fit(season, tmp_path / "one") == 0
         assert _fit_in_two_ranges(monkeypatch, season, tmp_path / "two") == 0
         self.assert_same_fit_files(tmp_path / "two", tmp_path / "one")
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("side", ["this_process", "worker"])
+    def test_backward_step_in_a_game_fitted_early_exits_2_and_writes_nothing(
+            self, tmp_path, monkeypatch, capsys, side):
+        season = tmp_path / "s"
+        write_season(simulate_season(SimConfig(n_games=6, shots_per_game=10, seed=12)), season)
+        tracking = season / "tracking.jsonl"
+        before, after = _games_by_side(tracking)
+        # a game that lies on one side of the cut alone, so that side fits it as its run ends
+        game = min(before - after) if side == "this_process" else min(after - before)
+        lines = tracking.read_text(encoding="utf-8").splitlines()
+        rows = [i for i, line in enumerate(lines) if json.loads(line)["game_id"] == game]
+        middle = rows[len(rows) // 2]
+        doc = json.loads(lines[middle])
+        doc["t"] = json.loads(lines[middle - 1])["t"] - 1.0   # 1 s before the row ahead
+        lines[middle] = json.dumps(doc)
+        tracking.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert _fit_in_two_ranges(monkeypatch, season, tmp_path / "f") == 2
+        assert f"error: game {game}: timestamp {doc['t']} after " in capsys.readouterr().err
+        assert not (tmp_path / "f").exists()
         assert multiprocessing.active_children() == []
 
     def test_every_event_accounted_for_with_a_game_left_in_the_worker(self, tmp_path,
@@ -752,10 +831,12 @@ class TestFitInTwoRanges:
     def test_worker_failing_in_fit_season_fails_the_run_naming_its_range(
             self, tmp_path, monkeypatch, capsys):
         season = tmp_path / "s"
-        write_season(simulate_season(SimConfig(n_games=4, shots_per_game=10, seed=12)), season)
-        _, after = _games_by_side(season / "tracking.jsonl")
-        # the worker is sent season.fit_season by name, so it runs this one
-        monkeypatch.setattr(season_module, "fit_season", _fit_season_failing_in_a_worker)
+        write_season(simulate_season(SimConfig(n_games=6, shots_per_game=10, seed=12)), season)
+        before, after = _games_by_side(season / "tracking.jsonl")
+        # a game between the worker's first and last: the worker fits it as its run ends
+        assert len(after - before) >= 2
+        # the worker is sent this function, as fit_files finds it, so it runs this one
+        monkeypatch.setattr(season_module, "_fit_game", _fit_game_failing_in_a_worker)
         assert _fit_in_two_ranges(monkeypatch, season, tmp_path / "f") == 1
         (start, end), = ingest._byte_ranges(season / "tracking.jsonl", 2)[1:]
         assert after and (f"error: tracking worker for bytes {start}-{end}: "
@@ -940,7 +1021,7 @@ class TestShotsFileContract:
         out = tmp_path / "e"
         assert main(["effects", "--factors", str(shots), "--model-kind", "resilience",
                      "--response-kind", "prob", "--min-shots", "10", "--out-dir", str(out)]) == 2
-        assert f"{shots}: nan is not a valid ndd_ft at row 17, column 5" in capsys.readouterr().err
+        assert f"{shots}: 'nan' is not a valid ndd_ft at row 17, column 5" in capsys.readouterr().err
         assert not out.exists()
 
     def test_nan_depth_into_depth_bins_exits_2_and_writes_nothing(self, tmp_path, capsys):
@@ -951,14 +1032,14 @@ class TestShotsFileContract:
         out = tmp_path / "ev"
         assert main(["evaluate", "--analysis", "depth-bins", "--shots", str(shots),
                      "--out-dir", str(out)]) == 2
-        assert f"{shots}: nan is not a valid depth_ft at row 5, column 9" in capsys.readouterr().err
+        assert f"{shots}: 'nan' is not a valid depth_ft at row 5, column 9" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("cell,value,message", [
         ("depth_ft", "x", ": could not convert string 'x' to float64 at row 2, column 9"),
         ("lr_ft", "", ": could not convert string '' to float64 at row 2, column 10"),
-        ("entry_angle_deg", "inf", ": inf is not a valid entry_angle_deg at row 2, column 11"),
-        ("outcome", "2", ": 2.0 is not a valid outcome at row 2, column 8"),
+        ("entry_angle_deg", "inf", ": 'inf' is not a valid entry_angle_deg at row 2, column 11"),
+        ("outcome", "2", ": '2' is not a valid outcome at row 2, column 8"),
         ("lr_ft", None, ": no column lr_ft"),
         ("outcome", "<cut>", ": invalid column index"),
         ("shot_id", "T\r3", ":4: carriage return"),
@@ -989,14 +1070,13 @@ class TestShotsFileContract:
         assert f"{shots}{message}" in capsys.readouterr().err
         assert not model.parent.exists()
 
-    # from 2**53 on a float64 no longer holds every integer: 2**53 + 1 parses as 2**53
-    @pytest.mark.parametrize("value,shown", [("1e300", "1e+300"), ("inf", "inf"), ("-3", "-3.0"),
-                                             ("9223372036854775808", "9.223372036854776e+18"),
-                                             ("9223372036854775807", "9.223372036854776e+18"),
-                                             ("9007199254740993", "9007199254740992.0"),
-                                             ("9007199254740992", "9007199254740992.0")])
+    # from 2**53 on a float64 no longer holds every integer: 2**53 + 1 parses as 2**53, but
+    # the message quotes the cell as the file writes it
+    @pytest.mark.parametrize("value", ["1e300", "inf", "-3", "2.50", "9223372036854775808",
+                                       "9223372036854775807", "9007199254740993",
+                                       "9007199254740992"])
     def test_n_samples_outside_0_to_2_53_into_predict_exits_2_and_writes_nothing(
-            self, tmp_path, capsys, value, shown):
+            self, tmp_path, capsys, value):
         _, factors = _model_doc(tmp_path)
         records = _csv_records(factors)
         records[3][records[0].index("n_samples")] = value
@@ -1004,7 +1084,7 @@ class TestShotsFileContract:
         preds = tmp_path / "p" / "preds.csv"
         assert main(["predict", "--model", str(tmp_path / "model.json"),
                      "--factors", str(factors), "--out", str(preds)]) == 2
-        message = f"{factors}: {shown} is not a valid n_samples at row 2, column 13"
+        message = f"{factors}: {value!r} is not a valid n_samples at row 2, column 13"
         assert message in capsys.readouterr().err
         assert not preds.parent.exists()
 

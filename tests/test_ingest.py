@@ -35,7 +35,8 @@ from shotarc.ingest import (
 )
 from shotarc.season import fit_files
 from shotarc.sim import SimConfig, season_tracking, simulate_season, write_season
-from conftest import assert_same_extraction, json_number, oracle_extract, oracle_parse_range
+from conftest import (assert_same_extraction, json_number, oracle_extract, oracle_game_id,
+                      oracle_parse_range)
 
 
 def frame_line(game_id="G0", t=0.0, ball=(10.0, 25.0, 8.0), n_players=10):
@@ -90,7 +91,7 @@ class _GameColumns:
         self.player_ids.extend(self._index[pid] for pid in ids)
         self.player_xy.extend(xy)
 
-    def finish(self):
+    def finish(self, dropped):
         n = len(self.times)
         return GameTracking(
             game_id=self.game_id,
@@ -101,28 +102,33 @@ class _GameColumns:
                 n, PLAYERS_PER_FRAME, 2),
             id_table=self.id_table,
             team_of=self.team_of,
+            dropped=np.array(dropped, dtype=np.int64),
         )
 
 
 def oracle_load_tracking(path, monotone_tol=1e-9):
-    """One pass, one row at a time: each row is checked against its game's last accepted time."""
+    """One pass, one row at a time: each row is checked against its game's last accepted
+    time.  A row counts toward its game's rows as written when it is a JSON object with a
+    usable ``game_id``; each game's dropped rows are indexed among those."""
     games = {}
     n_rows = 0
     reasons = Counter()
+    written = Counter()
+    dropped = {}
     isfinite = math.isfinite
 
-    def accept(parsed):
+    def accept(parsed) -> bool:
         game_id, t, ball, ids, teams, xy = parsed
         if len(ids) != PLAYERS_PER_FRAME:
             reasons["wrong_player_count"] += 1
-            return
+            return False
         if not (isfinite(t) and all(map(isfinite, ball)) and all(map(isfinite, xy))):
             reasons["non_finite"] += 1
-            return
+            return False
         if not all(type(v) is str and not ingest._BAD_ID_CHAR.search(v)
                    for v in (game_id, *ids, *teams)):
             reasons["unparseable"] += 1
-            return
+            return False
         game = games.get(game_id)
         if game is None:
             game = games[game_id] = _GameColumns(game_id)
@@ -132,8 +138,9 @@ def oracle_load_tracking(path, monotone_tol=1e-9):
                 raise NonMonotoneTimestampsError(f"game {game_id}: timestamp {t} after {prev}")
             if t <= prev:
                 reasons["duplicate_timestamp"] += 1
-                return
+                return False
         game.append(t, ball, ids, teams, xy)
+        return True
 
     with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
         for line in fh:
@@ -144,34 +151,40 @@ def oracle_load_tracking(path, monotone_tol=1e-9):
                 parsed = _oracle_parse_row(line)
             except (ValueError, KeyError, TypeError, IndexError, OverflowError):
                 reasons["unparseable"] += 1
-                continue
-            accept(parsed)
+                kept = False
+            else:
+                kept = accept(parsed)
+            try:
+                game_id = oracle_game_id(json.loads(line))
+            except ValueError:
+                game_id = None
+            if game_id is not None:
+                if not kept:
+                    dropped.setdefault(game_id, []).append(written[game_id])
+                written[game_id] += 1
 
-    loaded = {gid: game.finish() for gid, game in games.items()}
+    loaded = {gid: game.finish(dropped.get(gid, [])) for gid, game in games.items()}
     n_loaded = sum(len(g) for g in loaded.values())
     return loaded, LoadReport(n_rows, n_loaded, n_rows - n_loaded, dict(reasons))
 
 
-def load_with_cuts(path, cuts, leave_games=False):
+def as_is(game):
+    """A ``fit`` for ``tracking_ranges`` that keeps each game it is given as it is."""
+    return game
+
+
+def load_with_cuts(path, cuts, fit=None):
     """``load_tracking`` with the file cut into ranges at the given byte offsets, in-process;
-    with ``leave_games``, each game that one range after the first alone holds is checked
-    apart from the others, as ``tracking_ranges`` leaves it in a worker (games then come
-    first those of this process, then each worker's)."""
+    with ``fit`` ``as_is``, each range keeps the games it fits early, and they come after
+    the games joined at the end."""
     size = path.stat().st_size
     bounds = [0, *cuts, size]
     data = path.read_bytes()
     assert all(data[c - 1:c] == b"\n" for c in cuts), "a cut must follow a newline"
-    parsed = [ingest._parse_range(path, a, b) for a, b in zip(bounds, bounds[1:])]
-    n_ranges = Counter(game_id for rng in parsed for game_id in rng.parts)
-    left = [{g: rng.parts.pop(g) for g in list(rng.parts) if n_ranges[g] == 1}
-            for rng in parsed[1:]] if leave_games else []
-    games, checked = ingest._apply_time_rules(parsed)
-    checked = [checked]
-    for parts in left:
-        more, more_checked = ingest._apply_time_rules([ingest._RangeParse(0, {}, parts)])
-        games.update(more)
-        checked.append(more_checked)
-    return games, ingest._load_report(parsed, checked)
+    games, fits, report = ingest._joined(
+        path, [ingest._parse_range(path, a, b, fit) for a, b in zip(bounds, bounds[1:])])
+    assert not games.keys() & fits.keys()
+    return {**games, **fits}, report
 
 
 def assert_same_load(got, want):
@@ -187,6 +200,7 @@ def assert_same_load(got, want):
             assert a.tobytes() == b.tobytes(), name
         assert g.id_table == w.id_table
         assert list(g.team_of.items()) == list(w.team_of.items())
+        assert g.dropped.tolist() == w.dropped.tolist()
     assert report == want_report
     assert all(type(n) is int for n in report.reasons.values())
 
@@ -425,7 +439,7 @@ class TestByteRangeSeams:
         by_id = dict(sorted(want[0].items())), want[1]
         for cuts in ([], [starts[seam]], sorted({starts[seam], after}), starts[1:]):
             assert_same_load(load_with_cuts(p, cuts), want)
-            games, report = load_with_cuts(p, cuts, leave_games=True)
+            games, report = load_with_cuts(p, cuts, fit=as_is)
             assert_same_load((dict(sorted(games.items())), report), by_id)
         assert_same_load(load_tracking(p), want)
 
@@ -445,9 +459,9 @@ class TestByteRangeSeams:
             oracle_load_tracking(p)
         assert str(want.value) == "game G1: timestamp 4.0 after 5.0"
         for cuts in ([], [starts[3]], [starts[2], starts[4]], starts[1:]):
-            for leave_games in (False, True):
+            for fit in (None, as_is):
                 with pytest.raises(NonMonotoneTimestampsError) as got:
-                    load_with_cuts(p, cuts, leave_games)
+                    load_with_cuts(p, cuts, fit)
                 assert str(got.value) == str(want.value)
 
     def test_cuts_follow_newlines_and_cover_the_file(self, tmp_path):
@@ -482,13 +496,17 @@ class TestByteRangeSeams:
         try:
             want = oracle_load_tracking(p)
         except NonMonotoneTimestampsError as exc:
-            with pytest.raises(NonMonotoneTimestampsError) as got:
-                load_with_cuts(p, cuts)
-            assert str(got.value) == str(exc)
+            for fit in (None, as_is):
+                with pytest.raises(NonMonotoneTimestampsError) as got:
+                    load_with_cuts(p, cuts, fit)
+                assert str(got.value) == str(exc)
             return
         got = load_with_cuts(p, cuts)
         assert_same_load(got, want)
         assert sum(got[1].reasons.values()) == got[1].n_rejected
+        games, report = load_with_cuts(p, cuts, fit=as_is)
+        assert_same_load((dict(sorted(games.items())), report), (dict(sorted(want[0].items())),
+                                                                 want[1]))
 
 
 def nan_ball(doc):
@@ -549,11 +567,15 @@ class TestRowPaths:
         assert games["G0"].id_table == [f"P{k}" for k in range(10)]
 
     @pytest.mark.parametrize("seam", [0, 2])
-    def test_game_whose_rows_are_all_non_finite_gives_no_part(self, tmp_path, seam):
+    def test_game_whose_rows_are_all_non_finite_is_not_loaded(self, tmp_path, seam):
+        # its part keeps no row, only the keys of the rows it dropped
         docs = [frame_doc("G0", 0.0), nan_ball(frame_doc("G1", 0.0)),
                 nan_ball(frame_doc("G1", 0.04)), frame_doc("G0", 0.04)]
         ranges, (games, report) = parse_rows(tmp_path, docs, seam)
-        assert [list(rng.parts) for rng in ranges] == [["G0"]] * len(ranges)
+        starts = line_starts([json.dumps(doc) for doc in docs])
+        g1 = [rng.parts["G1"] for rng in ranges if "G1" in rng.parts]
+        assert [len(part.row) for part in g1] == [0] * len(g1)
+        assert [key for part in g1 for key in part.dropped.tolist()] == starts[1:3]
         assert list(games) == ["G0"] and report.reasons == {"non_finite": 2}
 
     @pytest.mark.parametrize("seam", [0, 2])
@@ -644,8 +666,10 @@ def assert_same_parse(got, want):
     assert got.parts.keys() == want.parts.keys()
     for game_id, part in got.parts.items():
         assert part.pairs == want.parts[game_id].pairs
-        for a, b in zip(part[:-1], want.parts[game_id][:-1]):   # the array columns
-            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+        for name, a in part._asdict().items():
+            b = getattr(want.parts[game_id], name)
+            if name != "pairs":     # the array columns
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
 
 
 class TestOrjsonFastPath:
@@ -720,7 +744,7 @@ class TestWorkerPool:
 
         monkeypatch.setattr(ingest, "worker_processes", recording)
         assert_same_load(load_tracking(two_range_season), oracle_load_tracking(two_range_season))
-        assert jobs == [(str(two_range_season), *ranges[1])]
+        assert jobs == [(str(two_range_season), *ranges[1], None)]
         assert multiprocessing.active_children() == []
 
     def test_abort_joins_every_worker(self, tmp_path, two_range_season):
@@ -738,24 +762,21 @@ class TestWorkerPool:
 
     def test_range_from_a_worker_equals_the_in_process_parse(self, two_range_season):
         ranges = ingest._byte_ranges(two_range_season, 2)
-        jobs = [(str(two_range_season), *bounds) for bounds in ranges]
+        jobs = [(str(two_range_season), *bounds, None) for bounds in ranges]
         with core.worker_processes(ingest._range_worker, jobs) as conns:
-            held = [core.receive(conn, "worker") for conn in conns]
-            for conn in conns:
-                conn.send(set())    # no game left to the worker: it sends every one
             got = [ingest._receive_range(conn, *bounds) for conn, bounds in zip(conns, ranges)]
         assert multiprocessing.active_children() == []
-        for parsed, bounds, game_ids in zip(got, ranges, held):
+        for parsed, bounds in zip(got, ranges):
             want = ingest._parse_range(two_range_season, *bounds)
-            assert game_ids == list(want.parts)
             assert_same_parse(parsed, want)
+            assert parsed.early == want.early == {}
             assert list(parsed.parts) == list(want.parts)
             for part in parsed.parts.values():
                 assert part.pairs and all(type(pair) is tuple for pair in part.pairs)
 
     def test_failed_worker_raises_and_is_joined(self, tmp_path):
         ranges = [(0, 1), (1, 2)]
-        jobs = [(str(tmp_path / "missing.jsonl"), *bounds) for bounds in ranges]
+        jobs = [(str(tmp_path / "missing.jsonl"), *bounds, None) for bounds in ranges]
         with pytest.raises(RuntimeError, match="FileNotFoundError"):
             with core.worker_processes(ingest._range_worker, jobs) as conns:
                 for conn, bounds in zip(conns, ranges):
@@ -764,7 +785,7 @@ class TestWorkerPool:
 
     def test_parent_parse_failure_terminates_and_joins_the_worker(self, two_range_season,
                                                                    monkeypatch):
-        def fail(path, start, end):
+        def fail(path, start, end, fit):
             raise OSError("parent could not read its range")
 
         monkeypatch.setattr(ingest, "_parse_range", fail)    # only this process is patched
@@ -808,6 +829,62 @@ class TestGamesLeftInWorkers:
             fit_files(p, tmp_path / "missing_events.csv", tmp_path / "missing_roster.csv")
         assert str(got.value) == str(want.value)
         assert multiprocessing.active_children() == []
+
+
+def season_with_bad_row(tmp_path, name, row, spoil):
+    """The 1 x 6 season at seed 3, in ``tmp_path / name``, with tracking row ``row`` spoilt
+    by ``spoil(doc, previous doc)``."""
+    season = tmp_path / name
+    write_season(simulate_season(SimConfig(n_games=1, shots_per_game=6, seed=3)), season)
+    tracking = season / "tracking.jsonl"
+    lines = tracking.read_text(encoding="utf-8").splitlines()
+    if spoil is not None:
+        doc = json.loads(lines[row])
+        spoil(doc, json.loads(lines[row - 1]))
+        lines[row] = json.dumps(doc)
+    tracking.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return season
+
+
+def fit_season_files(season):
+    return fit_files(season / "tracking.jsonl", season / "events.csv", season / "roster.csv")
+
+
+ROW_SPOILERS = {
+    "non_finite": lambda doc, _: doc["ball"].__setitem__(0, float("nan")),
+    "unparseable": lambda doc, _: doc.__setitem__("t", "0.08"),
+    "wrong_player_count": lambda doc, _: doc["players"].pop(),
+    "duplicate_timestamp": lambda doc, before: doc.__setitem__("t", before["t"]),
+}
+
+
+class TestRowsDroppedAtLoad:
+    """Release frames index a game's rows as written, the rows dropped at load too."""
+
+    @pytest.mark.parametrize("reason", sorted(ROW_SPOILERS))
+    def test_later_releases_read_the_rows_they_name(self, tmp_path, reason):
+        clean = season_with_bad_row(tmp_path, "clean", 2, None)
+        season = season_with_bad_row(tmp_path, "spoilt", 2, ROW_SPOILERS[reason])
+        games, report = load_tracking(season / "tracking.jsonl")
+        assert report.reasons == {reason: 1}
+        assert games["G0000"].dropped.tolist() == [2]
+        want, got = (fit_season_files(s)[0].fits for s in (clean, season))
+        assert got["shot_id"].tolist() == want["shot_id"].tolist()
+        # row 2 lies in the first shot's window only; every later shot reads its own rows
+        assert got["n_samples"][1] == want["n_samples"][1] == 38
+        for name in ("n_samples", "beta", "depth_ft", "lr_ft", "entry_angle_deg"):
+            assert got[name][1:].tobytes() == want[name][1:].tobytes(), name
+
+    def test_release_on_a_dropped_row_is_rejected_and_counted(self, tmp_path):
+        clean = season_with_bad_row(tmp_path, "clean", 41, None)
+        season = season_with_bad_row(tmp_path, "spoilt", 41, ROW_SPOILERS["non_finite"])
+        fit, _ = fit_season_files(season)
+        assert load_events(season / "events.csv")[0]["release_frame"][1] == 41
+        assert fit.extraction.rejections == {"release_row_rejected": 1}
+        assert fit.extraction.n_events == fit.extraction.n_extracted + 1 == 6
+        want = fit_season_files(clean)[0].fits
+        kept = want["shot_id"] != "T000001"
+        assert fit.fits["shot_id"].tolist() == want["shot_id"][kept].tolist()
 
 
 EVENT_SEASON = season_tracking(simulate_season(

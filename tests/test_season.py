@@ -9,10 +9,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from shotarc.core import part_count
 from shotarc.factors import shot_factors
+from shotarc.ingest import MIN_RANGE_BYTES, _byte_ranges
 from shotarc.season import CSV_BLOCK_ROWS, ID_COLUMNS, INTEGER_COLUMNS, SHOT_COLUMNS, ShotRow, \
-    ShotsFileError, ShotTable, fit_season, read_shot_rows, write_shot_rows
-from shotarc.sim import SimConfig, season_tracking, simulate_season
+    ShotsFileError, ShotTable, fit_files, fit_season, read_shot_rows, write_shot_rows
+from shotarc.sim import SimConfig, season_tracking, simulate_season, write_season
 from shotarc.trajectory import MAX_PADDED_ROWS, FilterThresholds, filter_shots, fit_trajectories, \
     fit_trajectory, padded_blocks
 from conftest import assert_matches_chain, assert_season_matches_chain, lstsq_fit, \
@@ -135,6 +137,26 @@ def test_corrupted_season_matches_one_shot_chain(shuffle):
     assert_season_matches_chain(fit, chain)
     assert sum(fit.filtering.rejections.values()) + sum(fit.factor_rejections.values()) + len(
         fit.rows) == len(chain)
+
+
+def test_fit_files_peak_does_not_grow_with_the_season(tmp_path):
+    """On one byte range, twice the games make about the same ``tracemalloc`` peak: the
+    range holds a game's rows at a time, not the season's."""
+    peaks = []
+    for n_games in (6, 12):
+        season = tmp_path / f"s{n_games}"
+        write_season(simulate_season(SimConfig(n_games=n_games, shots_per_game=100, seed=4)),
+                     season)
+        tracking = season / "tracking.jsonl"
+        size = tracking.stat().st_size
+        assert len(_byte_ranges(tracking, part_count(size // MIN_RANGE_BYTES))) == 1
+        tracemalloc.start()
+        try:
+            fit_files(tracking, season / "events.csv", season / "roster.csv")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.25 * peaks[0], peaks
 
 
 def test_shots_file_header_is_the_shot_row_fields(tmp_path):
