@@ -606,17 +606,21 @@ def _joined(path: Path, parsed: list[_RangeParse]):
     """The ranges' parses, in file order, put together: as ``tracking_ranges`` returns."""
     n_ranges = Counter(chain.from_iterable(chain(rng.parts, rng.early) for rng in parsed))
     by_game: dict[GameId, list[_GamePart]] = {}
+    recounted: Counter[str] = Counter()
     for rng in parsed:
-        # a game fitted early that another range holds too is joined here after all
+        # a game fitted early that another range holds too is joined here after all; its
+        # fit's counts go with the fit, so part() counts its non-finite rows again (the
+        # range counted its other row-local rejections when it read them)
         for game_id in [g for g in rng.early if n_ranges[g] > 1]:
             rng.parts[game_id] = _reparse(path, rng.early.pop(game_id).span, game_id).part(
-                Counter())  # its rows were counted when the range read them
+                recounted)
         for game_id, part in rng.parts.items():
             by_game.setdefault(game_id, []).append(part)
         rng.parts.clear()   # so a game assembled below frees its parts
     games, checked = _apply_time_rules(by_game)
     early = [item for rng in parsed for item in rng.early.items()]
-    report = _load_report(parsed, [checked, *(e.checked for _, e in early)])
+    report = _load_report(parsed, [checked, _Checked(0, dict(recounted), None),
+                                   *(e.checked for _, e in early)])
     return games, {game_id: e.result for game_id, e in early if e.result is not None}, report
 
 

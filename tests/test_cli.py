@@ -772,6 +772,27 @@ class TestFitInTwoRanges:
         self.assert_same_fit_files(tmp_path / "two", tmp_path / "one")
         assert multiprocessing.active_children() == []
 
+    def test_non_finite_row_in_a_game_fitted_early_and_met_across_the_cut(self, tmp_path,
+                                                                           monkeypatch):
+        season = tmp_path / "s"
+        write_season(simulate_season(SimConfig(n_games=4, shots_per_game=10, seed=12)), season)
+        tracking = season / "tracking.jsonl"
+        g0, g1, g2, g3 = _rows_by_game(tracking).values()
+        doc = json.loads(g1[1])
+        doc["ball"][0] = float("nan")
+        half = len(g1) // 2
+        # this process fits G1 as its run ends, and the worker's range holds G1's other rows
+        rows = [*g0, g1[0], json.dumps(doc) + "\n", *g1[2:half], *g2]
+        cut = len("".join(rows).encode())
+        tracking.write_text("".join([*rows, *g1[half:], *g3]), encoding="utf-8")
+        assert _fit(season, tmp_path / "one") == 0
+        assert _fit_cut_at(monkeypatch, season, tmp_path / "cut", [cut]) == 0
+        self.assert_same_fit_files(tmp_path / "cut", tmp_path / "one")
+        load = json.loads((tmp_path / "cut" / "filter_report.json").read_text())["load"]
+        assert load["tracking"]["reasons"] == {"non_finite": 1}
+        assert load["tracking"]["n_rejected"] == 1
+        assert multiprocessing.active_children() == []
+
     @pytest.mark.parametrize("side", ["this_process", "worker"])
     def test_backward_step_in_a_game_fitted_early_exits_2_and_writes_nothing(
             self, tmp_path, monkeypatch, capsys, side):

@@ -383,6 +383,12 @@ def frame_doc(game_id="G0", t=0.0, **ids):
     return doc
 
 
+def nan_ball(doc):
+    """The frame with a NaN ball z."""
+    doc["ball"][2] = float("nan")
+    return doc
+
+
 # (rows, the row that follows the forced seam)
 SEAM_CASES = {
     "inside_a_game": ([frame_doc("G0", 0.04 * i) for i in range(5)]
@@ -419,6 +425,10 @@ SEAM_CASES = {
     "bad_id_stepping_back": ([frame_doc(t=0.0), frame_doc(t=0.04), frame_doc(t=0.0, P3=7),
                               frame_doc(t=0.08)], 2),
     "game_split_three_ways": ([frame_doc("G0", 0.04 * i) for i in range(6)], 2),
+    # cut before row 2, the first range fits G0 as its run ends, and the second range holds
+    # G0 too: the fit is dropped and the re-parse counts the NaN row again
+    "non_finite_in_a_game_fitted_early": ([nan_ball(frame_doc("G0", 0.0)), frame_doc("G1", 0.0),
+                                           frame_doc("G0", 0.04), frame_doc("G1", 0.04)], 2),
 }
 
 
@@ -507,12 +517,6 @@ class TestByteRangeSeams:
         games, report = load_with_cuts(p, cuts, fit=as_is)
         assert_same_load((dict(sorted(games.items())), report), (dict(sorted(want[0].items())),
                                                                  want[1]))
-
-
-def nan_ball(doc):
-    """The frame with a NaN ball z."""
-    doc["ball"][2] = float("nan")
-    return doc
 
 
 def reversed_players(doc):
@@ -825,7 +829,7 @@ class TestGamesLeftInWorkers:
             oracle_load_tracking(p)
         assert str(want.value).startswith("game G2" if first == "worker_game" else "game G1")
         with pytest.raises(NonMonotoneTimestampsError) as got:
-            # the tracking error comes before the missing events file is opened
+            # fit_files holds the missing events file's error, so the tracking error comes first
             fit_files(p, tmp_path / "missing_events.csv", tmp_path / "missing_roster.csv")
         assert str(got.value) == str(want.value)
         assert multiprocessing.active_children() == []
